@@ -118,8 +118,18 @@ class CodeView:
                 for i in range(self.family.params.M)]
         return self.bulk.matmul(rows, user)
 
-    def node_values_bulk(self, phi: np.ndarray, h: int) -> np.ndarray:
-        return self.bulk.matmul(self.family.node_tensor_rows(h), phi)
+    def node_values_bulk(self, phi: np.ndarray) -> np.ndarray:
+        """(M, N) file coordinates -> (n*alpha, N): node h owns rows
+        h*alpha .. (h+1)*alpha - 1."""
+        rows = [row for h in range(self.n)
+                for row in self.family.node_tensor_rows(h)]
+        return self.bulk.matmul(rows, phi)
+
+    def check_range(self, nodes, what: str) -> None:
+        """Reject node indices outside 0..n-1 before they index anything."""
+        bad = [h for h in nodes if not 0 <= h < self.n]
+        if bad:
+            raise UsageError(f"{what} {bad} out of range 0..{self.n - 1}")
 
     def decode_matrix(self, live_nodes: list[int]) -> list[list[int]]:
         """User symbols from the stacked values of the given k live nodes."""
@@ -247,7 +257,7 @@ class Cluster:
             values = body
         if (values.astype(np.uint32) >= view.spec.order).any():
             raise CorruptDataError(f"node {h} blob holds non-canonical symbols")
-        return values.T.astype(view.bulk.dtype)
+        return np.ascontiguousarray(values.T, dtype=view.bulk.dtype)
 
     # ---- commands ----
 
@@ -261,15 +271,15 @@ class Cluster:
             chunked = ChunkedFile.plan(len(data), view.user_symbols, view.spec.m)
             symbols = bytes_to_symbols(stream, view.spec.m,
                                        chunked.chunk_count * view.user_symbols)
-            user = symbols.reshape(chunked.chunk_count, view.user_symbols).T
-            user = user.astype(view.bulk.dtype)
+            user = np.ascontiguousarray(
+                symbols.reshape(chunked.chunk_count, view.user_symbols).T)
             phi = view.encode_bulk(user)
             for stale in self.root.glob("node_*"):
                 shutil.rmtree(stale)
-            digests = {}
-            for h in range(view.n):
-                values = view.node_values_bulk(phi, h)
-                digests[str(h)] = self._write_node(view, h, values)
+            values = view.node_values_bulk(phi)
+            a = view.alpha
+            digests = {str(h): self._write_node(view, h, values[h * a:(h + 1) * a])
+                       for h in range(view.n)}
             manifest = {
                 "format": MANIFEST_FORMAT,
                 "version": MANIFEST_VERSION,
@@ -291,6 +301,7 @@ class Cluster:
             if nodes is None:
                 nodes = live[:view.k]
             else:
+                view.check_range(nodes, "nodes")
                 bad = [h for h in nodes if h not in live]
                 if bad:
                     raise UsageError(f"nodes {bad} are not live")
@@ -313,8 +324,7 @@ class Cluster:
     def fail(self, h: int) -> dict:
         with _store_lock(self.root):
             manifest, view = self._load()
-            if not 0 <= h < view.n:
-                raise UsageError(f"node {h} out of range")
+            view.check_range([h], "node")
             if manifest["node_status"][h] == FAILED:
                 raise UsageError(f"node {h} is already failed")
             manifest["node_status"][h] = FAILED
@@ -327,6 +337,7 @@ class Cluster:
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
         with _store_lock(self.root):
             manifest, view = self._load()
+            view.check_range([f, *(helpers or ())], "nodes")
             if manifest["node_status"][f] != FAILED:
                 raise UsageError(f"node {f} is live; nothing to repair")
             live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
@@ -372,6 +383,7 @@ class Cluster:
                 raise UsageError("repair2 runs on unshortened code instances")
             if strategy not in STRATEGIES:
                 raise UsageError(f"unknown strategy {strategy!r}")
+            view.check_range([f, g, *(helpers or ())], "nodes")
             for node in (f, g):
                 if manifest["node_status"][node] != FAILED:
                     raise UsageError(f"node {node} is live; nothing to repair")

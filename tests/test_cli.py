@@ -144,6 +144,22 @@ def test_cluster_exit_codes(tmp_path):
     assert code == 2  # already failed
 
 
+def test_repair_node_out_of_range_is_usage_error(tmp_path):
+    spec = tmp_path / "fix.spec"
+    store = str(tmp_path / "store")
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", store])
+    for args in (("repair", "--store", store, "99"),
+                 ("repair2", "--store", store, "99", "3"),
+                 ("repair", "--store", store, "0", "--helpers", "1,2,3,4,5,99")):
+        code, out, err = run_cli(*args)
+        assert code == 2, err
+        assert "out of range" in err
+        assert "Traceback" not in err
+
+
 def test_repair2_cli_and_json(tmp_path):
     spec = tmp_path / "fix.spec"
     store = str(tmp_path / "store")

@@ -250,3 +250,92 @@ def test_put_reinitializes_cleanly(tmp_path, fixture_doc, rng):
 def test_manifest_required(tmp_path):
     with pytest.raises(UsageError):
         Cluster(tmp_path / "nowhere").get(tmp_path / "x")
+
+
+# node_digests written by the per-coefficient lookup-table kernel that the
+# bit-sliced kernel replaced; the on-disk bytes must not change
+PINNED_DIGESTS = {
+    "fixture": [
+        "4f2742fd54d832cf34abc59c5a7ae58fc8289f31fc3e8d232d030ac14a515fbc",
+        "2d210cbdf4a8b8f3c1fb1cad6ffa1b8e3168e17e275a3da32cfba77bf63bd6c8",
+        "7eec47a182c106694eb8143fb215c7162246f9c802f1e0575f97f150c9927f61",
+        "8e726146ab0315fa58bdc1ebabeb63b85b587f88fbe3798d9ffed884223bb782",
+        "05977df6f234a8dd6256d1484dcb0a47745ec4e5b29523cd0d163a19fdf8eaa0",
+        "8ddc6e27db7fe9ab525ca8ef4590dc199607a704951796e0c79d5bb28c304e48",
+        "90e5e16f52e6a20e3c5dae67587ff3be87bc6acc37089e1f61bf1d8021e18398",
+        "35f5a57d785822e3abf97ba461a1fba997b39b9faf8914282f43c3ba48986ede",
+        "419e9dfd202837cf4ce2857b3ffe66a161e76be2ba592f5733942f6e3259b9cc",
+    ],
+    "rs-gf512": [
+        "8a177ab7c70a221b5e0674b0d42ca971cf70bf20f092e900efe287a856d32106",
+        "7dfe1becd5b14fdd4e50349e2b1938becf67e20950e8780e7b8ac9c8efab1002",
+        "cd22bec8cca4432e27f3bb4fb927d14dfbfca6a8b9b835a28b42ff5d7935f40f",
+        "68568b58f3e898f04a4e391bc60680f62c80bc5f9f9862791b2d3b6505159b3f",
+        "001a302abed5202f20549d523817893163038094403f5e69311b2895c0643d6d",
+        "5f1bfe09970f1c7bf7f26d91faa08c27afb2581c0a38e2ad49bc8a5031ba5bf1",
+    ],
+    "fixture-shortened": [
+        "d2632b1742d96319effa82b213c569c442925e94585dc6cd38c206721f24b54b",
+        "0ecbede226660063f51519dc6cd7d551e9cbde7c524b00a6c42d33427c4319ce",
+        "9f88a45c902f042f065cd380ad1c6ab9c7ca13ca70949d4d49c735bcd735e2a6",
+        "671437ece437c0514e6f9d2cfe696bb69ca9d7d1bfd8a12cec7fbd4a77a8f7e3",
+        "16cc0b5d6e2faf23e95c21d70cb84de36c3e8177c84c503367a64f91bddb3389",
+        "cbd06458c12e4f23a8f655b50d8b625fa5a1698c9943ce96a57fb8fd9240e06d",
+        "d5a09053e782269a8ac022135a1ed03df1f40f8a34bc85c64d8c9b77c05286cc",
+        "8f958e7dfcfea7fcf2e6cd9b96270e34ff04151269c13d11d2a6ba66b7f8d3e9",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_put_blobs_match_pinned_digests(tmp_path, name):
+    doc = {
+        "fixture": lambda: family_document(atrahasis_956()),
+        "rs-gf512": lambda: family_document(
+            rs_stars_t2(binary_field(9), 6, 3, SYMMETRIC)),
+        "fixture-shortened": lambda: family_document(atrahasis_956(),
+                                                     shorten_depth=1),
+    }[name]()
+    data = random.Random(2020).randbytes(4099)
+    cluster, _ = make_store(tmp_path, doc, data)
+    digests = cluster._load()[0]["node_digests"]
+    assert [digests[str(h)] for h in range(len(digests))] == PINNED_DIGESTS[name]
+    out = tmp_path / "out.bin"
+    cluster.get(out)
+    assert out.read_bytes() == data
+
+
+def test_gf65536_cluster_roundtrip(tmp_path, rng):
+    doc = family_document(rs_stars_t2(binary_field(16), 6, 3, SYMMETRIC))
+    data = bytes(rng.randrange(256) for _ in range(3001))
+    cluster, _ = make_store(tmp_path, doc, data)
+    original = cluster._load()[0]["node_digests"]["1"]
+    out = tmp_path / "out.bin"
+    cluster.get(out, nodes=[3, 4, 5])
+    assert out.read_bytes() == data
+    cluster.fail(1)
+    cluster.repair(1)
+    assert cluster._load()[0]["node_digests"]["1"] == original
+    cluster.get(out, nodes=[1, 2, 5])
+    assert out.read_bytes() == data
+
+
+def test_node_indices_range_checked(tmp_path, fixture_doc, rng):
+    data = bytes(rng.randrange(256) for _ in range(100))
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    cluster.fail(8)
+    cluster.fail(7)
+    # -1 would silently read node 8's status, 99 would raise IndexError
+    for call in (lambda: cluster.repair(99),
+                 lambda: cluster.repair(-1),
+                 lambda: cluster.repair(8, helpers=[0, 1, 2, 3, 4, 99]),
+                 lambda: cluster.repair2(99, 3),
+                 lambda: cluster.repair2(-1, 7),
+                 lambda: cluster.repair2(7, -2),
+                 lambda: cluster.repair2(7, 8, helpers=[-1, 0, 1, 2, 3, 4]),
+                 lambda: cluster.get(tmp_path / "out.bin", nodes=[-1, 0, 1, 2, 3]),
+                 lambda: cluster.fail(9)):
+        with pytest.raises(UsageError, match="out of range"):
+            call()
+    manifest, _ = cluster._load()
+    assert manifest["node_status"] == ["live"] * 7 + ["failed"] * 2
