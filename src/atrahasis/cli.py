@@ -47,7 +47,10 @@ def parse_field(text: str) -> FieldSpec:
     poly = None
     if "/" in body:
         body, poly_text = body.split("/", 1)
-        poly = int(poly_text, 16)
+        try:
+            poly = int(poly_text, 16)
+        except ValueError:
+            raise UsageError(f"cannot parse reduction polynomial in {text!r}")
     if not body.startswith("gf"):
         raise UsageError(f"cannot parse field {text!r} (expected gf<order>)")
     try:
@@ -200,9 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_put(args) -> int:
-    with open(args.spec) as fh:
-        doc = json.load(fh)
-    info = Cluster(args.store).put(doc, args.file)
+    info = Cluster(args.store).put(specfile.read_json(args.spec), args.file)
     _emit(args, info,
           f"stored {args.file}: {info['chunk_count']} chunks on {info['nodes']} nodes")
     return EXIT_OK

@@ -42,6 +42,8 @@ from .transforms import STRATEGIES, ShortenedCode, central_repair_program
 
 MANIFEST_FORMAT = "atrahasis-cluster"
 MANIFEST_VERSION = 1
+MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
+                 "node_digests", "ledger")
 LIVE = "live"
 FAILED = "failed"
 
@@ -195,12 +197,14 @@ class Cluster:
 
     def _load(self):
         try:
-            with open(self._manifest_path()) as fh:
-                manifest = json.load(fh)
+            manifest = specfile.read_json(self._manifest_path())
         except FileNotFoundError:
             raise UsageError(f"no cluster at {self.root} (run put first)")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CorruptDataError("not a cluster manifest")
+        missing = [key for key in MANIFEST_KEYS if key not in manifest]
+        if missing:
+            raise CorruptDataError(f"cluster manifest lacks {missing}")
         code, phash = specfile.parse_document(manifest["code_spec"])
         if phash.hex() != manifest["params_hash"]:
             raise CorruptDataError("manifest params hash mismatch")

@@ -48,13 +48,5 @@ class InsufficientNodesError(AtrahasisError):
     """Not enough live nodes to run the requested operation."""
 
 
-class NoSolutionError(AtrahasisError):
-    """A linear system is inconsistent; `row` is the offending input row."""
-
-    def __init__(self, row, message=None):
-        self.row = row
-        super().__init__(message or f"inconsistent linear system (row {row})")
-
-
 class CorruptDataError(UsageError):
     """A serialized artifact failed validation (magic, hash, lengths)."""

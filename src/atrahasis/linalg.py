@@ -1,18 +1,17 @@
 """Dense exact linear algebra over a FieldSpec.
 
 Vectors and matrices store canonical integer values internally; the
-`coords` / `elements` accessors expose FieldElement views.  Everything
-here is plain Gaussian elimination with first-nonzero pivoting --
-arithmetic is exact, so no pivot strategy beyond "nonzero" is needed.
-All values are immutable after construction; elimination works on
-private copies.
+`coords` / `elements` accessors expose FieldElement views.  All row
+reduction goes through one incremental engine, Echelon: rank, the
+determinant, the inverse, span coefficients and the nullspace are thin
+callers of it.  Arithmetic is exact, so the pivot is simply the first
+nonzero column.  All values are immutable after construction;
+reduction works on private copies.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import NoSolutionError, UsageError
+from .errors import UsageError
 from .fields import FieldElement, FieldSpec
 
 
@@ -94,12 +93,6 @@ def dot_ints(spec: FieldSpec, a: list[int], b: list[int]) -> int:
     return acc
 
 
-def unit_vector(spec: FieldSpec, n: int, i: int) -> Vector:
-    values = [0] * n
-    values[i] = 1
-    return Vector(spec, values)
-
-
 class Matrix:
     """Row-major dense matrix over a field."""
 
@@ -152,114 +145,104 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.spec})"
 
 
-def _eliminate(spec: FieldSpec, rows: list[list[int]]):
-    """Row-reduce in place to reduced row echelon form.
+class Echelon:
+    """Incremental row echelon form over the first `width` columns.
 
-    Returns (pivot_columns, row_origins) where row_origins[i] is the
-    input index of the row now sitting at position i.
+    offer() reduces a row against the kept rows in the order they were
+    kept; the row is kept when something is left, with its pivot (the
+    first nonzero among the first `width` columns) scaled to 1.  Every
+    kept row is zero at the pivots of the rows kept before it, so the
+    rows stay independent without ever being reordered.  Columns past
+    `width` ride along without pivoting (an augmented identity records
+    which combination of offered rows each kept row is).
     """
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    origins = list(range(nrows))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        origins[r], origins[pr] = origins[pr], origins[r]
-        piv = inv(rows[r][c])
-        if piv != 1:
-            rows[r] = [mul(piv, v) for v in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
+
+    def __init__(self, spec: FieldSpec, width: int):
+        self.spec = spec
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.leading = 1  # product of the kept pivot entries before scaling
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> list[int]:
+        """The row minus its components along the kept rows."""
+        mul, sub = self.spec.mul, self.spec.sub
+        work = list(row)
+        for c, prow in zip(self.pivots, self.rows):
+            f = work[c]
+            if f:
+                work = [sub(a, mul(f, b)) for a, b in zip(work, prow)]
+        return work
+
+    def offer(self, row) -> bool:
+        """Keep the row if it is independent of the kept rows."""
+        work = self.reduce(row)
+        c = next((j for j in range(self.width) if work[j]), None)
+        if c is None:
+            return False
+        spec = self.spec
+        lead = work[c]
+        self.leading = spec.mul(self.leading, lead)
+        if lead != 1:
+            scale = spec.inv(lead)
+            work = [spec.mul(scale, v) for v in work]
+        self.rows.append(work)
+        self.pivots.append(c)
+        return True
+
+    def reduced(self) -> tuple[list[int], list[list[int]]]:
+        """(pivot columns, rows) of the reduced row echelon form.
+
+        Back-substitution clears each pivot column in the rows kept
+        before it (the rows kept after it are zero there already); sorted
+        by pivot column, the rows are then the unique reduced form of the
+        kept rows' span.
+        """
+        mul, sub = self.spec.mul, self.spec.sub
+        rows = [list(r) for r in self.rows]
+        for j in range(len(rows) - 1, 0, -1):
+            c, prow = self.pivots[j], rows[j]
+            for i in range(j):
                 f = rows[i][c]
-                row_i = rows[i]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(row_i, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, origins
+                if f:
+                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+        by_pivot = sorted(zip(self.pivots, rows))
+        return [c for c, _ in by_pivot], [row for _, row in by_pivot]
 
 
-def rank(matrix: Matrix) -> int:
-    rows = [row[:] for row in matrix.rows]
-    pivots, _ = _eliminate(matrix.spec, rows)
-    return len(pivots)
+def _echelon_of(spec: FieldSpec, rows, width: int) -> Echelon:
+    echelon = Echelon(spec, width)
+    for row in rows:
+        echelon.offer(row)
+    return echelon
 
 
 def rank_of_rows(spec: FieldSpec, int_rows: list[list[int]]) -> int:
-    if not int_rows:
-        return 0
-    rows = [row[:] for row in int_rows]
-    pivots, _ = _eliminate(spec, rows)
-    return len(pivots)
+    width = len(int_rows[0]) if int_rows else 0
+    return _echelon_of(spec, int_rows, width).rank
 
 
 def det(matrix: Matrix) -> FieldElement:
+    """Product of the pivot entries, signed by the parity of the pivot
+    column sequence (the rows are never swapped)."""
     if matrix.nrows != matrix.ncols:
         raise UsageError("determinant needs a square matrix")
     spec = matrix.spec
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
-    n = matrix.nrows
-    rows = [row[:] for row in matrix.rows]
-    acc = 1
-    sign_flip = False
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+    echelon = Echelon(spec, matrix.ncols)
+    for row in matrix.rows:
+        if not echelon.offer(row):
             return FieldElement(spec, 0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign_flip = not sign_flip
-        acc = mul(acc, rows[c][c])
-        piv = inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = mul(rows[i][c], piv)
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[c])]
-    if sign_flip:
-        acc = spec.neg(acc)
-    return FieldElement(spec, acc)
-
-
-class Solution(NamedTuple):
-    x: Vector
-    unique: bool
-
-
-def solve(A: Matrix, b: Vector) -> Solution:
-    """Solve A x = b exactly.
-
-    Returns any solution (free variables set to 0) plus a uniqueness
-    flag.  Raises NoSolutionError carrying the index of an input row
-    whose equation cannot be met.
-    """
-    if b.spec != A.spec or len(b) != A.nrows:
-        raise UsageError("right-hand side does not match matrix")
-    spec = A.spec
-    aug = [row + [bv] for row, bv in zip(A.rows, b.values)]
-    pivots, origins = _eliminate(spec, aug)
-    n = A.ncols
-    if pivots and pivots[-1] == n:
-        # pivot in the augmented column: contradiction 0 = nonzero
-        raise NoSolutionError(origins[len(pivots) - 1])
-    x = [0] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return Solution(Vector(spec, x), len(pivots) == n)
+    p = echelon.pivots
+    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+                     if p[i] > p[j])
+    value = echelon.leading
+    if inversions % 2:
+        value = spec.neg(value)
+    return FieldElement(spec, value)
 
 
 def invert(A: Matrix) -> Matrix | None:
@@ -269,10 +252,11 @@ def invert(A: Matrix) -> Matrix | None:
     n = A.nrows
     aug = [row + [1 if i == j else 0 for j in range(n)]
            for i, row in enumerate(A.rows)]
-    pivots, _ = _eliminate(A.spec, aug)
-    if len(pivots) != n or pivots != list(range(n)):
+    echelon = _echelon_of(A.spec, aug, n)
+    if echelon.rank < n:
         return None
-    return Matrix(A.spec, [row[n:] for row in aug])
+    _, rows = echelon.reduced()
+    return Matrix(A.spec, [row[n:] for row in rows])
 
 
 def nullspace_with_free(A: Matrix) -> tuple[list[Vector], list[int]]:
@@ -284,108 +268,49 @@ def nullspace_with_free(A: Matrix) -> tuple[list[Vector], list[int]]:
     off any kernel vector at the free positions.
     """
     spec = A.spec
-    rows = [row[:] for row in A.rows]
-    pivots, _ = _eliminate(spec, rows)
+    pivots, rows = _echelon_of(spec, A.rows, A.ncols).reduced()
     pivot_set = set(pivots)
     free = [c for c in range(A.ncols) if c not in pivot_set]
     basis = []
     for f in free:
         v = [0] * A.ncols
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = spec.neg(rows[i][f])
+        for row, c in zip(rows, pivots):
+            v[c] = spec.neg(row[f])
         basis.append(Vector(spec, v))
     return basis, free
-
-
-def nullspace_basis(A: Matrix) -> list[Vector]:
-    return nullspace_with_free(A)[0]
 
 
 class SpanSolver:
     """Repeated membership queries against the span of fixed generators.
 
-    Row-reduces the generator stack once, remembering the combination of
-    input generators behind each reduced row; each query is then a single
-    back-substitution.
+    Row-reduces the generator stack once, with an augmented identity
+    that records the combination of input generators behind each kept
+    row; each query is then a single reduction.
     """
 
     def __init__(self, spec: FieldSpec, generators: list[list[int]], width: int):
-        self.spec = spec
-        self.ngens = len(generators)
-        self.width = width
-        aug = [list(g) + [1 if i == j else 0 for j in range(self.ngens)]
-               for i, g in enumerate(generators)]
         for g in generators:
             if len(g) != width:
                 raise UsageError("generator length mismatch")
-        if aug:
-            # eliminate on the generator columns only
-            self._rows, self._pivots = self._reduce(aug, width)
-        else:
-            self._rows, self._pivots = [], []
-
-    def _reduce(self, aug, width):
-        spec = self.spec
-        mul, sub, inv = spec.mul, spec.sub, spec.inv
-        nrows = len(aug)
-        r = 0
-        pivots = []
-        for c in range(width):
-            pr = None
-            for i in range(r, nrows):
-                if aug[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            piv = inv(aug[r][c])
-            if piv != 1:
-                aug[r] = [mul(piv, v) for v in aug[r]]
-            prow = aug[r]
-            for i in range(nrows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [sub(a, mul(f, b)) for a, b in zip(aug[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return aug[:len(pivots)], pivots
+        self.spec = spec
+        self.ngens = len(generators)
+        self.width = width
+        self._echelon = _echelon_of(
+            spec, (list(g) + [1 if i == j else 0 for j in range(self.ngens)]
+                   for i, g in enumerate(generators)), width)
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return self._echelon.rank
 
     def coefficients_for(self, target: list[int]) -> list[int] | None:
         """Coefficients over the generators, or None if out of span."""
         if len(target) != self.width:
             raise UsageError("target length mismatch")
-        spec = self.spec
-        mul, sub = spec.mul, spec.sub
-        residual = list(target)
-        coeffs = [0] * self.ngens
-        for row, c in zip(self._rows, self._pivots):
-            f = residual[c]
-            if f:
-                residual = [sub(a, mul(f, b)) for a, b in zip(residual, row[:self.width])]
-                for j in range(self.ngens):
-                    if row[self.width + j]:
-                        coeffs[j] = spec.add(coeffs[j], mul(f, row[self.width + j]))
-        if any(residual):
+        # reducing (target, 0) leaves (residual, -coefficients)
+        work = self._echelon.reduce(list(target) + [0] * self.ngens)
+        if any(work[:self.width]):
             return None
-        return coeffs
-
-
-def in_span(target: Vector, generators: list[Vector]) -> list[FieldElement] | None:
-    """Coefficients c with sum(c_i * generators_i) = target, else None."""
-    spec = target.spec
-    for g in generators:
-        if g.spec != spec or len(g) != len(target):
-            raise UsageError("generators must share field and length with target")
-    solver = SpanSolver(spec, [g.values for g in generators], len(target))
-    coeffs = solver.coefficients_for(target.values)
-    if coeffs is None:
-        return None
-    return [FieldElement(spec, c) for c in coeffs]
+        neg = self.spec.neg
+        return [neg(v) for v in work[self.width:]]

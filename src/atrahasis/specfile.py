@@ -1,21 +1,21 @@
-"""On-disk formats: the textual code-spec file, node content blobs, and
-help message frames.
+"""On-disk formats: the textual code-spec file and node content blobs.
 
 The code-spec file is versioned JSON carrying the field, the parameters,
 the star vectors as hex element lists, and a content hash over the
 canonical serialization.  An 8-byte params hash derived from the same
-canonical form ties blobs and frames to the code instance they belong
-to, so a mismatched or corrupted artifact is always detected.
+canonical form ties blobs to the code instance they belong to, so a
+mismatched or corrupted artifact is always detected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 
-from .code import StarFamily, derive_params
+from .code import EXTERIOR, SYMMETRIC, StarFamily, derive_params
 from .errors import CorruptDataError, UsageError
-from .fields import FieldSpec, decode_elements, encode_element
+from .fields import FieldSpec, encode_element
 from .linalg import Vector
 from .transforms import ShortenedCode
 
@@ -23,9 +23,10 @@ SPEC_FORMAT = "atrahasis-code-spec"
 SPEC_VERSION = 1
 
 BLOB_MAGIC = b"ATRA"
-FRAME_MAGIC = b"ATRH"
 BLOB_VERSION = 1
 HEADER_LEN = 16
+
+_HEX = re.compile(r"[0-9a-fA-F]+")
 
 
 def _canonical_payload(doc: dict) -> bytes:
@@ -37,8 +38,31 @@ def _star_hex(vectors: list[Vector]) -> list[list[str]]:
     return [[format(v, "x") for v in vec.values] for vec in vectors]
 
 
-def _star_unhex(spec: FieldSpec, rows: list[list[str]]) -> list[Vector]:
+def _star_unhex(spec: FieldSpec, doc: dict, key: str) -> list[Vector]:
+    rows = _entry(doc, key, list)
+    for row in rows:
+        if not (isinstance(row, list)
+                and all(isinstance(h, str) and _HEX.fullmatch(h) for h in row)):
+            raise CorruptDataError(f"code-spec {key!r} holds a non-hex element row")
     return [Vector(spec, [int(h, 16) for h in row]) for row in rows]
+
+
+def _entry(stanza: dict, key: str, kind):
+    """stanza[key], which must be present and of type `kind`."""
+    value = stanza.get(key)
+    if not isinstance(value, kind):
+        raise CorruptDataError(f"code-spec entry {key!r} is missing or malformed")
+    return value
+
+
+def _field_spec(doc: dict) -> FieldSpec:
+    field = _entry(doc, "field", dict)
+    poly = field.get("reduction_poly")
+    if not (isinstance(field.get("kind"), str)
+            and all(isinstance(field.get(key), (int, type(None))) for key in ("m", "p"))
+            and (poly is None or isinstance(poly, str) and _HEX.fullmatch(poly))):
+        raise CorruptDataError("code-spec field stanza is malformed")
+    return FieldSpec.from_dict(field)
 
 
 def family_document(family: StarFamily, shorten_depth: int = 0) -> dict:
@@ -63,6 +87,8 @@ def family_document(family: StarFamily, shorten_depth: int = 0) -> dict:
 
 def parse_document(doc: dict):
     """Validate a code-spec document; returns (family-or-shortened, params_hash)."""
+    if not isinstance(doc, dict):
+        raise CorruptDataError("a code-spec document must be a JSON object")
     if doc.get("format") != SPEC_FORMAT:
         raise CorruptDataError(f"not a code-spec file (format={doc.get('format')!r})")
     if doc.get("version") != SPEC_VERSION:
@@ -71,19 +97,21 @@ def parse_document(doc: dict):
     actual = hashlib.sha256(_canonical_payload(doc)).hexdigest()
     if expected != actual:
         raise CorruptDataError("code-spec content hash mismatch")
-    spec = FieldSpec.from_dict(doc["field"])
-    pr = doc["params"]
-    params = derive_params(pr["n"], pr["k"], pr["d"], pr["flavor"])
-    if pr["t"] != params.t:
+    spec = _field_spec(doc)
+    pr = _entry(doc, "params", dict)
+    n, k, d, t = (_entry(pr, key, int) for key in "nkdt")
+    if pr.get("flavor") not in (SYMMETRIC, EXTERIOR):
+        raise CorruptDataError(f"unknown code-spec flavor {pr.get('flavor')!r}")
+    params = derive_params(n, k, d, pr["flavor"])
+    if t != params.t:
         raise CorruptDataError("code-spec t disagrees with (n, k, d)")
-    family = StarFamily(spec, params,
-                        _star_unhex(spec, doc["x_stars"]),
-                        _star_unhex(spec, doc["second_stars"]))
+    family = StarFamily(spec, params, _star_unhex(spec, doc, "x_stars"),
+                        _star_unhex(spec, doc, "second_stars"))
     code = family
-    stanza = doc.get("shorten")
-    if stanza:
-        code = ShortenedCode(family, stanza["delta"])
-        if list(code.pinned) != list(stanza["pinned"]):
+    if doc.get("shorten"):
+        stanza = _entry(doc, "shorten", dict)
+        code = ShortenedCode(family, _entry(stanza, "delta", int))
+        if list(code.pinned) != _entry(stanza, "pinned", list):
             raise CorruptDataError("shorten stanza pins unexpected nodes")
     phash = hashlib.sha256(_canonical_payload(doc)).digest()[:8]
     return code, phash
@@ -97,16 +125,21 @@ def write_spec_file(path, family: StarFamily, shorten_depth: int = 0) -> dict:
     return doc
 
 
+def read_json(path) -> dict:
+    """The JSON object stored at path; CorruptDataError if it holds none."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptDataError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CorruptDataError(f"{path} does not hold a JSON object")
+    return doc
+
+
 def read_spec_file(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return parse_document(doc)
-
-
-def params_hash(family: StarFamily) -> bytes:
-    """8-byte digest binding blobs and frames to one code instance."""
-    doc = family_document(family)
-    return hashlib.sha256(_canonical_payload(doc)).digest()[:8]
+    return parse_document(read_json(path))
 
 
 def encode_node_blob(spec: FieldSpec, phash: bytes, node_index: int,
@@ -124,52 +157,3 @@ def encode_node_blob(spec: FieldSpec, phash: bytes, node_index: int,
     for v in values:
         encode_element(spec, v, out)
     return bytes(out)
-
-
-def decode_node_blob(spec: FieldSpec, phash: bytes, data: bytes,
-                     alpha: int) -> tuple[int, list[int]]:
-    """Validate and unpack one node blob; returns (node_index, values)."""
-    if len(data) != HEADER_LEN + alpha * spec.element_bytes:
-        raise CorruptDataError(f"node blob has wrong length {len(data)}")
-    if data[:4] != BLOB_MAGIC:
-        raise CorruptDataError("node blob magic mismatch")
-    if data[4] != BLOB_VERSION:
-        raise CorruptDataError(f"unsupported node blob version {data[4]}")
-    if data[8:16] != phash:
-        raise CorruptDataError("node blob params hash mismatch")
-    node_index = data[5]
-    values = decode_elements(spec, data[HEADER_LEN:], alpha)
-    return node_index, values
-
-
-def encode_help_frame(spec: FieldSpec, phash: bytes, helper: int, failed: int,
-                      values: list[int]) -> bytes:
-    """16-byte header (magic, version, helper, failed, reserved, params
-    hash) plus the beta message elements."""
-    if not (0 <= helper <= 0xFF and 0 <= failed <= 0xFF):
-        raise UsageError("node indices do not fit the frame header")
-    out = bytearray()
-    out += FRAME_MAGIC
-    out.append(BLOB_VERSION)
-    out.append(helper)
-    out.append(failed)
-    out.append(0)
-    out += phash
-    for v in values:
-        encode_element(spec, v, out)
-    return bytes(out)
-
-
-def decode_help_frame(spec: FieldSpec, phash: bytes, data: bytes,
-                      beta: int) -> tuple[int, int, list[int]]:
-    if len(data) != HEADER_LEN + beta * spec.element_bytes:
-        raise CorruptDataError(f"help frame has wrong length {len(data)}")
-    if data[:4] != FRAME_MAGIC:
-        raise CorruptDataError("help frame magic mismatch")
-    if data[4] != BLOB_VERSION:
-        raise CorruptDataError(f"unsupported help frame version {data[4]}")
-    if data[8:16] != phash:
-        raise CorruptDataError("help frame params hash mismatch")
-    helper, failed = data[5], data[6]
-    values = decode_elements(spec, data[HEADER_LEN:], beta)
-    return helper, failed, values

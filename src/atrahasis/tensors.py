@@ -22,7 +22,7 @@ from math import comb
 
 from .errors import UsageError
 from .fields import FieldElement, FieldSpec
-from .linalg import Vector
+from .linalg import Echelon, Vector
 
 
 class SymBasis:
@@ -319,23 +319,12 @@ def rank_filter(spec: FieldSpec, rows: list[list[int]], limit: int | None = None
     Returns (kept_rows, kept_positions); stops early once `limit` rows
     are kept.
     """
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
-    reduced: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
+    echelon = Echelon(spec, len(rows[0]) if rows else 0)
     kept_rows = []
     kept_positions = []
     for pos, row in enumerate(rows):
-        work = list(row)
-        for pc, prow in reduced:
-            if work[pc]:
-                f = work[pc]
-                work = [sub(a, mul(f, b)) for a, b in zip(work, prow)]
-        pivot = next((c for c, v in enumerate(work) if v), None)
-        if pivot is None:
+        if not echelon.offer(row):
             continue
-        piv_inv = inv(work[pivot])
-        if piv_inv != 1:
-            work = [mul(piv_inv, v) for v in work]
-        reduced.append((pivot, work))
         kept_rows.append(row)
         kept_positions.append(pos)
         if limit is not None and len(kept_rows) == limit:

@@ -25,8 +25,7 @@ from fractions import Fraction
 from .code import (SYMMETRIC, FileTensor, HelpMessage, NodeContent,
                    StarFamily, download, help_matrix, node_content, repair)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Matrix, SpanSolver, Vector, nullspace_with_free
-from .tensors import unit_vectors, sym_tensor_rows
+from .linalg import Echelon, Matrix, SpanSolver, Vector, nullspace_with_free
 
 
 class ShortenedCode:
@@ -199,45 +198,6 @@ class CentralRepairProgram:
     second_uses_first: bool
 
 
-def _pair_candidate_rows(stars: StarFamily, h: int, f: int, g: int):
-    """Candidate message tensors of helper h toward the pair (f, g):
-    the f-directed block then the g-directed block."""
-    p = stars.params
-    spec = stars.spec
-    x, y = stars.x_stars[h], stars.second_stars[h]
-    rows = []
-    for target in (f, g):
-        ty = stars.second_stars[target]
-        rows.extend(sym_tensor_rows(
-            spec, x,
-            [[y] + unit_vectors(spec, p.y_dim, mono) + [ty]
-             for mono in stars._msg_sub.index],
-            stars._ambient_inner))
-    return rows
-
-
-def _row_reducer(spec, width):
-    """Stateful greedy rank tracker over rows of fixed width."""
-    reduced = []
-
-    def offer(row) -> bool:
-        work = list(row)
-        for pc, prow in reduced:
-            if work[pc]:
-                fctr = work[pc]
-                work = [spec.sub(a, spec.mul(fctr, b)) for a, b in zip(work, prow)]
-        pivot = next((c for c, v in enumerate(work) if v), None)
-        if pivot is None:
-            return False
-        inv = spec.inv(work[pivot])
-        if inv != 1:
-            work = [spec.mul(inv, v) for v in work]
-        reduced.append((pivot, work))
-        return True
-
-    return offer
-
-
 def central_repair_program(stars: StarFamily, f: int, g: int,
                            helpers: list[int], strategy: str) -> CentralRepairProgram:
     """Build the transmission and recovery matrices for one failure pair."""
@@ -264,8 +224,9 @@ def central_repair_program(stars: StarFamily, f: int, g: int,
     if strategy in (NAIVE, CASCADE):
         senders = helpers if strategy == NAIVE else helpers[:-1]
         for h in senders:
-            candidates = _pair_candidate_rows(stars, h, f, g)
-            offer = _row_reducer(spec, p.M)
+            candidates = (stars.message_tensor_rows(h, f)
+                          + stars.message_tensor_rows(h, g))
+            offer = Echelon(spec, p.M).offer
             kept = [row for row in candidates if offer(row)]
             if len(kept) != full_pair:
                 raise AxiomViolationError(
@@ -283,24 +244,23 @@ def central_repair_program(stars: StarFamily, f: int, g: int,
             per_helper_sent.append((h, len(kept)))
     else:
         target_rank = subspace_bandwidth(k)
-        offer = _row_reducer(spec, p.M)
-        rank_now = 0
+        echelon = Echelon(spec, p.M)
         for h in helpers:
             kept = []
-            if rank_now < target_rank:
-                for row in _pair_candidate_rows(stars, h, f, g):
-                    if offer(row):
+            if echelon.rank < target_rank:
+                for row in (stars.message_tensor_rows(h, f)
+                            + stars.message_tensor_rows(h, g)):
+                    if echelon.offer(row):
                         kept.append(row)
-                        rank_now += 1
-                        if rank_now == target_rank:
+                        if echelon.rank == target_rank:
                             break
             sent_rows.extend(kept)
             send_matrices.append(_values_matrix(stars, h, kept))
             per_helper_sent.append((h, len(kept)))
-        if rank_now != target_rank:
+        if echelon.rank != target_rank:
             raise AxiomViolationError(
                 "pair-repair-span", subset=sorted(helpers), failed_node=f,
-                message=f"pooled helper tensors cover {rank_now} of the "
+                message=f"pooled helper tensors cover {echelon.rank} of the "
                         f"{target_rank}-dimensional pair target")
 
     solver = SpanSolver(spec, sent_rows, p.M)

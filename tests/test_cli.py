@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -110,6 +111,71 @@ def test_verify_corrupted_hash(tmp_path):
     spec.write_text(json.dumps(doc))  # hash now stale
     code, out, err = run_cli("verify", str(spec))
     assert code == 2
+
+
+def assert_usage_error(*args):
+    """Exit 2 with a one-line `error:` message, no traceback."""
+    code, out, err = run_cli(*args)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def write_rehashed(path, doc):
+    """Write a code-spec document with a content hash that matches it."""
+    doc.pop("content_hash", None)
+    doc["content_hash"] = hashlib.sha256(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+def test_verify_spec_not_json(tmp_path):
+    junk = tmp_path / "junk.spec"
+    junk.write_text("this is not json")
+    assert_usage_error("verify", str(junk))
+
+
+def test_put_spec_not_json(tmp_path):
+    junk = tmp_path / "junk.spec"
+    junk.write_bytes(b"\xff\xfe{")
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    assert_usage_error("put", str(data), "--spec", str(junk),
+                       "--store", str(tmp_path / "store"))
+
+
+def test_verify_spec_missing_stars(tmp_path):
+    spec = tmp_path / "fix.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    doc = json.loads(spec.read_text())
+    del doc["x_stars"]
+    write_rehashed(spec, doc)
+    assert_usage_error("verify", str(spec))
+
+
+def test_verify_spec_non_hex_star(tmp_path):
+    spec = tmp_path / "fix.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    doc = json.loads(spec.read_text())
+    doc["x_stars"][0][0] = "zz"
+    write_rehashed(spec, doc)
+    assert_usage_error("verify", str(spec))
+
+
+def test_status_truncated_manifest(tmp_path):
+    spec = tmp_path / "fix.spec"
+    store = tmp_path / "store"
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", str(store)])
+    manifest = store / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:100])
+    assert_usage_error("status", "--store", str(store))
+
+
+def test_gen_field_bad_polynomial(tmp_path):
+    assert_usage_error("gen", "--n", "6", "--k", "3", "--d", "4", "--source", "rs",
+                       "--field", "gf16/zz", "--out", str(tmp_path / "x.spec"))
 
 
 def test_cluster_flow(tmp_path):

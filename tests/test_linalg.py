@@ -1,19 +1,87 @@
-import pytest
+from itertools import permutations
 
-from atrahasis.errors import NoSolutionError, UsageError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
-from atrahasis.linalg import (Matrix, SpanSolver, Vector, det, in_span, invert,
-                              nullspace_with_free, rank, solve, unit_vector)
+from atrahasis.linalg import (Echelon, Matrix, SpanSolver, Vector, det, invert,
+                              nullspace_with_free, rank_of_rows)
+from atrahasis.tensors import rank_filter
 from conftest import random_values
+
+# GF(2) and GF(16) have characteristic 2; GF(7) makes the sign matter
+FIELDS = (binary_field(1), binary_field(4), prime_field(7))
 
 
 def random_matrix(rng, spec, r, c):
     return Matrix(spec, [random_values(rng, spec, c) for _ in range(r)])
 
 
+def rank(A: Matrix) -> int:
+    return rank_of_rows(A.spec, A.rows)
+
+
+def solve(A: Matrix, b: Vector):
+    """x with A x = b, or None: b must lie in the span of A's columns,
+    and the coefficients over the columns are x."""
+    return SpanSolver(A.spec, A.transpose().rows, A.nrows).coefficients_for(b.values)
+
+
+def combine(spec, coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [spec.add(a, spec.mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6, square=False):
+    """A matrix over one of FIELDS; half of them are products B C with a
+    small inner dimension, so rank deficiency is common, not rare."""
+    spec = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    symbol = st.integers(0, spec.order - 1)
+
+    def block(r, c):
+        return Matrix(spec, draw(st.lists(st.lists(symbol, min_size=c, max_size=c),
+                                          min_size=r, max_size=r)))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, max(nrows, ncols)))
+        return block(nrows, inner).matmul(block(inner, ncols))
+    return block(nrows, ncols)
+
+
+def leibniz_det(A: Matrix) -> int:
+    """Sum over permutations; the sign from the cycle count."""
+    spec = A.spec
+    n = A.nrows
+    total = 0
+    for perm in permutations(range(n)):
+        seen, cycles = set(), 0
+        for start in range(n):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        term = 1
+        for i in range(n):
+            term = spec.mul(term, A.rows[i][perm[i]])
+        if (n - cycles) % 2:
+            term = spec.neg(term)
+        total = spec.add(total, term)
+    return total
+
+
 def test_rank_identity_and_zero(gf16):
     assert rank(Matrix.identity(gf16, 5)) == 5
     assert rank(Matrix.zeros(gf16, 3, 4)) == 0
+    assert rank_of_rows(gf16, []) == 0
 
 
 def test_rank_vandermonde(gf16):
@@ -30,8 +98,7 @@ def test_rank_vandermonde(gf16):
 
 def test_solve_identity(gf16, rng):
     b = Vector(gf16, random_values(rng, gf16, 4))
-    sol = solve(Matrix.identity(gf16, 4), b)
-    assert sol.x == b and sol.unique
+    assert solve(Matrix.identity(gf16, 4), b) == b.values
 
 
 def test_solve_decoupling_pair(gf16):
@@ -41,24 +108,23 @@ def test_solve_decoupling_pair(gf16):
             if xi_i == xi_j:
                 continue
             A = Matrix(gf16, [[1, xi_i], [1, xi_j]])
-            sol = solve(A, Vector(gf16, [5, 9]))
-            assert sol.unique
-            assert A.matvec(sol.x) == Vector(gf16, [5, 9])
+            x = solve(A, Vector(gf16, [5, 9]))
+            assert A.matvec(Vector(gf16, x)) == Vector(gf16, [5, 9])
+            assert invert(A).matvec(Vector(gf16, [5, 9])).values == x
 
 
-def test_solve_inconsistent_reports_row(gf16):
+def test_solve_inconsistent_returns_none(gf16):
     A = Matrix(gf16, [[1, 2], [1, 2], [0, 1]])
-    with pytest.raises(NoSolutionError) as exc:
-        solve(A, Vector(gf16, [3, 4, 0]))
-    assert exc.value.row in (0, 1)
+    assert solve(A, Vector(gf16, [3, 4, 0])) is None
 
 
 def test_solve_underdetermined_flagged(gf16):
     A = Matrix(gf16, [[1, 2, 0], [0, 0, 1]])
     b = Vector(gf16, [7, 5])
-    sol = solve(A, b)
-    assert not sol.unique
-    assert A.matvec(sol.x) == b
+    x = solve(A, b)
+    assert A.matvec(Vector(gf16, x)) == b
+    # the columns are dependent, so the solution is not unique
+    assert SpanSolver(gf16, A.transpose().rows, A.nrows).rank < A.ncols
 
 
 def test_solve_multiply_back_random(gf16, rng):
@@ -67,8 +133,7 @@ def test_solve_multiply_back_random(gf16, rng):
         A = random_matrix(rng, gf16, n, n)
         x = Vector(gf16, random_values(rng, gf16, n))
         b = A.matvec(x)
-        sol = solve(A, b)
-        assert A.matvec(sol.x) == b
+        assert A.matvec(Vector(gf16, solve(A, b))) == b
 
 
 def test_rank_equals_transpose_rank(rng):
@@ -79,29 +144,29 @@ def test_rank_equals_transpose_rank(rng):
 
 
 def test_in_span_examples(gf16, rng):
-    gens = [Vector(gf16, random_values(rng, gf16, 5)) for _ in range(3)]
-    coeffs = in_span(gens[0], gens)
+    gens = [random_values(rng, gf16, 5) for _ in range(3)]
+    solver = SpanSolver(gf16, gens, 5)
+    coeffs = solver.coefficients_for(gens[0])
     assert coeffs is not None
-    combo = Vector(gf16, [0] * 5)
-    for c, g in zip(coeffs, gens):
-        combo = combo + g.scale(c)
-    assert combo == gens[0]
+    assert combine(gf16, coeffs, gens) == gens[0]
 
-    zero = Vector(gf16, [0] * 5)
-    coeffs = in_span(zero, gens)
-    assert coeffs is not None and all(c.value == 0 for c in coeffs)
+    coeffs = solver.coefficients_for([0] * 5)
+    assert coeffs == [0, 0, 0]
 
-    e1, e2, e3 = (unit_vector(gf16, 3, i) for i in range(3))
-    assert in_span(e3, [e1, e2]) is None
+    e1, e2, e3 = ([1 if j == i else 0 for j in range(3)] for i in range(3))
+    assert SpanSolver(gf16, [e1, e2], 3).coefficients_for(e3) is None
+    assert SpanSolver(gf16, [], 3).coefficients_for(e3) is None
+    assert SpanSolver(gf16, [], 3).coefficients_for([0, 0, 0]) == []
 
 
 def test_in_span_iff_rank_condition(gf16, rng):
     for _ in range(40):
-        gens = [Vector(gf16, random_values(rng, gf16, 4)) for _ in range(3)]
-        target = Vector(gf16, random_values(rng, gf16, 4))
-        g_rank = rank(Matrix(gf16, [g.values for g in gens]))
-        aug_rank = rank(Matrix(gf16, [g.values for g in gens] + [target.values]))
-        assert (in_span(target, gens) is not None) == (g_rank == aug_rank)
+        gens = [random_values(rng, gf16, 4) for _ in range(3)]
+        target = random_values(rng, gf16, 4)
+        g_rank = rank_of_rows(gf16, gens)
+        aug_rank = rank_of_rows(gf16, gens + [target])
+        in_span = SpanSolver(gf16, gens, 4).coefficients_for(target) is not None
+        assert in_span == (g_rank == aug_rank)
 
 
 def test_nullspace_systematic(gf16, rng):
@@ -141,23 +206,21 @@ def test_det_sign_over_prime_field():
     spec = prime_field(7)
     A = Matrix(spec, [[0, 1], [1, 0]])  # a pure swap: determinant -1
     assert det(A).value == 6
+    # a 3-cycle of the rows is even
+    B = Matrix(spec, [[0, 2, 0], [0, 0, 3], [5, 0, 0]])
+    assert det(B).value == spec.mul(spec.mul(2, 3), 5)
 
 
-def test_span_solver_matches_in_span(gf16, rng):
+def test_span_solver_matches_rank_condition(gf16, rng):
     gens = [random_values(rng, gf16, 6) for _ in range(4)]
     solver = SpanSolver(gf16, gens, 6)
     for _ in range(20):
         target = random_values(rng, gf16, 6)
         coeffs = solver.coefficients_for(target)
-        reference = in_span(Vector(gf16, target),
-                            [Vector(gf16, g) for g in gens])
-        if reference is None:
+        if rank_of_rows(gf16, gens + [target]) > rank_of_rows(gf16, gens):
             assert coeffs is None
         else:
-            combo = [0] * 6
-            for c, g in zip(coeffs, gens):
-                combo = [gf16.add(a, gf16.mul(c, b)) for a, b in zip(combo, g)]
-            assert combo == target
+            assert combine(gf16, coeffs, gens) == target
 
 
 def test_dimension_mismatch_errors(gf16):
@@ -166,4 +229,102 @@ def test_dimension_mismatch_errors(gf16):
     with pytest.raises(UsageError):
         Matrix.identity(gf16, 2).matvec(Vector(gf16, [1, 2, 3]))
     with pytest.raises(UsageError):
-        solve(Matrix.identity(gf16, 2), Vector(gf16, [1, 2, 3]))
+        SpanSolver(gf16, [[1, 2]], 2).coefficients_for([1, 2, 3])
+    with pytest.raises(UsageError):
+        SpanSolver(gf16, [[1, 2, 3]], 2)
+    with pytest.raises(UsageError):
+        det(Matrix.zeros(gf16, 2, 3))
+    with pytest.raises(UsageError):
+        invert(Matrix.zeros(gf16, 2, 3))
+
+
+# ---- the engine against independent oracles ----
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=4, square=True))
+def test_det_equals_leibniz_expansion(A):
+    assert det(A).value == leibniz_det(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_of_transpose(A):
+    assert rank(A) == rank(A.transpose())
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_invert_iff_nonzero_det(A):
+    Ainv = invert(A)
+    assert (Ainv is None) == (det(A).value == 0)
+    if Ainv is not None:
+        assert A.matmul(Ainv) == Matrix.identity(A.spec, A.nrows)
+        assert Ainv.matmul(A) == Matrix.identity(A.spec, A.nrows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=8), st.one_of(st.none(), st.integers(1, 4)))
+def test_rank_filter_keeps_a_basis(A, limit):
+    spec = A.spec
+    kept, positions = rank_filter(spec, A.rows, limit=limit)
+    assert kept == [A.rows[i] for i in positions]
+    assert positions == sorted(positions)
+    assert rank_of_rows(spec, kept) == len(kept)
+    full = rank(A)
+    assert len(kept) == (full if limit is None else min(full, limit))
+    # every row passed over lies in the span of the kept rows; reaching
+    # the limit stops the scan at the last kept row
+    scanned = positions[-1] + 1 if len(kept) == limit else len(A.rows)
+    solver = SpanSolver(spec, kept, A.ncols)
+    for i in range(scanned):
+        if i not in positions:
+            assert solver.coefficients_for(A.rows[i]) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_cols=8))
+def test_nullspace_basis_is_systematic(A):
+    spec = A.spec
+    basis, free = nullspace_with_free(A)
+    assert len(basis) == A.ncols - rank(A) == len(free)
+    for v, f in zip(basis, free):
+        assert A.matvec(v).is_zero()
+        assert [v.values[g] for g in free] == [1 if g == f else 0 for g in free]
+    if basis:
+        assert rank_of_rows(spec, [v.values for v in basis]) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=6), st.data())
+def test_span_solver_iff_rank_condition(A, data):
+    spec = A.spec
+    target = data.draw(st.lists(st.integers(0, spec.order - 1),
+                                min_size=A.ncols, max_size=A.ncols))
+    coeffs = SpanSolver(spec, A.rows, A.ncols).coefficients_for(target)
+    inside = rank_of_rows(spec, A.rows + [target]) == rank(A)
+    assert (coeffs is not None) == inside
+    if inside:
+        assert combine(spec, coeffs, A.rows) == target
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=7, max_cols=7), st.randoms(use_true_random=False))
+def test_reduced_form_is_unique(A, random):
+    """The reduced form depends only on the row space, not on the order
+    the rows are offered in."""
+    spec = A.spec
+
+    def reduced(rows):
+        echelon = Echelon(spec, A.ncols)
+        for row in rows:
+            echelon.offer(row)
+        return echelon.reduced()
+
+    shuffled = A.rows[:]
+    random.shuffle(shuffled)
+    pivots, rows = reduced(A.rows)
+    assert (pivots, rows) == reduced(shuffled)
+    assert pivots == sorted(pivots)
+    for row, c in zip(rows, pivots):
+        assert row[c] == 1 and not any(row[:c])
+        assert [r[c] for r in rows].count(0) == len(rows) - 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from atrahasis import specfile
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
 from atrahasis.errors import CorruptDataError, UsageError
-from atrahasis.fields import binary_field
+from atrahasis.fields import binary_field, decode_elements
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.transforms import ShortenedCode, shorten
 from conftest import random_values
@@ -18,7 +19,7 @@ def test_spec_file_roundtrip(tmp_path, fixture_family):
     assert code.params == fixture_family.params
     assert code.x_stars == fixture_family.x_stars
     assert code.second_stars == fixture_family.second_stars
-    assert phash == specfile.params_hash(fixture_family)
+    assert phash == specfile.parse_document(doc)[1]
     assert doc["content_hash"] == json.loads(path.read_text())["content_hash"]
 
 
@@ -39,14 +40,18 @@ def test_spec_file_bad_format(tmp_path):
         specfile.parse_document({"format": specfile.SPEC_FORMAT, "version": 99})
 
 
+def params_hash(family, shorten_depth=0):
+    return specfile.parse_document(specfile.family_document(family, shorten_depth))[1]
+
+
 def test_params_hash_distinguishes_codes(gf16):
-    a = specfile.params_hash(rs_stars_t2(gf16, 6, 3, SYMMETRIC))
-    b = specfile.params_hash(rs_stars_t2(gf16, 6, 3, EXTERIOR))
-    c = specfile.params_hash(atrahasis_956())
+    a = params_hash(rs_stars_t2(gf16, 6, 3, SYMMETRIC))
+    b = params_hash(rs_stars_t2(gf16, 6, 3, EXTERIOR))
+    c = params_hash(atrahasis_956())
     assert len(a) == 8
     assert len({a, b, c}) == 3
     # stable across rebuilds
-    assert specfile.params_hash(atrahasis_956()) == c
+    assert params_hash(atrahasis_956()) == c
 
 
 def test_shortened_spec_roundtrip(tmp_path, fixture_family):
@@ -56,7 +61,7 @@ def test_shortened_spec_roundtrip(tmp_path, fixture_family):
     assert isinstance(code, ShortenedCode)
     assert code.depth == 1 and code.pinned == (8,)
     # a shortened spec hashes differently from its base
-    assert phash != specfile.params_hash(fixture_family)
+    assert phash == params_hash(fixture_family, 1) != params_hash(fixture_family)
 
 
 def test_shortened_spec_rejects_wrong_pins(fixture_family):
@@ -69,28 +74,64 @@ def test_shortened_spec_rejects_wrong_pins(fixture_family):
         specfile.parse_document(doc)
 
 
+def rehashed(doc):
+    doc.pop("content_hash", None)
+    doc["content_hash"] = hashlib.sha256(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return doc
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc.pop("x_stars"),
+    lambda doc: doc.pop("params"),
+    lambda doc: doc["params"].pop("n"),
+    lambda doc: doc["params"].update(k="5"),
+    lambda doc: doc["params"].update(flavor="skew"),
+    lambda doc: doc["field"].pop("kind"),
+    lambda doc: doc["field"].update(m="4"),
+    lambda doc: doc["field"].update(reduction_poly="0xzz"),
+    lambda doc: doc.update(field=[]),
+    lambda doc: doc["x_stars"][0].__setitem__(0, "zz"),
+    lambda doc: doc["x_stars"][0].__setitem__(0, 7),
+    lambda doc: doc["second_stars"].__setitem__(0, "1"),
+    lambda doc: doc.update(shorten={"delta": 1}),
+    lambda doc: doc.update(shorten=[1]),
+])
+def test_malformed_spec_rejected(fixture_family, damage):
+    doc = specfile.family_document(fixture_family)
+    damage(doc)
+    with pytest.raises(CorruptDataError):
+        specfile.parse_document(rehashed(doc))
+
+
+def test_read_json_rejects_non_objects(tmp_path):
+    path = tmp_path / "x.json"
+    for content in (b"", b"{", b"[1, 2]", b"\xff\xfe"):
+        path.write_bytes(content)
+        with pytest.raises(CorruptDataError):
+            specfile.read_json(path)
+    with pytest.raises(CorruptDataError):
+        specfile.parse_document([])
+
+
 def test_node_blob_roundtrip(gf16, rng):
     phash = bytes(range(8))
     values = random_values(rng, gf16, 6)
     blob = specfile.encode_node_blob(gf16, phash, 3, values)
     assert len(blob) == 16 + 6
     assert blob[:4] == b"ATRA"
-    node, decoded = specfile.decode_node_blob(gf16, phash, blob, 6)
-    assert node == 3 and decoded == values
+    assert blob[4:8] == bytes([specfile.BLOB_VERSION, 3, 0, 0])
+    assert blob[8:16] == phash
+    assert decode_elements(gf16, blob[16:], 6) == values
 
 
 def test_node_blob_validation(gf16, rng):
     phash = bytes(range(8))
     values = random_values(rng, gf16, 6)
-    blob = specfile.encode_node_blob(gf16, phash, 3, values)
-    with pytest.raises(CorruptDataError):
-        specfile.decode_node_blob(gf16, bytes(8), blob, 6)  # wrong params hash
-    with pytest.raises(CorruptDataError):
-        specfile.decode_node_blob(gf16, phash, blob[:-1], 6)
-    with pytest.raises(CorruptDataError):
-        specfile.decode_node_blob(gf16, phash, b"XXXX" + blob[4:], 6)
-    with pytest.raises(UsageError):
-        specfile.encode_node_blob(gf16, phash, 300, values)
+    # record corruption on read is checked by the cluster tests
+    for node in (300, -1):
+        with pytest.raises(UsageError):
+            specfile.encode_node_blob(gf16, phash, node, values)
 
 
 def test_node_blob_two_byte_elements(rng):
@@ -99,19 +140,4 @@ def test_node_blob_two_byte_elements(rng):
     values = random_values(rng, spec, 4)
     blob = specfile.encode_node_blob(spec, phash, 0, values)
     assert len(blob) == 16 + 8
-    _, decoded = specfile.decode_node_blob(spec, phash, blob, 4)
-    assert decoded == values
-
-
-def test_help_frame_roundtrip(gf16, rng):
-    phash = bytes(range(8))
-    values = random_values(rng, gf16, 3)
-    frame = specfile.encode_help_frame(gf16, phash, 5, 2, values)
-    assert len(frame) == 16 + 3
-    assert frame[:4] == b"ATRH"
-    helper, failed, decoded = specfile.decode_help_frame(gf16, phash, frame, 3)
-    assert (helper, failed, decoded) == (5, 2, values)
-    with pytest.raises(CorruptDataError):
-        specfile.decode_help_frame(gf16, bytes(8), frame, 3)
-    with pytest.raises(CorruptDataError):
-        specfile.decode_help_frame(gf16, phash, frame[:-2], 3)
+    assert decode_elements(spec, blob[16:], 4) == values
