@@ -26,9 +26,10 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
                  "node_digests", "ledger")
 LIVE = "live"
 FAILED = "failed"
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,28 @@ def _atomic_write(path: Path, data: bytes):
     os.replace(tmp, path)
 
 
+def _check_manifest_values(manifest: dict, n: int) -> None:
+    """Reject manifest values of the wrong type before a command uses them."""
+    file = manifest["file"]
+    status = manifest["node_status"]
+    digests = manifest["node_digests"]
+    ok = {
+        "file": isinstance(file, dict)
+        and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
+        and all(type(v) is int and v >= 0 for v in file.values()),
+        "node_status": isinstance(status, list) and len(status) == n
+        and all(s in (LIVE, FAILED) for s in status),
+        "node_digests": isinstance(digests, dict)
+        and set(digests) == {str(h) for h in range(n)}
+        and all(isinstance(v, str) and _SHA256_HEX.fullmatch(v)
+                for v in digests.values()),
+        "ledger": isinstance(manifest["ledger"], dict),
+    }
+    bad = [key for key, good in ok.items() if not good]
+    if bad:
+        raise CorruptDataError(f"cluster manifest has malformed {bad}")
+
+
 class Cluster:
     """A loaded cluster; every public method runs under the store lock."""
 
@@ -208,7 +232,9 @@ class Cluster:
         code, phash = specfile.parse_document(manifest["code_spec"])
         if phash.hex() != manifest["params_hash"]:
             raise CorruptDataError("manifest params hash mismatch")
-        return manifest, CodeView(code, phash)
+        view = CodeView(code, phash)
+        _check_manifest_values(manifest, view.n)
+        return manifest, view
 
     def _save(self, manifest):
         data = json.dumps(manifest, indent=2, sort_keys=True).encode()

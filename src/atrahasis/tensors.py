@@ -92,10 +92,6 @@ class TensorCoords:
             raise UsageError(
                 f"coordinate length {len(self.vector)} != basis dimension {self.basis.dim}")
 
-    @property
-    def coords(self) -> list[FieldElement]:
-        return self.vector.coords
-
 
 def _nondecreasing_tuples(m: int, q: int):
     if q < 0 or (m <= 0 and q > 0):
@@ -217,35 +213,6 @@ def ext_product_ints(spec: FieldSpec, k: int, vectors, monomial: tuple = ()) -> 
 def _sort_sign(spec: FieldSpec, t: tuple) -> int:
     swaps = sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
     return spec.neg(1) if swaps % 2 else 1
-
-
-def expand_sym(spec: FieldSpec, vectors, basis: SymBasis | None = None) -> TensorCoords:
-    """Coordinates of the symmetric product of q vectors of F^m."""
-    if basis is None:
-        if not vectors:
-            raise UsageError("cannot infer basis from an empty product")
-        m = len(vectors[0])
-        basis = SymBasis(m, len(vectors))
-    sparse = sym_product_ints(spec, basis.dim_space, vectors)
-    return TensorCoords(basis, _densify(spec, basis, sparse))
-
-
-def expand_ext(spec: FieldSpec, vectors, basis: ExtBasis | None = None) -> TensorCoords:
-    """Coordinates of the wedge product of q vectors of F^k."""
-    if basis is None:
-        if not vectors:
-            raise UsageError("cannot infer basis from an empty product")
-        k = len(vectors[0])
-        basis = ExtBasis(k, len(vectors))
-    sparse = ext_product_ints(spec, basis.dim_space, vectors)
-    return TensorCoords(basis, _densify(spec, basis, sparse))
-
-
-def _densify(spec: FieldSpec, basis, sparse: dict) -> Vector:
-    coords = [0] * basis.dim
-    for mono, c in sparse.items():
-        coords[basis.position[mono]] = c
-    return Vector(spec, coords)
 
 
 def tensor_with_x_ints(spec: FieldSpec, x_values: list[int], inner_dense: list[int]) -> list[int]:

@@ -173,6 +173,73 @@ def test_status_truncated_manifest(tmp_path):
     assert_usage_error("status", "--store", str(store))
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# (manifest key, damage to its value, command that must then exit 2)
+MANIFEST_DAMAGE = {
+    "file-not-object": ("file", lambda v: 3, "status"),
+    "file-missing-field": ("file", lambda v: _without(v, "padding_bits"), "get"),
+    "file-string-field": ("file", lambda v: {**v, "chunk_count": "1"}, "get"),
+    "status-string": ("node_status", lambda v: "xx", "get"),
+    "status-short": ("node_status", lambda v: v[:-1], "status"),
+    "status-unknown": ("node_status", lambda v: v[:-1] + ["lost"], "fail"),
+    "digests-list": ("node_digests", lambda v: list(v.values()), "status"),
+    "digests-missing-node": ("node_digests", lambda v: _without(v, "8"), "fail"),
+    "digests-not-hex": ("node_digests", lambda v: {**v, "0": "zz"}, "fail"),
+    "ledger-list": ("ledger", lambda v: [], "fail"),
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_DAMAGE)
+def test_manifest_value_types_checked(tmp_path, case):
+    key, damage, command = MANIFEST_DAMAGE[case]
+    spec = tmp_path / "fix.spec"
+    store = tmp_path / "store"
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", str(store)])
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = damage(manifest[key])
+    path.write_text(json.dumps(manifest))
+    args = {"status": ["status"], "get": ["get", str(tmp_path / "out.bin")],
+            "fail": ["fail", "0"]}[command]
+    code, out, err = run_cli(*args, "--store", str(store))
+    assert code == 2, (code, err)
+    assert f"'{key}'" in err and "Traceback" not in err, err
+
+
+def test_gf256_non_default_polynomial_end_to_end(tmp_path):
+    # 0x11D makes z primitive, unlike the default 0x11B
+    spec = tmp_path / "rs.spec"
+    store = str(tmp_path / "store")
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 7 + b"tail")
+    code, out, err = run_cli("gen", "--n", "6", "--k", "3", "--d", "4",
+                             "--source", "rs", "--field", "gf256/11d",
+                             "--out", str(spec))
+    assert code == 0, err
+    loaded, _ = specfile.read_spec_file(spec)
+    assert loaded.spec == binary_field(8, 0x11D)
+    code, out, err = run_cli("put", str(data), "--spec", str(spec), "--store", store)
+    assert code == 0, err
+    blob = tmp_path / "store" / "node_2" / "chunks.blob"
+    digest = hashlib.sha256(blob.read_bytes()).hexdigest()
+    for args in (("fail", "2"), ("repair", "2")):
+        code, out, err = run_cli(*args, "--store", store)
+        assert code == 0, (args, err)
+    assert hashlib.sha256(blob.read_bytes()).hexdigest() == digest
+    out_path = tmp_path / "out.bin"
+    for nodes in ("0,1,2", "2,4,5"):
+        code, out, err = run_cli("get", str(out_path), "--store", store,
+                                 "--nodes", nodes)
+        assert code == 0, err
+        assert out_path.read_bytes() == data.read_bytes()
+
+
 def test_gen_field_bad_polynomial(tmp_path):
     assert_usage_error("gen", "--n", "6", "--k", "3", "--d", "4", "--source", "rs",
                        "--field", "gf16/zz", "--out", str(tmp_path / "x.spec"))

@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrahasis.errors import UsageError
 from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, binary_field,
-                              decode_elements, encode_element,
-                              poly_is_irreducible, prime_field)
+                              encode_element, poly_is_irreducible, prime_field)
+
+IRREDUCIBLE_UP_TO_256 = [p for m in range(1, 9) for p in range(1 << m, 1 << (m + 1))
+                         if poly_is_irreducible(p)]
 
 
 def test_gf16_uses_standard_quartic(gf16):
@@ -169,11 +173,47 @@ def test_element_encoding_widths():
         encode_element(spec, v, buf)
         assert len(buf) == width
         assert int.from_bytes(bytes(buf), order) == v
-        assert decode_elements(spec, bytes(buf), 1) == [v]
 
 
-def test_decode_elements_validates(gf16):
-    with pytest.raises(UsageError):
-        decode_elements(gf16, b"\x20", 1)  # 32 is not a canonical GF(16) value
-    with pytest.raises(UsageError):
-        decode_elements(gf16, b"\x01\x02", 1)  # wrong byte count
+def test_every_small_binary_field_is_counted():
+    # number of irreducible binary polynomials of degree 1..8 (OEIS A001037)
+    counts = [sum(1 for p in IRREDUCIBLE_UP_TO_256 if p.bit_length() - 1 == m)
+              for m in range(1, 9)]
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30]
+
+
+@pytest.mark.parametrize("poly", IRREDUCIBLE_UP_TO_256, ids=hex)
+def test_tables_match_carryless_reference(poly):
+    m = poly.bit_length() - 1
+    spec = binary_field(m, poly)
+    q = spec.order
+    # _clmul reduces with _poly_mod on every call; the tables come from
+    # the log/antilog walk, so every entry is checked against it
+    assert spec._mul_table == [[spec._clmul(a, b) for b in range(q)]
+                               for a in range(q)]
+    for a in range(1, q):
+        assert spec._clmul(a, spec.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.inv(0)
+
+
+def test_default_gf256_generator_is_not_z():
+    # z has order 51 under 0x11B, so a table builder that took z as the
+    # generator would cover only 51 of the 255 nonzero elements
+    spec = binary_field(8)
+    assert spec.reduction_poly == 0x11B
+    order, x = 1, 2
+    while x != 1:
+        x = spec._clmul(x, 2)
+        order += 1
+    assert order == 51
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(9, 16), st.data())
+def test_wide_field_mul_axioms(m, data):
+    spec = binary_field(m)
+    a, b, c = (data.draw(st.integers(0, spec.order - 1)) for _ in range(3))
+    assert spec.mul(a, b) == spec.mul(b, a)
+    assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
+    assert spec.mul(a, b ^ c) == spec.mul(a, b) ^ spec.mul(a, c)

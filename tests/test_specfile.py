@@ -6,7 +6,7 @@ import pytest
 from atrahasis import specfile
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
 from atrahasis.errors import CorruptDataError, UsageError
-from atrahasis.fields import binary_field, decode_elements
+from atrahasis.fields import binary_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.transforms import ShortenedCode, shorten
 from conftest import random_values
@@ -114,6 +114,13 @@ def test_read_json_rejects_non_objects(tmp_path):
         specfile.parse_document([])
 
 
+def body_values(blob, width):
+    """Little-endian element values after the 16-byte blob header."""
+    body = blob[16:]
+    return [int.from_bytes(body[i:i + width], "little")
+            for i in range(0, len(body), width)]
+
+
 def test_node_blob_roundtrip(gf16, rng):
     phash = bytes(range(8))
     values = random_values(rng, gf16, 6)
@@ -122,7 +129,7 @@ def test_node_blob_roundtrip(gf16, rng):
     assert blob[:4] == b"ATRA"
     assert blob[4:8] == bytes([specfile.BLOB_VERSION, 3, 0, 0])
     assert blob[8:16] == phash
-    assert decode_elements(gf16, blob[16:], 6) == values
+    assert body_values(blob, 1) == values
 
 
 def test_node_blob_validation(gf16, rng):
@@ -140,4 +147,4 @@ def test_node_blob_two_byte_elements(rng):
     values = random_values(rng, spec, 4)
     blob = specfile.encode_node_blob(spec, phash, 0, values)
     assert len(blob) == 16 + 8
-    assert decode_elements(spec, blob[16:], 4) == values
+    assert body_values(blob, 2) == values

@@ -5,9 +5,9 @@ import pytest
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import Matrix, det, rank_of_rows
-from atrahasis.tensors import (ExtBasis, SymBasis, expand_ext, expand_node_basis_ext,
-                               expand_node_basis_sym, expand_sym, ext_dim,
-                               ext_product_ints, sym_dim)
+from atrahasis.tensors import (ExtBasis, SymBasis, expand_node_basis_ext,
+                               expand_node_basis_sym, ext_dim, ext_product_ints,
+                               sym_dim, sym_product_ints)
 from conftest import random_values
 
 
@@ -43,9 +43,15 @@ def signed_product_oracle(spec, vectors, k):
     return {k_: v for k_, v in buckets.items() if v}
 
 
-def sparse_of(tc):
-    basis = tc.basis
-    return {mono: v for mono, v in zip(basis.index, tc.vector.values) if v}
+def dense_of(basis, sparse):
+    return [sparse.get(mono, 0) for mono in basis.index]
+
+
+def plus_scaled(spec, a, b, c):
+    """Sparse a + c*b."""
+    out = {mono: spec.add(a.get(mono, 0), spec.mul(c, b.get(mono, 0)))
+           for mono in set(a) | set(b)}
+    return {mono: v for mono, v in out.items() if v}
 
 
 def test_basis_dimensions():
@@ -71,14 +77,13 @@ def test_basis_index_ordering():
 
 
 def test_expand_sym_unit_pair(gf16):
-    tc = expand_sym(gf16, [[1, 0], [0, 1]])
-    assert sparse_of(tc) == {(0, 1): 1}
+    assert sym_product_ints(gf16, 2, [[1, 0], [0, 1]]) == {(0, 1): 1}
 
 
 def test_expand_sym_commutes(gf16, rng):
     y = random_values(rng, gf16, 3)
     yp = random_values(rng, gf16, 3)
-    assert expand_sym(gf16, [y, yp]).vector == expand_sym(gf16, [yp, y]).vector
+    assert sym_product_ints(gf16, 3, [y, yp]) == sym_product_ints(gf16, 3, [yp, y])
 
 
 @pytest.mark.parametrize("spec_maker,m,q", [
@@ -90,7 +95,7 @@ def test_expand_sym_matches_bruteforce(spec_maker, m, q, rng):
     spec = spec_maker()
     for _ in range(10):
         vectors = [random_values(rng, spec, m) for _ in range(q)]
-        assert sparse_of(expand_sym(spec, vectors)) == \
+        assert sym_product_ints(spec, m, vectors) == \
             sorted_product_oracle(spec, vectors, m)
 
 
@@ -104,7 +109,7 @@ def test_expand_ext_matches_bruteforce(spec_maker, k, q, rng):
     spec = spec_maker()
     for _ in range(10):
         vectors = [random_values(rng, spec, k) for _ in range(q)]
-        assert sparse_of(expand_ext(spec, vectors)) == \
+        assert ext_product_ints(spec, k, vectors) == \
             signed_product_oracle(spec, vectors, k)
 
 
@@ -113,8 +118,9 @@ def test_expand_ext_minor_determinants(rng):
     spec = prime_field(11)
     k, q = 5, 3
     vectors = [random_values(rng, spec, k) for _ in range(q)]
-    tc = expand_ext(spec, vectors)
-    for mono, coord in zip(tc.basis.index, tc.vector.values):
+    sparse = ext_product_ints(spec, k, vectors)
+    for mono in ExtBasis(k, q).index:
+        coord = sparse.get(mono, 0)
         minor = Matrix(spec, [[v[c] for c in mono] for v in vectors])
         assert det(minor).value == coord
 
@@ -122,33 +128,32 @@ def test_expand_ext_minor_determinants(rng):
 def test_expand_ext_vanishes_on_repeats(gf16, rng):
     v = random_values(rng, gf16, 4)
     w = random_values(rng, gf16, 4)
-    assert expand_ext(gf16, [v, w, v]).vector.is_zero()
+    assert ext_product_ints(gf16, 4, [v, w, v]) == {}
 
 
 def test_expand_ext_swap_negates():
     spec = prime_field(7)
     v, w = [1, 2, 3], [4, 5, 6]
-    a = expand_ext(spec, [v, w]).vector
-    b = expand_ext(spec, [w, v]).vector
-    assert a.values == [spec.neg(x) for x in b.values]
+    a = ext_product_ints(spec, 3, [v, w])
+    b = ext_product_ints(spec, 3, [w, v])
+    assert a and a == {mono: spec.neg(x) for mono, x in b.items()}
 
 
 def test_expand_ext_unit_pair(gf16):
-    tc = expand_ext(gf16, [[1, 0, 0], [0, 1, 0]])
-    assert sparse_of(tc) == {(0, 1): 1}
+    assert ext_product_ints(gf16, 3, [[1, 0, 0], [0, 1, 0]]) == {(0, 1): 1}
 
 
 def test_multilinearity(gf16, rng):
     m = 3
-    for expand in (expand_sym, expand_ext):
+    for product in (sym_product_ints, ext_product_ints):
         y1 = random_values(rng, gf16, m)
         y2 = random_values(rng, gf16, m)
         y2p = random_values(rng, gf16, m)
         c = rng.randrange(1, 16)
         bumped = [gf16.add(a, gf16.mul(c, b)) for a, b in zip(y2, y2p)]
-        left = expand(gf16, [y1, bumped]).vector
-        right = expand(gf16, [y1, y2]).vector + \
-            expand(gf16, [y1, y2p]).vector.scale(c)
+        left = product(gf16, m, [y1, bumped])
+        right = plus_scaled(gf16, product(gf16, m, [y1, y2]),
+                            product(gf16, m, [y1, y2p]), c)
         assert left == right
 
 
@@ -159,8 +164,8 @@ def test_expand_node_basis_sym_block_structure(gf16, rng):
     outs = expand_node_basis_sym(gf16, [1, 0], y, sub)
     dim2 = SymBasis(3, 2).dim
     for mono, tc in zip(sub.index, outs):
-        inner = expand_sym(gf16, [y, [1 if i == mono[0] else 0 for i in range(3)]])
-        assert tc.vector.values[:dim2] == inner.vector.values
+        inner = sym_product_ints(gf16, 3, [y, [1 if i == mono[0] else 0 for i in range(3)]])
+        assert tc.vector.values[:dim2] == dense_of(SymBasis(3, 2), inner)
         assert all(v == 0 for v in tc.vector.values[dim2:])
 
 
@@ -213,6 +218,6 @@ def test_expand_node_basis_ext_rejects_zero(gf16):
 
 def test_expand_length_mismatch(gf16):
     with pytest.raises(UsageError):
-        expand_sym(gf16, [[1, 2], [1, 2, 3]])
+        sym_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
     with pytest.raises(UsageError):
-        expand_ext(gf16, [[1, 2], [1, 2, 3]])
+        ext_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
