@@ -1,21 +1,27 @@
 """Vectorized kernels for applying small exact matrices across many
-chunks at once.
+chunks at once, on bit-planes.
 
 The storage layer works on thousands of M-symbol chunks; every per-chunk
 operation (encode, node extraction, help, repair, decode) is one fixed
-matrix over GF(2^m) applied to a symbol column per chunk.  Here those
-matrix applications are bit-sliced: multiplication by a constant c is
+matrix over GF(2^m) applied to a symbol column per chunk.  Those matrix
+applications are bit-sliced: multiplication by a constant c is
 GF(2)-linear on the m bits of a symbol, so each coefficient becomes its
-m x m bit-matrix and the whole matrix an (r*m x c*m) GF(2) matrix.  The
-data is split into m bit-planes per symbol row, packed 64 chunks to a
-uint64 word, and each output bit-plane is the XOR of the input planes
-its bit-matrix row selects (Blomer et al., "An XOR-based
-erasure-resilient coding scheme", ICSI TR-95-048, 1995).  One code path
-serves every m = 1..16.  Results are bit-identical to the scalar path in
-linalg, which the tests cross-check.
+m x m bit-matrix and the whole matrix an (r*m x c*m) GF(2) matrix.
 
-Binary fields only: the byte <-> symbol packing slices the bit stream m
-bits per symbol.
+Data never exists as symbol values here: it is held as bit-planes, the
+packet layout of Cauchy Reed-Solomon coding (Blomer et al., "An
+XOR-based erasure-resilient coding scheme", ICSI TR-95-048, 1995; Plank
+& Xu, NCA 2006).  A stripe is STRIPE_CHUNKS = 64 consecutive chunks; for
+each symbol row j and bit b it holds one little-endian uint64 word,
+plane j*m + b, whose bit t is bit b of symbol j of chunk 64*s + t.  An
+array of planes has shape (rows*m, stripes), and each output plane of
+matmul is the XOR of the input planes its bit-matrix row selects.  One
+code path serves every m = 1..16.  Results are bit-identical to the
+scalar path in linalg, which the tests cross-check.
+
+The user's byte stream is already in this layout: read as little-endian
+uint64 words, stripe s is M*m consecutive words, so packing and
+unpacking are a reshape and a transpose.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .errors import UsageError
 from .fields import BINARY, FieldSpec
 from .linalg import Matrix
 
-
-def _dtype(m: int):
-    return np.uint8 if m <= 8 else np.uint16
+# chunks per stripe: the bit width of one plane word
+STRIPE_CHUNKS = 64
+WORD = np.dtype("<u8")
 
 
 class BulkField:
@@ -38,7 +44,6 @@ class BulkField:
         if spec.kind != BINARY:
             raise UsageError("bulk kernels support binary fields only")
         self.spec = spec
-        self.dtype = _dtype(spec.m)
         # coefficient -> its bit-matrix; this name and mul_table's are the
         # ones bench/tracer.py wraps to time block builds
         self._tables: dict[int, np.ndarray] = {}
@@ -69,70 +74,34 @@ class BulkField:
         r, c = index.shape
         return blocks[index].transpose(0, 2, 1, 3).reshape(r * m, c * m)
 
-    def _bit_planes(self, data: np.ndarray) -> np.ndarray:
-        """(c, N) symbols -> (c*m, ceil(N/64)) uint64 planes.
-
-        Plane j*m + b holds bit b of row j, chunk t at bit t of the row's
-        little-endian bit stream; the padding lanes of the last word are 0.
-        """
-        m = self.spec.m
-        data = np.ascontiguousarray(data)  # packbits is ~20x slower across strides
-        c, n = data.shape
-        words = -(-n // 64)
-        planes = np.zeros((c, m, words * 8), dtype=np.uint8)
-        for b in range(m):
-            packed = np.packbits(data & (1 << b), axis=1, bitorder="little")
-            planes[:, b, :packed.shape[1]] = packed
-        return planes.view(np.uint64).reshape(c * m, words)
-
-    def matmul(self, matrix, data: np.ndarray) -> np.ndarray:
-        """Apply an (r x c) exact matrix to (c, N) symbol columns."""
+    def matmul(self, matrix, planes: np.ndarray) -> np.ndarray:
+        """Apply an (r x c) exact matrix to (c*m, W) planes -> (r*m, W)."""
         rows = matrix.rows if isinstance(matrix, Matrix) else matrix
+        m = self.spec.m
         ncols = len(rows[0]) if rows else 0
-        if data.shape[0] != ncols:
-            raise UsageError(f"bulk matmul expects {ncols} rows, got {data.shape[0]}")
-        n = data.shape[1]
-        out = np.zeros((len(rows), n), dtype=self.dtype)
+        if planes.shape[0] != ncols * m:
+            raise UsageError(f"bulk matmul expects {ncols * m} planes, "
+                             f"got {planes.shape[0]}")
+        out = np.zeros((len(rows) * m, planes.shape[1]), dtype=WORD)
         if out.size == 0 or ncols == 0:
             return out
-        m = self.spec.m
         bits = self._bit_matrix(rows)
-        planes = self._bit_planes(data)
-        # one output row at a time, so only its m planes are ever unpacked
-        for i in range(len(rows)):
-            acc = out[i]
-            for b in range(m):
-                selected = np.flatnonzero(bits[i * m + b])
-                if selected.size == 0:
-                    continue
-                plane = np.bitwise_xor.reduce(planes[selected], axis=0)
-                lane = np.unpackbits(plane.view(np.uint8), count=n,
-                                     bitorder="little").astype(self.dtype, copy=False)
-                lane <<= b
-                acc |= lane
+        planes = np.ascontiguousarray(planes)  # row gathers read whole planes
+        for i, row in enumerate(bits):
+            selected = np.flatnonzero(row)
+            if selected.size:
+                np.bitwise_xor.reduce(planes[selected], axis=0, out=out[i])
         return out
 
 
-def bytes_to_symbols(data: bytes, m: int, total_symbols: int) -> np.ndarray:
-    """Slice a byte stream into m-bit symbols (big-endian bit order).
-
-    The stream is zero-extended to cover total_symbols * m bits.
-    """
-    need_bits = total_symbols * m
-    need_bytes = (need_bits + 7) // 8
-    buf = np.frombuffer(data.ljust(need_bytes, b"\x00"), dtype=np.uint8)
-    bits = np.unpackbits(buf, count=need_bits, bitorder="big")
-    bits = bits.reshape(total_symbols, m)
-    symbols = np.zeros(total_symbols, dtype=_dtype(m))
-    for t in range(m):
-        symbols <<= 1
-        symbols |= bits[:, t]
-    return symbols
+def bytes_to_symbols(stream: bytes, rows: int) -> np.ndarray:
+    """A byte stream -> its (rows, stripes) planes, zero-padded to whole
+    stripes of rows words.  Returns a view of the padded stream."""
+    stripes = -(-len(stream) // (rows * WORD.itemsize))
+    padded = stream.ljust(stripes * rows * WORD.itemsize, b"\x00")
+    return np.frombuffer(padded, dtype=WORD).reshape(stripes, rows).T
 
 
-def symbols_to_bytes(symbols: np.ndarray, m: int) -> bytes:
-    """Inverse of bytes_to_symbols; trailing pad bits come back as zeros."""
-    bits = np.empty((symbols.shape[0], m), dtype=np.uint8)
-    for t in range(m):
-        bits[:, t] = (symbols >> (m - 1 - t)) & 1
-    return np.packbits(bits.reshape(-1), bitorder="big").tobytes()
+def symbols_to_bytes(planes: np.ndarray) -> bytes:
+    """Inverse of bytes_to_symbols, padding included."""
+    return planes.T.astype(WORD, copy=False).tobytes()

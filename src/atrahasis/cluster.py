@@ -3,21 +3,26 @@ injection, repair orchestration and bandwidth accounting.
 
 Layout under one store root:
 
-    manifest.json   cluster manifest (embedded code spec, file metadata,
-                    node status, per-node blob digests, ledger)
+    manifest.json   cluster manifest, version 2 (embedded code spec, file
+                    metadata, node status, per-node blob digests, ledger)
     .lock           per-store lock file; commands serialize on it
     node_<h>/chunks.blob
-                    the node's contents, one fixed-size record per chunk;
-                    every record is a self-describing node content blob
-                    (16-byte header + alpha elements)
+                    the node's contents: one 16-byte header (specfile,
+                    blob version 2), then one stripe per 64 chunks of
+                    alpha*m little-endian uint64 words; bit t of word
+                    i*m + b in stripe s is bit b of the node's symbol i
+                    for chunk 64*s + t
 
-A put splits the byte stream (8-byte little-endian length prefix, then
-the payload, zero-padded) into chunks of M symbols, m bits per symbol.
-Get reads exactly k live nodes and reconstructs the bytes; repair
-regenerates a failed node bit-exactly against the digest retained at put
-time and charges the ledger exactly d*beta symbols per chunk, repair2
-the strategy bandwidth.  Blob writes go through a temp file and rename,
-so a blob on disk is either absent or fully valid.
+A put reads the byte stream (8-byte little-endian length prefix, then
+the payload, zero-padded to whole stripes of M*m words) as the bit-planes
+of M-symbol chunks, m bits per symbol, in the same stripe convention
+(bulk), so the data path never holds symbol values.  Get reads exactly
+k live nodes and reconstructs the bytes; repair regenerates a failed
+node bit-exactly against the digest retained at put time and charges
+the ledger exactly d*beta symbols per chunk, repair2 the strategy
+bandwidth.  Blob writes go through a temp file and rename, so a blob on
+disk is either absent or fully valid.  Stores of another manifest or
+blob version are rejected, not migrated: re-put the file.
 """
 
 from __future__ import annotations
@@ -35,14 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from . import specfile
-from .bulk import BulkField, bytes_to_symbols, symbols_to_bytes
+from .bulk import (STRIPE_CHUNKS, WORD, BulkField, bytes_to_symbols,
+                   symbols_to_bytes)
 from .code import download_matrix, help_matrix, repair_matrix
 from .errors import (CorruptDataError, InsufficientNodesError, UsageError)
 from .fields import BINARY
 from .transforms import STRATEGIES, ShortenedCode, central_repair_program
 
 MANIFEST_FORMAT = "atrahasis-cluster"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
                  "node_digests", "ledger")
 LIVE = "live"
@@ -52,10 +58,10 @@ _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 @dataclass(frozen=True)
 class ChunkedFile:
-    """How one byte stream maps onto chunks of M symbols.
+    """How one byte stream maps onto stripes of 64 chunks of M symbols.
 
     The stream is the 8-byte little-endian length prefix plus the
-    payload; padding_bits zero bits complete the last chunk and are
+    payload; padding_bits zero bits complete the last stripe and are
     stripped again on the way out.
     """
 
@@ -68,16 +74,20 @@ class ChunkedFile:
     def plan(cls, payload_length: int, symbols_per_chunk: int,
              bits_per_symbol: int) -> "ChunkedFile":
         stream_bits = (8 + payload_length) * 8
-        chunk_bits = symbols_per_chunk * bits_per_symbol
-        chunk_count = -(-stream_bits // chunk_bits)
+        stripe_bits = STRIPE_CHUNKS * symbols_per_chunk * bits_per_symbol
+        stripes = -(-stream_bits // stripe_bits)
         return cls(original_length=payload_length,
-                   chunk_count=chunk_count,
-                   padding_bits=chunk_count * chunk_bits - stream_bits,
+                   chunk_count=stripes * STRIPE_CHUNKS,
+                   padding_bits=stripes * stripe_bits - stream_bits,
                    symbols_per_chunk=symbols_per_chunk)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkedFile":
         return cls(**d)
+
+    @property
+    def stripes(self) -> int:
+        return self.chunk_count // STRIPE_CHUNKS
 
 
 class CodeView:
@@ -115,7 +125,8 @@ class CodeView:
         self.bulk = BulkField(self.spec)
 
     def encode_bulk(self, user: np.ndarray) -> np.ndarray:
-        """(user_symbols, N) -> base file coordinates (M, N)."""
+        """User planes (user_symbols*m, W) -> base file coordinate planes
+        (M*m, W)."""
         if self.encode_columns is None:
             return user
         rows = [[col[i] for col in self.encode_columns]
@@ -123,8 +134,8 @@ class CodeView:
         return self.bulk.matmul(rows, user)
 
     def node_values_bulk(self, phi: np.ndarray) -> np.ndarray:
-        """(M, N) file coordinates -> (n*alpha, N): node h owns rows
-        h*alpha .. (h+1)*alpha - 1."""
+        """(M*m, W) file coordinate planes -> (n*alpha*m, W): node h owns
+        planes h*alpha*m .. (h+1)*alpha*m - 1."""
         rows = [row for h in range(self.n)
                 for row in self.family.node_tensor_rows(h)]
         return self.bulk.matmul(rows, phi)
@@ -177,24 +188,29 @@ def _store_lock(root: Path):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-def _atomic_write(path: Path, data: bytes):
+def _atomic_write(path: Path, *parts):
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(part)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def _check_manifest_values(manifest: dict, n: int) -> None:
-    """Reject manifest values of the wrong type before a command uses them."""
+def _check_manifest_values(manifest: dict, view: CodeView) -> None:
+    """Reject manifest values of the wrong type before a command uses them,
+    and a chunk map that is not the stripe plan of the file's length."""
+    n = view.n
     file = manifest["file"]
     status = manifest["node_status"]
     digests = manifest["node_digests"]
     ok = {
         "file": isinstance(file, dict)
         and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
-        and all(type(v) is int and v >= 0 for v in file.values()),
+        and all(type(v) is int and v >= 0 for v in file.values())
+        and ChunkedFile(**file) == ChunkedFile.plan(
+            file["original_length"], view.user_symbols, view.spec.m),
         "node_status": isinstance(status, list) and len(status) == n
         and all(s in (LIVE, FAILED) for s in status),
         "node_digests": isinstance(digests, dict)
@@ -226,6 +242,10 @@ class Cluster:
             raise UsageError(f"no cluster at {self.root} (run put first)")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CorruptDataError("not a cluster manifest")
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise CorruptDataError(
+                f"cluster manifest is version {manifest.get('version')!r}, "
+                f"expected {MANIFEST_VERSION} (re-put the file)")
         missing = [key for key in MANIFEST_KEYS if key not in manifest]
         if missing:
             raise CorruptDataError(f"cluster manifest lacks {missing}")
@@ -233,7 +253,7 @@ class Cluster:
         if phash.hex() != manifest["params_hash"]:
             raise CorruptDataError("manifest params hash mismatch")
         view = CodeView(code, phash)
-        _check_manifest_values(manifest, view.n)
+        _check_manifest_values(manifest, view)
         return manifest, view
 
     def _save(self, manifest):
@@ -244,50 +264,38 @@ class Cluster:
         return self.root / f"node_{h}" / "chunks.blob"
 
     def _record_len(self, view: CodeView) -> int:
-        return specfile.HEADER_LEN + view.alpha * view.spec.element_bytes
+        """Bytes of one stripe of one node: alpha*m plane words."""
+        return view.alpha * view.spec.m * WORD.itemsize
 
-    def _write_node(self, view: CodeView, h: int, values: np.ndarray) -> str:
-        """values: (alpha, chunks) -> one record per chunk; returns digest."""
-        chunks = values.shape[1]
-        rec_len = self._record_len(view)
-        header = specfile.encode_node_blob(
-            view.spec, view.phash, h, [0] * view.alpha)[:specfile.HEADER_LEN]
-        arr = np.zeros((chunks, rec_len), dtype=np.uint8)
-        arr[:, :specfile.HEADER_LEN] = np.frombuffer(header, dtype=np.uint8)
-        w = view.spec.element_bytes
-        body = values.T.astype("<u2" if w == 2 else np.uint8, order="C")
-        arr[:, specfile.HEADER_LEN:] = body.view(np.uint8).reshape(chunks, view.alpha * w)
-        data = arr.tobytes()
+    def _write_node(self, view: CodeView, h: int, planes: np.ndarray) -> str:
+        """planes: the node's (alpha*m, stripes) planes; returns the
+        blob's digest."""
+        header = specfile.encode_node_blob(view.phash, h)
+        body = np.ascontiguousarray(planes.T, dtype=WORD)
         path = self._blob_path(h)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, data)
-        return hashlib.sha256(data).hexdigest()
+        _atomic_write(path, header, body)
+        digest = hashlib.sha256(header)
+        digest.update(body)
+        return digest.hexdigest()
 
-    def _read_node(self, view: CodeView, h: int, chunk_count: int) -> np.ndarray:
-        """-> (alpha, chunks) symbol values, after validating every record."""
-        rec_len = self._record_len(view)
+    def _read_node(self, view: CodeView, h: int, stripes: int) -> np.ndarray:
+        """-> the node's (alpha*m, stripes) planes, a view of the blob
+        once its length and header are checked."""
         try:
             data = self._blob_path(h).read_bytes()
         except FileNotFoundError:
             raise CorruptDataError(f"node {h} blob is missing")
-        if len(data) != chunk_count * rec_len:
+        if len(data) != specfile.HEADER_LEN + stripes * self._record_len(view):
             raise CorruptDataError(f"node {h} blob has wrong length")
-        arr = np.frombuffer(data, dtype=np.uint8).reshape(chunk_count, rec_len)
-        header = specfile.encode_node_blob(
-            view.spec, view.phash, h, [0] * view.alpha)[:specfile.HEADER_LEN]
-        if not (arr[:, :specfile.HEADER_LEN]
-                == np.frombuffer(header, dtype=np.uint8)).all():
+        if data[4] != specfile.BLOB_VERSION:
+            raise CorruptDataError(
+                f"node {h} blob is version {data[4]}, expected "
+                f"{specfile.BLOB_VERSION} (re-put the file)")
+        if data[:specfile.HEADER_LEN] != specfile.encode_node_blob(view.phash, h):
             raise CorruptDataError(f"node {h} blob header mismatch")
-        w = view.spec.element_bytes
-        body = arr[:, specfile.HEADER_LEN:]
-        if w == 2:
-            values = body.reshape(chunk_count, view.alpha, 2).copy().view("<u2")
-            values = values.reshape(chunk_count, view.alpha)
-        else:
-            values = body
-        if (values.astype(np.uint32) >= view.spec.order).any():
-            raise CorruptDataError(f"node {h} blob holds non-canonical symbols")
-        return np.ascontiguousarray(values.T, dtype=view.bulk.dtype)
+        planes = np.frombuffer(data, dtype=WORD, offset=specfile.HEADER_LEN)
+        return planes.reshape(stripes, view.alpha * view.spec.m).T
 
     # ---- commands ----
 
@@ -297,18 +305,15 @@ class Cluster:
             code, phash = specfile.parse_document(spec_doc)
             view = CodeView(code, phash)
             data = Path(file_path).read_bytes()
-            stream = len(data).to_bytes(8, "little") + data
             chunked = ChunkedFile.plan(len(data), view.user_symbols, view.spec.m)
-            symbols = bytes_to_symbols(stream, view.spec.m,
-                                       chunked.chunk_count * view.user_symbols)
-            user = np.ascontiguousarray(
-                symbols.reshape(chunked.chunk_count, view.user_symbols).T)
+            user = bytes_to_symbols(len(data).to_bytes(8, "little") + data,
+                                    view.user_symbols * view.spec.m)
             phi = view.encode_bulk(user)
             for stale in self.root.glob("node_*"):
                 shutil.rmtree(stale)
-            values = view.node_values_bulk(phi)
-            a = view.alpha
-            digests = {str(h): self._write_node(view, h, values[h * a:(h + 1) * a])
+            planes = view.node_values_bulk(phi)
+            a = view.alpha * view.spec.m
+            digests = {str(h): self._write_node(view, h, planes[h * a:(h + 1) * a])
                        for h in range(view.n)}
             manifest = {
                 "format": MANIFEST_FORMAT,
@@ -341,14 +346,14 @@ class Cluster:
                     f"(short by {view.k - len(nodes)})")
             nodes = list(nodes)[:view.k]
             chunked = ChunkedFile.from_dict(manifest["file"])
-            stacked = np.vstack([self._read_node(view, h, chunked.chunk_count)
+            stacked = np.vstack([self._read_node(view, h, chunked.stripes)
                                  for h in nodes])
             user = view.bulk.matmul(view.decode_matrix(nodes), stacked)
-            stream = symbols_to_bytes(user.T.reshape(-1), view.spec.m)
+            stream = symbols_to_bytes(user)
             length = int.from_bytes(stream[:8], "little")
             if length != chunked.original_length:
                 raise CorruptDataError("decoded length prefix disagrees with manifest")
-            Path(out_path).write_bytes(stream[8:8 + length])
+            Path(out_path).write_bytes(memoryview(stream)[8:8 + length])
             return {"bytes": length, "nodes": nodes}
 
     def fail(self, h: int) -> dict:
@@ -381,10 +386,10 @@ class Cluster:
                 raise InsufficientNodesError(
                     f"repair needs {view.d} live helpers, have {len(helpers)}")
             helpers = list(helpers)[:view.d]
-            chunk_count = manifest["file"]["chunk_count"]
+            chunked = ChunkedFile.from_dict(manifest["file"])
             messages = []
             for h in helpers:
-                stored = self._read_node(view, h, chunk_count)
+                stored = self._read_node(view, h, chunked.stripes)
                 H = help_matrix(view.family, h, f)
                 messages.append(view.bulk.matmul(H, stored))
             received = np.vstack(messages)
@@ -398,7 +403,7 @@ class Cluster:
                 raise CorruptDataError(
                     f"repaired node {f} does not match its original digest")
             manifest["node_status"][f] = LIVE
-            symbols = chunk_count * view.d * view.beta
+            symbols = chunked.chunk_count * view.d * view.beta
             ledger = Ledger(manifest["ledger"])
             ledger.charge("repair", symbols, node=f, helpers=helpers)
             manifest["ledger"] = ledger.to_dict()
@@ -427,13 +432,13 @@ class Cluster:
                     f"repair2 needs {view.d} live helpers, have {len(helpers)}")
             helpers = list(helpers)[:view.d]
             program = central_repair_program(view.family, f, g, helpers, strategy)
-            chunk_count = manifest["file"]["chunk_count"]
+            chunked = ChunkedFile.from_dict(manifest["file"])
             received_parts = []
             for (h, sent), S in zip(program.plan.per_helper_sent,
                                     program.send_matrices):
                 if sent == 0:
                     continue
-                stored = self._read_node(view, h, chunk_count)
+                stored = self._read_node(view, h, chunked.stripes)
                 received_parts.append(view.bulk.matmul(S, stored))
             received = np.vstack(received_parts)
             values_f = view.bulk.matmul(program.recover_first, received)
@@ -448,7 +453,7 @@ class Cluster:
                     raise CorruptDataError(
                         f"repaired node {node} does not match its original digest")
                 manifest["node_status"][node] = LIVE
-            symbols = chunk_count * program.plan.total_bandwidth
+            symbols = chunked.chunk_count * program.plan.total_bandwidth
             ledger = Ledger(manifest["ledger"])
             ledger.charge("repair2", symbols, nodes=[f, g], strategy=strategy,
                           helpers=helpers,

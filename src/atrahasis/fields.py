@@ -88,7 +88,7 @@ class FieldSpec:
     """
 
     __slots__ = ("kind", "m", "reduction_poly", "p", "order",
-                 "element_bytes", "_mul_table", "_inv_table")
+                 "_mul_table", "_inv_table")
 
     def __init__(self, kind: str, m: int | None = None,
                  reduction_poly: int | None = None, p: int | None = None):
@@ -108,7 +108,6 @@ class FieldSpec:
             self.reduction_poly = reduction_poly
             self.p = None
             self.order = 1 << m
-            self.element_bytes = (m + 7) // 8
         elif kind == PRIME:
             if p is None or not is_prime(p):
                 raise UsageError(f"{p} is not prime")
@@ -117,7 +116,6 @@ class FieldSpec:
             self.reduction_poly = None
             self.p = p
             self.order = p
-            self.element_bytes = (p.bit_length() + 7) // 8
         else:
             raise UsageError(f"unknown field kind {kind!r}")
         self._mul_table = None
@@ -310,16 +308,4 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.value}@{self.spec}"
-
-
-def encode_element(spec: FieldSpec, value: int, out: bytearray) -> None:
-    """Append the on-disk encoding of one element.
-
-    Binary fields: little-endian, ceil(m/8) bytes.  Prime fields:
-    minimal-width big-endian for the modulus.
-    """
-    if spec.kind == BINARY:
-        out += value.to_bytes(spec.element_bytes, "little")
-    else:
-        out += value.to_bytes(spec.element_bytes, "big")
 

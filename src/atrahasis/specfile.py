@@ -1,10 +1,11 @@
-"""On-disk formats: the textual code-spec file and node content blobs.
+"""On-disk formats: the textual code-spec file and the node blob header.
 
 The code-spec file is versioned JSON carrying the field, the parameters,
 the star vectors as hex element lists, and a content hash over the
 canonical serialization.  An 8-byte params hash derived from the same
 canonical form ties blobs to the code instance they belong to, so a
-mismatched or corrupted artifact is always detected.
+mismatched or corrupted artifact is always detected.  The blob body
+after the header is the node's bit-plane stripes (see cluster).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 
 from .code import EXTERIOR, SYMMETRIC, StarFamily, derive_params
 from .errors import CorruptDataError, UsageError
-from .fields import FieldSpec, encode_element
+from .fields import FieldSpec
 from .linalg import Vector
 from .transforms import ShortenedCode
 
@@ -23,7 +24,7 @@ SPEC_FORMAT = "atrahasis-code-spec"
 SPEC_VERSION = 1
 
 BLOB_MAGIC = b"ATRA"
-BLOB_VERSION = 1
+BLOB_VERSION = 2
 HEADER_LEN = 16
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
@@ -142,18 +143,9 @@ def read_spec_file(path):
     return parse_document(read_json(path))
 
 
-def encode_node_blob(spec: FieldSpec, phash: bytes, node_index: int,
-                     values: list[int]) -> bytes:
-    """16-byte header (magic, version, node, reserved, params hash) plus
-    the node's alpha elements."""
+def encode_node_blob(phash: bytes, node_index: int) -> bytes:
+    """The 16-byte node blob header: magic, version, node index, two
+    reserved zero bytes, params hash."""
     if node_index < 0 or node_index > 0xFF:
         raise UsageError("node index does not fit the blob header")
-    out = bytearray()
-    out += BLOB_MAGIC
-    out.append(BLOB_VERSION)
-    out.append(node_index)
-    out += b"\x00\x00"
-    out += phash
-    for v in values:
-        encode_element(spec, v, out)
-    return bytes(out)
+    return BLOB_MAGIC + bytes([BLOB_VERSION, node_index, 0, 0]) + phash

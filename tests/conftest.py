@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from atrahasis.fields import binary_field, prime_field
@@ -28,3 +29,42 @@ def rng():
 
 def random_values(rng, spec, count):
     return [rng.randrange(spec.order) for _ in range(count)]
+
+
+def pack_planes(rows, m):
+    """Test-side reference packing: per-row symbol lists -> (len(rows)*m, W)
+    uint64 planes, W = ceil(N/64); bit t%64 of word t//64 of plane j*m + b
+    is bit b of rows[j][t], and the padding lanes are 0."""
+    n = len(rows[0]) if rows else 0
+    words = -(-n // 64)
+    planes = np.zeros((len(rows) * m, words), dtype="<u8")
+    for j, row in enumerate(rows):
+        for b in range(m):
+            for w in range(words):
+                planes[j * m + b, w] = sum(((v >> b) & 1) << t
+                                           for t, v in enumerate(row[64 * w:64 * w + 64]))
+    return planes
+
+
+def unpack_planes(planes, m, n):
+    """Inverse of pack_planes for the first n chunks."""
+    return [[sum(((int(planes[j * m + b, t // 64]) >> (t % 64)) & 1) << b
+                 for b in range(m))
+             for t in range(n)]
+            for j in range(planes.shape[0] // m)]
+
+
+def read_stripes(data: bytes, symbols: int, m: int) -> list[list[int]]:
+    """The documented stripe layout, read bit by bit from a user stream or
+    a blob body (zero-extended to whole stripes): chunk 64*s + t holds
+    `symbols` symbols, and bit b of symbol j is bit t of little-endian
+    uint64 word j*m + b of stripe s."""
+    def bit(word, t):
+        i = 8 * word + t // 8
+        return (data[i] >> (t % 8)) & 1 if i < len(data) else 0
+
+    stripe = symbols * m
+    stripes = -(-len(data) // (8 * stripe))
+    return [[sum(bit(s * stripe + j * m + b, t) << b for b in range(m))
+             for j in range(symbols)]
+            for s in range(stripes) for t in range(64)]

@@ -1,6 +1,6 @@
-"""The bit-sliced bulk kernel and the byte <-> symbol packing, checked
-against the scalar field arithmetic and a bit-by-bit reference for every
-extension degree m = 1..16."""
+"""The bit-sliced bulk kernel and the byte stream <-> bit-plane layout,
+checked against the scalar field arithmetic and a bit-by-bit reference
+for every extension degree m = 1..16."""
 
 import random
 
@@ -9,38 +9,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
+from atrahasis.bulk import WORD, BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.fields import binary_field
 from atrahasis.linalg import Matrix, Vector
+from conftest import pack_planes, read_stripes, unpack_planes
 
 DEGREES = range(1, 17)
 
 
 def scalar_matmul(spec, rows, data):
-    """Reference: Matrix.matvec on every column."""
+    """Reference: Matrix.matvec on every column of per-row symbol lists."""
     A = Matrix(spec, rows)
-    cols = [A.matvec(Vector(spec, [int(v) for v in data[:, j]])).values
-            for j in range(data.shape[1])]
+    n = len(data[0]) if data else 0
+    cols = [A.matvec(Vector(spec, [row[j] for row in data])).values
+            for j in range(n)]
     return [[col[i] for col in cols] for i in range(len(rows))]
 
 
-def reference_symbols(data: bytes, m: int, total: int) -> list[int]:
-    bits = [(byte >> (7 - i)) & 1 for byte in data for i in range(8)]
-    bits = (bits + [0] * (total * m))[:total * m]
-    out = []
-    for s in range(total):
-        value = 0
-        for bit in bits[s * m:(s + 1) * m]:
-            value = (value << 1) | bit
-        out.append(value)
-    return out
-
-
-def reference_bytes(symbols: list[int], m: int) -> bytes:
-    bits = [(v >> (m - 1 - i)) & 1 for v in symbols for i in range(m)]
-    bits += [0] * (-len(bits) % 8)
-    return bytes(sum(bit << (7 - i) for i, bit in enumerate(bits[j:j + 8]))
-                 for j in range(0, len(bits), 8))
+def reference_stream(chunks: list[list[int]], m: int) -> bytes:
+    """Inverse of read_stripes, bit by bit (len(chunks) % 64 == 0)."""
+    symbols = len(chunks[0]) if chunks else 0
+    out = bytearray(len(chunks) // 64 * symbols * m * 8)
+    for c, chunk in enumerate(chunks):
+        s, t = divmod(c, 64)
+        for j, v in enumerate(chunk):
+            for b in range(m):
+                word = s * symbols * m + j * m + b
+                out[8 * word + t // 8] |= ((v >> b) & 1) << (t % 8)
+    return bytes(out)
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
@@ -54,21 +50,22 @@ def test_matmul_matches_scalar(m, n):
     rows[0][1] = 0
     rows[1][2] = 1
     rows[2] = [0, 0, 0, 0]
-    data = np.array([[rng.randrange(spec.order) for _ in range(n)]
-                     for _ in range(4)], dtype=bulk.dtype).reshape(4, n)
-    got = bulk.matmul(rows, data)
-    assert got.dtype == bulk.dtype
-    assert got.shape == (3, n)
-    assert got.tolist() == scalar_matmul(spec, rows, data)
+    data = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(4)]
+    got = bulk.matmul(rows, pack_planes(data, m))
+    assert got.dtype == WORD
+    assert got.shape == (3 * m, -(-n // 64))
+    lanes = unpack_planes(got, m, 64 * got.shape[1])
+    assert [row[:n] for row in lanes] == scalar_matmul(spec, rows, data)
+    assert not any(v for row in lanes for v in row[n:])  # padding lanes stay 0
 
 
 @pytest.mark.parametrize("m", [1, 4, 8, 9, 16])
 def test_matmul_empty_shapes(m):
     bulk = BulkField(binary_field(m))
-    empty = np.zeros((0, 5), dtype=bulk.dtype)
+    empty = np.zeros((0, 5), dtype=WORD)
     assert bulk.matmul([], empty).shape == (0, 5)
-    assert bulk.matmul([[], []], empty).tolist() == [[0] * 5, [0] * 5]
-    assert bulk.matmul([[1, 1]], np.zeros((2, 0), dtype=bulk.dtype)).shape == (1, 0)
+    assert bulk.matmul([[], []], empty).tolist() == [[0] * 5] * (2 * m)
+    assert bulk.matmul([[1, 1]], np.zeros((2 * m, 0), dtype=WORD)).shape == (m, 0)
 
 
 @pytest.mark.parametrize("m", DEGREES)
@@ -98,30 +95,33 @@ def test_matmul_random(draw):
     rows = draw.draw(st.lists(st.lists(symbol, min_size=c, max_size=c),
                               min_size=r, max_size=r), label="rows")
     seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
-    bulk = BulkField(spec)
-    data = np.random.default_rng(seed).integers(
-        0, spec.order, size=(c, n)).astype(bulk.dtype)
-    assert bulk.matmul(rows, data).tolist() == scalar_matmul(spec, rows, data)
+    data = np.random.default_rng(seed).integers(0, spec.order, size=(c, n)).tolist()
+    got = BulkField(spec).matmul(rows, pack_planes(data, m))
+    assert unpack_planes(got, m, n) == scalar_matmul(spec, rows, data)
 
 
 @pytest.mark.parametrize("m", DEGREES)
 def test_packing_matches_reference(m):
     rng = random.Random(m)
-    data = bytes(rng.randrange(256) for _ in range(37))
-    for total in (0, 1, (len(data) * 8) // m, (len(data) * 8 + m - 1) // m + 3):
-        want = reference_symbols(data, m, total)
-        got = bytes_to_symbols(data, m, total)
-        assert got.dtype == (np.uint8 if m <= 8 else np.uint16)
-        assert got.tolist() == want
-        assert symbols_to_bytes(got, m) == reference_bytes(want, m)
+    for symbols, size in ((1, 0), (1, 8), (3, 37), (5, 3 * 5 * m * 8 + 1)):
+        stream = bytes(rng.randrange(256) for _ in range(size))
+        planes = bytes_to_symbols(stream, symbols * m)
+        stripes = -(-size // (symbols * m * 8))
+        assert planes.shape == (symbols * m, stripes)
+        want = read_stripes(stream, symbols, m)
+        got = unpack_planes(planes, m, 64 * stripes)
+        assert [list(chunk) for chunk in zip(*got)] == want
+        back = symbols_to_bytes(planes)
+        assert back == reference_stream(want, m)
+        assert back == stream.ljust(len(back), b"\x00")
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 16), st.binary(max_size=80))
-def test_packing_random(m, data):
-    total = (len(data) * 8 + m - 1) // m
-    symbols = bytes_to_symbols(data, m, total)
-    assert symbols.tolist() == reference_symbols(data, m, total)
-    back = symbols_to_bytes(symbols, m)
-    assert back == reference_bytes(symbols.tolist(), m)
-    assert back[:len(data)] == data
+@given(st.integers(1, 16), st.integers(1, 4), st.binary(max_size=300))
+def test_packing_random(m, symbols, stream):
+    planes = bytes_to_symbols(stream, symbols * m)
+    chunks = [list(chunk) for chunk in zip(*unpack_planes(planes, m, 64 * planes.shape[1]))]
+    assert chunks == read_stripes(stream, symbols, m)
+    back = symbols_to_bytes(planes)
+    assert len(back) % (symbols * m * 8) == 0
+    assert back == stream.ljust(len(back), b"\x00")

@@ -182,6 +182,7 @@ MANIFEST_DAMAGE = {
     "file-not-object": ("file", lambda v: 3, "status"),
     "file-missing-field": ("file", lambda v: _without(v, "padding_bits"), "get"),
     "file-string-field": ("file", lambda v: {**v, "chunk_count": "1"}, "get"),
+    "file-not-whole-stripes": ("file", lambda v: {**v, "chunk_count": 65}, "status"),
     "status-string": ("node_status", lambda v: "xx", "get"),
     "status-short": ("node_status", lambda v: v[:-1], "status"),
     "status-unknown": ("node_status", lambda v: v[:-1] + ["lost"], "fail"),
@@ -210,6 +211,45 @@ def test_manifest_value_types_checked(tmp_path, case):
     code, out, err = run_cli(*args, "--store", str(store))
     assert code == 2, (code, err)
     assert f"'{key}'" in err and "Traceback" not in err, err
+
+
+def _put_hello(tmp_path):
+    spec = tmp_path / "fix.spec"
+    store = tmp_path / "store"
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", str(store)])
+    return store
+
+
+def test_old_manifest_version_rejected(tmp_path):
+    store = _put_hello(tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = 1
+    path.write_text(json.dumps(manifest))
+    for args in (["status"], ["get", str(tmp_path / "out.bin")], ["fail", "0"]):
+        code, out, err = run_cli(*args, "--store", str(store))
+        assert code == 2, (args, err)
+        assert "version 1, expected 2 (re-put the file)" in err, err
+        assert "Traceback" not in err
+
+
+def test_old_blob_version_rejected(tmp_path):
+    store = _put_hello(tmp_path)
+    blob = store / "node_0" / "chunks.blob"
+    raw = bytearray(blob.read_bytes())
+    raw[4] = 1  # the header's version byte
+    blob.write_bytes(bytes(raw))
+    out = str(tmp_path / "out.bin")
+    code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "0,1,2,3,4")
+    assert code == 2, err
+    assert "node 0 blob is version 1, expected 2 (re-put the file)" in err, err
+    assert "Traceback" not in err
+    code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "1,2,3,4,5")
+    assert code == 0, err
+    assert (tmp_path / "out.bin").read_bytes() == b"hello"
 
 
 def test_gf256_non_default_polynomial_end_to_end(tmp_path):

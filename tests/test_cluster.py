@@ -1,7 +1,6 @@
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
@@ -12,8 +11,9 @@ from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import Matrix, Vector
-from atrahasis.specfile import family_document
-from conftest import random_values
+from atrahasis.specfile import family_document, parse_document
+from atrahasis.transforms import ShortenedCode
+from conftest import pack_planes, random_values, read_stripes, unpack_planes
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +35,11 @@ def test_bulk_matmul_matches_exact(rng):
         bulk = BulkField(spec)
         A = Matrix(spec, [random_values(rng, spec, 5) for _ in range(4)])
         cols = 7
-        data = np.array([random_values(rng, spec, cols) for _ in range(5)],
-                        dtype=bulk.dtype)
-        got = bulk.matmul(A, data)
+        data = [random_values(rng, spec, cols) for _ in range(5)]
+        got = unpack_planes(bulk.matmul(A, pack_planes(data, spec.m)), spec.m, cols)
         for j in range(cols):
-            vec = A.matvec(Vector(spec, [int(data[i][j]) for i in range(5)]))
-            assert [int(x) for x in got[:, j]] == vec.values
+            vec = A.matvec(Vector(spec, [data[i][j] for i in range(5)]))
+            assert [row[j] for row in got] == vec.values
 
 
 def test_bulk_rejects_prime_fields():
@@ -51,10 +50,11 @@ def test_bulk_rejects_prime_fields():
 @pytest.mark.parametrize("m", [1, 3, 4, 8, 9, 16])
 def test_symbol_packing_roundtrip(m, rng):
     data = bytes(rng.randrange(256) for _ in range(41))
-    total = (len(data) * 8 + m - 1) // m
-    symbols = bytes_to_symbols(data, m, total)
-    assert int(symbols.max(initial=0)) < (1 << m)
-    back = symbols_to_bytes(symbols, m)
+    rows = 3 * m  # three symbols per chunk
+    planes = bytes_to_symbols(data, rows)
+    assert planes.shape == (rows, -(-len(data) // (8 * rows)))
+    back = symbols_to_bytes(planes)
+    assert len(back) == 8 * planes.size
     assert back[:len(data)] == data
     assert all(b == 0 for b in back[len(data):])
 
@@ -191,15 +191,30 @@ def test_params_hash_mismatch_detected(tmp_path, fixture_doc, rng):
         cluster.get(tmp_path / "out.bin", nodes=[0, 1, 2, 3, 4])
 
 
-def test_non_canonical_symbol_detected(tmp_path, fixture_doc, rng):
+def _truncate(blob, other):
+    blob.write_bytes(blob.read_bytes()[:-1])
+
+
+def _extend(blob, other):
+    blob.write_bytes(blob.read_bytes() + b"\x00")
+
+
+def _copy_other_node(blob, other):
+    blob.write_bytes(other.read_bytes())
+
+
+@pytest.mark.parametrize("damage", [_truncate, _extend, _copy_other_node],
+                         ids=["truncated", "trailing-byte", "other-node"])
+def test_damaged_blob_detected(tmp_path, fixture_doc, rng, damage):
     data = bytes(rng.randrange(256) for _ in range(100))
     cluster, _ = make_store(tmp_path, fixture_doc, data)
-    blob = cluster.root / "node_1" / "chunks.blob"
-    raw = bytearray(blob.read_bytes())
-    raw[16] = 0x55  # first value byte: 85 is not a GF(16) residue
-    blob.write_bytes(bytes(raw))
-    with pytest.raises(CorruptDataError):
-        cluster.get(tmp_path / "out.bin", nodes=[0, 1, 2, 3, 4])
+    damage(cluster.root / "node_2" / "chunks.blob",
+           cluster.root / "node_3" / "chunks.blob")
+    out = tmp_path / "out.bin"
+    with pytest.raises(CorruptDataError, match="node 2"):
+        cluster.get(out, nodes=[0, 1, 2, 3, 4])
+    cluster.get(out, nodes=[0, 1, 3, 4, 5])
+    assert out.read_bytes() == data
 
 
 def test_shortened_cluster(tmp_path, rng):
@@ -221,7 +236,7 @@ def test_shortened_cluster(tmp_path, rng):
 
 
 def test_two_byte_element_cluster(tmp_path, rng):
-    # GF(512) symbols occupy two bytes on disk and 9 bits in the stream
+    # GF(512): the first field whose symbols are wider than a byte
     doc = family_document(rs_stars_t2(binary_field(9), 6, 3, SYMMETRIC))
     data = bytes(rng.randrange(256) for _ in range(333))
     cluster, info = make_store(tmp_path, doc, data)
@@ -252,54 +267,86 @@ def test_manifest_required(tmp_path):
         Cluster(tmp_path / "nowhere").get(tmp_path / "x")
 
 
-# node_digests written by the per-coefficient lookup-table kernel that the
-# bit-sliced kernel replaced; the on-disk bytes must not change
+CODES = {
+    "fixture": lambda: family_document(atrahasis_956()),
+    "fixture-shortened": lambda: family_document(atrahasis_956(), shorten_depth=1),
+    "rs-gf512": lambda: family_document(rs_stars_t2(binary_field(9), 6, 3, SYMMETRIC)),
+    "rs-gf65536": lambda: family_document(
+        rs_stars_t2(binary_field(16), 6, 3, SYMMETRIC)),
+}
+
+# node_digests of the seeded file below, once the blobs have been checked
+# symbol by symbol against the scalar encode; a kernel or layout change
+# that alters any stored bit fails here
 PINNED_DIGESTS = {
     "fixture": [
-        "4f2742fd54d832cf34abc59c5a7ae58fc8289f31fc3e8d232d030ac14a515fbc",
-        "2d210cbdf4a8b8f3c1fb1cad6ffa1b8e3168e17e275a3da32cfba77bf63bd6c8",
-        "7eec47a182c106694eb8143fb215c7162246f9c802f1e0575f97f150c9927f61",
-        "8e726146ab0315fa58bdc1ebabeb63b85b587f88fbe3798d9ffed884223bb782",
-        "05977df6f234a8dd6256d1484dcb0a47745ec4e5b29523cd0d163a19fdf8eaa0",
-        "8ddc6e27db7fe9ab525ca8ef4590dc199607a704951796e0c79d5bb28c304e48",
-        "90e5e16f52e6a20e3c5dae67587ff3be87bc6acc37089e1f61bf1d8021e18398",
-        "35f5a57d785822e3abf97ba461a1fba997b39b9faf8914282f43c3ba48986ede",
-        "419e9dfd202837cf4ce2857b3ffe66a161e76be2ba592f5733942f6e3259b9cc",
-    ],
-    "rs-gf512": [
-        "8a177ab7c70a221b5e0674b0d42ca971cf70bf20f092e900efe287a856d32106",
-        "7dfe1becd5b14fdd4e50349e2b1938becf67e20950e8780e7b8ac9c8efab1002",
-        "cd22bec8cca4432e27f3bb4fb927d14dfbfca6a8b9b835a28b42ff5d7935f40f",
-        "68568b58f3e898f04a4e391bc60680f62c80bc5f9f9862791b2d3b6505159b3f",
-        "001a302abed5202f20549d523817893163038094403f5e69311b2895c0643d6d",
-        "5f1bfe09970f1c7bf7f26d91faa08c27afb2581c0a38e2ad49bc8a5031ba5bf1",
+        "f9b8540a43012a1bc66bbb7bed68e214a086fe5c08fbcaff93d055404ed2cf58",
+        "0ca68cb301c28c8408de98c8ded28462fcca10dc8dc002fdf966727690a7af6a",
+        "72e736236d500453c42c31c9d0e258c7410e39f8c53071f94b788f4de141fef4",
+        "ecabbb81ba21aea442e39349ddb68dce960212581ae1ef2511ae318bec4626fa",
+        "55b74cae74d37149ed98c5262d19f7da879c658b36cab1458d07731fc328d147",
+        "5271b2fafe8bed14165f185590a31c2e5975e8131a5dcb87a940acf01b5f06d5",
+        "894502836428cf8a12ceb66ae9a3c0a43b4aa77fab16e78595fddd24e81a22b4",
+        "108de3a80fed581ae5e00670856fc6f087891e9cf215e04fb58e2245550ffb58",
+        "3d81190125763b50ea18c11e09c9f0c1aae57c942d58ff50282920a2eeb8df61",
     ],
     "fixture-shortened": [
-        "d2632b1742d96319effa82b213c569c442925e94585dc6cd38c206721f24b54b",
-        "0ecbede226660063f51519dc6cd7d551e9cbde7c524b00a6c42d33427c4319ce",
-        "9f88a45c902f042f065cd380ad1c6ab9c7ca13ca70949d4d49c735bcd735e2a6",
-        "671437ece437c0514e6f9d2cfe696bb69ca9d7d1bfd8a12cec7fbd4a77a8f7e3",
-        "16cc0b5d6e2faf23e95c21d70cb84de36c3e8177c84c503367a64f91bddb3389",
-        "cbd06458c12e4f23a8f655b50d8b625fa5a1698c9943ce96a57fb8fd9240e06d",
-        "d5a09053e782269a8ac022135a1ed03df1f40f8a34bc85c64d8c9b77c05286cc",
-        "8f958e7dfcfea7fcf2e6cd9b96270e34ff04151269c13d11d2a6ba66b7f8d3e9",
+        "653c8c70d81078f4bdeb0cd3449ba5f113e44d42fed502c0b71b4b048c82f1fe",
+        "c997c9cc9fe1d6386e68f57fe89877dc0e9252b839db41747f614e1b1add5401",
+        "a644211db5bab6f741f0a0720fd447cdadbb371c6be24d7ffdf0ed75970edc23",
+        "f1ff00edd7cf15aefac929889e52acd9078578abf5a031d7d2411fc7f6c97196",
+        "01d962d4b04cf72ea692188cbb5bee792f7c9e25d6c2c25c3f911be4bea3ac49",
+        "aaca63b9da63e68eecaae0f6334fcc24480845c873919f7615916643e53ef1ba",
+        "260ef349fe3d44f34615e561568d8ac2e0e0efee9d54d600b758a41d333d8efa",
+        "6c9a4b7ad8daec00f837e9e306c9ad878002384c1adcc7de03080c35798529b2",
+    ],
+    "rs-gf512": [
+        "7511cf9f3981ae3aa3c90643dd06158ac3be5b20717228ac7bd24b9a2c741853",
+        "23e9e70232facf039aee49540ede636ba62e309060f14b1f2a66f7537c2115ff",
+        "75189ce5835d6ca8037c8cece4e962c7a2fe4b1eff6353b9650f37df8fed1204",
+        "c25949afd1adc6231ba6359dc20e410c6816b7fef724809d439600513ba12063",
+        "eb36ad840dd31e7a2f53b22d11a720c2de4be96d2bab65d9467a45a4bf2223ca",
+        "33cd3f9c6ae1da235ae0db766b8fcf661c64f45e5500ba2a957494f0b937c76b",
+    ],
+    "rs-gf65536": [
+        "cf6052a4e4924a2bd12952304520938a9f0e5739094308b53db89a42c022c854",
+        "f4cd375b28fcf5081a7920fe05124c71a240ae46af6e0ca5f5f3d890b3a5c4e9",
+        "809bc24f094a4be87e5549fcb4f4251a0e99684a6251b66093975f8cfa73f6d3",
+        "66a0b2cafc46ad8f80726df6f82e3d7fd707f8bf0775b8316e9a570c0bbbfddf",
+        "27cc0c27c0c8c076163062a5f7a8b272769c4080f7a7629351bd600077f6d92c",
+        "261532a5f2cb9710d3ba5eb1313dd67ac0fd57e0440f1cb0bfa41e59f1da2633",
     ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("name", sorted(CODES))
 def test_put_blobs_match_pinned_digests(tmp_path, name):
-    doc = {
-        "fixture": lambda: family_document(atrahasis_956()),
-        "rs-gf512": lambda: family_document(
-            rs_stars_t2(binary_field(9), 6, 3, SYMMETRIC)),
-        "fixture-shortened": lambda: family_document(atrahasis_956(),
-                                                     shorten_depth=1),
-    }[name]()
+    doc = CODES[name]()
+    code, phash = parse_document(doc)
+    spec = code.spec
+    m = spec.m
+    if isinstance(code, ShortenedCode):
+        family, n, symbols = code.base, code.n, code.M
+        encode = lambda user: code.encode(user).vector  # noqa: E731
+    else:
+        family, n, symbols = code, code.params.n, code.params.M
+        encode = lambda user: Vector(spec, user)  # noqa: E731
     data = random.Random(2020).randbytes(4099)
-    cluster, _ = make_store(tmp_path, doc, data)
+    cluster, info = make_store(tmp_path, doc, data)
+    # the format oracle: the documented layouts read bit by bit, against
+    # Matrix.matvec of each node's tensor rows on each chunk's symbols
+    chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m)
+    assert len(chunks) == info["chunk_count"]
+    for h in range(n):
+        blob = (cluster.root / f"node_{h}" / "chunks.blob").read_bytes()
+        assert blob[:16] == b"ATRA" + bytes([2, h, 0, 0]) + phash
+        stored = read_stripes(blob[16:], family.params.alpha, m)
+        assert len(stored) == len(chunks)
+        A = Matrix(spec, family.node_tensor_rows(h))
+        for user, values in zip(chunks, stored):
+            assert A.matvec(encode(user)).values == values
     digests = cluster._load()[0]["node_digests"]
-    assert [digests[str(h)] for h in range(len(digests))] == PINNED_DIGESTS[name]
+    assert [digests[str(h)] for h in range(n)] == PINNED_DIGESTS[name]
     out = tmp_path / "out.bin"
     cluster.get(out)
     assert out.read_bytes() == data

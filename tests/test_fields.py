@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from atrahasis.errors import UsageError
 from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, binary_field,
-                              encode_element, poly_is_irreducible, prime_field)
+                              poly_is_irreducible, prime_field)
 
 IRREDUCIBLE_UP_TO_256 = [p for m in range(1, 9) for p in range(1 << m, 1 << (m + 1))
                          if poly_is_irreducible(p)]
@@ -156,23 +156,6 @@ def test_spec_serialization_roundtrip(gf16):
     d = gf16.to_dict()
     assert d == {"kind": "binary-extension", "m": 4, "reduction_poly": "13",
                  "p": None}
-
-
-def test_element_encoding_widths():
-    cases = [
-        (binary_field(4), 1, "little"),
-        (binary_field(8), 1, "little"),
-        (binary_field(9), 2, "little"),
-        (prime_field(127), 1, "big"),
-        (prime_field(257), 2, "big"),
-    ]
-    for spec, width, order in cases:
-        assert spec.element_bytes == width
-        buf = bytearray()
-        v = spec.order - 1
-        encode_element(spec, v, buf)
-        assert len(buf) == width
-        assert int.from_bytes(bytes(buf), order) == v
 
 
 def test_every_small_binary_field_is_counted():
