@@ -3,13 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from atrahasis.code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily,
-                            derive_params, download, encode, help_matrix,
-                            help_message, node_content, repair, rs_stars_t2,
-                            verify_axioms)
+from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
+                            StarFamily, derive_params, download, encode,
+                            help_matrix, help_message, node_content, repair,
+                            rs_stars_t2, verify_axioms)
 from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
+from atrahasis.fixtures import pattern_family
 from atrahasis.linalg import SpanSolver, Vector, dot_ints
 from conftest import random_values
 
@@ -82,6 +83,50 @@ def test_verify_axioms_duplicate_stars(gf16):
     assert not report.ok
     assert report.axiom == "MDSx"
     assert set(report.subset) == {0, 5}
+    assert report == AxiomReport(False, "MDSx", (0, 5), None, 5)
+
+
+# Broken pattern families with their full reports, pinned from the
+# one-subset-at-a-time checker: the failing subset is the first in
+# combinations order, and subsets_checked counts every subset up to and
+# including it (MDSq: over all earlier failed nodes too).
+PINNED_REPORTS = [
+    ((SYMMETRIC, prime_field(11), (7, 3, 4), (0, 3), (0, 2),
+      (1, 5, 6, 7, 8, 9, 10)),
+     AxiomReport(False, "MDSy", (0, 6), None, 27)),
+    ((EXTERIOR, binary_field(4), (7, 3, 4), (0, 1), (0, 2, 5),
+      (1, 5, 6, 9, 10, 11, 12)),
+     AxiomReport(False, "MDSw", (0, 4, 6), None, 35)),
+    ((SYMMETRIC, binary_field(5), (9, 5, 6), (0, 2, 6), (0, 1, 3),
+      (0, 6, 12, 13, 21, 23, 28, 30, 31)),
+     AxiomReport(False, "MDSd", (1, 2, 5, 6, 7, 8), None, 239)),
+    ((SYMMETRIC, binary_field(6), (9, 5, 6), (0, 2, 6), (0, 1, 3),
+      (1, 7, 12, 14, 16, 18, 27, 37, 47)),
+     AxiomReport(False, "MDSd", (0, 1, 3, 5, 7, 8), None, 197)),
+    ((EXTERIOR, prime_field(11), (7, 3, 4), (0, 3), (0, 1, 2),
+      (1, 2, 3, 4, 5, 7, 10)),
+     AxiomReport(False, "MDSq", (0, 2, 3, 6), 1, 74)),
+    ((EXTERIOR, binary_field(5), (8, 5, 6), (0, 2, 6), (0, 1, 2, 3, 4),
+      (1, 9, 12, 14, 17, 22, 25, 30)),
+     AxiomReport(False, "MDSq", (0, 2, 3, 4, 6, 7), 1, 122)),
+]
+
+
+@pytest.mark.parametrize("case,want", PINNED_REPORTS,
+                         ids=[r.axiom + str(r.subsets_checked) for _, r in PINNED_REPORTS])
+def test_verify_axioms_pinned_reports(case, want):
+    flavor, spec, nkd, x_pattern, y_pattern, points = case
+    family = pattern_family(spec, derive_params(*nkd, flavor), points,
+                            x_pattern, y_pattern)
+    assert verify_axioms(family) == want
+
+
+def test_verify_axioms_pinned_passes(gf16, fixture_family):
+    assert verify_axioms(fixture_family) == AxiomReport(True, subsets_checked=252)
+    assert verify_axioms(rs_stars_t2(gf16, 6, 3, EXTERIOR)) == AxiomReport(
+        True, subsets_checked=65)
+    assert verify_axioms(rs_stars_t2(binary_field(8), 12, 5, EXTERIOR)) == AxiomReport(
+        True, subsets_checked=2838)
 
 
 def test_encode_identity_and_linearity(gf16, fixture_family, rng):

@@ -24,6 +24,23 @@ def test_grow_pool_reaches_nine_points():
     assert verify_axioms(result.family).ok
 
 
+# Pools pinned from the one-subset-at-a-time checker.
+PINNED_POOLS = [
+    (4, 7, (0, 1, 2, 4, 7, 8, 11, 13, 14)),
+    (6, 9, (0, 1, 2, 4, 7, 8, 11, 13, 14, 23, 47)),
+    (8, 9, (0, 1, 2, 4, 7, 8, 11, 13, 14, 17, 33, 70, 135, 248)),
+]
+
+
+@pytest.mark.parametrize("m,n,pool", PINNED_POOLS,
+                         ids=[f"gf{1 << m}" for m, _, _ in PINNED_POOLS])
+def test_grow_pool_pinned_pools(m, n, pool):
+    result = grow_pool(SearchConfig(binary_field(m), derive_params(n, 5, 6, SYMMETRIC),
+                                    (0, 2, 6), (0, 1, 3)))
+    assert result.ok and result.pool == pool
+    assert result.family.params.n == len(pool)
+
+
 def test_grow_pool_deterministic():
     a = grow_pool(flagship_config())
     b = grow_pool(flagship_config())
