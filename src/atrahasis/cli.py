@@ -21,7 +21,6 @@ import json
 import sys
 
 from . import specfile
-from .cluster import Cluster
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
                    rs_stars_t2, verify_axioms)
 from .errors import (AtrahasisError, AxiomViolationError, CorruptDataError,
@@ -202,27 +201,34 @@ def cmd_verify(args) -> int:
     return EXIT_AXIOM
 
 
+def _cluster(args):
+    """The store of a store command.  cluster imports numpy (through
+    bulk), so gen, verify, shorten and sweep never load it."""
+    from .cluster import Cluster
+    return Cluster(args.store)
+
+
 def cmd_put(args) -> int:
-    info = Cluster(args.store).put(specfile.read_json(args.spec), args.file)
+    info = _cluster(args).put(specfile.read_json(args.spec), args.file)
     _emit(args, info,
           f"stored {args.file}: {info['chunk_count']} chunks on {info['nodes']} nodes")
     return EXIT_OK
 
 
 def cmd_get(args) -> int:
-    info = Cluster(args.store).get(args.out, _parse_nodes(args.nodes))
+    info = _cluster(args).get(args.out, _parse_nodes(args.nodes))
     _emit(args, info, f"recovered {info['bytes']} bytes from nodes {info['nodes']}")
     return EXIT_OK
 
 
 def cmd_fail(args) -> int:
-    info = Cluster(args.store).fail(args.node)
+    info = _cluster(args).fail(args.node)
     _emit(args, info, f"node {args.node} failed")
     return EXIT_OK
 
 
 def cmd_repair(args) -> int:
-    info = Cluster(args.store).repair(args.node, _parse_nodes(args.helpers))
+    info = _cluster(args).repair(args.node, _parse_nodes(args.helpers))
     _emit(args, info,
           f"repaired node {args.node} from {info['helpers']} "
           f"({info['symbols']} symbols)")
@@ -230,7 +236,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_repair2(args) -> int:
-    info = Cluster(args.store).repair2(args.first, args.second, args.strategy,
+    info = _cluster(args).repair2(args.first, args.second, args.strategy,
                                        _parse_nodes(args.helpers))
     _emit(args, info,
           f"repaired nodes {info['repaired']} via {args.strategy} "
@@ -239,7 +245,7 @@ def cmd_repair2(args) -> int:
 
 
 def cmd_status(args) -> int:
-    info = Cluster(args.store).status()
+    info = _cluster(args).status()
     _emit(args, info, json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 

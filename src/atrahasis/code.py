@@ -22,7 +22,8 @@ from math import comb
 from .errors import (AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, UsageError)
 from .fields import FieldElement, FieldSpec
-from .linalg import Matrix, SpanSolver, Vector, dot_ints, invert, rank_of_rows
+from .linalg import (Matrix, SpanSolver, Vector, dot_ints, first_deficient_subset,
+                     invert, rank_of_rows)
 from .tensors import (ExtBasis, SymBasis, ext_tensor_rows, rank_filter,
                       sym_tensor_rows, unit_vectors)
 
@@ -445,6 +446,10 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
     full rank d*beta.  Exterior flavor replaces the second check by any
     k w-vectors spanning F^k, and the third by the quotient-augmented
     rank test over every (failed node, d-subset) pair.
+
+    The d-subset checks walk the subsets with first_deficient_subset;
+    a failing report counts every subset in combinations order up to
+    and including the first one that fails, as a one-by-one check would.
     """
     p = stars.params
     spec = stars.spec
@@ -471,27 +476,33 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
     if p.flavor == SYMMETRIC:
         # d*beta stacked tensors must fill X tensor S^(t-1): rank d*beta
         assert full_rank == p.d * p.beta
-        for subset in combinations(range(p.n), p.d):
-            checked += 1
-            rows = []
-            for h in subset:
-                rows.extend(stars.axiom_tensor_rows(h))
-            if rank_of_rows(spec, rows) != full_rank:
-                return fail("MDSd", subset)
+        blocks = [stars.axiom_tensor_rows(h) for h in range(p.n)]
+        miss = first_deficient_subset(spec, blocks, p.d, full_rank)
+        if miss is not None:
+            checked += _combination_index(miss, p.n) + 1
+            return fail("MDSd", miss)
+        checked += comb(p.n, p.d)
     else:
         for f in range(p.n):
             others = [h for h in range(p.n) if h != f]
-            quotient = stars.quotient_rows(f)
-            for subset in combinations(others, p.d):
-                checked += 1
-                rows = []
-                for h in subset:
-                    rows.extend(stars.axiom_tensor_rows(h))
-                rows.extend(quotient)
-                if rank_of_rows(spec, rows) != full_rank:
-                    return fail("MDSq", subset, failed_node=f)
+            blocks = [stars.axiom_tensor_rows(h) for h in others]
+            miss = first_deficient_subset(spec, blocks, p.d, full_rank,
+                                          stars.quotient_rows(f))
+            if miss is not None:
+                checked += _combination_index(miss, p.n - 1) + 1
+                return fail("MDSq", [others[i] for i in miss], failed_node=f)
+            checked += comb(p.n - 1, p.d)
 
     return AxiomReport(True, subsets_checked=checked)
+
+
+def _combination_index(subset: tuple, n: int) -> int:
+    """Position of a sorted subset of range(n) in combinations order."""
+    index, prev, size = 0, -1, len(subset)
+    for i, c in enumerate(subset):
+        index += sum(comb(n - 1 - j, size - 1 - i) for j in range(prev + 1, c))
+        prev = c
+    return index
 
 
 def rs_stars_t2(spec: FieldSpec, n: int, k: int, flavor: str = SYMMETRIC) -> StarFamily:

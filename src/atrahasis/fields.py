@@ -8,6 +8,9 @@ arithmetic; FieldElement is a thin immutable wrapper with operators.
 For m <= 8 a FieldSpec holds q x q multiplication and inverse tables,
 built in O(q) from a log/antilog walk over the powers of the smallest
 generator of GF(2^m)*; larger binary fields multiply carry-less.
+Two row operations, row - f*other and f*row, bind the table row of f
+(or the prime modulus) once per row: they are the inner loop of all
+exact row reduction.
 
 Both types are immutable values and safe to share between threads.
 """
@@ -174,6 +177,30 @@ class FieldSpec:
         if self.kind == BINARY:
             return self._clmul(a, b)
         return (a * b) % self.p
+
+    # -- row operations, the inner loop of linalg.Echelon --
+
+    def sub_scaled_row(self, row: list[int], f: int, other: list[int]) -> list[int]:
+        """row - f*other, entry by entry."""
+        if self._mul_table is not None:
+            mf = self._mul_table[f]
+            return [a ^ mf[b] for a, b in zip(row, other)]
+        if self.kind == PRIME:
+            p = self.p
+            return [(a - f * b) % p for a, b in zip(row, other)]
+        clmul = self._clmul
+        return [a ^ clmul(f, b) if b else a for a, b in zip(row, other)]
+
+    def scale_row(self, f: int, row: list[int]) -> list[int]:
+        """f*row, entry by entry."""
+        if self._mul_table is not None:
+            mf = self._mul_table[f]
+            return [mf[b] for b in row]
+        if self.kind == PRIME:
+            p = self.p
+            return [f * b % p for b in row]
+        clmul = self._clmul
+        return [clmul(f, b) if b else 0 for b in row]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -4,9 +4,15 @@ Vectors and matrices store canonical integer values internally; the
 `coords` / `elements` accessors expose FieldElement views.  All row
 reduction goes through one incremental engine, Echelon: rank, the
 determinant, the inverse, span coefficients and the nullspace are thin
-callers of it.  Arithmetic is exact, so the pivot is simply the first
+callers of it, and its inner loop is the FieldSpec row operation
+row - f*other.  Arithmetic is exact, so the pivot is simply the first
 nonzero column.  All values are immutable after construction;
 reduction works on private copies.
+
+first_deficient_subset certifies spanning conditions over every subset
+of a collection of row blocks: it walks the subsets depth first and
+extends a copy of each prefix's echelon, so the subsets sharing a
+prefix reduce it once.
 """
 
 from __future__ import annotations
@@ -168,28 +174,38 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> Echelon:
+        """An independent echelon with the same kept rows (shared: kept
+        rows are never modified in place)."""
+        twin = Echelon(self.spec, self.width)
+        twin.rows = self.rows.copy()
+        twin.pivots = self.pivots.copy()
+        twin.leading = self.leading
+        return twin
+
     def reduce(self, row) -> list[int]:
         """The row minus its components along the kept rows."""
-        mul, sub = self.spec.mul, self.spec.sub
+        sub_scaled = self.spec.sub_scaled_row
         work = list(row)
         for c, prow in zip(self.pivots, self.rows):
             f = work[c]
             if f:
-                work = [sub(a, mul(f, b)) for a, b in zip(work, prow)]
+                work = sub_scaled(work, f, prow)
         return work
 
     def offer(self, row) -> bool:
         """Keep the row if it is independent of the kept rows."""
         work = self.reduce(row)
-        c = next((j for j in range(self.width) if work[j]), None)
-        if c is None:
+        for c in range(self.width):
+            if work[c]:
+                break
+        else:
             return False
         spec = self.spec
         lead = work[c]
         self.leading = spec.mul(self.leading, lead)
         if lead != 1:
-            scale = spec.inv(lead)
-            work = [spec.mul(scale, v) for v in work]
+            work = spec.scale_row(spec.inv(lead), work)
         self.rows.append(work)
         self.pivots.append(c)
         return True
@@ -202,14 +218,14 @@ class Echelon:
         by pivot column, the rows are then the unique reduced form of the
         kept rows' span.
         """
-        mul, sub = self.spec.mul, self.spec.sub
+        sub_scaled = self.spec.sub_scaled_row
         rows = [list(r) for r in self.rows]
         for j in range(len(rows) - 1, 0, -1):
             c, prow = self.pivots[j], rows[j]
             for i in range(j):
                 f = rows[i][c]
                 if f:
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                    rows[i] = sub_scaled(rows[i], f, prow)
         by_pivot = sorted(zip(self.pivots, rows))
         return [c for c, _ in by_pivot], [row for _, row in by_pivot]
 
@@ -224,6 +240,50 @@ def _echelon_of(spec: FieldSpec, rows, width: int) -> Echelon:
 def rank_of_rows(spec: FieldSpec, int_rows: list[list[int]]) -> int:
     width = len(int_rows[0]) if int_rows else 0
     return _echelon_of(spec, int_rows, width).rank
+
+
+def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
+                           size: int, target: int,
+                           base_rows: list[list[int]] = ()) -> tuple | None:
+    """First `size`-subset S of range(len(blocks)), in combinations
+    order, whose rows base_rows + blocks[i] for i in S have rank below
+    `target`; None when every subset reaches it.
+
+    Walks the subsets depth first, each one extending its prefix's
+    echelon, so subsets sharing a prefix share its reduction.  A prefix
+    that reaches the target passes with its whole subtree.  A prefix
+    that cannot reach it even if every later row were independent fails
+    with its whole subtree, and the first subset below it is the answer;
+    when the target is the row count, that is any dependent prefix.
+    """
+    n = len(blocks)
+    if not 0 <= size <= n:
+        return None
+    width = next((len(row) for block in (base_rows, *blocks) for row in block), 0)
+    most = max(map(len, blocks), default=0)
+
+    def extend(echelon: Echelon, block) -> Echelon:
+        echelon = echelon.copy()
+        for row in block:
+            if echelon.rank >= target:
+                break
+            echelon.offer(row)
+        return echelon
+
+    def walk(echelon: Echelon, start: int, prefix: tuple) -> tuple | None:
+        left = size - len(prefix)
+        if echelon.rank >= target:
+            return None
+        if echelon.rank + left * most < target:
+            return prefix + tuple(range(start, start + left))
+        for i in range(start, n - left + 1):
+            found = walk(extend(echelon, blocks[i]), i + 1, prefix + (i,))
+            if found is not None:
+                return found
+        return None
+
+    root = extend(Echelon(spec, width), base_rows)
+    return walk(root, 0, ())
 
 
 def det(matrix: Matrix) -> FieldElement:

@@ -4,8 +4,10 @@ Two routes:
 
 * grow_pool -- deterministic greedy brute force.  Candidate evaluation
   points are scanned in canonical field order; a point joins the pool
-  iff every spanning condition touching it still holds.  The exhaustive
-  check is the certification path for concrete families.
+  iff every spanning condition touching it still holds.  Each condition
+  is one linalg.first_deficient_subset walk: the candidate's rows are
+  the base, the pool points' rows the blocks.  The exhaustive check is
+  the certification path for concrete families.
 
 * nullstellensatz_witness -- randomized polynomial identity testing for
   the repair-span determinant.  Random star vectors over a small prime
@@ -20,13 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .code import EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params
 from .errors import UsageError
 from .fields import FieldSpec, prime_field
-from .linalg import Matrix, Vector, det, rank_of_rows
+from .linalg import Matrix, Vector, det, first_deficient_subset
 from .tensors import (ExtBasis, SymBasis, ext_tensor_rows, sym_tensor_rows,
                       unit_vectors)
 
@@ -159,52 +160,30 @@ def grow_pool(cfg: SearchConfig) -> PoolResult:
 
 
 def _point_admissible(spec, p, expander, xs, ss, x_new, s_new) -> bool:
-    """Do all spanning conditions still hold once (x_new, s_new) joins?"""
-    m = len(xs)
-    if p.t <= m + 1:
-        for rest in combinations(range(m), p.t - 1):
-            rows = [xs[i].values for i in rest] + [x_new.values]
-            if rank_of_rows(spec, rows) != p.t:
-                return False
-    ydim = p.y_dim
-    if ydim <= m + 1:
-        for rest in combinations(range(m), ydim - 1):
-            rows = [ss[i].values for i in rest] + [s_new.values]
-            if rank_of_rows(spec, rows) != ydim:
-                return False
+    """Do all spanning conditions still hold once (x_new, s_new) joins?
 
+    Each check puts the new point's rows first and lets the subset walk
+    fill in every choice of pool points around them.
+    """
+    if first_deficient_subset(spec, [[x.values] for x in xs], p.t - 1, p.t,
+                              [x_new.values]) is not None:
+        return False
+    if first_deficient_subset(spec, [[s.values] for s in ss], p.y_dim - 1, p.y_dim,
+                              [s_new.values]) is not None:
+        return False
     full = expander.full_rank
-    trial_xs = xs + [x_new]
-    trial_ss = ss + [s_new]
-    new = m
-
-    def stacked(indices, f=None):
-        rows = []
-        for i in indices:
-            rows.extend(expander.axiom_rows(trial_xs[i], trial_ss[i]))
-        if f is not None:
-            rows.extend(expander.quotient_rows(trial_ss[f]))
-        return rows
-
+    blocks = [expander.axiom_rows(x, s) for x, s in zip(xs, ss)]
+    new_rows = expander.axiom_rows(x_new, s_new)
     if p.flavor == SYMMETRIC:
-        if p.d <= m + 1:
-            for rest in combinations(range(m), p.d - 1):
-                if rank_of_rows(spec, stacked((*rest, new))) != full:
-                    return False
-    else:
-        # pairs (f, H) touching the new point: it is the failed node, or
-        # it is one of the d helpers
-        if p.d <= m:
-            for helpers in combinations(range(m), p.d):
-                if rank_of_rows(spec, stacked(helpers, f=new)) != full:
-                    return False
-        if p.d <= m + 1 and m >= 1:
-            for f in range(m):
-                others = [i for i in range(m) if i != f]
-                for rest in combinations(others, p.d - 1):
-                    if rank_of_rows(spec, stacked((*rest, new), f=f)) != full:
-                        return False
-    return True
+        return first_deficient_subset(spec, blocks, p.d - 1, full, new_rows) is None
+    # pairs (f, H) touching the new point: it is the failed node, or it
+    # is one of the d helpers
+    if first_deficient_subset(spec, blocks, p.d, full,
+                              expander.quotient_rows(s_new)) is not None:
+        return False
+    return all(first_deficient_subset(spec, blocks[:f] + blocks[f + 1:], p.d - 1, full,
+                                      new_rows + expander.quotient_rows(ss[f])) is None
+               for f in range(len(xs)))
 
 
 @dataclass(frozen=True)

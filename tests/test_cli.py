@@ -28,6 +28,18 @@ def test_parse_field():
         parse_field("12")
 
 
+def test_algebra_imports_leave_numpy_unloaded():
+    # only the store (cluster, bulk) needs numpy; a command that never
+    # touches a store must not pay for importing it
+    modules = ("cli", "code", "search", "linalg", "fields", "transforms")
+    script = (f"import sys\nfor name in {modules!r}:\n"
+              f"    __import__('atrahasis.' + name)\n"
+              f"print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_gen_fixture_and_verify(tmp_path):
     spec = tmp_path / "fix.spec"
     assert main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)]) == 0

@@ -200,3 +200,23 @@ def test_wide_field_mul_axioms(m, data):
     assert spec.mul(a, b) == spec.mul(b, a)
     assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
     assert spec.mul(a, b ^ c) == spec.mul(a, b) ^ spec.mul(a, c)
+
+
+ROW_FIELDS = [binary_field(m) for m in range(1, 17)] + [prime_field(7), prime_field(127)]
+
+
+@pytest.mark.parametrize("spec", ROW_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_row_operations_match_elementwise(spec, data):
+    # 0 and 1 are drawn often: the zero-entry skip, f = 0 and f = 1 are
+    # where a fast row path differs from entry-by-entry arithmetic
+    value = st.one_of(st.sampled_from((0, 1, spec.order - 1)),
+                      st.integers(0, spec.order - 1))
+    n = data.draw(st.integers(0, 12))
+    row = data.draw(st.lists(value, min_size=n, max_size=n))
+    other = data.draw(st.lists(value, min_size=n, max_size=n))
+    f = data.draw(value)
+    assert spec.sub_scaled_row(row, f, other) == [
+        spec.sub(a, spec.mul(f, b)) for a, b in zip(row, other)]
+    assert spec.scale_row(f, other) == [spec.mul(f, b) for b in other]

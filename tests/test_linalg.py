@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
-from atrahasis.linalg import (Echelon, Matrix, SpanSolver, Vector, det, invert,
-                              nullspace_with_free, rank_of_rows)
+from atrahasis.linalg import (Echelon, Matrix, SpanSolver, Vector, det,
+                              first_deficient_subset, invert, nullspace_with_free,
+                              rank_of_rows)
 from atrahasis.tensors import rank_filter
 from conftest import random_values
 
@@ -328,3 +329,88 @@ def test_reduced_form_is_unique(A, random):
     for row, c in zip(rows, pivots):
         assert row[c] == 1 and not any(row[:c])
         assert [r[c] for r in rows].count(0) == len(rows) - 1
+
+
+# GF(2^9) has no multiplication table: the carry-less row path
+SUBSET_FIELDS = FIELDS + (binary_field(9),)
+
+
+@st.composite
+def subset_problems(draw):
+    """Blocks of rows, optional base rows, a subset size and a target
+    rank.  Half the problems get duplicate, zero or combined rows spliced
+    in, so deficient subsets are common; blocks are of one length half
+    the time, so the target often equals a subset's row count."""
+    spec = draw(st.sampled_from(SUBSET_FIELDS))
+    width = draw(st.integers(1, 6))
+    symbol = st.integers(0, spec.order - 1)
+    row = st.lists(symbol, min_size=width, max_size=width)
+    nblocks = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(0, 3))] * nblocks
+    else:
+        lengths = draw(st.lists(st.integers(0, 3), min_size=nblocks, max_size=nblocks))
+    blocks = [draw(st.lists(row, min_size=n, max_size=n)) for n in lengths]
+    base = draw(st.lists(row, max_size=2))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            pool = base + [r for block in blocks for r in block]
+            kind = draw(st.sampled_from(("zero", "duplicate", "combined")))
+            if kind == "zero" or not pool:
+                new = [0] * width
+            elif kind == "duplicate":
+                new = list(draw(st.sampled_from(pool)))
+            else:
+                a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                fa, fb = draw(symbol), draw(symbol)
+                new = [spec.add(spec.mul(fa, x), spec.mul(fb, y)) for x, y in zip(a, b)]
+            homes = blocks + [base]
+            home = homes[draw(st.integers(0, len(homes) - 1))]
+            home.insert(draw(st.integers(0, len(home))), new)
+    size = draw(st.integers(0, nblocks + 1))
+    rows_in_subset = len(base) + size * (max(map(len, blocks), default=0))
+    target = draw(st.sampled_from((width, min(width, rows_in_subset),
+                                   draw(st.integers(0, width)))))
+    return spec, blocks, size, target, base
+
+
+def brute_force_first_deficient(spec, blocks, size, target, base):
+    for subset in combinations(range(len(blocks)), size):
+        rows = list(base) + [row for i in subset for row in blocks[i]]
+        if rank_of_rows(spec, rows) < target:
+            return subset
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(subset_problems())
+def test_first_deficient_subset_matches_brute_force(problem):
+    spec, blocks, size, target, base = problem
+    assert first_deficient_subset(spec, blocks, size, target, base) == \
+        brute_force_first_deficient(spec, blocks, size, target, base)
+    if not base:
+        assert first_deficient_subset(spec, blocks, size, target) == \
+            brute_force_first_deficient(spec, blocks, size, target, ())
+
+
+def test_first_deficient_subset_examples(gf16):
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    blocks = [[e[0]], [e[1]], [e[0]], [e[2]]]
+    # (0, 2) repeats e0; (0, 1) comes first and is independent
+    assert first_deficient_subset(gf16, blocks, 2, 2) == (0, 2)
+    assert first_deficient_subset(gf16, blocks, 3, 3) == (0, 1, 2)
+    assert first_deficient_subset(gf16, blocks, 2, 3, [e[2]]) == (0, 2)
+    assert first_deficient_subset(gf16, blocks, 1, 1) is None
+    assert first_deficient_subset(gf16, blocks, 5, 3) is None  # no 5-subsets
+    assert first_deficient_subset(gf16, blocks, 0, 1) == ()
+    assert first_deficient_subset(gf16, blocks, 0, 1, [e[1]]) is None
+
+
+def test_echelon_copy_is_independent(gf16):
+    echelon = Echelon(gf16, 3)
+    echelon.offer([1, 2, 3])
+    twin = echelon.copy()
+    assert twin.offer([0, 1, 1]) and twin.rank == 2
+    assert echelon.rank == 1 and echelon.rows == [[1, 2, 3]]
+    assert echelon.offer([0, 0, 5]) and echelon.pivots == [0, 2]
+    assert twin.pivots == [0, 1]

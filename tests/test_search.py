@@ -26,17 +26,23 @@ def test_grow_pool_reaches_nine_points():
 
 # Pools pinned from the one-subset-at-a-time checker.
 PINNED_POOLS = [
-    (4, 7, (0, 1, 2, 4, 7, 8, 11, 13, 14)),
-    (6, 9, (0, 1, 2, 4, 7, 8, 11, 13, 14, 23, 47)),
-    (8, 9, (0, 1, 2, 4, 7, 8, 11, 13, 14, 17, 33, 70, 135, 248)),
+    (binary_field(4), (7, 5, 6, SYMMETRIC), (0, 2, 6), (0, 1, 3),
+     (0, 1, 2, 4, 7, 8, 11, 13, 14)),
+    (binary_field(6), (9, 5, 6, SYMMETRIC), (0, 2, 6), (0, 1, 3),
+     (0, 1, 2, 4, 7, 8, 11, 13, 14, 23, 47)),
+    (binary_field(8), (9, 5, 6, SYMMETRIC), (0, 2, 6), (0, 1, 3),
+     (0, 1, 2, 4, 7, 8, 11, 13, 14, 17, 33, 70, 135, 248)),
+    (binary_field(5), (6, 3, 4, EXTERIOR), (0, 3), (0, 1, 2),
+     (0, 1, 2, 3, 4, 5, 7, 10, 18)),
+    (prime_field(31), (8, 5, 6, EXTERIOR), (0, 2, 6), (0, 1, 2, 3, 4),
+     (0, 1, 2, 3, 4, 5, 9, 17)),
 ]
 
 
-@pytest.mark.parametrize("m,n,pool", PINNED_POOLS,
-                         ids=[f"gf{1 << m}" for m, _, _ in PINNED_POOLS])
-def test_grow_pool_pinned_pools(m, n, pool):
-    result = grow_pool(SearchConfig(binary_field(m), derive_params(n, 5, 6, SYMMETRIC),
-                                    (0, 2, 6), (0, 1, 3)))
+@pytest.mark.parametrize("spec,params,x_pattern,y_pattern,pool", PINNED_POOLS,
+                         ids=[f"{c[1][3]}-gf{c[0].order}" for c in PINNED_POOLS])
+def test_grow_pool_pinned_pools(spec, params, x_pattern, y_pattern, pool):
+    result = grow_pool(SearchConfig(spec, derive_params(*params), x_pattern, y_pattern))
     assert result.ok and result.pool == pool
     assert result.family.params.n == len(pool)
 
