@@ -476,22 +476,18 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
     if p.flavor == SYMMETRIC:
         # d*beta stacked tensors must fill X tensor S^(t-1): rank d*beta
         assert full_rank == p.d * p.beta
-        blocks = [stars.axiom_tensor_rows(h) for h in range(p.n)]
-        miss = first_deficient_subset(spec, blocks, p.d, full_rank)
-        if miss is not None:
-            checked += _combination_index(miss, p.n) + 1
-            return fail("MDSd", miss)
-        checked += comb(p.n, p.d)
+        axiom, passes = "MDSd", [(None, list(range(p.n)), ())]
     else:
-        for f in range(p.n):
-            others = [h for h in range(p.n) if h != f]
-            blocks = [stars.axiom_tensor_rows(h) for h in others]
-            miss = first_deficient_subset(spec, blocks, p.d, full_rank,
-                                          stars.quotient_rows(f))
-            if miss is not None:
-                checked += _combination_index(miss, p.n - 1) + 1
-                return fail("MDSq", [others[i] for i in miss], failed_node=f)
-            checked += comb(p.n - 1, p.d)
+        axiom = "MDSq"
+        passes = ((f, [h for h in range(p.n) if h != f], stars.quotient_rows(f))
+                  for f in range(p.n))
+    for f, nodes, base in passes:
+        blocks = [stars.axiom_tensor_rows(h) for h in nodes]
+        miss = first_deficient_subset(spec, blocks, p.d, full_rank, base)
+        if miss is not None:
+            checked += _combination_index(miss, len(nodes)) + 1
+            return fail(axiom, [nodes[i] for i in miss], failed_node=f)
+        checked += comb(len(nodes), p.d)
 
     return AxiomReport(True, subsets_checked=checked)
 
