@@ -237,7 +237,7 @@ def cmd_repair(args) -> int:
 
 def cmd_repair2(args) -> int:
     info = _cluster(args).repair2(args.first, args.second, args.strategy,
-                                       _parse_nodes(args.helpers))
+                                  _parse_nodes(args.helpers))
     _emit(args, info,
           f"repaired nodes {info['repaired']} via {args.strategy} "
           f"({info['symbols']} symbols)")
