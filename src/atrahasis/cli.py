@@ -251,6 +251,9 @@ def cmd_status(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.alpha_cap < 1:
+        # no case has alpha < 1: an empty sweep would witness nothing
+        raise UsageError(f"--alpha-cap must be at least 1, got {args.alpha_cap}")
     field = parse_field(args.field)
     reports = sweep_small_cases(args.alpha_cap, field, seed=args.seed,
                                 max_redraws=args.max_redraws)

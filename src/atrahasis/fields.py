@@ -8,14 +8,29 @@ arithmetic; FieldElement is a thin immutable wrapper with operators.
 For m <= 8 a FieldSpec holds q x q multiplication and inverse tables,
 built in O(q) from a log/antilog walk over the powers of the smallest
 generator of GF(2^m)*; larger binary fields multiply carry-less.
-Two row operations, row - f*other and f*row, bind the table row of f
-(or the prime modulus) once per row: they are the inner loop of all
-exact row reduction.
+
+Rows are packed for exact row reduction: a row of n entries is n
+fixed-width slots of slot_bytes bytes each, big-endian, entry 0 first,
+held as bytes (row_bytes) or as the Python int with those bytes
+(int.from_bytes(..., "big")).  Slots are one byte for GF(2^m) with
+m <= 8 and for GF(p) with p <= 127; four bytes for m = 9..16, room for
+a carry-less product; for larger primes the narrowest of 2, 4 or 8
+bytes with p <= 2^(8*slot_bytes - 1).  The two row operations,
+sub_scaled_row (row - f*other) and scale_row (f*row), are the inner
+loop of linalg.Echelon and work on whole rows: with byte slots f*other
+is one bytes.translate through f's 256-byte product table, and for
+m > 8 one carry-less multiply and reduction of all slots at once; the
+difference is one XOR over GF(2^m) and, over GF(p), one add plus a
+carry-free SWAR reduction of every slot mod p.  Only primes above 127
+multiply entry by entry.  The translate tables are built on first use,
+one multiplier at a time, so constructing a FieldSpec builds none.
 
 Both types are immutable values and safe to share between threads.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .errors import UsageError
 
@@ -44,6 +59,9 @@ DEFAULT_REDUCTION_POLY = {
 }
 
 _MAX_TABLE_DEGREE = 8  # full multiplication table up to GF(256)
+
+# struct codes of the packed-row slot widths, in bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _poly_degree(p: int) -> int:
@@ -90,8 +108,8 @@ class FieldSpec:
     config file fails fast.
     """
 
-    __slots__ = ("kind", "m", "reduction_poly", "p", "order",
-                 "_mul_table", "_inv_table")
+    __slots__ = ("kind", "m", "reduction_poly", "p", "order", "slot_bytes",
+                 "_mul_table", "_inv_table", "sub_scaled_row", "scale_row")
 
     def __init__(self, kind: str, m: int | None = None,
                  reduction_poly: int | None = None, p: int | None = None):
@@ -111,7 +129,10 @@ class FieldSpec:
             self.reduction_poly = reduction_poly
             self.p = None
             self.order = 1 << m
+            self.slot_bytes = 1 if m <= 8 else 4
         elif kind == PRIME:
+            if p is not None and p > 1 << 63:
+                raise UsageError(f"prime fields are limited to p <= 2^63, got {p}")
             if p is None or not is_prime(p):
                 raise UsageError(f"{p} is not prime")
             self.kind = PRIME
@@ -119,22 +140,26 @@ class FieldSpec:
             self.reduction_poly = None
             self.p = p
             self.order = p
+            # the narrowest slot with p <= 2^(w-1), so that the sum of two
+            # entries reduces without carries (see _row_operations)
+            self.slot_bytes = next(k for k in _SLOT_CODES if p <= 1 << (8 * k - 1))
         else:
             raise UsageError(f"unknown field kind {kind!r}")
         self._mul_table = None
         self._inv_table = None
         if self.kind == BINARY and self.m <= _MAX_TABLE_DEGREE:
             self._build_tables()
+        self.sub_scaled_row, self.scale_row = _row_operations(self)
 
     def _build_tables(self) -> None:
         # z need not be primitive (0x11B gives it order 51), so walk the
         # powers of g = 1, 2, ... until one reaches all q-1 nonzero
         # elements; then a*b = exp[log a + log b] and 1/a = exp[-log a].
-        q = self.order
+        q, poly = self.order, self.reduction_poly
         n = q - 1
         for g in range(1, q):
             exp = [1]
-            while (x := self._clmul(exp[-1], g)) != 1:
+            while (x := _clmul(exp[-1], g, poly)) != 1:
                 exp.append(x)
             if len(exp) == n:
                 break
@@ -144,15 +169,6 @@ class FieldSpec:
         self._mul_table = [[0] * q] + [
             [0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs]
         self._inv_table = [0] + [exp[-la % n] for la in logs]
-
-    def _clmul(self, a: int, b: int) -> int:
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            a <<= 1
-            b >>= 1
-        return _poly_mod(acc, self.reduction_poly)
 
     # -- int-level arithmetic (values assumed reduced) --
 
@@ -175,32 +191,19 @@ class FieldSpec:
         if self._mul_table is not None:
             return self._mul_table[a][b]
         if self.kind == BINARY:
-            return self._clmul(a, b)
+            return _clmul(a, b, self.reduction_poly)
         return (a * b) % self.p
 
-    # -- row operations, the inner loop of linalg.Echelon --
+    # -- packed rows, the representation of linalg.Echelon --
 
-    def sub_scaled_row(self, row: list[int], f: int, other: list[int]) -> list[int]:
-        """row - f*other, entry by entry."""
-        if self._mul_table is not None:
-            mf = self._mul_table[f]
-            return [a ^ mf[b] for a, b in zip(row, other)]
-        if self.kind == PRIME:
-            p = self.p
-            return [(a - f * b) % p for a, b in zip(row, other)]
-        clmul = self._clmul
-        return [a ^ clmul(f, b) if b else a for a, b in zip(row, other)]
+    def row_bytes(self, values) -> bytes:
+        """The packed form of a row: one big-endian slot of slot_bytes
+        bytes per entry, in column order."""
+        return _pack(values, self.slot_bytes)
 
-    def scale_row(self, f: int, row: list[int]) -> list[int]:
-        """f*row, entry by entry."""
-        if self._mul_table is not None:
-            mf = self._mul_table[f]
-            return [mf[b] for b in row]
-        if self.kind == PRIME:
-            p = self.p
-            return [f * b % p for b in row]
-        clmul = self._clmul
-        return [clmul(f, b) if b else 0 for b in row]
+    def row_values(self, row: bytes) -> list[int]:
+        """The entries of a packed row."""
+        return _unpack(row, self.slot_bytes)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -279,6 +282,117 @@ class FieldSpec:
         if self.kind == BINARY:
             return f"GF(2^{self.m}; {self.reduction_poly:#x})"
         return f"GF({self.p})"
+
+
+def _clmul(a: int, b: int, poly: int) -> int:
+    """a*b in GF(2)[z] / (poly): carry-less multiply, then reduce."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return _poly_mod(acc, poly)
+
+
+def _pack(values, k: int) -> bytes:
+    if k == 1:
+        return bytes(values)
+    return struct.pack(f">{len(values)}{_SLOT_CODES[k]}", *values)
+
+
+def _unpack(row: bytes, k: int) -> list[int]:
+    if k == 1:
+        return list(row)
+    return list(struct.unpack(f">{len(row) // k}{_SLOT_CODES[k]}", row))
+
+
+def _row_operations(spec: FieldSpec):
+    """The two packed-row operations of spec, as closures over its data
+    (not over spec itself, which stays free of reference cycles):
+
+        sub_scaled_row(row: int, f, other: bytes) -> int   row - f*other
+        scale_row(f, row: bytes) -> bytes                  f*row
+
+    Both go through minus_times(f, row) = -f*row.  With byte slots that
+    is one bytes.translate through f's 256-byte table, built on first
+    use.  For m > 8 it is a carry-less multiply of all slots at once: the
+    32-bit slots hold the products (at most 2m-1 bits) without spilling,
+    and since z^m = poly - z^m, each fold of the bits >= m back into the
+    low m bits lowers their degree until every slot is reduced.  Primes
+    above 127 multiply entry by entry.  Over GF(2^m) the difference is
+    one XOR of the whole rows.  Over GF(p) the w-bit slots of
+    row + (-f*other) hold at most 2p-2 < 2^w, since p <= 2^(w-1); adding
+    2^(w-1) - p to every slot sets the top bit of exactly the slots >= p,
+    and p is subtracted from those.  No step carries from one slot into
+    the next.
+    """
+    k, q, p = spec.slot_bytes, spec.order, spec.p
+    from_bytes = int.from_bytes
+    masks = {}  # row bytes -> the per-slot masks of that row length
+
+    def repeated(value: int, nbytes: int) -> int:
+        # value in every slot of an nbytes-byte row
+        return value * from_bytes((bytes(k - 1) + b"\1") * (nbytes // k), "big")
+
+    if k == 1:
+        products = spec._mul_table
+        tables = [None] * q
+
+        def table(f: int) -> bytes:
+            row = products[f] if products is not None else [-f * b % q for b in range(q)]
+            tables[f] = bytes(row) + bytes(256 - q)
+            return tables[f]
+
+        def minus_times(f: int, row: bytes) -> bytes:
+            return row.translate(tables[f] or table(f))
+    elif spec.kind == BINARY:
+        m = spec.m
+        folds = [s for s in range(m) if spec.reduction_poly >> s & 1]
+
+        def minus_times(f: int, row: bytes) -> bytes:
+            n = len(row)
+            if n not in masks:
+                masks[n] = (repeated((1 << m) - 1, n), repeated((1 << (m - 1)) - 1, n))
+            low, high = masks[n]
+            x, acc = from_bytes(row, "big"), 0
+            while f:
+                bit = f & -f
+                acc ^= x * bit
+                f ^= bit
+            while hi := acc >> m & high:
+                acc &= low
+                for s in folds:
+                    acc ^= hi << s
+            return acc.to_bytes(n, "big")
+    else:
+        def minus_times(f: int, row: bytes) -> bytes:
+            return _pack([-f * b % p for b in _unpack(row, k)], k)
+
+    if spec.kind == BINARY:
+        if k == 1:
+            def sub_scaled_row(row: int, f: int, other: bytes) -> int:
+                # minus_times inlined: this is the hottest call of Echelon
+                return row ^ from_bytes(other.translate(tables[f] or table(f)), "big")
+        else:
+            def sub_scaled_row(row: int, f: int, other: bytes) -> int:
+                return row ^ from_bytes(minus_times(f, other), "big")
+        return sub_scaled_row, minus_times
+
+    top = 8 * k - 1
+
+    def sub_scaled_row(row: int, f: int, other: bytes) -> int:
+        s = row + from_bytes(minus_times(f, other), "big")
+        n = len(other)
+        if n not in masks:
+            masks[n] = (repeated((1 << top) - p, n), repeated(1 << top, n))
+        adjust, high = masks[n]
+        return s - (((s + adjust) & high) >> top) * p
+
+    def scale_row(f: int, row: bytes) -> bytes:
+        return minus_times(-f % p, row)
+
+    return sub_scaled_row, scale_row
 
 
 def binary_field(m: int, reduction_poly: int | None = None) -> FieldSpec:

@@ -9,6 +9,15 @@ row - f*other.  Arithmetic is exact, so the pivot is simply the first
 nonzero column.  All values are immutable after construction;
 reduction works on private copies.
 
+Echelon packs each row it is given into one Python int, one big-endian
+slot of FieldSpec.slot_bytes per entry (entry 0 in the most significant
+slot; see fields).  Entry c of an n-entry row is a shift by
+(n-1-c)*8*slot_bytes bits and a mask; the pivot is the bit length of
+the row shifted past its augmented columns; a row operation is one
+FieldSpec.sub_scaled_row on the whole int.  The kept rows are stored as
+packed bytes, the operand of that operation.  Echelon.rows, reduce()
+and reduced() hand rows back as lists of ints.
+
 first_deficient_subset certifies spanning conditions over every subset
 of a collection of row blocks: it walks the subsets depth first and
 extends a copy of each prefix's echelon, so the subsets sharing a
@@ -152,7 +161,8 @@ class Matrix:
 
 
 class Echelon:
-    """Incremental row echelon form over the first `width` columns.
+    """Incremental row echelon form over the first `width` of `length`
+    columns (default: all of them).
 
     offer() reduces a row against the kept rows in the order they were
     kept; the row is kept when something is left, with its pivot (the
@@ -161,53 +171,85 @@ class Echelon:
     rows stay independent without ever being reordered.  Columns past
     `width` ride along without pivoting (an augmented identity records
     which combination of offered rows each kept row is).
+
+    The row being reduced is one packed int and each row operation is
+    one FieldSpec.sub_scaled_row on the whole row; kept rows are stored
+    as the packed bytes that operation takes.
     """
 
-    def __init__(self, spec: FieldSpec, width: int):
+    def __init__(self, spec: FieldSpec, width: int, length: int | None = None):
         self.spec = spec
         self.width = width
-        self.rows: list[list[int]] = []
+        self.length = width if length is None else length
+        self._bits = 8 * spec.slot_bytes
+        self._mask = (1 << self._bits) - 1
+        self._nbytes = self.length * spec.slot_bytes
+        self._kept: list[bytes] = []
+        self._shifts: list[int] = []  # bit offset of each kept row's pivot slot
         self.pivots: list[int] = []
         self.leading = 1  # product of the kept pivot entries before scaling
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._kept)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [self.spec.row_values(row) for row in self._kept]
 
     def copy(self) -> Echelon:
         """An independent echelon with the same kept rows (shared: kept
-        rows are never modified in place)."""
-        twin = Echelon(self.spec, self.width)
-        twin.rows = self.rows.copy()
+        rows are immutable bytes)."""
+        twin = Echelon(self.spec, self.width, self.length)
+        twin._kept = self._kept.copy()
+        twin._shifts = self._shifts.copy()
         twin.pivots = self.pivots.copy()
         twin.leading = self.leading
         return twin
 
-    def reduce(self, row) -> list[int]:
-        """The row minus its components along the kept rows."""
+    def pack(self, row) -> int:
+        """The row as one int of packed slots (see the module docstring)."""
+        if len(row) != self.length:
+            raise UsageError(f"row of length {len(row)} in an echelon of length {self.length}")
+        return int.from_bytes(self.spec.row_bytes(row), "big")
+
+    def _reduce(self, work: int) -> int:
         sub_scaled = self.spec.sub_scaled_row
-        work = list(row)
-        for c, prow in zip(self.pivots, self.rows):
-            f = work[c]
+        mask = self._mask
+        for shift, prow in zip(self._shifts, self._kept):
+            f = work >> shift & mask
             if f:
                 work = sub_scaled(work, f, prow)
         return work
 
+    def reduce(self, row) -> list[int]:
+        """The row minus its components along the kept rows."""
+        work = self._reduce(self.pack(row))
+        return self.spec.row_values(work.to_bytes(self._nbytes, "big"))
+
     def offer(self, row) -> bool:
         """Keep the row if it is independent of the kept rows."""
-        work = self.reduce(row)
-        for c in range(self.width):
-            if work[c]:
-                break
-        else:
+        return self.offer_packed(self.pack(row))
+
+    def offer_packed(self, work: int) -> bool:
+        """offer() for a row already packed by pack()."""
+        work = self._reduce(work)
+        bits = self._bits
+        tail = (self.length - self.width) * bits
+        head = (work >> tail).bit_length()
+        if not head:
             return False
+        slot = (head - 1) // bits
+        shift = tail + slot * bits
         spec = self.spec
-        lead = work[c]
+        lead = work >> shift & self._mask
         self.leading = spec.mul(self.leading, lead)
+        row = work.to_bytes(self._nbytes, "big")
         if lead != 1:
-            work = spec.scale_row(spec.inv(lead), work)
-        self.rows.append(work)
-        self.pivots.append(c)
+            row = spec.scale_row(spec.inv(lead), row)
+        self._kept.append(row)
+        self._shifts.append(shift)
+        self.pivots.append(self.width - 1 - slot)
         return True
 
     def reduced(self) -> tuple[list[int], list[list[int]]]:
@@ -218,20 +260,22 @@ class Echelon:
         by pivot column, the rows are then the unique reduced form of the
         kept rows' span.
         """
-        sub_scaled = self.spec.sub_scaled_row
-        rows = [list(r) for r in self.rows]
+        spec, mask, nbytes = self.spec, self._mask, self._nbytes
+        sub_scaled = spec.sub_scaled_row
+        rows = [int.from_bytes(row, "big") for row in self._kept]
         for j in range(len(rows) - 1, 0, -1):
-            c, prow = self.pivots[j], rows[j]
+            shift, prow = self._shifts[j], rows[j].to_bytes(nbytes, "big")
             for i in range(j):
-                f = rows[i][c]
+                f = rows[i] >> shift & mask
                 if f:
                     rows[i] = sub_scaled(rows[i], f, prow)
         by_pivot = sorted(zip(self.pivots, rows))
-        return [c for c, _ in by_pivot], [row for _, row in by_pivot]
+        return ([c for c, _ in by_pivot],
+                [spec.row_values(row.to_bytes(nbytes, "big")) for _, row in by_pivot])
 
 
-def _echelon_of(spec: FieldSpec, rows, width: int) -> Echelon:
-    echelon = Echelon(spec, width)
+def _echelon_of(spec: FieldSpec, rows, width: int, length: int | None = None) -> Echelon:
+    echelon = Echelon(spec, width, length)
     for row in rows:
         echelon.offer(row)
     return echelon
@@ -255,19 +299,22 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
     that cannot reach it even if every later row were independent fails
     with its whole subtree, and the first subset below it is the answer;
     when the target is the row count, that is any dependent prefix.
+    Every row is packed once, up front.
     """
     n = len(blocks)
     if not 0 <= size <= n:
         return None
     width = next((len(row) for block in (base_rows, *blocks) for row in block), 0)
     most = max(map(len, blocks), default=0)
+    root = Echelon(spec, width)
+    packed = [[root.pack(row) for row in block] for block in blocks]
 
     def extend(echelon: Echelon, block) -> Echelon:
         echelon = echelon.copy()
         for row in block:
             if echelon.rank >= target:
                 break
-            echelon.offer(row)
+            echelon.offer_packed(row)
         return echelon
 
     def walk(echelon: Echelon, start: int, prefix: tuple) -> tuple | None:
@@ -277,13 +324,12 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
         if echelon.rank + left * most < target:
             return prefix + tuple(range(start, start + left))
         for i in range(start, n - left + 1):
-            found = walk(extend(echelon, blocks[i]), i + 1, prefix + (i,))
+            found = walk(extend(echelon, packed[i]), i + 1, prefix + (i,))
             if found is not None:
                 return found
         return None
 
-    root = extend(Echelon(spec, width), base_rows)
-    return walk(root, 0, ())
+    return walk(extend(root, [root.pack(row) for row in base_rows]), 0, ())
 
 
 def det(matrix: Matrix) -> FieldElement:
@@ -312,7 +358,7 @@ def invert(A: Matrix) -> Matrix | None:
     n = A.nrows
     aug = [row + [1 if i == j else 0 for j in range(n)]
            for i, row in enumerate(A.rows)]
-    echelon = _echelon_of(A.spec, aug, n)
+    echelon = _echelon_of(A.spec, aug, n, 2 * n)
     if echelon.rank < n:
         return None
     _, rows = echelon.reduced()
@@ -358,7 +404,7 @@ class SpanSolver:
         self.width = width
         self._echelon = _echelon_of(
             spec, (list(g) + [1 if i == j else 0 for j in range(self.ngens)]
-                   for i, g in enumerate(generators)), width)
+                   for i, g in enumerate(generators)), width, width + self.ngens)
 
     @property
     def rank(self) -> int:

@@ -373,6 +373,13 @@ def test_sweep_cli(tmp_path):
     assert all(line.endswith("nonzero-witnessed") for line in lines[1:])
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_sweep_cli_rejects_alpha_cap_below_one(tmp_path, cap):
+    table = tmp_path / "sweep.tsv"
+    assert_usage_error("sweep", "--alpha-cap", cap, "--out", str(table))
+    assert not table.exists()
+
+
 def test_shorten_cli(tmp_path):
     spec = tmp_path / "fix.spec"
     short = tmp_path / "short.spec"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrahasis.errors import UsageError
-from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, binary_field,
+from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, _clmul, binary_field,
                               poly_is_irreducible, prime_field)
 
 IRREDUCIBLE_UP_TO_256 = [p for m in range(1, 9) for p in range(1 << m, 1 << (m + 1))
@@ -172,10 +172,10 @@ def test_tables_match_carryless_reference(poly):
     q = spec.order
     # _clmul reduces with _poly_mod on every call; the tables come from
     # the log/antilog walk, so every entry is checked against it
-    assert spec._mul_table == [[spec._clmul(a, b) for b in range(q)]
+    assert spec._mul_table == [[_clmul(a, b, poly) for b in range(q)]
                                for a in range(q)]
     for a in range(1, q):
-        assert spec._clmul(a, spec.inv(a)) == 1
+        assert _clmul(a, spec.inv(a), poly) == 1
     with pytest.raises(ZeroDivisionError):
         spec.inv(0)
 
@@ -187,7 +187,7 @@ def test_default_gf256_generator_is_not_z():
     assert spec.reduction_poly == 0x11B
     order, x = 1, 2
     while x != 1:
-        x = spec._clmul(x, 2)
+        x = _clmul(x, 2, spec.reduction_poly)
         order += 1
     assert order == 51
 
@@ -202,21 +202,42 @@ def test_wide_field_mul_axioms(m, data):
     assert spec.mul(a, b ^ c) == spec.mul(a, b) ^ spec.mul(a, c)
 
 
-ROW_FIELDS = [binary_field(m) for m in range(1, 17)] + [prime_field(7), prime_field(127)]
+# m = 8 and p = 127 are the largest fields with byte slots (translate
+# tables, and for GF(p) the carry-free SWAR reduction); m = 9 takes the
+# 32-bit slots of the whole-row carry-less multiply, p = 131 and p = 251
+# the 16-bit slots and entry-by-entry products, p = 65537 32-bit ones
+ROW_FIELDS = ([binary_field(m) for m in range(1, 17)]
+              + [prime_field(p) for p in (7, 127, 131, 251, 65537)])
 
 
 @pytest.mark.parametrize("spec", ROW_FIELDS, ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_row_operations_match_elementwise(spec, data):
-    # 0 and 1 are drawn often: the zero-entry skip, f = 0 and f = 1 are
-    # where a fast row path differs from entry-by-entry arithmetic
-    value = st.one_of(st.sampled_from((0, 1, spec.order - 1)),
-                      st.integers(0, spec.order - 1))
-    n = data.draw(st.integers(0, 12))
-    row = data.draw(st.lists(value, min_size=n, max_size=n))
-    other = data.draw(st.lists(value, min_size=n, max_size=n))
+    # 0, 1 and q-1 are drawn often: the zero-entry skip, f = 0 and f = 1
+    # are where a fast row path differs from entry-by-entry arithmetic,
+    # and all-(q-1) rows make the largest SWAR sums
+    q = spec.order
+    value = st.one_of(st.sampled_from((0, 1, q - 1)), st.integers(0, q - 1))
+    n = data.draw(st.one_of(st.sampled_from((0, 1, 300)), st.integers(0, 12)))
+    row_of = st.one_of(st.just([0] * n), st.just([q - 1] * n),
+                       st.lists(value, min_size=n, max_size=n))
+    row, other = data.draw(row_of), data.draw(row_of)
     f = data.draw(value)
-    assert spec.sub_scaled_row(row, f, other) == [
+    packed_row, packed_other = spec.row_bytes(row), spec.row_bytes(other)
+    assert len(packed_row) == n * spec.slot_bytes
+    assert spec.row_values(packed_row) == row
+    result = spec.sub_scaled_row(int.from_bytes(packed_row, "big"), f, packed_other)
+    # to_bytes raises if anything carried out of the top slot
+    assert spec.row_values(result.to_bytes(len(packed_row), "big")) == [
         spec.sub(a, spec.mul(f, b)) for a, b in zip(row, other)]
-    assert spec.scale_row(f, other) == [spec.mul(f, b) for b in other]
+    assert spec.row_values(spec.scale_row(f, packed_other)) == [
+        spec.mul(f, b) for b in other]
+
+
+def test_slot_width_at_the_representation_edges():
+    assert [binary_field(m).slot_bytes for m in (1, 8, 9, 16)] == [1, 1, 4, 4]
+    assert [prime_field(p).slot_bytes for p in (2, 127, 131, 251, 32749, 65537)] == \
+        [1, 1, 2, 2, 2, 4]
+    with pytest.raises(UsageError, match="2\\^63"):
+        prime_field((1 << 63) + 29)

@@ -336,12 +336,12 @@ SUBSET_FIELDS = FIELDS + (binary_field(9),)
 
 
 @st.composite
-def subset_problems(draw):
+def subset_problems(draw, fields=SUBSET_FIELDS):
     """Blocks of rows, optional base rows, a subset size and a target
     rank.  Half the problems get duplicate, zero or combined rows spliced
     in, so deficient subsets are common; blocks are of one length half
     the time, so the target often equals a subset's row count."""
-    spec = draw(st.sampled_from(SUBSET_FIELDS))
+    spec = draw(st.sampled_from(fields))
     width = draw(st.integers(1, 6))
     symbol = st.integers(0, spec.order - 1)
     row = st.lists(symbol, min_size=width, max_size=width)
@@ -414,3 +414,137 @@ def test_echelon_copy_is_independent(gf16):
     assert echelon.rank == 1 and echelon.rows == [[1, 2, 3]]
     assert echelon.offer([0, 0, 5]) and echelon.pivots == [0, 2]
     assert twin.pivots == [0, 1]
+
+
+# ---- the engine against a scalar Gauss-Jordan elimination ----
+
+# every binary field (byte slots up to m = 8, 16-bit slots above) and
+# primes on both sides of 127, the largest with byte slots
+ORACLE_FIELDS = (tuple(binary_field(m) for m in range(1, 17))
+                 + tuple(prime_field(p) for p in (2, 3, 7, 31, 127, 131, 251)))
+
+
+def gauss_jordan(spec, rows, width):
+    """(pivot columns, reduced rows, determinant factor) by textbook
+    Gauss-Jordan over the first `width` columns, one entry at a time with
+    spec.mul, spec.sub and spec.inv only.  The factor is the product of
+    the pivots with the sign of the row swaps; it is the determinant of
+    a square matrix of full rank."""
+    rows = [list(row) for row in rows]
+    pivots, factor = [], 1
+    for c in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        if pick != r:
+            rows[r], rows[pick] = rows[pick], rows[r]
+            factor = spec.sub(0, factor)
+        lead = rows[r][c]
+        factor = spec.mul(factor, lead)
+        rows[r] = [spec.mul(spec.inv(lead), v) for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)], factor
+
+
+def oracle_rank(spec, rows):
+    return len(gauss_jordan(spec, rows, len(rows[0]) if rows else 0)[0])
+
+
+@st.composite
+def spliced_rows(draw, spec, nrows, ncols):
+    """nrows random rows, biased to 0, 1 and q-1, with up to three of
+    them replaced by a zero row, a duplicate or a combination of two
+    others."""
+    q = spec.order
+    symbol = st.one_of(st.sampled_from((0, 1, q - 1)), st.integers(0, q - 1))
+    rows = draw(st.lists(st.lists(symbol, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, min(3, nrows)))):
+        pos = draw(st.integers(0, nrows - 1))
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(("zero", "duplicate", "combined")))
+        if kind == "zero":
+            rows[pos] = [0] * ncols
+        elif kind == "duplicate":
+            rows[pos] = list(a)
+        else:
+            fa, fb = draw(symbol), draw(symbol)
+            rows[pos] = [spec.sub(spec.mul(fa, x), spec.mul(fb, y)) for x, y in zip(a, b)]
+    return rows
+
+
+@st.composite
+def oracle_matrices(draw, square=False):
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    return Matrix(spec, draw(spliced_rows(spec, nrows, ncols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrices())
+def test_rank_and_nullspace_match_gauss_jordan(A):
+    spec = A.spec
+    pivots, rows, _ = gauss_jordan(spec, A.rows, A.ncols)
+    assert rank_of_rows(spec, A.rows) == len(pivots)
+    free = [c for c in range(A.ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * A.ncols
+        v[f] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = spec.sub(0, row[f])
+        basis.append(v)
+    got_basis, got_free = nullspace_with_free(A)
+    assert got_free == free and [v.values for v in got_basis] == basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrices(square=True))
+def test_det_and_invert_match_gauss_jordan(A):
+    spec, n = A.spec, A.nrows
+    pivots, _, factor = gauss_jordan(spec, A.rows, n)
+    assert det(A).value == (factor if len(pivots) == n else 0)
+    aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A.rows)]
+    pivots, rows, _ = gauss_jordan(spec, aug, n)
+    expected = [row[n:] for row in rows] if len(pivots) == n else None
+    got = invert(A)
+    assert (None if got is None else got.rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_span_solver_matches_gauss_jordan(spec, data):
+    width = data.draw(st.integers(1, 6))
+    gens = data.draw(spliced_rows(spec, data.draw(st.integers(0, 6)), width))
+    # half the targets are combinations of the generators
+    targets = data.draw(spliced_rows(spec, 2, width))
+    if gens:
+        coeffs = data.draw(st.lists(st.integers(0, spec.order - 1),
+                                    min_size=len(gens), max_size=len(gens)))
+        targets.append(combine(spec, coeffs, gens))
+    solver = SpanSolver(spec, gens, width)
+    base = oracle_rank(spec, gens)
+    assert solver.rank == base
+    for target in targets:
+        got = solver.coefficients_for(target)
+        assert (got is not None) == (oracle_rank(spec, gens + [target]) == base)
+        if got is not None:
+            # recombined entry by entry, not through the engine
+            assert (combine(spec, got, gens) if gens else [0] * width) == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_problems(ORACLE_FIELDS))
+def test_first_deficient_subset_matches_gauss_jordan(problem):
+    spec, blocks, size, target, base = problem
+    expected = next((subset for subset in combinations(range(len(blocks)), size)
+                     if oracle_rank(spec, list(base) + [row for i in subset
+                                                        for row in blocks[i]]) < target),
+                    None)
+    assert first_deficient_subset(spec, blocks, size, target, base) == expected
