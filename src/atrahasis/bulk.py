@@ -15,8 +15,10 @@ XOR-based erasure-resilient coding scheme", ICSI TR-95-048, 1995; Plank
 each symbol row j and bit b it holds one little-endian uint64 word,
 plane j*m + b, whose bit t is bit b of symbol j of chunk 64*s + t.  An
 array of planes has shape (rows*m, stripes), and each output plane of
-matmul is the XOR of the input planes its bit-matrix row selects.  One
-code path serves every m = 1..16.  Results are bit-identical to the
+matmul is the XOR of the input planes its bit-matrix row selects.  A
+caller that applies one matrix to many batches of stripes expands it
+once (BulkField.expand) and passes the BitMatrix to matmul.  One code
+path serves every m = 1..16.  Results are bit-identical to the
 scalar path in linalg, which the tests cross-check.
 
 The user's byte stream is already in this layout: read as little-endian
@@ -25,6 +27,8 @@ unpacking are a reshape and a transpose.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +39,16 @@ from .linalg import Matrix
 # chunks per stripe: the bit width of one plane word
 STRIPE_CHUNKS = 64
 WORD = np.dtype("<u8")
+
+
+@dataclass(frozen=True)
+class BitMatrix:
+    """An exact matrix expanded once to its GF(2) bit-matrix: for each output
+    plane, the indices of the input planes whose XOR it is."""
+
+    rows: list[list[int]]  # the field coefficients; bench/tracer.py counts them
+    ncols: int
+    selections: list[np.ndarray]
 
 
 class BulkField:
@@ -74,21 +88,31 @@ class BulkField:
         r, c = index.shape
         return blocks[index].transpose(0, 2, 1, 3).reshape(r * m, c * m)
 
-    def matmul(self, matrix, planes: np.ndarray) -> np.ndarray:
-        """Apply an (r x c) exact matrix to (c*m, W) planes -> (r*m, W)."""
+    def expand(self, matrix) -> BitMatrix:
+        """An (r x c) exact matrix -> its BitMatrix, for applying it to many
+        batches of planes."""
         rows = matrix.rows if isinstance(matrix, Matrix) else matrix
         m = self.spec.m
         ncols = len(rows[0]) if rows else 0
-        if planes.shape[0] != ncols * m:
-            raise UsageError(f"bulk matmul expects {ncols * m} planes, "
+        if ncols == 0:
+            return BitMatrix(rows, 0, [np.empty(0, dtype=np.intp)] * (len(rows) * m))
+        return BitMatrix(rows, ncols,
+                         [np.flatnonzero(row) for row in self._bit_matrix(rows)])
+
+    def matmul(self, matrix, planes: np.ndarray) -> np.ndarray:
+        """Apply an (r x c) exact matrix, or its BitMatrix, to (c*m, W)
+        planes -> (r*m, W)."""
+        if not isinstance(matrix, BitMatrix):
+            matrix = self.expand(matrix)
+        m = self.spec.m
+        if planes.shape[0] != matrix.ncols * m:
+            raise UsageError(f"bulk matmul expects {matrix.ncols * m} planes, "
                              f"got {planes.shape[0]}")
-        out = np.zeros((len(rows) * m, planes.shape[1]), dtype=WORD)
-        if out.size == 0 or ncols == 0:
+        out = np.zeros((len(matrix.selections), planes.shape[1]), dtype=WORD)
+        if out.size == 0:
             return out
-        bits = self._bit_matrix(rows)
         planes = np.ascontiguousarray(planes)  # row gathers read whole planes
-        for i, row in enumerate(bits):
-            selected = np.flatnonzero(row)
+        for i, selected in enumerate(matrix.selections):
             if selected.size:
                 np.bitwise_xor.reduce(planes[selected], axis=0, out=out[i])
         return out

@@ -20,9 +20,24 @@ of M-symbol chunks, m bits per symbol, in the same stripe convention
 k live nodes and reconstructs the bytes; repair regenerates a failed
 node bit-exactly against the digest retained at put time and charges
 the ledger exactly d*beta symbols per chunk, repair2 the strategy
-bandwidth.  Blob writes go through a temp file and rename, so a blob on
-disk is either absent or fully valid.  Stores of another manifest or
-blob version are rejected, not migrated: re-put the file.
+bandwidth.
+
+Every data command streams: it expands its matrices once, then works
+through the file BATCH_STRIPES stripes at a time, reading one batch of
+the user file or of each node blob at its offset, applying the bulk
+kernel and appending the results to temp files hashed as they grow.  Its
+memory is one batch, whatever the file size, and the stripe-major blob
+layout makes the output identical to a whole-file pass.
+
+Reads are verified and writes are staged.  A blob's length and header
+are checked when it is opened and its SHA-256 against the manifest once
+it has been read through; get writes a temp file beside its output and
+renames it only after every digest and the length prefix check out.
+Blob writes go through a temp file and rename, so a blob on disk is
+either absent or fully valid; repair and repair2 rename only once every
+helper and every rebuilt blob matches its digest, and otherwise leave
+the node failed with no blob.  Stores of another manifest or blob
+version are rejected, not migrated: re-put the file.
 """
 
 from __future__ import annotations
@@ -33,15 +48,16 @@ import json
 import os
 import re
 import shutil
-from contextlib import contextmanager
+import stat
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import specfile
-from .bulk import (STRIPE_CHUNKS, WORD, BulkField, bytes_to_symbols,
-                   symbols_to_bytes)
+from .bulk import (STRIPE_CHUNKS, WORD, BitMatrix, BulkField,
+                   bytes_to_symbols, symbols_to_bytes)
 from .code import download_matrix, help_matrix, repair_matrix
 from .errors import (CorruptDataError, InsufficientNodesError, UsageError)
 from .fields import BINARY
@@ -54,6 +70,9 @@ MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
 LIVE = "live"
 FAILED = "failed"
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# stripes per batch of every data command: each holds one batch of each
+# blob it reads or writes, so its memory does not grow with the file
+BATCH_STRIPES = 512
 
 
 @dataclass(frozen=True)
@@ -124,21 +143,18 @@ class CodeView:
             raise UsageError("cluster storage requires a binary-extension field")
         self.bulk = BulkField(self.spec)
 
-    def encode_bulk(self, user: np.ndarray) -> np.ndarray:
-        """User planes (user_symbols*m, W) -> base file coordinate planes
-        (M*m, W)."""
-        if self.encode_columns is None:
-            return user
-        rows = [[col[i] for col in self.encode_columns]
-                for i in range(self.family.params.M)]
-        return self.bulk.matmul(rows, user)
-
-    def node_values_bulk(self, phi: np.ndarray) -> np.ndarray:
-        """(M*m, W) file coordinate planes -> (n*alpha*m, W): node h owns
-        planes h*alpha*m .. (h+1)*alpha*m - 1."""
-        rows = [row for h in range(self.n)
-                for row in self.family.node_tensor_rows(h)]
-        return self.bulk.matmul(rows, phi)
+    def put_matrices(self) -> list[BitMatrix]:
+        """The chain put applies to the user planes (user_symbols*m, W):
+        the shortening's encode to base file coordinates, if any, then
+        every node's tensor rows -> (n*alpha*m, W), node h owning planes
+        h*alpha*m .. (h+1)*alpha*m - 1."""
+        chain = []
+        if self.encode_columns is not None:
+            chain.append([[col[i] for col in self.encode_columns]
+                          for i in range(self.family.params.M)])
+        chain.append([row for h in range(self.n)
+                      for row in self.family.node_tensor_rows(h)])
+        return [self.bulk.expand(rows) for rows in chain]
 
     def check_range(self, nodes, what: str) -> None:
         """Reject node indices outside 0..n-1 before they index anything."""
@@ -188,14 +204,81 @@ def _store_lock(root: Path):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-def _atomic_write(path: Path, *parts):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+class _Staged:
+    """A file written beside `path` under a temp name and hashed as it
+    grows.  commit() makes it durable and renames it over `path`; close()
+    before that deletes it, so `path` is either untouched or complete."""
+
+    def __init__(self, path: Path, header: bytes = b""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = path
+        self.tmp = path.with_name(path.name + ".tmp")
+        self.fh = open(self.tmp, "wb")
+        self.sha = hashlib.sha256()
+        self.write(header)
+
+    def write(self, data) -> None:
+        self.fh.write(data)
+        self.sha.update(data)
+
+    def commit(self) -> None:
+        self.fh.flush()
+        os.fsync(self.fh.fileno())
+        self.fh.close()
+        os.replace(self.tmp, self.path)
+
+    def close(self) -> None:
+        if not self.fh.closed:
+            self.fh.close()
+            self.tmp.unlink()
+
+
+class _BlobReader:
+    """One node blob opened for a streaming pass: its length and header are
+    checked on open, its body is read a batch of stripes at a time, and all
+    of it is hashed for check() against the digest recorded at put."""
+
+    def __init__(self, path: Path, h: int, header: bytes, size: int):
+        self.h = h
+        try:
+            self.fh = open(path, "rb")
+        except FileNotFoundError:
+            raise CorruptDataError(f"node {h} blob is missing") from None
+        try:
+            if os.fstat(self.fh.fileno()).st_size != size:
+                raise CorruptDataError(f"node {h} blob has wrong length")
+            got = self.fh.read(len(header))
+            if got[4] != specfile.BLOB_VERSION:
+                raise CorruptDataError(
+                    f"node {h} blob is version {got[4]}, expected "
+                    f"{specfile.BLOB_VERSION} (re-put the file)")
+            if got != header:
+                raise CorruptDataError(f"node {h} blob header mismatch")
+        except CorruptDataError:
+            self.fh.close()
+            raise
+        self.sha = hashlib.sha256(got)
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(size)
+        if len(data) != size:
+            raise CorruptDataError(f"node {self.h} blob has wrong length")
+        self.sha.update(data)
+        return data
+
+    def check(self, digests: dict) -> None:
+        """Compare what was read with the manifest's node_digests."""
+        if self.sha.hexdigest() != digests[str(self.h)]:
+            raise CorruptDataError(f"node {self.h} blob does not match its digest")
+
+    def close(self) -> None:
+        self.fh.close()
+
+
+def _batches(stripes: int):
+    """The stripe count of each batch of a streaming pass, in order."""
+    for start in range(0, stripes, BATCH_STRIPES):
+        yield min(BATCH_STRIPES, stripes - start)
 
 
 def _check_manifest_values(manifest: dict, view: CodeView) -> None:
@@ -257,8 +340,9 @@ class Cluster:
         return manifest, view
 
     def _save(self, manifest):
-        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-        _atomic_write(self._manifest_path(), data)
+        with closing(_Staged(self._manifest_path())) as staged:
+            staged.write(json.dumps(manifest, indent=2, sort_keys=True).encode())
+            staged.commit()
 
     def _blob_path(self, h: int) -> Path:
         return self.root / f"node_{h}" / "chunks.blob"
@@ -267,54 +351,85 @@ class Cluster:
         """Bytes of one stripe of one node: alpha*m plane words."""
         return view.alpha * view.spec.m * WORD.itemsize
 
-    def _write_node(self, view: CodeView, h: int, planes: np.ndarray) -> str:
-        """planes: the node's (alpha*m, stripes) planes; returns the
-        blob's digest."""
-        header = specfile.encode_node_blob(view.phash, h)
-        body = np.ascontiguousarray(planes.T, dtype=WORD)
-        path = self._blob_path(h)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, header, body)
-        digest = hashlib.sha256(header)
-        digest.update(body)
-        return digest.hexdigest()
+    def _stage_nodes(self, stack: ExitStack, view: CodeView, nodes) -> dict:
+        """node -> its blob staged under `stack`, header written."""
+        return {h: stack.enter_context(closing(_Staged(
+                    self._blob_path(h), specfile.encode_node_blob(view.phash, h))))
+                for h in nodes}
 
-    def _read_node(self, view: CodeView, h: int, stripes: int) -> np.ndarray:
-        """-> the node's (alpha*m, stripes) planes, a view of the blob
-        once its length and header are checked."""
-        try:
-            data = self._blob_path(h).read_bytes()
-        except FileNotFoundError:
-            raise CorruptDataError(f"node {h} blob is missing")
-        if len(data) != specfile.HEADER_LEN + stripes * self._record_len(view):
-            raise CorruptDataError(f"node {h} blob has wrong length")
-        if data[4] != specfile.BLOB_VERSION:
-            raise CorruptDataError(
-                f"node {h} blob is version {data[4]}, expected "
-                f"{specfile.BLOB_VERSION} (re-put the file)")
-        if data[:specfile.HEADER_LEN] != specfile.encode_node_blob(view.phash, h):
-            raise CorruptDataError(f"node {h} blob header mismatch")
-        planes = np.frombuffer(data, dtype=WORD, offset=specfile.HEADER_LEN)
-        return planes.reshape(stripes, view.alpha * view.spec.m).T
+    def _open_nodes(self, stack: ExitStack, view: CodeView, nodes,
+                    stripes: int) -> dict:
+        """node -> its blob opened under `stack` for one streaming pass."""
+        size = specfile.HEADER_LEN + stripes * self._record_len(view)
+        return {h: stack.enter_context(closing(_BlobReader(
+                    self._blob_path(h), h,
+                    specfile.encode_node_blob(view.phash, h), size)))
+                for h in nodes}
+
+    def _write_node(self, view: CodeView, h: int, planes: np.ndarray,
+                    staged: dict) -> None:
+        """Append planes, node h's next (alpha*m, stripes) planes, to its
+        blob in staged."""
+        staged[h].write(np.ascontiguousarray(planes.T, dtype=WORD))
+
+    def _read_node(self, view: CodeView, h: int, stripes: int,
+                   blobs: dict) -> np.ndarray:
+        """-> the next `stripes` stripes of node h's blob in blobs, as
+        (alpha*m, stripes) planes."""
+        data = blobs[h].read(stripes * self._record_len(view))
+        return np.frombuffer(data, dtype=WORD).reshape(
+            stripes, view.alpha * view.spec.m).T
+
+    def _commit_repair(self, manifest: dict, blobs: dict, staged: dict) -> None:
+        """Rename the repaired blobs into place and mark their nodes live,
+        but only once every helper blob read and every repaired blob
+        matches its digest; otherwise the staged blobs are dropped and the
+        nodes stay failed."""
+        digests = manifest["node_digests"]
+        for blob in blobs.values():
+            blob.check(digests)
+        for node, blob in staged.items():
+            if blob.sha.hexdigest() != digests[str(node)]:
+                raise CorruptDataError(
+                    f"repaired node {node} does not match its original digest")
+        for node, blob in staged.items():
+            blob.commit()
+            manifest["node_status"][node] = LIVE
 
     # ---- commands ----
 
     def put(self, spec_doc: dict, file_path) -> dict:
         """Initialize (or reinitialize) the store with one file."""
-        with _store_lock(self.root):
+        with _store_lock(self.root), ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             view = CodeView(code, phash)
-            data = Path(file_path).read_bytes()
-            chunked = ChunkedFile.plan(len(data), view.user_symbols, view.spec.m)
-            user = bytes_to_symbols(len(data).to_bytes(8, "little") + data,
-                                    view.user_symbols * view.spec.m)
-            phi = view.encode_bulk(user)
+            src = stack.enter_context(open(file_path, "rb"))
+            info = os.fstat(src.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise UsageError(f"{file_path} is not a regular file")
+            length = info.st_size
+            chunked = ChunkedFile.plan(length, view.user_symbols, view.spec.m)
+            chain = view.put_matrices()
             for stale in self.root.glob("node_*"):
                 shutil.rmtree(stale)
-            planes = view.node_values_bulk(phi)
+            staged = self._stage_nodes(stack, view, range(view.n))
+            rows = view.user_symbols * view.spec.m
             a = view.alpha * view.spec.m
-            digests = {str(h): self._write_node(view, h, planes[h * a:(h + 1) * a])
-                       for h in range(view.n)}
+            head, remaining = length.to_bytes(8, "little"), length
+            for stripes in _batches(chunked.stripes):
+                take = min(stripes * rows * WORD.itemsize - len(head), remaining)
+                data = src.read(take)
+                if len(data) != take:
+                    raise UsageError(f"{file_path} shrank while put read it")
+                remaining -= take
+                planes = bytes_to_symbols(head + data, rows)
+                head = b""
+                for matrix in chain:
+                    planes = view.bulk.matmul(matrix, planes)
+                for h in range(view.n):
+                    self._write_node(view, h, planes[h * a:(h + 1) * a], staged)
+            for blob in staged.values():
+                blob.commit()
             manifest = {
                 "format": MANIFEST_FORMAT,
                 "version": MANIFEST_VERSION,
@@ -322,7 +437,8 @@ class Cluster:
                 "params_hash": phash.hex(),
                 "file": asdict(chunked),
                 "node_status": [LIVE] * view.n,
-                "node_digests": digests,
+                "node_digests": {str(h): blob.sha.hexdigest()
+                                 for h, blob in staged.items()},
                 "ledger": Ledger().to_dict(),
             }
             self._save(manifest)
@@ -330,7 +446,10 @@ class Cluster:
                     "symbols_per_chunk": view.user_symbols}
 
     def get(self, out_path, nodes: list[int] | None = None) -> dict:
-        with _store_lock(self.root):
+        """Decode the file from k live nodes into out_path.  The bytes go to
+        a temp file beside it, renamed over it only once every blob read
+        matches its digest and the length prefix matches the manifest."""
+        with _store_lock(self.root), ExitStack() as stack:
             manifest, view = self._load()
             live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
             if nodes is None:
@@ -346,14 +465,38 @@ class Cluster:
                     f"(short by {view.k - len(nodes)})")
             nodes = list(nodes)[:view.k]
             chunked = ChunkedFile.from_dict(manifest["file"])
-            stacked = np.vstack([self._read_node(view, h, chunked.stripes)
-                                 for h in nodes])
-            user = view.bulk.matmul(view.decode_matrix(nodes), stacked)
-            stream = symbols_to_bytes(user)
-            length = int.from_bytes(stream[:8], "little")
-            if length != chunked.original_length:
-                raise CorruptDataError("decoded length prefix disagrees with manifest")
-            Path(out_path).write_bytes(memoryview(stream)[8:8 + length])
+            length = chunked.original_length
+            blobs = self._open_nodes(stack, view, nodes, chunked.stripes)
+            decode = view.bulk.expand(view.decode_matrix(nodes))
+            out = Path(out_path)
+            if out.is_symlink():
+                out = out.resolve()  # write through a symlink, not over it
+            if out.exists() and not out.is_file():
+                # get renames a verified temp file into place, and renaming
+                # over a device or pipe would replace it, not write to it
+                raise UsageError(f"{out_path} is not a regular file")
+            tmp = out.with_name(f".{out.name}.tmp")
+            try:
+                with open(tmp, "wb") as sink:
+                    # the payload is bytes 8 .. 8+length of the decoded stream
+                    pos = 0
+                    for stripes in _batches(chunked.stripes):
+                        stacked = np.vstack([self._read_node(view, h, stripes, blobs)
+                                             for h in nodes])
+                        stream = symbols_to_bytes(view.bulk.matmul(decode, stacked))
+                        if pos == 0:
+                            prefix = int.from_bytes(stream[:8], "little")
+                        sink.write(memoryview(stream)[max(8 - pos, 0):
+                                                      max(8 + length - pos, 0)])
+                        pos += len(stream)
+                for blob in blobs.values():
+                    blob.check(manifest["node_digests"])
+                if prefix != length:
+                    raise CorruptDataError(
+                        "decoded length prefix disagrees with manifest")
+                os.replace(tmp, out)
+            finally:
+                tmp.unlink(missing_ok=True)
             return {"bytes": length, "nodes": nodes}
 
     def fail(self, h: int) -> dict:
@@ -370,7 +513,7 @@ class Cluster:
             return {"failed": h}
 
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
-        with _store_lock(self.root):
+        with _store_lock(self.root), ExitStack() as stack:
             manifest, view = self._load()
             view.check_range([f, *(helpers or ())], "nodes")
             if manifest["node_status"][f] != FAILED:
@@ -387,22 +530,21 @@ class Cluster:
                     f"repair needs {view.d} live helpers, have {len(helpers)}")
             helpers = list(helpers)[:view.d]
             chunked = ChunkedFile.from_dict(manifest["file"])
-            messages = []
-            for h in helpers:
-                stored = self._read_node(view, h, chunked.stripes)
-                H = help_matrix(view.family, h, f)
-                messages.append(view.bulk.matmul(H, stored))
-            received = np.vstack(messages)
+            blobs = self._open_nodes(stack, view, helpers, chunked.stripes)
+            help_ = [view.bulk.expand(help_matrix(view.family, h, f))
+                     for h in helpers]
             # pinned helpers of a shortened code contribute zero messages;
             # their recovery columns multiply zeros and are dropped
             R = repair_matrix(view.family, f, helpers + list(view.pinned))
-            R_live = [row[:view.d * view.beta] for row in R.rows]
-            values = view.bulk.matmul(R_live, received)
-            digest = self._write_node(view, f, values)
-            if digest != manifest["node_digests"][str(f)]:
-                raise CorruptDataError(
-                    f"repaired node {f} does not match its original digest")
-            manifest["node_status"][f] = LIVE
+            recover = view.bulk.expand([row[:view.d * view.beta] for row in R.rows])
+            staged = self._stage_nodes(stack, view, [f])
+            for stripes in _batches(chunked.stripes):
+                received = np.vstack([
+                    view.bulk.matmul(H, self._read_node(view, h, stripes, blobs))
+                    for h, H in zip(helpers, help_)])
+                self._write_node(view, f, view.bulk.matmul(recover, received),
+                                 staged)
+            self._commit_repair(manifest, blobs, staged)
             symbols = chunked.chunk_count * view.d * view.beta
             ledger = Ledger(manifest["ledger"])
             ledger.charge("repair", symbols, node=f, helpers=helpers)
@@ -412,7 +554,7 @@ class Cluster:
 
     def repair2(self, f: int, g: int, strategy: str = "subspace",
                 helpers: list[int] | None = None) -> dict:
-        with _store_lock(self.root):
+        with _store_lock(self.root), ExitStack() as stack:
             manifest, view = self._load()
             if isinstance(view.code, ShortenedCode):
                 raise UsageError("repair2 runs on unshortened code instances")
@@ -433,26 +575,24 @@ class Cluster:
             helpers = list(helpers)[:view.d]
             program = central_repair_program(view.family, f, g, helpers, strategy)
             chunked = ChunkedFile.from_dict(manifest["file"])
-            received_parts = []
-            for (h, sent), S in zip(program.plan.per_helper_sent,
-                                    program.send_matrices):
-                if sent == 0:
-                    continue
-                stored = self._read_node(view, h, chunked.stripes)
-                received_parts.append(view.bulk.matmul(S, stored))
-            received = np.vstack(received_parts)
-            values_f = view.bulk.matmul(program.recover_first, received)
-            if program.second_uses_first:
-                extended = np.vstack([received, values_f])
-                values_g = view.bulk.matmul(program.recover_second, extended)
-            else:
-                values_g = view.bulk.matmul(program.recover_second, received)
-            for node, values in ((f, values_f), (g, values_g)):
-                digest = self._write_node(view, node, values)
-                if digest != manifest["node_digests"][str(node)]:
-                    raise CorruptDataError(
-                        f"repaired node {node} does not match its original digest")
-                manifest["node_status"][node] = LIVE
+            sends = [(h, view.bulk.expand(S))
+                     for (h, sent), S in zip(program.plan.per_helper_sent,
+                                             program.send_matrices) if sent]
+            blobs = self._open_nodes(stack, view, [h for h, _ in sends],
+                                     chunked.stripes)
+            first = view.bulk.expand(program.recover_first)
+            second = view.bulk.expand(program.recover_second)
+            staged = self._stage_nodes(stack, view, [f, g])
+            for stripes in _batches(chunked.stripes):
+                received = np.vstack([
+                    view.bulk.matmul(S, self._read_node(view, h, stripes, blobs))
+                    for h, S in sends])
+                values_f = view.bulk.matmul(first, received)
+                if program.second_uses_first:
+                    received = np.vstack([received, values_f])
+                self._write_node(view, f, values_f, staged)
+                self._write_node(view, g, view.bulk.matmul(second, received), staged)
+            self._commit_repair(manifest, blobs, staged)
             symbols = chunked.chunk_count * program.plan.total_bandwidth
             ledger = Ledger(manifest["ledger"])
             ledger.charge("repair2", symbols, nodes=[f, g], strategy=strategy,

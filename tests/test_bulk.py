@@ -51,7 +51,9 @@ def test_matmul_matches_scalar(m, n):
     rows[1][2] = 1
     rows[2] = [0, 0, 0, 0]
     data = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(4)]
-    got = bulk.matmul(rows, pack_planes(data, m))
+    planes = pack_planes(data, m)
+    got = bulk.matmul(rows, planes)
+    assert (bulk.matmul(bulk.expand(rows), planes) == got).all()
     assert got.dtype == WORD
     assert got.shape == (3 * m, -(-n // 64))
     lanes = unpack_planes(got, m, 64 * got.shape[1])

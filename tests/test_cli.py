@@ -264,6 +264,34 @@ def test_old_blob_version_rejected(tmp_path):
     assert (tmp_path / "out.bin").read_bytes() == b"hello"
 
 
+def test_corrupt_blob_body_exits_2(tmp_path):
+    spec = tmp_path / "fix.spec"
+    store = str(tmp_path / "store")
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 400)
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", store])
+    blob = tmp_path / "store" / "node_0" / "chunks.blob"
+    raw = bytearray(blob.read_bytes())
+    raw[5000] ^= 0x03  # a body byte: header and length still check out
+    blob.write_bytes(bytes(raw))
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli("get", str(out), "--store", store, "--nodes", "0,1,2,3,4")
+    assert code == 2, err
+    assert "node 0 blob does not match its digest" in err and "Traceback" not in err
+    assert not out.exists()
+    code, _, err = run_cli("get", str(out), "--store", store, "--nodes", "1,2,3,4,5")
+    assert code == 0, err
+    assert out.read_bytes() == data.read_bytes()
+    assert main(["fail", "8", "--store", store]) == 0
+    code, _, err = run_cli("repair", "8", "--store", store)
+    assert code == 2, err
+    assert "node 0" in err and "Traceback" not in err
+    assert not (tmp_path / "store" / "node_8" / "chunks.blob").exists()
+    code, _, err = run_cli("repair", "8", "--store", store, "--helpers", "1,2,3,4,5,6")
+    assert code == 0, err
+
+
 def test_gf256_non_default_polynomial_end_to_end(tmp_path):
     # 0x11D makes z primitive, unlike the default 0x11B
     spec = tmp_path / "rs.spec"

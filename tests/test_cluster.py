@@ -1,10 +1,15 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+from atrahasis import cluster as cluster_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
-from atrahasis.cluster import Cluster
+from atrahasis.cluster import Cluster, CodeView
 from atrahasis.code import SYMMETRIC, rs_stars_t2
 from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
                               UsageError)
@@ -262,6 +267,26 @@ def test_put_reinitializes_cleanly(tmp_path, fixture_doc, rng):
     assert out.read_bytes() == b"second file"
 
 
+def test_put_needs_a_regular_file(tmp_path, fixture_doc):
+    # the length prefix leads the stream, so put must know the size first
+    with pytest.raises(UsageError, match="not a regular file"):
+        Cluster(tmp_path / "store").put(fixture_doc, os.devnull)
+
+
+def test_get_writes_only_regular_files(tmp_path, fixture_doc):
+    cluster, _ = make_store(tmp_path, fixture_doc, b"hello")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(UsageError, match="not a regular file"):
+        cluster.get(fifo)
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.bin"
+    link.symlink_to(target)
+    cluster.get(link)
+    assert link.is_symlink() and target.read_bytes() == b"hello"
+
+
 def test_manifest_required(tmp_path):
     with pytest.raises(UsageError):
         Cluster(tmp_path / "nowhere").get(tmp_path / "x")
@@ -386,3 +411,140 @@ def test_node_indices_range_checked(tmp_path, fixture_doc, rng):
             call()
     manifest, _ = cluster._load()
     assert manifest["node_status"] == ["live"] * 7 + ["failed"] * 2
+
+
+def _blobs(cluster, n):
+    return [(cluster.root / f"node_{h}" / "chunks.blob").read_bytes()
+            for h in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_batch_boundaries(tmp_path, monkeypatch, name):
+    doc = CODES[name]()
+    view = CodeView(*parse_document(doc))
+    n, k = view.n, view.k
+    stripe = view.user_symbols * view.spec.m * 8  # stream bytes per stripe
+    B = 2
+    # files of 1, B-1, B, B+1 and 2B+1 whole stripes (the stream is the
+    # 8-byte length prefix plus the payload), one whose last stripe holds
+    # a single byte, and the empty file
+    sizes = [S * stripe - 8 for S in sorted({1, B - 1, B, B + 1, 2 * B + 1})]
+    sizes += [2 * B * stripe - 7, 0]
+    for size in sizes:
+        data = random.Random(size).randbytes(size)
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        whole = Cluster(tmp_path / "whole")
+        whole.put(doc, src)  # one batch: these files are far below BATCH_STRIPES
+        reference = _blobs(whole, n)
+        monkeypatch.setattr(cluster_module, "BATCH_STRIPES", B)
+        cluster = Cluster(tmp_path / "batched")
+        cluster.put(doc, src)
+        assert _blobs(cluster, n) == reference, size
+        out = tmp_path / "out.bin"
+        for nodes in (list(range(k)), list(range(n - k, n))):
+            cluster.get(out, nodes=nodes)
+            assert out.read_bytes() == data, (size, nodes)
+        cluster.fail(0)
+        cluster.repair(0)
+        assert _blobs(cluster, n) == reference, size
+        if name == "fixture":  # repair2 needs an unshortened t = 3 code
+            cluster.fail(1)
+            cluster.fail(n - 1)
+            cluster.repair2(1, n - 1)
+            assert _blobs(cluster, n) == reference, size
+        monkeypatch.undo()
+
+
+def _flip_node_0(cluster):
+    # a body byte of node 0's blob, past the 16-byte header
+    blob = cluster.root / "node_0" / "chunks.blob"
+    raw = bytearray(blob.read_bytes())
+    raw[5000] ^= 0x03
+    blob.write_bytes(bytes(raw))
+
+
+def test_get_verifies_blob_digests(tmp_path, fixture_doc, rng):
+    data = bytes(rng.randrange(256) for _ in range(100_000))
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    _flip_node_0(cluster)
+    out = tmp_path / "out.bin"
+    with pytest.raises(CorruptDataError, match="node 0 blob does not match"):
+        cluster.get(out, nodes=[0, 1, 2, 3, 4])
+    assert not out.exists()
+    out.write_bytes(b"previous")
+    with pytest.raises(CorruptDataError, match="node 0"):
+        cluster.get(out, nodes=[4, 3, 2, 1, 0])
+    assert out.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["input.bin", "out.bin", "store"]  # no temp file left behind
+    cluster.get(out, nodes=[1, 2, 3, 4, 5])
+    assert out.read_bytes() == data
+
+
+def test_repair_from_corrupt_helper_is_not_committed(tmp_path, fixture_doc, rng):
+    data = bytes(rng.randrange(256) for _ in range(100_000))
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    original = cluster._load()[0]["node_digests"]
+    _flip_node_0(cluster)
+    cluster.fail(8)
+    with pytest.raises(CorruptDataError, match="node 0"):
+        cluster.repair(8)  # helpers 0..5
+    cluster.fail(6)
+    with pytest.raises(CorruptDataError, match="node 0"):
+        cluster.repair2(6, 8)  # helpers 0..5
+    for f in (6, 8):
+        assert list((cluster.root / f"node_{f}").iterdir()) == []
+    assert cluster._load()[0]["node_status"][6:] == ["failed", "live", "failed"]
+    cluster.repair2(6, 8, helpers=[1, 2, 3, 4, 5, 7])
+    cluster.fail(8)
+    cluster.repair(8, helpers=[1, 2, 3, 4, 5, 6])
+    manifest, _ = cluster._load()
+    assert manifest["node_status"] == ["live"] * 9
+    assert manifest["node_digests"] == original
+    for f in (6, 8):
+        blob = (cluster.root / f"node_{f}" / "chunks.blob").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == original[str(f)]
+    cluster.get(tmp_path / "out.bin", nodes=[4, 5, 6, 7, 8])
+    assert (tmp_path / "out.bin").read_bytes() == data
+
+
+# runs one command on a store in a fresh interpreter and prints how far its
+# peak RSS rose above the RSS it had once everything was imported
+_RSS_PROBE = """
+import resource, sys
+from atrahasis.cluster import Cluster
+from atrahasis.fixtures import atrahasis_956
+from atrahasis.specfile import family_document
+
+op, store, path = sys.argv[1:4]
+doc = family_document(atrahasis_956())
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cluster = Cluster(store)
+if op == "put":
+    cluster.put(doc, path)
+elif op == "get":
+    cluster.get(path, nodes=[4, 5, 6, 7, 8])
+else:
+    cluster.fail(3)
+    cluster.repair(3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_data_path_memory_does_not_grow_with_file(tmp_path):
+    src = tmp_path / "input.bin"
+    gen = random.Random(32)
+    with open(src, "wb") as fh:
+        for _ in range(32):
+            fh.write(gen.randbytes(1 << 20))
+    store, out = tmp_path / "store", tmp_path / "out.bin"
+    for op, path in (("put", src), ("get", out), ("repair", "")):
+        proc = subprocess.run([sys.executable, "-c", _RSS_PROBE, op, str(store),
+                               str(path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        grew_kb = int(proc.stdout.split()[-1])
+        assert grew_kb < 16 * 1024, (op, grew_kb)
+    assert out.stat().st_size == src.stat().st_size
+    assert hashlib.sha256(out.read_bytes()).digest() == \
+        hashlib.sha256(src.read_bytes()).digest()
