@@ -11,15 +11,15 @@ m x m bit-matrix and the whole matrix an (r*m x c*m) GF(2) matrix.
 Data never exists as symbol values here: it is held as bit-planes, the
 packet layout of Cauchy Reed-Solomon coding (Blomer et al., "An
 XOR-based erasure-resilient coding scheme", ICSI TR-95-048, 1995; Plank
-& Xu, NCA 2006).  A stripe is STRIPE_CHUNKS = 64 consecutive chunks; for
-each symbol row j and bit b it holds one little-endian uint64 word,
-plane j*m + b, whose bit t is bit b of symbol j of chunk 64*s + t.  An
-array of planes has shape (rows*m, stripes), and each output plane of
-matmul is the XOR of the input planes its bit-matrix row selects.  A
-caller that applies one matrix to many batches of stripes expands it
-once (BulkField.expand) and passes the BitMatrix to matmul.  One code
-path serves every m = 1..16.  Results are bit-identical to the
-scalar path in linalg, which the tests cross-check.
+& Xu, NCA 2006).  A stripe is store.STRIPE_CHUNKS = 64 consecutive
+chunks, one per bit of a plane word; for each symbol row j and bit b it
+holds one little-endian uint64 word, plane j*m + b, whose bit t is bit b
+of symbol j of chunk 64*s + t.  An array of planes has shape (rows*m,
+stripes), and each output plane of matmul is the XOR of the input planes
+its bit-matrix row selects.  A caller that applies one matrix to many
+batches of stripes expands it once (BulkField.expand) and passes the
+BitMatrix to matmul.  One code path serves every m = 1..16.  Results are
+bit-identical to the scalar path in linalg, which the tests cross-check.
 
 The user's byte stream is already in this layout: read as little-endian
 uint64 words, stripe s is M*m consecutive words, so packing and
@@ -36,8 +36,6 @@ from .errors import UsageError
 from .fields import BINARY, FieldSpec
 from .linalg import Matrix
 
-# chunks per stripe: the bit width of one plane word
-STRIPE_CHUNKS = 64
 WORD = np.dtype("<u8")
 
 
@@ -67,12 +65,17 @@ class BulkField:
 
         Column b holds the bits of c * z^b (bit i in row i), so that bit
         i of c*v is the XOR of bits b of v over the set entries of row i.
+        Column b+1 is column b times z: a shift, reduced by one XOR of the
+        reduction polynomial when it reaches z^m.
         """
         block = self._tables.get(c)
         if block is None:
-            m = self.spec.m
-            columns = np.array([self.spec.mul(c, 1 << b) for b in range(m)],
-                               dtype=np.uint32)
+            m, poly = self.spec.m, self.spec.reduction_poly
+            column = [c]
+            for _ in range(m - 1):
+                x = column[-1] << 1
+                column.append(x ^ poly if x >> m else x)
+            columns = np.array(column, dtype=np.uint32)
             block = ((columns[None, :] >> np.arange(m, dtype=np.uint32)[:, None])
                      & 1).astype(np.uint8)
             self._tables[c] = block

@@ -20,15 +20,13 @@ import argparse
 import json
 import sys
 
-from . import specfile
+from . import specfile, store
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
                    rs_stars_t2, verify_axioms)
 from .errors import (AtrahasisError, AxiomViolationError, CorruptDataError,
                      InfeasibleParametersError, InsufficientNodesError,
                      UsageError)
 from .fields import FieldSpec, binary_field, is_prime, prime_field
-from .fixtures import load_fixture
-from .search import SearchConfig, grow_pool, render_report_table, sweep_small_cases
 from .transforms import ShortenedCode, shorten
 
 EXIT_OK = 0
@@ -93,6 +91,9 @@ def _lemma_patterns(k: int):
 
 
 def _build_family(args, triple=None) -> StarFamily:
+    from .fixtures import load_fixture
+    from .search import SearchConfig, grow_pool
+
     if args.fixture:
         family = load_fixture(args.fixture)
         want = triple or (args.n, args.k, args.d)
@@ -202,8 +203,9 @@ def cmd_verify(args) -> int:
 
 
 def _cluster(args):
-    """The store of a store command.  cluster imports numpy (through
-    bulk), so gen, verify, shorten and sweep never load it."""
+    """The store of a data command.  cluster imports numpy (through bulk),
+    so only put, get, repair and repair2 load it; fail and status work on
+    the manifest alone (store)."""
     from .cluster import Cluster
     return Cluster(args.store)
 
@@ -222,7 +224,7 @@ def cmd_get(args) -> int:
 
 
 def cmd_fail(args) -> int:
-    info = _cluster(args).fail(args.node)
+    info = store.fail(args.store, args.node)
     _emit(args, info, f"node {args.node} failed")
     return EXIT_OK
 
@@ -245,12 +247,14 @@ def cmd_repair2(args) -> int:
 
 
 def cmd_status(args) -> int:
-    info = _cluster(args).status()
+    info = store.status(args.store)
     _emit(args, info, json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    from .search import render_report_table, sweep_small_cases
+
     if args.alpha_cap < 1:
         # no case has alpha < 1: an empty sweep would witness nothing
         raise UsageError(f"--alpha-cap must be at least 1, got {args.alpha_cap}")

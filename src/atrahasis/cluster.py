@@ -1,6 +1,11 @@
 """Single-process storage cluster: on-disk node stores, failure
 injection, repair orchestration and bandwidth accounting.
 
+The manifest layer (lock, staged files, chunk map, ledger, manifest load
+and save, fail and status) is the store module, which imports no numpy;
+this module adds the data path on top of it and imports numpy (through
+bulk) when it is imported.
+
 Layout under one store root:
 
     manifest.json   cluster manifest, version 2 (embedded code spec, file
@@ -42,105 +47,40 @@ version are rejected, not migrated: re-put the file.
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
-import json
 import os
-import re
 import shutil
 import stat
-from contextlib import ExitStack, closing, contextmanager
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from contextlib import ExitStack, closing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import specfile
-from .bulk import (STRIPE_CHUNKS, WORD, BitMatrix, BulkField,
-                   bytes_to_symbols, symbols_to_bytes)
+from . import specfile, store
+from .bulk import (WORD, BitMatrix, BulkField, bytes_to_symbols,
+                   symbols_to_bytes)
 from .code import download_matrix, help_matrix, repair_matrix
 from .errors import (CorruptDataError, InsufficientNodesError, UsageError)
-from .fields import BINARY
+from .store import (FAILED, LIVE, MANIFEST_FORMAT, MANIFEST_VERSION,
+                    ChunkedFile, Ledger, Staged, StoreView, locked)
 from .transforms import STRATEGIES, ShortenedCode, central_repair_program
 
-MANIFEST_FORMAT = "atrahasis-cluster"
-MANIFEST_VERSION = 2
-MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
-                 "node_digests", "ledger")
-LIVE = "live"
-FAILED = "failed"
-_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 # stripes per batch of every data command: each holds one batch of each
 # blob it reads or writes, so its memory does not grow with the file
 BATCH_STRIPES = 512
 
 
-@dataclass(frozen=True)
-class ChunkedFile:
-    """How one byte stream maps onto stripes of 64 chunks of M symbols.
-
-    The stream is the 8-byte little-endian length prefix plus the
-    payload; padding_bits zero bits complete the last stripe and are
-    stripped again on the way out.
-    """
-
-    original_length: int
-    chunk_count: int
-    padding_bits: int
-    symbols_per_chunk: int
-
-    @classmethod
-    def plan(cls, payload_length: int, symbols_per_chunk: int,
-             bits_per_symbol: int) -> "ChunkedFile":
-        stream_bits = (8 + payload_length) * 8
-        stripe_bits = STRIPE_CHUNKS * symbols_per_chunk * bits_per_symbol
-        stripes = -(-stream_bits // stripe_bits)
-        return cls(original_length=payload_length,
-                   chunk_count=stripes * STRIPE_CHUNKS,
-                   padding_bits=stripes * stripe_bits - stream_bits,
-                   symbols_per_chunk=symbols_per_chunk)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChunkedFile":
-        return cls(**d)
-
-    @property
-    def stripes(self) -> int:
-        return self.chunk_count // STRIPE_CHUNKS
-
-
-class CodeView:
-    """Uniform view over a plain or shortened code instance."""
+class CodeView(StoreView):
+    """A store's code instance with the bulk kernel and the matrices of
+    the data path."""
 
     def __init__(self, code, phash: bytes):
-        self.code = code
-        self.phash = phash
-        if isinstance(code, ShortenedCode):
-            self.family = code.base
-            self.n = code.n
-            self.k = code.k
-            self.d = code.d
-            self.alpha = code.alpha
-            self.beta = code.beta
-            self.user_symbols = code.M
-            self.pinned = code.pinned
-            self.encode_columns = [v.values for v in code._basis]
-            self.free_cols = code._free_cols
-        else:
-            self.family = code
-            p = code.params
-            self.n = p.n
-            self.k = p.k
-            self.d = p.d
-            self.alpha = p.alpha
-            self.beta = p.beta
-            self.user_symbols = p.M
-            self.pinned = ()
-            self.encode_columns = None
-            self.free_cols = None
-        self.spec = self.family.spec
-        if self.spec.kind != BINARY:
-            raise UsageError("cluster storage requires a binary-extension field")
+        super().__init__(code, phash)
+        shortened = isinstance(code, ShortenedCode)
+        self.encode_columns = ([v.values for v in code._basis] if shortened
+                               else None)
+        self.free_cols = code._free_cols if shortened else None
         self.bulk = BulkField(self.spec)
 
     def put_matrices(self) -> list[BitMatrix]:
@@ -156,12 +96,6 @@ class CodeView:
                       for row in self.family.node_tensor_rows(h)])
         return [self.bulk.expand(rows) for rows in chain]
 
-    def check_range(self, nodes, what: str) -> None:
-        """Reject node indices outside 0..n-1 before they index anything."""
-        bad = [h for h in nodes if not 0 <= h < self.n]
-        if bad:
-            raise UsageError(f"{what} {bad} out of range 0..{self.n - 1}")
-
     def decode_matrix(self, live_nodes: list[int]) -> list[list[int]]:
         """User symbols from the stacked values of the given k live nodes."""
         D = download_matrix(self.family, list(live_nodes) + list(self.pinned))
@@ -171,66 +105,6 @@ class CodeView:
         # pinned nodes contribute all-zero values; slice them away and
         # keep only the systematic user coordinates
         return [D.rows[c][:width] for c in self.free_cols]
-
-
-class Ledger:
-    def __init__(self, data=None):
-        data = data or {}
-        self.repair_symbols = data.get("repair_symbols", 0)
-        self.repair2_symbols = data.get("repair2_symbols", 0)
-        self.history = list(data.get("history", []))
-
-    def charge(self, op: str, symbols: int, **detail):
-        if op == "repair":
-            self.repair_symbols += symbols
-        elif op == "repair2":
-            self.repair2_symbols += symbols
-        self.history.append({"op": op, "symbols": symbols, **detail})
-
-    def to_dict(self):
-        return {"repair_symbols": self.repair_symbols,
-                "repair2_symbols": self.repair2_symbols,
-                "history": self.history}
-
-
-@contextmanager
-def _store_lock(root: Path):
-    root.mkdir(parents=True, exist_ok=True)
-    with open(root / ".lock", "a+") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
-
-
-class _Staged:
-    """A file written beside `path` under a temp name and hashed as it
-    grows.  commit() makes it durable and renames it over `path`; close()
-    before that deletes it, so `path` is either untouched or complete."""
-
-    def __init__(self, path: Path, header: bytes = b""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.path = path
-        self.tmp = path.with_name(path.name + ".tmp")
-        self.fh = open(self.tmp, "wb")
-        self.sha = hashlib.sha256()
-        self.write(header)
-
-    def write(self, data) -> None:
-        self.fh.write(data)
-        self.sha.update(data)
-
-    def commit(self) -> None:
-        self.fh.flush()
-        os.fsync(self.fh.fileno())
-        self.fh.close()
-        os.replace(self.tmp, self.path)
-
-    def close(self) -> None:
-        if not self.fh.closed:
-            self.fh.close()
-            self.tmp.unlink()
 
 
 class _BlobReader:
@@ -281,71 +155,21 @@ def _batches(stripes: int):
         yield min(BATCH_STRIPES, stripes - start)
 
 
-def _check_manifest_values(manifest: dict, view: CodeView) -> None:
-    """Reject manifest values of the wrong type before a command uses them,
-    and a chunk map that is not the stripe plan of the file's length."""
-    n = view.n
-    file = manifest["file"]
-    status = manifest["node_status"]
-    digests = manifest["node_digests"]
-    ok = {
-        "file": isinstance(file, dict)
-        and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
-        and all(type(v) is int and v >= 0 for v in file.values())
-        and ChunkedFile(**file) == ChunkedFile.plan(
-            file["original_length"], view.user_symbols, view.spec.m),
-        "node_status": isinstance(status, list) and len(status) == n
-        and all(s in (LIVE, FAILED) for s in status),
-        "node_digests": isinstance(digests, dict)
-        and set(digests) == {str(h) for h in range(n)}
-        and all(isinstance(v, str) and _SHA256_HEX.fullmatch(v)
-                for v in digests.values()),
-        "ledger": isinstance(manifest["ledger"], dict),
-    }
-    bad = [key for key, good in ok.items() if not good]
-    if bad:
-        raise CorruptDataError(f"cluster manifest has malformed {bad}")
-
-
 class Cluster:
-    """A loaded cluster; every public method runs under the store lock."""
+    """A loaded cluster; every public method runs under the store lock.
+    fail and status, _load and _save are the store module's."""
 
     def __init__(self, root):
         self.root = Path(root)
 
-    # ---- manifest plumbing ----
-
-    def _manifest_path(self) -> Path:
-        return self.root / "manifest.json"
+    # ---- manifest plumbing (store) ----
 
     def _load(self):
-        try:
-            manifest = specfile.read_json(self._manifest_path())
-        except FileNotFoundError:
-            raise UsageError(f"no cluster at {self.root} (run put first)")
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise CorruptDataError("not a cluster manifest")
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise CorruptDataError(
-                f"cluster manifest is version {manifest.get('version')!r}, "
-                f"expected {MANIFEST_VERSION} (re-put the file)")
-        missing = [key for key in MANIFEST_KEYS if key not in manifest]
-        if missing:
-            raise CorruptDataError(f"cluster manifest lacks {missing}")
-        code, phash = specfile.parse_document(manifest["code_spec"])
-        if phash.hex() != manifest["params_hash"]:
-            raise CorruptDataError("manifest params hash mismatch")
-        view = CodeView(code, phash)
-        _check_manifest_values(manifest, view)
-        return manifest, view
+        manifest, view = store.load(self.root)
+        return manifest, CodeView(view.code, view.phash)
 
     def _save(self, manifest):
-        with closing(_Staged(self._manifest_path())) as staged:
-            staged.write(json.dumps(manifest, indent=2, sort_keys=True).encode())
-            staged.commit()
-
-    def _blob_path(self, h: int) -> Path:
-        return self.root / f"node_{h}" / "chunks.blob"
+        store.save(self.root, manifest)
 
     def _record_len(self, view: CodeView) -> int:
         """Bytes of one stripe of one node: alpha*m plane words."""
@@ -353,8 +177,9 @@ class Cluster:
 
     def _stage_nodes(self, stack: ExitStack, view: CodeView, nodes) -> dict:
         """node -> its blob staged under `stack`, header written."""
-        return {h: stack.enter_context(closing(_Staged(
-                    self._blob_path(h), specfile.encode_node_blob(view.phash, h))))
+        return {h: stack.enter_context(closing(Staged(
+                    store.blob_path(self.root, h),
+                    specfile.encode_node_blob(view.phash, h))))
                 for h in nodes}
 
     def _open_nodes(self, stack: ExitStack, view: CodeView, nodes,
@@ -362,7 +187,7 @@ class Cluster:
         """node -> its blob opened under `stack` for one streaming pass."""
         size = specfile.HEADER_LEN + stripes * self._record_len(view)
         return {h: stack.enter_context(closing(_BlobReader(
-                    self._blob_path(h), h,
+                    store.blob_path(self.root, h), h,
                     specfile.encode_node_blob(view.phash, h), size)))
                 for h in nodes}
 
@@ -400,7 +225,7 @@ class Cluster:
 
     def put(self, spec_doc: dict, file_path) -> dict:
         """Initialize (or reinitialize) the store with one file."""
-        with _store_lock(self.root), ExitStack() as stack:
+        with locked(self.root), ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             view = CodeView(code, phash)
             src = stack.enter_context(open(file_path, "rb"))
@@ -449,13 +274,13 @@ class Cluster:
         """Decode the file from k live nodes into out_path.  The bytes go to
         a temp file beside it, renamed over it only once every blob read
         matches its digest and the length prefix matches the manifest."""
-        with _store_lock(self.root), ExitStack() as stack:
+        with locked(self.root), ExitStack() as stack:
             manifest, view = self._load()
             live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
             if nodes is None:
                 nodes = live[:view.k]
             else:
-                view.check_range(nodes, "nodes")
+                view.check_nodes(nodes, "nodes")
                 bad = [h for h in nodes if h not in live]
                 if bad:
                     raise UsageError(f"nodes {bad} are not live")
@@ -500,22 +325,13 @@ class Cluster:
             return {"bytes": length, "nodes": nodes}
 
     def fail(self, h: int) -> dict:
-        with _store_lock(self.root):
-            manifest, view = self._load()
-            view.check_range([h], "node")
-            if manifest["node_status"][h] == FAILED:
-                raise UsageError(f"node {h} is already failed")
-            manifest["node_status"][h] = FAILED
-            blob = self._blob_path(h)
-            if blob.exists():
-                blob.unlink()
-            self._save(manifest)
-            return {"failed": h}
+        return store.fail(self.root, h)
 
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
-        with _store_lock(self.root), ExitStack() as stack:
+        with locked(self.root), ExitStack() as stack:
             manifest, view = self._load()
-            view.check_range([f, *(helpers or ())], "nodes")
+            view.check_nodes([f], "node")
+            view.check_nodes(helpers or [], "helpers")
             if manifest["node_status"][f] != FAILED:
                 raise UsageError(f"node {f} is live; nothing to repair")
             live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
@@ -554,13 +370,14 @@ class Cluster:
 
     def repair2(self, f: int, g: int, strategy: str = "subspace",
                 helpers: list[int] | None = None) -> dict:
-        with _store_lock(self.root), ExitStack() as stack:
+        with locked(self.root), ExitStack() as stack:
             manifest, view = self._load()
             if isinstance(view.code, ShortenedCode):
                 raise UsageError("repair2 runs on unshortened code instances")
             if strategy not in STRATEGIES:
                 raise UsageError(f"unknown strategy {strategy!r}")
-            view.check_range([f, g, *(helpers or ())], "nodes")
+            view.check_nodes([f, g], "nodes")
+            view.check_nodes(helpers or [], "helpers")
             for node in (f, g):
                 if manifest["node_status"][node] != FAILED:
                     raise UsageError(f"node {node} is live; nothing to repair")
@@ -604,12 +421,4 @@ class Cluster:
                     "helpers": helpers, "symbols": symbols}
 
     def status(self) -> dict:
-        with _store_lock(self.root):
-            manifest, view = self._load()
-            return {
-                "params": {"n": view.n, "k": view.k, "d": view.d,
-                           "alpha": view.alpha, "beta": view.beta},
-                "file": manifest["file"],
-                "node_status": manifest["node_status"],
-                "ledger": manifest["ledger"],
-            }
+        return store.status(self.root)

@@ -7,7 +7,8 @@ arithmetic; FieldElement is a thin immutable wrapper with operators.
 
 For m <= 8 a FieldSpec holds q x q multiplication and inverse tables,
 built in O(q) from a log/antilog walk over the powers of the smallest
-generator of GF(2^m)*; larger binary fields multiply carry-less.
+generator of GF(2^m)*; larger binary fields multiply carry-less and invert
+by the extended Euclidean algorithm over GF(2)[z].
 
 Rows are packed for exact row reduction: a row of n entries is n
 fixed-width slots of slot_bytes bytes each, big-endian, entry 0 first,
@@ -69,10 +70,26 @@ def _poly_degree(p: int) -> int:
 
 
 def _poly_mod(a: int, b: int) -> int:
-    db = _poly_degree(b)
-    while a and _poly_degree(a) >= db:
-        a ^= b << (_poly_degree(a) - db)
+    nb = b.bit_length()
+    while (na := a.bit_length()) >= nb:
+        a ^= b << (na - nb)
     return a
+
+
+def _poly_inv(a: int, poly: int) -> int:
+    """1/a in GF(2)[z]/(poly), for irreducible poly and nonzero reduced a:
+    extended Euclid, keeping g*a = u and h*a = v (mod poly) while each
+    step cancels the leading term of u with a shifted v (Hankerson,
+    Menezes, Vanstone, "Guide to Elliptic Curve Cryptography", alg. 2.48)."""
+    u, v, g, h = a, poly, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g, h = v, u, h, g
+            j = -j
+        u ^= v << j
+        g ^= h << j
+    return g
 
 
 def poly_is_irreducible(p: int) -> bool:
@@ -212,7 +229,7 @@ class FieldSpec:
             return self._inv_table[a]
         if self.kind == PRIME:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.order - 2)
+        return _poly_inv(a, self.reduction_poly)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the empty-product convention pow(0, 0) = 1."""

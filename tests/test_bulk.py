@@ -83,6 +83,14 @@ def test_mul_table_is_multiplication_bit_matrix(m):
         bits = [(v >> b) & 1 for b in range(m)]
         product = sum(((int(block[i] @ bits)) & 1) << i for i in range(m))
         assert product == spec.mul(c, v)
+    if m > 8:  # no product tables: check random coefficients and symbols
+        rng = random.Random(m)
+        for c in rng.sample(range(2, spec.order - 1), 20):
+            block = bulk.mul_table(c)
+            for v in rng.sample(range(spec.order), 20):
+                bits = [(v >> b) & 1 for b in range(m)]
+                product = sum(((int(block[i] @ bits)) & 1) << i for i in range(m))
+                assert product == spec.mul(c, v), (c, v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -7,8 +8,11 @@ import pytest
 
 from atrahasis import specfile
 from atrahasis.cli import main, parse_field
+from atrahasis.cluster import Cluster
+from atrahasis.code import SYMMETRIC, rs_stars_t2
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
+from atrahasis.fixtures import atrahasis_956
 
 
 def run_cli(*args):
@@ -246,6 +250,160 @@ def test_old_manifest_version_rejected(tmp_path):
         assert code == 2, (args, err)
         assert "version 1, expected 2 (re-put the file)" in err, err
         assert "Traceback" not in err
+
+
+def _star_damage(value):
+    """A code-spec damage that re-hashes the document, so only the star
+    check can catch it."""
+    def damage(doc):
+        doc = json.loads(json.dumps(doc))
+        doc["x_stars"][0][0] = value
+        doc.pop("content_hash")
+        doc["content_hash"] = hashlib.sha256(json.dumps(
+            doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        return doc
+    return damage
+
+
+# (manifest key, damage to its value, what the error must name): every
+# manifest and code-spec check that get and repair make, made by the
+# manifest-only commands too
+MANIFEST_ONLY_DAMAGE = {
+    **{case: (key, damage, f"'{key}'")
+       for case, (key, damage, _) in MANIFEST_DAMAGE.items()},
+    "old-version": ("version", lambda v: 1, "version 1, expected 2 (re-put the file)"),
+    "spec-content-hash": ("code_spec", lambda v: {**v, "content_hash": "0" * 64},
+                          "code-spec content hash mismatch"),
+    "params-hash": ("params_hash", lambda v: "0" * 16, "manifest params hash mismatch"),
+    "spec-star-rehashed-non-hex": ("code_spec", _star_damage("zz"), "'x_stars'"),
+    "spec-star-rehashed-outside-field": ("code_spec", _star_damage("fff"),
+                                         "not a canonical element"),
+}
+
+
+@pytest.fixture(scope="module")
+def hello_store(tmp_path_factory):
+    return _put_hello(tmp_path_factory.mktemp("hello"))
+
+
+@pytest.mark.parametrize("command", ["fail", "status"])
+@pytest.mark.parametrize("case", MANIFEST_ONLY_DAMAGE)
+def test_manifest_only_commands_validate(tmp_path, hello_store, case, command):
+    key, damage, names = MANIFEST_ONLY_DAMAGE[case]
+    store = tmp_path / "store"
+    shutil.copytree(hello_store, store)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = damage(manifest[key])
+    path.write_text(json.dumps(manifest))
+    before = path.read_bytes()
+    blob = store / "node_0" / "chunks.blob"
+    blob_before = blob.read_bytes()
+    args = {"status": ["status"], "fail": ["fail", "0"]}[command]
+    code, out, err = run_cli(*args, "--store", str(store))
+    assert code == 2, (code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names in err and "Traceback" not in err, err
+    # a rejected command changes nothing
+    assert path.read_bytes() == before
+    assert blob.read_bytes() == blob_before
+
+
+def test_fail_and_status_leave_numpy_unloaded(tmp_path):
+    store = str(_put_hello(tmp_path))
+    script = (f"import sys\nfrom atrahasis import cli\n"
+              f"assert cli.main(['fail', '3', '--store', {store!r}]) == 0\n"
+              f"assert cli.main(['status', '--store', {store!r}]) == 0\n"
+              f"print([m for m in ('numpy', 'atrahasis.bulk', 'atrahasis.cluster',"
+              f" 'atrahasis.search') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the manifest after put and after fail 3, and status then, as they were
+# when fail and status were implemented in cluster
+PUT_MANIFEST_SHA256 = "54a2ae7680220a653233f48837d0d1941bdb8cf3ef5ec670bb5d3f5c4b564acf"
+FAIL_MANIFEST_SHA256 = "48146f0a0cf16958a8c87fe8934c5e5d660057ef7315b06e2c0e3b93adf732b5"
+STATUS_AFTER_FAIL = {
+    "file": {"chunk_count": 128, "original_length": 1280, "padding_bits": 5056,
+             "symbols_per_chunk": 30},
+    "ledger": {"history": [], "repair2_symbols": 0, "repair_symbols": 0},
+    "node_status": ["live"] * 3 + ["failed"] + ["live"] * 5,
+    "params": {"alpha": 6, "beta": 3, "d": 6, "k": 5, "n": 9},
+}
+
+
+def test_fail_and_status_same_through_api_and_cli(tmp_path, capsys):
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 5)
+    api = Cluster(tmp_path / "api")
+    api.put(specfile.family_document(atrahasis_956()), data)
+    manifest = api.root / "manifest.json"
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == PUT_MANIFEST_SHA256
+    cli_store = tmp_path / "cli"
+    shutil.copytree(api.root, cli_store)
+    assert api.fail(3) == {"failed": 3}
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == FAIL_MANIFEST_SHA256
+    assert not (api.root / "node_3" / "chunks.blob").exists()
+    assert api.status() == STATUS_AFTER_FAIL
+    capsys.readouterr()
+    assert main(["--json", "fail", "3", "--store", str(cli_store)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"failed": 3}
+    assert (cli_store / "manifest.json").read_bytes() == manifest.read_bytes()
+    assert main(["--json", "status", "--store", str(cli_store)]) == 0
+    assert json.loads(capsys.readouterr().out) == STATUS_AFTER_FAIL
+
+
+@pytest.fixture(scope="module")
+def shortened_store(tmp_path_factory):
+    """A store on RS (12,5,8) over GF(256) shortened to (11,4,7,4)."""
+    tmp = tmp_path_factory.mktemp("short")
+    spec = tmp / "short.spec"
+    specfile.write_spec_file(spec, rs_stars_t2(binary_field(8), 12, 5, SYMMETRIC), 1)
+    data = tmp / "data.bin"
+    data.write_bytes(bytes(range(256)) * 12)
+    assert main(["put", str(data), "--spec", str(spec),
+                 "--store", str(tmp / "store")]) == 0
+    return tmp / "store"
+
+
+@pytest.mark.parametrize("nodes", ["0,0,1,2", "0,0,1,2,3,4", "3,1,2,3"])
+def test_get_rejects_repeated_nodes(tmp_path, shortened_store, nodes):
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli("get", str(out), "--store", str(shortened_store),
+                           "--nodes", nodes)
+    assert code == 2, err
+    repeated = nodes.split(",")[0]
+    assert f"nodes [{repeated}] named more than once" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_repair_rejects_repeated_helpers(tmp_path, shortened_store):
+    store = tmp_path / "store"
+    shutil.copytree(shortened_store, store)
+    assert main(["fail", "5", "--store", str(store)]) == 0
+    code, _, err = run_cli("repair", "5", "--store", str(store),
+                           "--helpers", "0,0,1,2,3,4,6")
+    assert code == 2, err
+    assert "helpers [0] named more than once" in err and "Traceback" not in err
+    assert not (store / "node_5" / "chunks.blob").exists()
+    assert main(["repair", "5", "--store", str(store),
+                 "--helpers", "0,1,2,3,4,6,7"]) == 0
+
+
+def test_repair2_rejects_repeated_nodes(tmp_path):
+    store = str(_put_hello(tmp_path))
+    for h in ("2", "6"):
+        assert main(["fail", h, "--store", store]) == 0
+    for args, message in ((("2", "6", "--helpers", "0,0,1,3,4,5"),
+                           "helpers [0] named more than once"),
+                          (("2", "2"), "nodes [2] named more than once")):
+        code, _, err = run_cli("repair2", *args, "--store", store)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err, err
+    assert main(["repair2", "2", "6", "--store", store,
+                 "--helpers", "0,1,3,4,5,7"]) == 0
 
 
 def test_old_blob_version_rejected(tmp_path):

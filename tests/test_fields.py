@@ -108,6 +108,18 @@ def test_inverse_roundtrip_exhaustive(spec):
         assert spec.mul(a, spec.inv(a)) == 1
 
 
+@pytest.mark.parametrize("m", range(9, 17))
+def test_inverse_sampled_large_binary(m, rng):
+    spec = binary_field(m)
+    for a in [1, 2, spec.order - 1] + rng.sample(range(1, spec.order), 200):
+        inv = spec.inv(a)
+        assert 0 < inv < spec.order
+        assert spec.mul(a, inv) == 1
+        assert spec.inv(inv) == a
+    with pytest.raises(ZeroDivisionError):
+        spec.inv(0)
+
+
 def test_frobenius_gf16(gf16):
     sq = lambda a: gf16.mul(a, a)
     for a in range(16):
