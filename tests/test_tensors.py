@@ -1,10 +1,16 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
+from atrahasis.code import EXTERIOR, StarFamily, derive_params, rs_stars_t2
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
-from atrahasis.linalg import Matrix, det, rank_of_rows
+from atrahasis.fixtures import atrahasis_956
+from atrahasis.linalg import Matrix, Vector, det, rank_of_rows
+from atrahasis.search import witness_matrix
 from atrahasis.tensors import (ExtBasis, SymBasis, expand_node_basis_ext,
                                expand_node_basis_sym, ext_dim, ext_product_ints,
                                sym_dim, sym_product_ints)
@@ -221,3 +227,79 @@ def test_expand_length_mismatch(gf16):
         sym_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
     with pytest.raises(UsageError):
         ext_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _ext_t3_gf127():
+    # random star vectors over a prime field, where the wedge sign shows
+    spec = prime_field(127)
+    params = derive_params(7, 5, 6, EXTERIOR)
+    rng = random.Random(3)
+    xs = [Vector(spec, random_values(rng, spec, 3)) for _ in range(7)]
+    ws = [Vector(spec, [1] + random_values(rng, spec, 4)) for _ in range(7)]
+    return StarFamily(spec, params, xs, ws)
+
+
+STAR_FAMILIES = {
+    "fixture": atrahasis_956,
+    "ext-t3-gf127": _ext_t3_gf127,
+    "rs-ext-gf256": lambda: rs_stars_t2(binary_field(8), 12, 5, EXTERIOR),
+}
+
+# sha256 of the JSON of every node, message, axiom and (exterior flavor)
+# quotient row, in node order
+PINNED_ROWS = {
+    "fixture": {
+        "node": "ed71de128fc8effab37bcbc9178ce598bc7e0ff584058c784d2b8bb372c67e44",
+        "message": "8c5b2898816c814855c152cafc1c46d7f169475f5334ed7c252efed97872b5db",
+        "axiom": "6ef79b0b4cb62a72ef22f173c2c81a34125ca1acb8e23030cec8157a71c13205",
+    },
+    "ext-t3-gf127": {
+        "node": "271252819a6c5d7ff17ed55a1130e5013a4509e075518db59e39497627581e0f",
+        "message": "dcd7e91216103e01cb7368d823a9f6146125f77ff79eaf93b9224ed72ceb4750",
+        "axiom": "c16fd7cdc3bcf1553d5124db8a72e3c2ff9ed87496340ba9838c5fedfda30c73",
+        "quotient": "62025aa8354409afd23b6879a23310ecd7c11a0c80f2f3b792dc70abfdb20f45",
+    },
+    "rs-ext-gf256": {
+        "node": "0a68304dd5216fc89f784f8ea842382a6c6abded03d072d26b258f4629057db9",
+        "message": "ee2c4311c346c41f1b2d6b3f4abc82c2b26c7eb1679885c7dc496d7910509c9d",
+        "axiom": "8bb100b2c553043974a5fc6e22db55f2cb999ece02b606cf01f48a6bf05612f6",
+        "quotient": "262818b52d7e2c924cf81e2031dce5ae6ffafffac8ab0c42be5b75256694d31d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_FAMILIES))
+def test_star_rows_pinned(name):
+    fam = STAR_FAMILIES[name]()
+    n = fam.params.n
+    got = {
+        "node": _digest([fam.node_tensor_rows(h) for h in range(n)]),
+        "message": _digest([fam.message_tensor_rows(h, f)
+                            for h in range(n) for f in range(n) if h != f]),
+        "axiom": _digest([fam.axiom_tensor_rows(h) for h in range(n)]),
+    }
+    if fam.params.flavor == EXTERIOR:
+        got["quotient"] = _digest([fam.quotient_rows(f) for f in range(n)])
+    assert got == PINNED_ROWS[name]
+
+
+# (k, d, t) -> sha256 of the witness matrix's rows at seeded star vectors
+PINNED_WITNESS = {
+    (3, 4, 2): "eb095d4004ac83e665b9fe53102f02a7c228d57baa6727917b8ce0753c5489e9",
+    (5, 6, 3): "648712f3785913e881c55644c391a27bdb3996760715fd36de87762024efd8af",
+    (7, 8, 4): "a6a0514bcb9e56c08babc12385336eaf4110efadb8bfa0a75d574b06cbdf3f88",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WITNESS))
+def test_witness_rows_pinned(gf127, case):
+    k, d, t = case
+    rng = random.Random(f"{k}:{d}:{t}")
+    xs = [random_values(rng, gf127, t) for _ in range(d)]
+    ys = [random_values(rng, gf127, k - t + 1) for _ in range(d)]
+    M = witness_matrix(gf127, k, d, t, xs, ys)
+    assert _digest(M.rows) == PINNED_WITNESS[case]
