@@ -27,7 +27,7 @@ from .errors import (AtrahasisError, AxiomViolationError, CorruptDataError,
                      InfeasibleParametersError, InsufficientNodesError,
                      UsageError)
 from .fields import FieldSpec, binary_field, is_prime, prime_field
-from .transforms import ShortenedCode, shorten
+from .transforms import shorten
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -118,13 +118,13 @@ def _build_family(args, triple=None) -> StarFamily:
         if not args.spec_file:
             raise UsageError("--source spec-file needs --spec-file")
         code, _ = specfile.read_spec_file(args.spec_file)
-        if isinstance(code, ShortenedCode):
+        if code.depth:
             raise UsageError("cannot regenerate from a shortened spec")
-        have = (code.params.n, code.params.k, code.params.d)
+        have = (code.n, code.k, code.d)
         if (n, k, d) != have:
             raise UsageError(f"{args.spec_file} holds an (n,k,d)={have} code, "
                              f"asked for ({n},{k},{d})")
-        return code
+        return code.base
     # source == "search"
     x_pattern = _parse_pattern(args.x_pattern) if args.x_pattern else None
     y_pattern = _parse_pattern(args.y_pattern) if args.y_pattern else None
@@ -191,8 +191,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     code, _ = specfile.read_spec_file(args.spec)
-    family = code.base if isinstance(code, ShortenedCode) else code
-    report = verify_axioms(family)
+    report = verify_axioms(code.base)
     if report.ok:
         _emit(args, {"ok": True, "subsets_checked": report.subsets_checked},
               report.describe())
@@ -273,6 +272,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_shorten(args) -> int:
+    if args.delta < 1:
+        # a zero or negative delta would rewrite the spec unshortened, or
+        # undo an earlier shortening
+        raise UsageError(f"--delta must be at least 1, got {args.delta}")
     code, _ = specfile.read_spec_file(args.spec)
     shortened = shorten(code, args.delta)
     doc = specfile.write_spec_file(args.out, shortened.base, shortened.depth)

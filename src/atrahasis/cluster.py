@@ -64,7 +64,7 @@ from .code import download_matrix, help_matrix, repair_matrix
 from .errors import (CorruptDataError, InsufficientNodesError, UsageError)
 from .store import (FAILED, LIVE, MANIFEST_FORMAT, MANIFEST_VERSION,
                     ChunkedFile, Ledger, Staged, StoreView, locked)
-from .transforms import STRATEGIES, ShortenedCode, central_repair_program
+from .transforms import STRATEGIES, central_repair_program
 
 # stripes per batch of every data command: each holds one batch of each
 # blob it reads or writes, so its memory does not grow with the file
@@ -77,34 +77,32 @@ class CodeView(StoreView):
 
     def __init__(self, code, phash: bytes):
         super().__init__(code, phash)
-        shortened = isinstance(code, ShortenedCode)
-        self.encode_columns = ([v.values for v in code._basis] if shortened
-                               else None)
-        self.free_cols = code._free_cols if shortened else None
         self.bulk = BulkField(self.spec)
 
-    def put_matrices(self) -> list[BitMatrix]:
-        """The chain put applies to the user planes (user_symbols*m, W):
-        the shortening's encode to base file coordinates, if any, then
-        every node's tensor rows -> (n*alpha*m, W), node h owning planes
+    def put_matrix(self) -> BitMatrix:
+        """The map put applies to the user planes (user_symbols*m, W): every
+        node's tensor rows, restated over the user symbols through the
+        shortening's encode -> (n*alpha*m, W), node h owning planes
         h*alpha*m .. (h+1)*alpha*m - 1."""
-        chain = []
-        if self.encode_columns is not None:
-            chain.append([[col[i] for col in self.encode_columns]
-                          for i in range(self.family.params.M)])
-        chain.append([row for h in range(self.n)
-                      for row in self.family.node_tensor_rows(h)])
-        return [self.bulk.expand(rows) for rows in chain]
+        spec, code = self.spec, self.code
+        rows = []
+        for h in range(self.n):
+            for row in self.family.node_tensor_rows(h):
+                out = [row[c] for c in code.free_cols]
+                for c, constraint in code.constrained.items():
+                    if row[c]:
+                        out = [spec.add(a, spec.mul(row[c], b))
+                               for a, b in zip(out, constraint)]
+                rows.append(out)
+        return self.bulk.expand(rows)
 
     def decode_matrix(self, live_nodes: list[int]) -> list[list[int]]:
-        """User symbols from the stacked values of the given k live nodes."""
+        """User symbols from the stacked values of the given k live nodes.
+        The pinned nodes' all-zero values are sliced away, and only the
+        free (user) coordinates of the base file are kept."""
         D = download_matrix(self.family, list(live_nodes) + list(self.pinned))
         width = self.k * self.alpha
-        if self.free_cols is None:
-            return [row[:width] for row in D.rows]
-        # pinned nodes contribute all-zero values; slice them away and
-        # keep only the systematic user coordinates
-        return [D.rows[c][:width] for c in self.free_cols]
+        return [D.rows[c][:width] for c in self.code.free_cols]
 
 
 class _BlobReader:
@@ -205,6 +203,27 @@ class Cluster:
         return np.frombuffer(data, dtype=WORD).reshape(
             stripes, view.alpha * view.spec.m).T
 
+    def _helpers(self, manifest: dict, view: CodeView, failed: list[int],
+                 helpers: list[int] | None, op: str) -> list[int]:
+        """The d helpers of a repair of the failed nodes: the given ones,
+        which must all be live, or else the first d live nodes."""
+        view.check_nodes(failed, "node" if len(failed) == 1 else "nodes")
+        view.check_nodes(helpers or [], "helpers")
+        for node in failed:
+            if manifest["node_status"][node] != FAILED:
+                raise UsageError(f"node {node} is live; nothing to repair")
+        live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
+        if helpers is None:
+            helpers = live[:view.d]
+        else:
+            bad = [h for h in helpers if h not in live]
+            if bad:
+                raise UsageError(f"helper nodes {bad} are not live")
+        if len(helpers) < view.d:
+            raise InsufficientNodesError(
+                f"{op} needs {view.d} live helpers, have {len(helpers)}")
+        return list(helpers)[:view.d]
+
     def _commit_repair(self, manifest: dict, blobs: dict, staged: dict) -> None:
         """Rename the repaired blobs into place and mark their nodes live,
         but only once every helper blob read and every repaired blob
@@ -234,7 +253,7 @@ class Cluster:
                 raise UsageError(f"{file_path} is not a regular file")
             length = info.st_size
             chunked = ChunkedFile.plan(length, view.user_symbols, view.spec.m)
-            chain = view.put_matrices()
+            encode = view.put_matrix()
             for stale in self.root.glob("node_*"):
                 shutil.rmtree(stale)
             staged = self._stage_nodes(stack, view, range(view.n))
@@ -247,10 +266,8 @@ class Cluster:
                 if len(data) != take:
                     raise UsageError(f"{file_path} shrank while put read it")
                 remaining -= take
-                planes = bytes_to_symbols(head + data, rows)
+                planes = view.bulk.matmul(encode, bytes_to_symbols(head + data, rows))
                 head = b""
-                for matrix in chain:
-                    planes = view.bulk.matmul(matrix, planes)
                 for h in range(view.n):
                     self._write_node(view, h, planes[h * a:(h + 1) * a], staged)
             for blob in staged.values():
@@ -330,21 +347,7 @@ class Cluster:
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
         with locked(self.root), ExitStack() as stack:
             manifest, view = self._load()
-            view.check_nodes([f], "node")
-            view.check_nodes(helpers or [], "helpers")
-            if manifest["node_status"][f] != FAILED:
-                raise UsageError(f"node {f} is live; nothing to repair")
-            live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
-            if helpers is None:
-                helpers = live[:view.d]
-            else:
-                bad = [h for h in helpers if h not in live]
-                if bad:
-                    raise UsageError(f"helper nodes {bad} are not live")
-            if len(helpers) < view.d:
-                raise InsufficientNodesError(
-                    f"repair needs {view.d} live helpers, have {len(helpers)}")
-            helpers = list(helpers)[:view.d]
+            helpers = self._helpers(manifest, view, [f], helpers, "repair")
             chunked = ChunkedFile.from_dict(manifest["file"])
             blobs = self._open_nodes(stack, view, helpers, chunked.stripes)
             help_ = [view.bulk.expand(help_matrix(view.family, h, f))
@@ -372,33 +375,31 @@ class Cluster:
                 helpers: list[int] | None = None) -> dict:
         with locked(self.root), ExitStack() as stack:
             manifest, view = self._load()
-            if isinstance(view.code, ShortenedCode):
-                raise UsageError("repair2 runs on unshortened code instances")
             if strategy not in STRATEGIES:
                 raise UsageError(f"unknown strategy {strategy!r}")
-            view.check_nodes([f, g], "nodes")
-            view.check_nodes(helpers or [], "helpers")
-            for node in (f, g):
-                if manifest["node_status"][node] != FAILED:
-                    raise UsageError(f"node {node} is live; nothing to repair")
-            live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
-            if helpers is None:
-                helpers = live[:view.d]
-            elif any(h not in live for h in helpers):
-                raise UsageError("some helper nodes are not live")
-            if len(helpers) < view.d:
-                raise InsufficientNodesError(
-                    f"repair2 needs {view.d} live helpers, have {len(helpers)}")
-            helpers = list(helpers)[:view.d]
-            program = central_repair_program(view.family, f, g, helpers, strategy)
+            helpers = self._helpers(manifest, view, [f, g], helpers, "repair2")
+            # pinned nodes of a shortened code hold zeros, so they send
+            # zeros: they lead the helper list (the agent takes what it can
+            # from them first), and their received columns are dropped
+            program = central_repair_program(
+                view.family, f, g, list(view.pinned) + helpers, strategy)
             chunked = ChunkedFile.from_dict(manifest["file"])
-            sends = [(h, view.bulk.expand(S))
-                     for (h, sent), S in zip(program.plan.per_helper_sent,
-                                             program.send_matrices) if sent]
+            sends, received_cols, pos = [], [], 0
+            for (h, sent), S in zip(program.plan.per_helper_sent,
+                                    program.send_matrices):
+                if h not in view.pinned and sent:
+                    sends.append((h, view.bulk.expand(S)))
+                    received_cols.extend(range(pos, pos + sent))
+                pos += sent
+            # the cascade's second recovery also reads the rebuilt first node
+            second_cols = received_cols + (list(range(pos, pos + view.alpha))
+                                           if program.second_uses_first else [])
             blobs = self._open_nodes(stack, view, [h for h, _ in sends],
                                      chunked.stripes)
-            first = view.bulk.expand(program.recover_first)
-            second = view.bulk.expand(program.recover_second)
+            first = view.bulk.expand([[row[c] for c in received_cols]
+                                      for row in program.recover_first.rows])
+            second = view.bulk.expand([[row[c] for c in second_cols]
+                                       for row in program.recover_second.rows])
             staged = self._stage_nodes(stack, view, [f, g])
             for stripes in _batches(chunked.stripes):
                 received = np.vstack([
@@ -410,11 +411,11 @@ class Cluster:
                 self._write_node(view, f, values_f, staged)
                 self._write_node(view, g, view.bulk.matmul(second, received), staged)
             self._commit_repair(manifest, blobs, staged)
-            symbols = chunked.chunk_count * program.plan.total_bandwidth
+            bandwidth = len(received_cols)
+            symbols = chunked.chunk_count * bandwidth
             ledger = Ledger(manifest["ledger"])
             ledger.charge("repair2", symbols, nodes=[f, g], strategy=strategy,
-                          helpers=helpers,
-                          bandwidth_per_chunk=program.plan.total_bandwidth)
+                          helpers=helpers, bandwidth_per_chunk=bandwidth)
             manifest["ledger"] = ledger.to_dict()
             self._save(manifest)
             return {"repaired": [f, g], "strategy": strategy,

@@ -7,7 +7,9 @@ the exterior flavor.  The file is a linear functional on the product of
 F^t with the degree-t symmetric (resp. exterior) power, held as its
 coordinates against the canonical monomial basis.  Node contents and
 help messages are evaluations of that functional at canonical basis
-tensors of the node's / message's subspace.
+tensors of the node's / message's subspace.  Every such tensor, and
+every row of the repair-span axiom, is built by tensors.star_rows; the
+two flavors differ only in the product it takes.
 
 Everything here is a pure function of immutable inputs; node_content,
 help_message and repair for distinct nodes may run concurrently.
@@ -24,11 +26,7 @@ from .errors import (AxiomViolationError, FieldTooSmallError,
 from .fields import FieldElement, FieldSpec
 from .linalg import (Matrix, SpanSolver, Vector, dot_ints, first_deficient_subset,
                      invert, rank_of_rows)
-from .tensors import (ExtBasis, SymBasis, ext_tensor_rows, rank_filter,
-                      sym_tensor_rows, unit_vectors)
-
-SYMMETRIC = "symmetric"
-EXTERIOR = "exterior"
+from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,6 @@ class StarFamily:
         self.params = params
         self.x_stars = list(x_stars)
         self.second_stars = list(second_stars)
-        p = params
-        if p.flavor == SYMMETRIC:
-            self._node_sub = SymBasis(p.y_dim, p.t - 1)
-            self._msg_sub = SymBasis(p.y_dim, p.t - 2)
-            self._ambient_inner = SymBasis(p.y_dim, p.t)
-            self._axiom_inner = SymBasis(p.y_dim, p.t - 1)
-        else:
-            self._node_sub = ExtBasis(p.k, p.t - 1)
-            self._msg_sub = ExtBasis(p.k, p.t - 2)
-            self._ambient_inner = ExtBasis(p.k, p.t)
-            self._axiom_inner = ExtBasis(p.k, p.t - 1)
         self._node_rows_cache: dict = {}
         self._msg_rows_cache: dict = {}
         self._axiom_rows_cache: dict = {}
@@ -146,26 +133,20 @@ class StarFamily:
             raise UsageError(f"node index {h} out of range 0..{self.params.n - 1}")
         return h
 
+    def _star_rows(self, h: int, degree: int, targets: tuple = ()) -> list[list[int]]:
+        return star_rows(self.spec, self.params.flavor, self.x_stars[h],
+                         self.second_stars[h], degree, targets)
+
     def node_tensor_rows(self, h: int) -> list[list[int]]:
-        """The alpha basis tensors of node h's subspace, in ambient coordinates."""
+        """The alpha basis tensors of node h's subspace, in ambient coordinates.
+
+        The builder's rows span the subspace (in the exterior flavor they
+        are redundant); the first alpha independent ones are kept."""
         h = self._check_node(h)
         rows = self._node_rows_cache.get(h)
         if rows is None:
             p = self.params
-            x, s = self.x_stars[h], self.second_stars[h]
-            if p.flavor == SYMMETRIC:
-                rows = sym_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.y_dim, mono)
-                     for mono in self._node_sub.index],
-                    self._ambient_inner)
-            else:
-                raw = ext_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.k, mono)
-                     for mono in self._node_sub.index],
-                    self._ambient_inner)
-                rows, _ = rank_filter(self.spec, raw, limit=p.alpha)
+            rows, _ = rank_filter(self.spec, self._star_rows(h, p.t - 1), limit=p.alpha)
             if len(rows) != p.alpha:
                 raise AxiomViolationError(
                     "node-subspace-dimension", subset=(h,),
@@ -184,21 +165,9 @@ class StarFamily:
         rows = self._msg_rows_cache.get(key)
         if rows is None:
             p = self.params
-            x, s = self.x_stars[h], self.second_stars[h]
-            target = self.second_stars[f]
-            if p.flavor == SYMMETRIC:
-                rows = sym_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.y_dim, mono) + [target]
-                     for mono in self._msg_sub.index],
-                    self._ambient_inner)
-            else:
-                raw = ext_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.k, mono) + [target]
-                     for mono in self._msg_sub.index],
-                    self._ambient_inner)
-                rows, _ = rank_filter(self.spec, raw, limit=p.beta)
+            rows, _ = rank_filter(
+                self.spec, self._star_rows(h, p.t - 2, (self.second_stars[f],)),
+                limit=p.beta)
             if len(rows) != p.beta:
                 raise AxiomViolationError(
                     "message-subspace-dimension", subset=(h,), failed_node=f,
@@ -212,43 +181,28 @@ class StarFamily:
         h = self._check_node(h)
         rows = self._axiom_rows_cache.get(h)
         if rows is None:
-            p = self.params
-            x, s = self.x_stars[h], self.second_stars[h]
-            if p.flavor == SYMMETRIC:
-                rows = sym_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.y_dim, mono)
-                     for mono in self._msg_sub.index],
-                    self._axiom_inner)
-            else:
-                rows = ext_tensor_rows(
-                    self.spec, x,
-                    [[s] + unit_vectors(self.spec, p.k, mono)
-                     for mono in self._msg_sub.index],
-                    self._axiom_inner)
+            rows = self._star_rows(h, self.params.t - 2)
             self._axiom_rows_cache[h] = rows
         return rows
 
     def quotient_rows(self, f: int) -> list[list[int]]:
-        """Exterior flavor: the spanning slack X tensor (w_f ^ ...) rows."""
+        """The slack X tensor (s_f . ...) rows the exterior flavor's
+        repair-span axiom adds for failed node f."""
         p = self.params
-        assert p.flavor == EXTERIOR
-        spec = self.spec
-        rows = []
-        for c in range(p.t):
-            x_unit = [0] * p.t
-            x_unit[c] = 1
-            rows.extend(ext_tensor_rows(
-                spec, x_unit,
-                [[self.second_stars[f]] + unit_vectors(spec, p.k, mono)
-                 for mono in self._msg_sub.index],
-                self._axiom_inner))
-        return rows
+        return quotient_rows(self.spec, p.flavor, p.t, self.second_stars[f])
 
     def __repr__(self):
         p = self.params
         return (f"StarFamily(({p.n},{p.k},{p.d},{p.alpha}) {p.flavor} "
                 f"over {self.spec})")
+
+
+def quotient_rows(spec: FieldSpec, flavor: str, t: int, s) -> list[list[int]]:
+    """The axiom rows of star s at x = e_c, for each c in range(t)."""
+    rows = []
+    for c in range(t):
+        rows.extend(star_rows(spec, flavor, [int(i == c) for i in range(t)], s, t - 2))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -472,7 +426,8 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
         if rank_of_rows(spec, rows) != second_need:
             return fail(second_name, subset)
 
-    full_rank = p.t * stars._axiom_inner.dim
+    # the axiom rows fill their whole space, X tensor the degree-(t-1) power
+    full_rank = len(stars.axiom_tensor_rows(0)[0])
     if p.flavor == SYMMETRIC:
         # d*beta stacked tensors must fill X tensor S^(t-1): rank d*beta
         assert full_rank == p.d * p.beta

@@ -24,12 +24,12 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .code import EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params
+from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params,
+                   quotient_rows)
 from .errors import UsageError
 from .fields import FieldSpec, prime_field
 from .linalg import Matrix, Vector, det, first_deficient_subset
-from .tensors import (ExtBasis, SymBasis, ext_tensor_rows, sym_tensor_rows,
-                      unit_vectors)
+from .tensors import star_rows
 
 NONZERO_WITNESSED = "nonzero-witnessed"
 INCONCLUSIVE = "inconclusive"
@@ -77,54 +77,6 @@ class PoolResult:
     reason: str = ""
 
 
-class _Expander:
-    """Per-point axiom rows, cached across incremental checks."""
-
-    def __init__(self, spec: FieldSpec, params: CodeParams):
-        self.spec = spec
-        self.p = params
-        p = params
-        if p.flavor == SYMMETRIC:
-            self.msg_sub = SymBasis(p.y_dim, p.t - 2)
-            self.inner = SymBasis(p.y_dim, p.t - 1)
-        else:
-            self.msg_sub = ExtBasis(p.k, p.t - 2)
-            self.inner = ExtBasis(p.k, p.t - 1)
-        self.full_rank = p.t * self.inner.dim
-        self._rows: dict = {}
-        self._quot: dict = {}
-
-    def axiom_rows(self, x: Vector, s: Vector):
-        key = (tuple(x.values), tuple(s.values))
-        rows = self._rows.get(key)
-        if rows is None:
-            dim2 = self.p.y_dim
-            prods = [[s] + unit_vectors(self.spec, dim2, mono)
-                     for mono in self.msg_sub.index]
-            if self.p.flavor == SYMMETRIC:
-                rows = sym_tensor_rows(self.spec, x, prods, self.inner)
-            else:
-                rows = ext_tensor_rows(self.spec, x, prods, self.inner)
-            self._rows[key] = rows
-        return rows
-
-    def quotient_rows(self, s: Vector):
-        key = tuple(s.values)
-        rows = self._quot.get(key)
-        if rows is None:
-            rows = []
-            for c in range(self.p.t):
-                x_unit = [0] * self.p.t
-                x_unit[c] = 1
-                rows.extend(ext_tensor_rows(
-                    self.spec, x_unit,
-                    [[s] + unit_vectors(self.spec, self.p.k, mono)
-                     for mono in self.msg_sub.index],
-                    self.inner))
-            self._quot[key] = rows
-        return rows
-
-
 def _pattern_vector(spec: FieldSpec, a: int, pattern) -> Vector:
     return Vector(spec, [spec.pow(a, e) for e in pattern])
 
@@ -134,23 +86,28 @@ def grow_pool(cfg: SearchConfig) -> PoolResult:
 
     Incremental checking: only subsets touching the candidate point are
     re-verified, which is equivalent to full re-verification because
-    previously accepted subsets are untouched by a new point.
+    previously accepted subsets are untouched by a new point.  Each pool
+    point's axiom and quotient rows are built once, when it is admitted.
     """
     spec = cfg.spec
     p = cfg.params
-    expander = _Expander(spec, p)
     pool: list[int] = []
     xs: list[Vector] = []
     ss: list[Vector] = []
+    blocks: list[list] = []
+    quotients: list[list] = []
     for v in range(spec.order):
         x = _pattern_vector(spec, v, cfg.x_pattern)
         s = _pattern_vector(spec, v, cfg.y_pattern)
         if p.flavor == EXTERIOR and s.is_zero():
             continue
-        if _point_admissible(spec, p, expander, xs, ss, x, s):
+        rows = _admitted_rows(spec, p, xs, ss, blocks, quotients, x, s)
+        if rows is not None:
             pool.append(v)
             xs.append(x)
             ss.append(s)
+            blocks.append(rows[0])
+            quotients.append(rows[1])
     if len(pool) < p.d + 1:
         return PoolResult(False, tuple(pool), None,
                           f"pool of {len(pool)} points cannot support d={p.d}")
@@ -159,31 +116,35 @@ def grow_pool(cfg: SearchConfig) -> PoolResult:
     return PoolResult(True, tuple(pool), family)
 
 
-def _point_admissible(spec, p, expander, xs, ss, x_new, s_new) -> bool:
-    """Do all spanning conditions still hold once (x_new, s_new) joins?
+def _admitted_rows(spec, p, xs, ss, blocks, quotients, x_new, s_new):
+    """The new point's (axiom rows, quotient rows) if all spanning
+    conditions still hold once (x_new, s_new) joins; None if one fails.
 
     Each check puts the new point's rows first and lets the subset walk
     fill in every choice of pool points around them.
     """
     if first_deficient_subset(spec, [[x.values] for x in xs], p.t - 1, p.t,
                               [x_new.values]) is not None:
-        return False
+        return None
     if first_deficient_subset(spec, [[s.values] for s in ss], p.y_dim - 1, p.y_dim,
                               [s_new.values]) is not None:
-        return False
-    full = expander.full_rank
-    blocks = [expander.axiom_rows(x, s) for x, s in zip(xs, ss)]
-    new_rows = expander.axiom_rows(x_new, s_new)
+        return None
+    new_rows = star_rows(spec, p.flavor, x_new, s_new, p.t - 2)
+    full = len(new_rows[0])
     if p.flavor == SYMMETRIC:
-        return first_deficient_subset(spec, blocks, p.d - 1, full, new_rows) is None
+        if first_deficient_subset(spec, blocks, p.d - 1, full, new_rows) is not None:
+            return None
+        return new_rows, None
     # pairs (f, H) touching the new point: it is the failed node, or it
     # is one of the d helpers
-    if first_deficient_subset(spec, blocks, p.d, full,
-                              expander.quotient_rows(s_new)) is not None:
-        return False
-    return all(first_deficient_subset(spec, blocks[:f] + blocks[f + 1:], p.d - 1, full,
-                                      new_rows + expander.quotient_rows(ss[f])) is None
-               for f in range(len(xs)))
+    new_quotient = quotient_rows(spec, p.flavor, p.t, s_new)
+    if first_deficient_subset(spec, blocks, p.d, full, new_quotient) is not None:
+        return None
+    if any(first_deficient_subset(spec, blocks[:f] + blocks[f + 1:], p.d - 1, full,
+                                  new_rows + quotients[f]) is not None
+           for f in range(len(xs))):
+        return None
+    return new_rows, new_quotient
 
 
 @dataclass(frozen=True)
@@ -214,14 +175,9 @@ class WitnessReport:
 def witness_matrix(spec: FieldSpec, k: int, d: int, t: int,
                    xs: list[list[int]], ys: list[list[int]]) -> Matrix:
     """Stack the d*beta expanded tensors into the square witness matrix."""
-    m = k - t + 1
-    msg_sub = SymBasis(m, t - 2)
-    inner = SymBasis(m, t - 1)
     rows = []
     for x, y in zip(xs, ys):
-        rows.extend(sym_tensor_rows(
-            spec, x, [[y] + unit_vectors(spec, m, mono) for mono in msg_sub.index],
-            inner))
+        rows.extend(star_rows(spec, SYMMETRIC, x, y, t - 2))
     return Matrix(spec, rows)
 
 

@@ -86,8 +86,9 @@ def family_document(family: StarFamily, shorten_depth: int = 0) -> dict:
     return doc
 
 
-def parse_document(doc: dict):
-    """Validate a code-spec document; returns (family-or-shortened, params_hash)."""
+def parse_document(doc: dict) -> tuple[ShortenedCode, bytes]:
+    """Validate a code-spec document; returns (code, params_hash), where a
+    plain spec is the shortening of depth 0."""
     if not isinstance(doc, dict):
         raise CorruptDataError("a code-spec document must be a JSON object")
     if doc.get("format") != SPEC_FORMAT:
@@ -108,12 +109,13 @@ def parse_document(doc: dict):
         raise CorruptDataError("code-spec t disagrees with (n, k, d)")
     family = StarFamily(spec, params, _star_unhex(spec, doc, "x_stars"),
                         _star_unhex(spec, doc, "second_stars"))
-    code = family
+    stanza, depth = None, 0
     if doc.get("shorten"):
         stanza = _entry(doc, "shorten", dict)
-        code = ShortenedCode(family, _entry(stanza, "delta", int))
-        if list(code.pinned) != _entry(stanza, "pinned", list):
-            raise CorruptDataError("shorten stanza pins unexpected nodes")
+        depth = _entry(stanza, "delta", int)
+    code = ShortenedCode(family, depth)
+    if stanza is not None and list(code.pinned) != _entry(stanza, "pinned", list):
+        raise CorruptDataError("shorten stanza pins unexpected nodes")
     phash = hashlib.sha256(_canonical_payload(doc)).digest()[:8]
     return code, phash
 

@@ -3,7 +3,8 @@ no chunks.
 
 It holds the store lock, staged (write-then-rename) files, the chunk map
 of the stored file, the bandwidth ledger, the parameters of the store's
-code instance, and manifest load and save with every check on the
+code instance (always a ShortenedCode: a plain spec is depth 0, with no
+pinned nodes), and manifest load and save with every check on the
 manifest's format, version, keys and values.  The commands that only read
 or rewrite the manifest, fail and status, live here too.
 
@@ -74,31 +75,21 @@ class ChunkedFile:
 
 
 class StoreView:
-    """The parameters of a store's plain or shortened code instance."""
+    """The parameters of a store's code instance (a shortening, of depth 0
+    for a plain spec)."""
 
-    def __init__(self, code, phash: bytes):
+    def __init__(self, code: ShortenedCode, phash: bytes):
         self.code = code
         self.phash = phash
-        if isinstance(code, ShortenedCode):
-            self.family = code.base
-            self.n = code.n
-            self.k = code.k
-            self.d = code.d
-            self.alpha = code.alpha
-            self.beta = code.beta
-            self.user_symbols = code.M
-            self.pinned = code.pinned
-        else:
-            self.family = code
-            p = code.params
-            self.n = p.n
-            self.k = p.k
-            self.d = p.d
-            self.alpha = p.alpha
-            self.beta = p.beta
-            self.user_symbols = p.M
-            self.pinned = ()
-        self.spec = self.family.spec
+        self.family = code.base
+        self.spec = code.spec
+        self.n = code.n
+        self.k = code.k
+        self.d = code.d
+        self.alpha = code.alpha
+        self.beta = code.beta
+        self.user_symbols = code.M
+        self.pinned = code.pinned
         if self.spec.kind != BINARY:
             raise UsageError("cluster storage requires a binary-extension field")
 

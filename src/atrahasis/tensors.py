@@ -1,5 +1,5 @@
-"""Canonical monomial bases and coordinate expansion for symmetric and
-exterior powers.
+"""Canonical monomial bases of symmetric and exterior powers, and the one
+builder of the codes' tensor rows.
 
 Degree-q symmetric monomials over an m-dimensional space are indexed by
 non-decreasing q-tuples over range(m); wedge monomials by strictly
@@ -12,85 +12,25 @@ the sum over i of v[i] times the re-sorted monomial with i inserted.
 That is exactly the sort-the-indices product map from the tensor power,
 well defined in every characteristic (no division by multiplicities).
 The wedge product inserts with a parity sign and kills repeats.
+
+Every tensor a code evaluates the file at has one shape: a node's basis,
+a help message's basis and the repair-span axiom's rows are all
+x tensor (s . e_eta . targets) for the monomials eta of one degree.
+star_rows builds them, in the x-major product basis (one block of the
+inner power per coordinate of x).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass
-from math import comb
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 from .errors import UsageError
 from .fields import FieldElement, FieldSpec
 from .linalg import Echelon, Vector
 
-
-class SymBasis:
-    """Monomial basis of the degree-q symmetric power of F^m."""
-
-    __slots__ = ("dim_space", "degree", "index", "position")
-
-    def __init__(self, m: int, q: int):
-        self.dim_space = m
-        self.degree = q
-        self.index = list(_nondecreasing_tuples(m, q))
-        self.position = {t: i for i, t in enumerate(self.index)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def __repr__(self):
-        return f"SymBasis(m={self.dim_space}, q={self.degree}, dim={self.dim})"
-
-
-class ExtBasis:
-    """Wedge basis of the degree-q exterior power of F^k."""
-
-    __slots__ = ("dim_space", "degree", "index", "position")
-
-    def __init__(self, k: int, q: int):
-        self.dim_space = k
-        self.degree = q
-        self.index = list(_increasing_tuples(k, q))
-        self.position = {t: i for i, t in enumerate(self.index)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def __repr__(self):
-        return f"ExtBasis(k={self.dim_space}, q={self.degree}, dim={self.dim})"
-
-
-class ProductBasis:
-    """Basis of F^t tensor an inner power space, ordered block-per-x-vector."""
-
-    __slots__ = ("x_dim", "inner")
-
-    def __init__(self, x_dim: int, inner):
-        self.x_dim = x_dim
-        self.inner = inner
-
-    @property
-    def dim(self) -> int:
-        return self.x_dim * self.inner.dim
-
-    def __repr__(self):
-        return f"ProductBasis(x_dim={self.x_dim}, inner={self.inner!r})"
-
-
-@dataclass(frozen=True)
-class TensorCoords:
-    """Coordinates of a tensor against one of the canonical bases."""
-
-    basis: object
-    vector: Vector
-
-    def __post_init__(self):
-        if len(self.vector) != self.basis.dim:
-            raise UsageError(
-                f"coordinate length {len(self.vector)} != basis dimension {self.basis.dim}")
+SYMMETRIC = "symmetric"
+EXTERIOR = "exterior"
 
 
 def _nondecreasing_tuples(m: int, q: int):
@@ -125,16 +65,38 @@ def _increasing_tuples(k: int, q: int):
     yield from rec(0, q)
 
 
-def sym_dim(m: int, q: int) -> int:
-    if q < 0 or (m <= 0 and q > 0):
-        return 0
-    return comb(m + q - 1, q)
+class _MonomialBasis:
+    """The monomials of one degree q over F^m, in canonical order."""
+
+    __slots__ = ("dim_space", "degree", "index", "position")
+
+    def __init__(self, m: int, q: int):
+        self.dim_space = m
+        self.degree = q
+        self.index = list(self._tuples(m, q))
+        self.position = {t: i for i, t in enumerate(self.index)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.index)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(m={self.dim_space}, q={self.degree}, "
+                f"dim={self.dim})")
 
 
-def ext_dim(k: int, q: int) -> int:
-    if q < 0 or q > k:
-        return 0
-    return comb(k, q)
+class SymBasis(_MonomialBasis):
+    """Monomial basis of the degree-q symmetric power of F^m."""
+
+    __slots__ = ()
+    _tuples = staticmethod(_nondecreasing_tuples)
+
+
+class ExtBasis(_MonomialBasis):
+    """Wedge basis of the degree-q exterior power of F^k."""
+
+    __slots__ = ()
+    _tuples = staticmethod(_increasing_tuples)
 
 
 def _vector_values(spec: FieldSpec, m: int, v) -> list[int]:
@@ -164,18 +126,13 @@ def sym_product_ints(spec: FieldSpec, m: int, vectors, monomial: tuple = ()) -> 
             for i, vi in enumerate(values):
                 if not vi:
                     continue
-                key = tuple(insort_tuple(mono, i))
+                p = bisect_right(mono, i)
+                key = mono[:p] + (i,) + mono[p:]
                 coeff = mul(c, vi)
                 prev = nxt.get(key)
                 nxt[key] = coeff if prev is None else add(prev, coeff)
         acc = {k: v for k, v in nxt.items() if v}
     return acc
-
-
-def insort_tuple(t: tuple, i: int) -> list:
-    out = list(t)
-    insort(out, i)
-    return out
 
 
 def ext_product_ints(spec: FieldSpec, k: int, vectors, monomial: tuple = ()) -> dict:
@@ -229,55 +186,55 @@ def tensor_with_x_ints(spec: FieldSpec, x_values: list[int], inner_dense: list[i
     return out
 
 
-def sym_tensor_rows(spec: FieldSpec, x, vectors_by_row: list[list], inner_basis: SymBasis) -> list[list[int]]:
-    """Rows x tensor (product of each vector list), densified over X tensor inner."""
+def sym_tensor_rows(spec: FieldSpec, x, vectors: list, monomials: list[tuple],
+                    inner: SymBasis) -> list[list[int]]:
+    """x tensor (v_1 . v_2 ... v_j . e_eta) for each monomial eta, densified
+    over X tensor inner."""
+    return _tensor_rows(sym_product_ints, spec, x, vectors, monomials, inner)
+
+
+def ext_tensor_rows(spec: FieldSpec, x, vectors: list, monomials: list[tuple],
+                    inner: ExtBasis) -> list[list[int]]:
+    """x tensor (v_1 ^ v_2 ^ ... ^ v_j ^ e_eta) for each wedge eta, densified
+    over X tensor inner."""
+    return _tensor_rows(ext_product_ints, spec, x, vectors, monomials, inner)
+
+
+def _tensor_rows(product, spec, x, vectors, monomials, inner) -> list[list[int]]:
     x_values = _vector_values(spec, len(x), x)
     rows = []
-    for vectors in vectors_by_row:
-        sparse = sym_product_ints(spec, inner_basis.dim_space, vectors)
-        dense = [0] * inner_basis.dim
-        for mono, c in sparse.items():
-            dense[inner_basis.position[mono]] = c
+    for mono in monomials:
+        dense = [0] * inner.dim
+        for key, c in product(spec, inner.dim_space, vectors, mono).items():
+            dense[inner.position[key]] = c
         rows.append(tensor_with_x_ints(spec, x_values, dense))
     return rows
 
 
-def ext_tensor_rows(spec: FieldSpec, x, vectors_by_row: list[list], inner_basis: ExtBasis) -> list[list[int]]:
-    x_values = _vector_values(spec, len(x), x)
-    rows = []
-    for vectors in vectors_by_row:
-        sparse = ext_product_ints(spec, inner_basis.dim_space, vectors)
-        dense = [0] * inner_basis.dim
-        for mono, c in sparse.items():
-            dense[inner_basis.position[mono]] = c
-        rows.append(tensor_with_x_ints(spec, x_values, dense))
-    return rows
+@lru_cache(maxsize=None)
+def _basis(flavor: str, m: int, q: int):
+    return SymBasis(m, q) if flavor == SYMMETRIC else ExtBasis(m, q)
 
 
-def unit_vectors(spec: FieldSpec, m: int, mono: tuple) -> list[list[int]]:
-    out = []
-    for i in mono:
-        v = [0] * m
-        v[i] = 1
-        out.append(v)
-    return out
+def star_rows(spec: FieldSpec, flavor: str, x, s, degree: int,
+              targets: tuple = ()) -> list[list[int]]:
+    """x tensor (s . e_eta . targets) for every monomial eta of `degree`
+    over the space of s, in canonical order of eta: symmetric products,
+    or wedges in that order in the exterior flavor.
 
-
-def expand_node_basis_sym(spec: FieldSpec, x, y, sub: SymBasis) -> list[TensorCoords]:
-    """Full-space coordinates of x tensor (y . eta) for each monomial eta of sub.
-
-    sub indexes the degree-(t-1) symmetric power; the result lives in
-    F^t tensor S^t, block per X basis vector.
+    Each product starts from e_eta (the monomial start of the product
+    maps) and multiplies s and the targets in; in the exterior flavor that
+    is s ^ targets ^ e_eta, which differs from s ^ e_eta ^ targets by the
+    sign (-1)^(degree * len(targets)), carried on x.
     """
-    t = len(x)
-    m = sub.dim_space
-    ambient_inner = SymBasis(m, sub.degree + 1)
-    ambient = ProductBasis(t, ambient_inner)
-    rows = sym_tensor_rows(
-        spec, x,
-        [[y] + unit_vectors(spec, m, mono) for mono in sub.index],
-        ambient_inner)
-    return [TensorCoords(ambient, Vector(spec, r)) for r in rows]
+    vectors = [s, *targets]
+    monomials = _basis(flavor, len(s), degree).index
+    inner = _basis(flavor, len(s), 1 + degree + len(targets))
+    if flavor == SYMMETRIC:
+        return sym_tensor_rows(spec, x, vectors, monomials, inner)
+    if degree * len(targets) % 2:
+        x = [spec.neg(v) for v in _vector_values(spec, len(x), x)]
+    return ext_tensor_rows(spec, x, vectors, monomials, inner)
 
 
 def rank_filter(spec: FieldSpec, rows: list[list[int]], limit: int | None = None):
@@ -297,27 +254,3 @@ def rank_filter(spec: FieldSpec, rows: list[list[int]], limit: int | None = None
         if limit is not None and len(kept_rows) == limit:
             break
     return kept_rows, kept_positions
-
-
-def expand_node_basis_ext(spec: FieldSpec, x, w, sub: ExtBasis) -> list[TensorCoords]:
-    """Independent expansions of x tensor (w ^ omega) over the wedges of sub.
-
-    Expanding every basis (t-1)-wedge omega gives a redundant generating
-    set (w ^ omega vanishes whenever omega already involves w); the list
-    is reduced to the first maximal independent subset, whose size is the
-    quotient dimension C(k-1, t-1).
-    """
-    w_values = _vector_values(spec, sub.dim_space, w)
-    if all(v == 0 for v in w_values):
-        raise UsageError("node star vector w must be nonzero")
-    t = len(x)
-    k = sub.dim_space
-    ambient_inner = ExtBasis(k, sub.degree + 1)
-    ambient = ProductBasis(t, ambient_inner)
-    rows = ext_tensor_rows(
-        spec, x,
-        [[w] + unit_vectors(spec, k, mono) for mono in sub.index],
-        ambient_inner)
-    expected = ext_dim(k - 1, sub.degree)
-    kept, _ = rank_filter(spec, rows, limit=expected)
-    return [TensorCoords(ambient, Vector(spec, r)) for r in kept]

@@ -7,7 +7,9 @@ echelon pivots, so the map is systematic in the free coordinates);
 download feeds the known zero contents back in; repair has the failed
 node simulate the retired nodes' help messages locally, which are zero.
 Depth delta turns an (n, k, d, alpha) instance into
-(n-delta, k-delta, d-delta, alpha), keeping d-k+1 and beta.
+(n-delta, k-delta, d-delta, alpha), keeping d-k+1 and beta.  A
+ShortenedCode is the one code type of the store: every code-spec file
+parses to one, and a plain spec is its depth 0.
 
 Two-failure repair gathers messages at a central agent under one of
 three strategies: every helper sends its restriction toward both failed
@@ -25,15 +27,22 @@ from fractions import Fraction
 from .code import (SYMMETRIC, FileTensor, HelpMessage, NodeContent,
                    StarFamily, download, help_matrix, node_content, repair)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, Matrix, SpanSolver, Vector, nullspace_with_free
+from .linalg import (Echelon, Matrix, SpanSolver, Vector, dot_ints,
+                     nullspace_with_free)
 
 
 class ShortenedCode:
-    """A base code instance with `depth` trailing nodes pinned to zero.
+    """A base code instance with `depth` trailing nodes pinned to zero; a
+    plain star family is its shortening of depth 0.
 
     Effective parameters: (n-depth, k-depth, d-depth, alpha); the file
     shrinks to (k-depth)*alpha user symbols, and d-k+1, alpha, beta are
     untouched.  Live nodes are the base indices 0..n-depth-1.
+
+    Encoding is systematic: user symbol j is the base file coordinate
+    free_cols[j], and each other coordinate c is fixed by the pinned zeros
+    as constrained[c] . user symbols.  At depth 0 every coordinate is
+    free and nothing is constrained.
     """
 
     def __init__(self, base: StarFamily, depth: int):
@@ -50,25 +59,24 @@ class ShortenedCode:
         self.k = p.k - depth
         self.d = p.d - depth
         self.M = self.k * p.alpha
+        self.free_cols = list(range(p.M))
+        self.constrained: dict[int, list[int]] = {}
         if depth == 0:
-            self._free_cols = list(range(p.M))
-            self._basis = [Vector(self.spec, row)
-                           for row in Matrix.identity(self.spec, p.M).rows]
             return
         constraint_rows = []
         for h in self.pinned:
             constraint_rows.extend(base.node_tensor_rows(h))
-        C = Matrix(self.spec, constraint_rows)
         # systematic parameterization of the constraint nullspace: user
         # symbols sit at the free columns and read back directly
-        basis, free_cols = nullspace_with_free(C)
+        basis, self.free_cols = nullspace_with_free(Matrix(self.spec, constraint_rows))
         if len(basis) != self.M:
             raise AxiomViolationError(
                 "shorten-constraint", subset=self.pinned,
                 message=f"pinning {depth} nodes cut {p.M - len(basis)} "
                         f"dimensions, expected {depth * p.alpha}")
-        self._basis = basis
-        self._free_cols = free_cols
+        free = set(self.free_cols)
+        self.constrained = {c: [v.values[c] for v in basis]
+                            for c in range(p.M) if c not in free}
 
     def encode(self, raw) -> FileTensor:
         """Map (k-depth)*alpha user symbols to a base file with pinned
@@ -76,18 +84,16 @@ class ShortenedCode:
         vec = raw if isinstance(raw, Vector) else Vector(self.spec, raw)
         if len(vec) != self.M:
             raise UsageError(f"shortened encode needs {self.M} symbols, got {len(vec)}")
-        spec = self.spec
         coords = [0] * self.base.params.M
-        for c, bv in zip(vec.values, self._basis):
-            if c:
-                for i, val in enumerate(bv.values):
-                    if val:
-                        coords[i] = spec.add(coords[i], spec.mul(c, val))
-        return FileTensor(self.base.params, Vector(spec, coords))
+        for c, value in zip(self.free_cols, vec.values):
+            coords[c] = value
+        for c, row in self.constrained.items():
+            coords[c] = dot_ints(self.spec, row, vec.values)
+        return FileTensor(self.base.params, Vector(self.spec, coords))
 
     def decode(self, file: FileTensor) -> Vector:
         """Read the user symbols back off the free coordinates."""
-        return Vector(self.spec, [file.vector.values[c] for c in self._free_cols])
+        return Vector(self.spec, [file.vector.values[c] for c in self.free_cols])
 
     def node_content(self, file: FileTensor, h: int) -> NodeContent:
         self._check_live(h)
@@ -133,10 +139,9 @@ class ShortenedCode:
 
 
 def shorten(code, delta: int) -> ShortenedCode:
-    """Shorten a StarFamily, or deepen an already shortened code."""
-    if isinstance(code, ShortenedCode):
-        return ShortenedCode(code.base, code.depth + delta)
-    return ShortenedCode(code, delta)
+    """Retire delta more trailing nodes of a shortened code, or of a star
+    family (a code of depth 0)."""
+    return ShortenedCode(getattr(code, "base", code), getattr(code, "depth", 0) + delta)
 
 
 NAIVE = "naive"

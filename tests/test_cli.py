@@ -58,7 +58,7 @@ def test_gen_rs_spec(tmp_path):
                              "--out", str(spec))
     assert code == 0, err
     loaded, _ = specfile.read_spec_file(spec)
-    assert (loaded.params.n, loaded.params.k, loaded.params.d) == (6, 3, 4)
+    assert (loaded.base.params.n, loaded.base.params.k, loaded.base.params.d) == (6, 3, 4)
 
 
 def test_gen_exterior_search(tmp_path):
@@ -68,8 +68,8 @@ def test_gen_exterior_search(tmp_path):
                              "--out", str(spec))
     assert code == 0, err
     loaded, _ = specfile.read_spec_file(spec)
-    assert loaded.params.flavor == "exterior"
-    assert len(loaded.second_stars[0]) == 3  # w vectors live in F^k
+    assert loaded.base.params.flavor == "exterior"
+    assert len(loaded.base.second_stars[0]) == 3  # w vectors live in F^k
 
 
 def test_gen_non_integral_t_suggests_shortening(tmp_path):
@@ -574,6 +574,37 @@ def test_shorten_cli(tmp_path):
     code, _ = specfile.read_spec_file(short)
     assert (code.n, code.k, code.d, code.alpha) == (8, 4, 5, 6)
     assert main(["verify", str(short)]) == 0
+
+
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_shorten_cli_rejects_delta_below_one(tmp_path, delta):
+    spec = tmp_path / "fix.spec"
+    short = tmp_path / "short.spec"
+    twice = tmp_path / "twice.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    assert main(["shorten", str(spec), "--delta", "2", "--out", str(short)]) == 0
+    for source in (spec, short):
+        assert_usage_error("shorten", str(source), "--delta", delta, "--out", str(twice))
+        assert not twice.exists()
+    assert specfile.read_spec_file(short)[0].depth == 2
+
+
+def test_repair2_cli_on_shortened_spec(tmp_path):
+    spec = tmp_path / "fix.spec"
+    short = tmp_path / "short.spec"
+    store = str(tmp_path / "store")
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 5)
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    assert main(["shorten", str(spec), "--delta", "1", "--out", str(short)]) == 0
+    assert main(["put", str(data), "--spec", str(short), "--store", store]) == 0
+    blob = tmp_path / "store" / "node_3" / "chunks.blob"
+    digest = hashlib.sha256(blob.read_bytes()).hexdigest()
+    for h in ("3", "7"):
+        assert main(["fail", h, "--store", store]) == 0
+    code, out, err = run_cli("repair2", "3", "7", "--store", store)
+    assert code == 0, err
+    assert hashlib.sha256(blob.read_bytes()).hexdigest() == digest
 
 
 def test_json_output_parses(tmp_path):

@@ -17,7 +17,7 @@ from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import Matrix, Vector
 from atrahasis.specfile import family_document, parse_document
-from atrahasis.transforms import ShortenedCode
+from atrahasis.transforms import ShortenedCode, central_repair_program
 from conftest import pack_planes, random_values, read_stripes, unpack_planes
 
 
@@ -234,10 +234,33 @@ def test_shortened_cluster(tmp_path, rng):
     out = tmp_path / "out.bin"
     cluster.get(out)
     assert out.read_bytes() == data
+    written = _blobs(cluster, 8)
     cluster.fail(1)
     cluster.fail(2)
-    with pytest.raises(UsageError):
-        cluster.repair2(1, 2)
+    cluster.repair2(1, 2)  # the pinned node helps with zeros
+    assert _blobs(cluster, 8) == written
+
+
+@pytest.mark.parametrize("strategy", ["naive", "cascade", "subspace"])
+def test_shortened_repair2_restores_blobs(tmp_path, strategy):
+    # the fixture shortened to (8,4,5): node 8 is pinned and helps with zeros
+    family = atrahasis_956()
+    cluster, info = make_store(tmp_path, family_document(family, shorten_depth=1),
+                               random.Random(7).randbytes(5000))
+    written = _blobs(cluster, 8)
+    cluster.fail(2)
+    cluster.fail(6)
+    with pytest.raises(UsageError, match=r"helper nodes \[6\] are not live"):
+        cluster.repair2(2, 6, strategy, helpers=[0, 1, 3, 4, 6])
+    result = cluster.repair2(2, 6, strategy)
+    assert result["helpers"] == [0, 1, 3, 4, 5]
+    assert _blobs(cluster, 8) == written
+    assert cluster._load()[0]["node_status"] == ["live"] * 8
+    # the ledger charges what the live helpers send, not the pinned node
+    plan = central_repair_program(family, 2, 6, [8, 0, 1, 3, 4, 5], strategy).plan
+    live_sent = sum(sent for h, sent in plan.per_helper_sent if h != 8)
+    assert live_sent < plan.total_bandwidth
+    assert result["symbols"] == info["chunk_count"] * live_sent
 
 
 def test_two_byte_element_cluster(tmp_path, rng):

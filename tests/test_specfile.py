@@ -14,9 +14,9 @@ def test_spec_file_roundtrip(tmp_path, fixture_family):
     path = tmp_path / "code.spec"
     doc = specfile.write_spec_file(path, fixture_family)
     code, phash = specfile.read_spec_file(path)
-    assert code.params == fixture_family.params
-    assert code.x_stars == fixture_family.x_stars
-    assert code.second_stars == fixture_family.second_stars
+    assert code.base.params == fixture_family.params
+    assert code.base.x_stars == fixture_family.x_stars
+    assert code.base.second_stars == fixture_family.second_stars
     assert phash == specfile.parse_document(doc)[1]
     assert doc["content_hash"] == json.loads(path.read_text())["content_hash"]
 

@@ -2,18 +2,19 @@ import hashlib
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 
-from atrahasis.code import EXTERIOR, StarFamily, derive_params, rs_stars_t2
+from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
+                            rs_stars_t2)
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import Matrix, Vector, det, rank_of_rows
 from atrahasis.search import witness_matrix
-from atrahasis.tensors import (ExtBasis, SymBasis, expand_node_basis_ext,
-                               expand_node_basis_sym, ext_dim, ext_product_ints,
-                               sym_dim, sym_product_ints)
+from atrahasis.tensors import (ExtBasis, SymBasis, ext_product_ints, rank_filter,
+                               star_rows, sym_product_ints)
 from conftest import random_values
 
 
@@ -63,10 +64,10 @@ def plus_scaled(spec, a, b, c):
 def test_basis_dimensions():
     for m in range(1, 6):
         for q in range(0, 5):
-            assert SymBasis(m, q).dim == sym_dim(m, q)
+            assert SymBasis(m, q).dim == comb(m + q - 1, q)
     for k in range(1, 6):
         for q in range(0, k + 2):
-            assert ExtBasis(k, q).dim == ext_dim(k, q)
+            assert ExtBasis(k, q).dim == comb(k, q)
     # degenerate cases collapse to the zero space
     assert SymBasis(3, -1).dim == 0
     assert ExtBasis(3, 4).dim == 0
@@ -167,12 +168,13 @@ def test_expand_node_basis_sym_block_structure(gf16, rng):
     # t = 2 with x = e1: the first block carries the product, the second is zero
     y = random_values(rng, gf16, 3)
     sub = SymBasis(3, 1)
-    outs = expand_node_basis_sym(gf16, [1, 0], y, sub)
+    rows = star_rows(gf16, SYMMETRIC, [1, 0], y, 1)
     dim2 = SymBasis(3, 2).dim
-    for mono, tc in zip(sub.index, outs):
+    assert len(rows) == sub.dim
+    for mono, row in zip(sub.index, rows):
         inner = sym_product_ints(gf16, 3, [y, [1 if i == mono[0] else 0 for i in range(3)]])
-        assert tc.vector.values[:dim2] == dense_of(SymBasis(3, 2), inner)
-        assert all(v == 0 for v in tc.vector.values[dim2:])
+        assert row[:dim2] == dense_of(SymBasis(3, 2), inner)
+        assert all(v == 0 for v in row[dim2:])
 
 
 def test_expand_node_basis_sym_fixture_shape(gf16, rng):
@@ -180,15 +182,16 @@ def test_expand_node_basis_sym_fixture_shape(gf16, rng):
     x = random_values(rng, gf16, 3)
     x[0] = 1
     y = [1] + random_values(rng, gf16, 2)
-    outs = expand_node_basis_sym(gf16, x, y, SymBasis(3, 2))
-    assert len(outs) == 6
-    assert all(len(tc.vector) == 30 for tc in outs)
-    assert rank_of_rows(gf16, [tc.vector.values for tc in outs]) == 6
+    rows = star_rows(gf16, SYMMETRIC, x, y, 2)
+    assert len(rows) == 6
+    assert all(len(row) == 30 for row in rows)
+    assert rank_of_rows(gf16, rows) == 6
 
 
 def test_expand_node_basis_ext_drops_dependents(gf16):
-    outs = expand_node_basis_ext(gf16, [1, 0], [1, 0, 0], ExtBasis(3, 1))
-    assert len(outs) == 2  # e1 ^ e1 drops out of the three candidates
+    rows = star_rows(gf16, EXTERIOR, [1, 0], [1, 0, 0], 1)
+    kept, _ = rank_filter(gf16, rows)
+    assert len(rows) == 3 and len(kept) == 2  # e1 ^ e1 drops out
 
 
 @pytest.mark.parametrize("k,t", [(3, 2), (4, 2), (4, 3), (5, 3), (6, 4)])
@@ -198,12 +201,11 @@ def test_expand_node_basis_ext_dimension(gf16, rng, k, t):
         if all(v == 0 for v in w):
             w[0] = 1
         x = [1] + random_values(rng, gf16, t - 1)
-        outs = expand_node_basis_ext(gf16, x, w, ExtBasis(k, t - 1))
-        assert len(outs) == ext_dim(k - 1, t - 1)
-        rows = [tc.vector.values for tc in outs]
-        assert rank_of_rows(gf16, rows) == len(outs)
+        rows, _ = rank_filter(gf16, star_rows(gf16, EXTERIOR, x, w, t - 1))
+        assert len(rows) == comb(k - 1, t - 1)
+        assert rank_of_rows(gf16, rows) == len(rows)
         # every output dies under a further wedge with w
-        inner_dim = ext_dim(k, t)
+        inner_dim = comb(k, t)
         for row in rows:
             block = next(row[c * inner_dim:(c + 1) * inner_dim]
                          for c in range(t) if any(row[c * inner_dim:(c + 1) * inner_dim]))
@@ -218,8 +220,13 @@ def test_expand_node_basis_ext_dimension(gf16, rng, k, t):
 
 
 def test_expand_node_basis_ext_rejects_zero(gf16):
-    with pytest.raises(UsageError):
-        expand_node_basis_ext(gf16, [1, 0], [0, 0, 0], ExtBasis(3, 1))
+    params = derive_params(6, 3, 4, EXTERIOR)
+    xs = [Vector(gf16, [1, v]) for v in range(6)]
+    ws = [Vector(gf16, [1, v, 0]) for v in range(6)]
+    StarFamily(gf16, params, xs, ws)
+    ws[3] = Vector(gf16, [0, 0, 0])
+    with pytest.raises(UsageError, match="zero w"):
+        StarFamily(gf16, params, xs, ws)
 
 
 def test_expand_length_mismatch(gf16):
