@@ -1,17 +1,17 @@
 """Minimum-storage-regenerating codes via symmetric and exterior tensor
-powers, with a product-matrix oracle, star-vector search/certification,
-code shortening, and a single-process storage-cluster simulator."""
+powers, with star-vector search/certification, code shortening, and a
+single-process storage-cluster simulator."""
 
 from .code import (CodeParams, FileTensor, HelpMessage, NodeContent,
                    StarFamily, derive_params, download, encode, help_message,
                    node_content, repair, rs_stars_t2, verify_axioms)
-from .fields import FieldElement, FieldSpec, binary_field, prime_field
+from .fields import FieldSpec, binary_field, prime_field
 
 __all__ = [
     "CodeParams", "FileTensor", "HelpMessage", "NodeContent", "StarFamily",
     "derive_params", "download", "encode", "help_message", "node_content",
     "repair", "rs_stars_t2", "verify_axioms",
-    "FieldElement", "FieldSpec", "binary_field", "prime_field",
+    "FieldSpec", "binary_field", "prime_field",
 ]
 
 __version__ = "0.1.0"

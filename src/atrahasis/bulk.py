@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import UsageError
 from .fields import BINARY, FieldSpec
-from .linalg import Matrix
 
 WORD = np.dtype("<u8")
 
@@ -91,10 +90,9 @@ class BulkField:
         r, c = index.shape
         return blocks[index].transpose(0, 2, 1, 3).reshape(r * m, c * m)
 
-    def expand(self, matrix) -> BitMatrix:
-        """An (r x c) exact matrix -> its BitMatrix, for applying it to many
-        batches of planes."""
-        rows = matrix.rows if isinstance(matrix, Matrix) else matrix
+    def expand(self, rows: list[list[int]]) -> BitMatrix:
+        """An (r x c) exact matrix, as int rows -> its BitMatrix, for
+        applying it to many batches of planes."""
         m = self.spec.m
         ncols = len(rows[0]) if rows else 0
         if ncols == 0:

@@ -90,41 +90,48 @@ def _lemma_patterns(k: int):
     return (0, k - 1), tuple(range(k - 1))
 
 
-def _build_family(args, triple=None) -> StarFamily:
+def _given_family(args, want) -> StarFamily:
+    """The family of --fixture or --source spec-file.  Each of n, k, d,
+    --field and --flavor that was given must match it; one left out
+    follows it."""
     from .fixtures import load_fixture
-    from .search import SearchConfig, grow_pool
 
     if args.fixture:
-        family = load_fixture(args.fixture)
-        want = triple or (args.n, args.k, args.d)
-        have = (family.params.n, family.params.k, family.params.d)
-        for w, h, name in zip(want, have, "nkd"):
-            if w is not None and w != h:
-                raise UsageError(f"fixture {args.fixture} has {name}={h}, "
-                                 f"asked for {w}")
-        return family
-    n, k, d = triple or (args.n, args.k, args.d)
-    if n is None or k is None or d is None:
-        raise UsageError("gen needs --n, --k and --d (or --fixture)")
-    spec = parse_field(args.field)
-    params = _derive_or_suggest(n, k, d, args.flavor)
-    if args.source == "rs":
-        if params.t != 2:
-            raise InfeasibleParametersError(
-                f"the Reed-Solomon source covers t = 2 (d = 2(k-1)); "
-                f"(k,d)=({k},{d}) has t={params.t}")
-        return rs_stars_t2(spec, n, k, args.flavor)
-    if args.source == "spec-file":
+        family, name = load_fixture(args.fixture), f"fixture {args.fixture}"
+    else:
         if not args.spec_file:
             raise UsageError("--source spec-file needs --spec-file")
         code, _ = specfile.read_spec_file(args.spec_file)
         if code.depth:
             raise UsageError("cannot regenerate from a shortened spec")
-        have = (code.n, code.k, code.d)
-        if (n, k, d) != have:
-            raise UsageError(f"{args.spec_file} holds an (n,k,d)={have} code, "
-                             f"asked for ({n},{k},{d})")
-        return code.base
+        family, name = code.base, args.spec_file
+    p = family.params
+    have = {"n": p.n, "k": p.k, "d": p.d, "field": family.spec, "flavor": p.flavor}
+    asked = dict(zip("nkd", want), flavor=args.flavor,
+                 field=None if args.field is None else parse_field(args.field))
+    for key, value in asked.items():
+        if value is not None and value != have[key]:
+            raise UsageError(f"{name} has {key}={have[key]}, asked for {value}")
+    return family
+
+
+def _build_family(args, triple=None) -> StarFamily:
+    from .search import SearchConfig, grow_pool
+
+    if args.fixture or args.source == "spec-file":
+        return _given_family(args, triple or (args.n, args.k, args.d))
+    n, k, d = triple or (args.n, args.k, args.d)
+    if n is None or k is None or d is None:
+        raise UsageError("gen needs --n, --k and --d (or --fixture)")
+    spec = parse_field("gf16" if args.field is None else args.field)
+    flavor = args.flavor or SYMMETRIC
+    params = _derive_or_suggest(n, k, d, flavor)
+    if args.source == "rs":
+        if params.t != 2:
+            raise InfeasibleParametersError(
+                f"the Reed-Solomon source covers t = 2 (d = 2(k-1)); "
+                f"(k,d)=({k},{d}) has t={params.t}")
+        return rs_stars_t2(spec, n, k, flavor)
     # source == "search"
     x_pattern = _parse_pattern(args.x_pattern) if args.x_pattern else None
     y_pattern = _parse_pattern(args.y_pattern) if args.y_pattern else None
@@ -135,7 +142,7 @@ def _build_family(args, triple=None) -> StarFamily:
         lx, ly = _lemma_patterns(k)
         x_pattern = x_pattern or lx
         if y_pattern is None:
-            y_pattern = ly if args.flavor == SYMMETRIC else tuple(range(k))
+            y_pattern = ly if flavor == SYMMETRIC else tuple(range(k))
     result = grow_pool(SearchConfig(spec, params, x_pattern, y_pattern))
     if not result.ok or len(result.pool) < n:
         raise InfeasibleParametersError(
@@ -257,6 +264,9 @@ def cmd_sweep(args) -> int:
     if args.alpha_cap < 1:
         # no case has alpha < 1: an empty sweep would witness nothing
         raise UsageError(f"--alpha-cap must be at least 1, got {args.alpha_cap}")
+    if args.max_redraws < 1:
+        # with no draw, every case would be reported inconclusive untested
+        raise UsageError(f"--max-redraws must be at least 1, got {args.max_redraws}")
     field = parse_field(args.field)
     reports = sweep_small_cases(args.alpha_cap, field, seed=args.seed,
                                 max_redraws=args.max_redraws)
@@ -302,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--flavor", choices=(SYMMETRIC, EXTERIOR), default=SYMMETRIC)
-    p.add_argument("--field", default="gf16")
+    p.add_argument("--flavor", choices=(SYMMETRIC, EXTERIOR),
+                   help="default: the family's, else symmetric")
+    p.add_argument("--field", help="default: the family's, else gf16")
     p.add_argument("--source", choices=("rs", "search", "spec-file"),
                    default="search")
     p.add_argument("--fixture")

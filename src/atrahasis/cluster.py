@@ -102,7 +102,7 @@ class CodeView(StoreView):
         free (user) coordinates of the base file are kept."""
         D = download_matrix(self.family, list(live_nodes) + list(self.pinned))
         width = self.k * self.alpha
-        return [D.rows[c][:width] for c in self.code.free_cols]
+        return [D[c][:width] for c in self.code.free_cols]
 
 
 class _BlobReader:
@@ -355,7 +355,7 @@ class Cluster:
             # pinned helpers of a shortened code contribute zero messages;
             # their recovery columns multiply zeros and are dropped
             R = repair_matrix(view.family, f, helpers + list(view.pinned))
-            recover = view.bulk.expand([row[:view.d * view.beta] for row in R.rows])
+            recover = view.bulk.expand([row[:view.d * view.beta] for row in R])
             staged = self._stage_nodes(stack, view, [f])
             for stripes in _batches(chunked.stripes):
                 received = np.vstack([
@@ -397,9 +397,9 @@ class Cluster:
             blobs = self._open_nodes(stack, view, [h for h, _ in sends],
                                      chunked.stripes)
             first = view.bulk.expand([[row[c] for c in received_cols]
-                                      for row in program.recover_first.rows])
+                                      for row in program.recover_first])
             second = view.bulk.expand([[row[c] for c in second_cols]
-                                       for row in program.recover_second.rows])
+                                       for row in program.recover_second])
             staged = self._stage_nodes(stack, view, [f, g])
             for stripes in _batches(chunked.stripes):
                 received = np.vstack([

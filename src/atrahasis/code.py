@@ -11,8 +11,14 @@ tensors of the node's / message's subspace.  Every such tensor, and
 every row of the repair-span axiom, is built by tensors.star_rows; the
 two flavors differ only in the product it takes.
 
-Everything here is a pure function of immutable inputs; node_content,
-help_message and repair for distinct nodes may run concurrently.
+Star vectors, files, node contents, help messages and every matrix are
+plain lists of canonical ints.  Values from outside are checked once, as
+they come in: StarFamily checks its star entries, and encode the user's
+symbols; nothing built from them is checked again.
+
+Everything here is a pure function of its inputs, which it never
+changes; node_content, help_message and repair for distinct nodes may
+run concurrently.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ from math import comb
 
 from .errors import (AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, UsageError)
-from .fields import FieldElement, FieldSpec
-from .linalg import (Matrix, SpanSolver, Vector, dot_ints, first_deficient_subset,
-                     invert, rank_of_rows)
+from .fields import FieldSpec
+from .linalg import SpanSolver, first_deficient_subset, invert, matvec, rank_of_rows
 from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
@@ -104,26 +109,27 @@ class StarFamily:
 
     x_stars[h] lives in F^t; second_stars[h] in F^(k-t+1) (symmetric
     flavor, the y vectors) or F^k (exterior flavor, the w vectors, all
-    nonzero).  The family is immutable; expansion caches are private.
+    nonzero), each a list of canonical ints of spec, checked here.  The
+    family is immutable; expansion caches are private.
     """
 
     def __init__(self, spec: FieldSpec, params: CodeParams,
-                 x_stars: list[Vector], second_stars: list[Vector]):
+                 x_stars: list[list[int]], second_stars: list[list[int]]):
         if len(x_stars) != params.n or len(second_stars) != params.n:
             raise UsageError(f"need exactly {params.n} star vector pairs")
-        for x in x_stars:
-            if x.spec != spec or len(x) != params.t:
-                raise UsageError("x star vectors must have length t over the code field")
-        for s in second_stars:
-            if s.spec != spec or len(s) != params.y_dim:
-                raise UsageError(
-                    f"second star vectors must have length {params.y_dim}")
-        if params.flavor == EXTERIOR and any(s.is_zero() for s in second_stars):
+        self.x_stars = [list(x) for x in x_stars]
+        self.second_stars = [list(s) for s in second_stars]
+        if any(len(x) != params.t for x in self.x_stars):
+            raise UsageError("x star vectors must have length t")
+        if any(len(s) != params.y_dim for s in self.second_stars):
+            raise UsageError(f"second star vectors must have length {params.y_dim}")
+        for v in self.x_stars + self.second_stars:
+            for value in v:
+                spec.check_value(value)
+        if params.flavor == EXTERIOR and not all(any(s) for s in self.second_stars):
             raise UsageError("exterior flavor forbids zero w star vectors")
         self.spec = spec
         self.params = params
-        self.x_stars = list(x_stars)
-        self.second_stars = list(second_stars)
         self._node_rows_cache: dict = {}
         self._msg_rows_cache: dict = {}
         self._axiom_rows_cache: dict = {}
@@ -210,16 +216,12 @@ class FileTensor:
     """The stored file: its M coordinates against the canonical basis."""
 
     params: CodeParams
-    vector: Vector
+    values: list[int]
 
     def __post_init__(self):
-        if len(self.vector) != self.params.M:
+        if len(self.values) != self.params.M:
             raise UsageError(
-                f"file needs {self.params.M} coordinates, got {len(self.vector)}")
-
-    @property
-    def coords(self) -> list[FieldElement]:
-        return self.vector.coords
+                f"file needs {self.params.M} coordinates, got {len(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -227,11 +229,7 @@ class NodeContent:
     """The alpha symbols stored by one node."""
 
     node_index: int
-    values: Vector
-
-    @property
-    def coords(self) -> list[FieldElement]:
-        return self.values.coords
+    values: list[int]
 
 
 @dataclass(frozen=True)
@@ -240,23 +238,21 @@ class HelpMessage:
 
     helper: int
     failed: int
-    values: Vector
+    values: list[int]
 
 
 def encode(spec: FieldSpec, raw, params: CodeParams) -> FileTensor:
-    """Systematic pre-encoding: the M user symbols become the coordinates."""
-    vec = raw if isinstance(raw, Vector) else Vector(spec, raw)
-    if len(vec) != params.M:
-        raise UsageError(f"encode needs exactly {params.M} symbols, got {len(vec)}")
-    return FileTensor(params, vec)
+    """Systematic pre-encoding: the M user symbols, each checked to be a
+    canonical element of spec, become the coordinates."""
+    values = [spec.check_value(v) for v in raw]
+    if len(values) != params.M:
+        raise UsageError(f"encode needs exactly {params.M} symbols, got {len(values)}")
+    return FileTensor(params, values)
 
 
 def node_content(file: FileTensor, stars: StarFamily, h: int) -> NodeContent:
     """Evaluate the file at node h's basis tensors."""
-    spec = stars.spec
-    phi = file.vector.values
-    values = [dot_ints(spec, row, phi) for row in stars.node_tensor_rows(h)]
-    return NodeContent(h, Vector(spec, values))
+    return NodeContent(h, matvec(stars.spec, stars.node_tensor_rows(h), file.values))
 
 
 def download(contents: list[NodeContent], stars: StarFamily) -> FileTensor:
@@ -277,16 +273,14 @@ def download(contents: list[NodeContent], stars: StarFamily) -> FileTensor:
         if len(content.values) != p.alpha:
             raise UsageError("node content has wrong length")
         rows.extend(stars.node_tensor_rows(content.node_index))
-        rhs.extend(content.values.values)
-    A = Matrix(spec, rows)
-    Ainv = invert(A)
+        rhs.extend(content.values)
+    Ainv = invert(spec, rows)
     if Ainv is None:
         raise AxiomViolationError("download-span", subset=sorted(indices))
-    phi = Ainv.matvec(Vector(spec, rhs))
-    return FileTensor(p, phi)
+    return FileTensor(p, matvec(spec, Ainv, rhs))
 
 
-def download_matrix(stars: StarFamily, indices: list[int]) -> Matrix:
+def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
     """The M x M decode matrix for a node subset: stacked values -> file."""
     p = stars.params
     if len(indices) != p.k or len(set(indices)) != p.k:
@@ -294,30 +288,26 @@ def download_matrix(stars: StarFamily, indices: list[int]) -> Matrix:
     rows = []
     for h in indices:
         rows.extend(stars.node_tensor_rows(h))
-    Ainv = invert(Matrix(stars.spec, rows))
+    Ainv = invert(stars.spec, rows)
     if Ainv is None:
         raise AxiomViolationError("download-span", subset=sorted(indices))
     return Ainv
 
 
-def help_matrix(stars: StarFamily, h: int, f: int) -> Matrix:
+def help_matrix(stars: StarFamily, h: int, f: int) -> list[list[int]]:
     """beta x alpha map from node h's stored values to its message for f.
 
     The message subspace sits inside the node subspace, so every message
     basis tensor is a combination of the node basis tensors; the
     combination coefficients applied to stored values give the message.
     """
-    spec = stars.spec
-    solver = SpanSolver(spec, stars.node_tensor_rows(h), stars.params.M)
-    rows = []
-    for target in stars.message_tensor_rows(h, f):
-        coeffs = solver.coefficients_for(target)
-        if coeffs is None:
-            raise AxiomViolationError(
-                "message-containment", subset=(h,), failed_node=f,
-                message=f"help message {h}->{f} leaves the node subspace")
-        rows.append(coeffs)
-    return Matrix(spec, rows)
+    solver = SpanSolver(stars.spec, stars.node_tensor_rows(h), stars.params.M)
+    rows = solver.coefficient_rows(stars.message_tensor_rows(h, f))
+    if rows is None:
+        raise AxiomViolationError(
+            "message-containment", subset=(h,), failed_node=f,
+            message=f"help message {h}->{f} leaves the node subspace")
+    return rows
 
 
 def help_message(content: NodeContent, stars: StarFamily, f: int) -> HelpMessage:
@@ -325,11 +315,10 @@ def help_message(content: NodeContent, stars: StarFamily, f: int) -> HelpMessage
     h = content.node_index
     if h == f:
         raise UsageError("a node does not help itself")
-    values = help_matrix(stars, h, f).matvec(content.values)
-    return HelpMessage(h, f, values)
+    return HelpMessage(h, f, matvec(stars.spec, help_matrix(stars, h, f), content.values))
 
 
-def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> Matrix:
+def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> list[list[int]]:
     """alpha x (d*beta) map from concatenated help messages to node f's values.
 
     Each of f's node basis tensors is expressed over the received
@@ -339,19 +328,14 @@ def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> Matrix:
     p = stars.params
     if len(helpers) != p.d or len(set(helpers)) != p.d or f in helpers:
         raise UsageError(f"repair needs {p.d} distinct helpers, none equal to {f}")
-    spec = stars.spec
     generators = []
     for h in helpers:
         generators.extend(stars.message_tensor_rows(h, f))
-    solver = SpanSolver(spec, generators, p.M)
-    rows = []
-    for target in stars.node_tensor_rows(f):
-        coeffs = solver.coefficients_for(target)
-        if coeffs is None:
-            raise AxiomViolationError("repair-span", subset=sorted(helpers),
-                                      failed_node=f)
-        rows.append(coeffs)
-    return Matrix(spec, rows)
+    rows = SpanSolver(stars.spec, generators, p.M).coefficient_rows(
+        stars.node_tensor_rows(f))
+    if rows is None:
+        raise AxiomViolationError("repair-span", subset=sorted(helpers), failed_node=f)
+    return rows
 
 
 def repair(messages: list[HelpMessage], stars: StarFamily) -> NodeContent:
@@ -366,11 +350,10 @@ def repair(messages: list[HelpMessage], stars: StarFamily) -> NodeContent:
     for m in messages:
         if len(m.values) != p.beta:
             raise UsageError("help message has wrong length")
-    R = repair_matrix(stars, f, helpers)
     received = []
     for m in messages:
-        received.extend(m.values.values)
-    return NodeContent(f, R.matvec(Vector(stars.spec, received)))
+        received.extend(m.values)
+    return NodeContent(f, matvec(stars.spec, repair_matrix(stars, f, helpers), received))
 
 
 @dataclass(frozen=True)
@@ -414,16 +397,14 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
 
     for subset in combinations(range(p.n), p.t):
         checked += 1
-        rows = [stars.x_stars[h].values for h in subset]
-        if rank_of_rows(spec, rows) != p.t:
+        if rank_of_rows(spec, [stars.x_stars[h] for h in subset]) != p.t:
             return fail("MDSx", subset)
 
     second_need = p.y_dim
     second_name = "MDSy" if p.flavor == SYMMETRIC else "MDSw"
     for subset in combinations(range(p.n), second_need):
         checked += 1
-        rows = [stars.second_stars[h].values for h in subset]
-        if rank_of_rows(spec, rows) != second_need:
+        if rank_of_rows(spec, [stars.second_stars[h] for h in subset]) != second_need:
             return fail(second_name, subset)
 
     # the axiom rows fill their whole space, X tensor the degree-(t-1) power
@@ -480,7 +461,7 @@ def rs_stars_t2(spec: FieldSpec, n: int, k: int, flavor: str = SYMMETRIC) -> Sta
     if len(points) < n:
         raise FieldTooSmallError(
             f"{spec} has only {len(points)} distinct (k-1)-th powers, need {n}")
-    x_stars = [Vector(spec, [1, spec.pow(a, k - 1)]) for a in points]
+    x_stars = [[1, spec.pow(a, k - 1)] for a in points]
     top = k - 2 if flavor == SYMMETRIC else k - 1
-    second = [Vector(spec, [spec.pow(a, e) for e in range(top + 1)]) for a in points]
+    second = [[spec.pow(a, e) for e in range(top + 1)] for a in points]
     return StarFamily(spec, params, x_stars, second)

@@ -13,7 +13,7 @@ class AtrahasisError(Exception):
 
 
 class UsageError(AtrahasisError):
-    """Caller violated a precondition (mismatched fields, bad lengths, ...)."""
+    """Caller violated a precondition (non-canonical values, bad lengths, ...)."""
 
 
 class InfeasibleParametersError(AtrahasisError):

@@ -2,8 +2,9 @@
 
 Elements are canonical integers: bit-packed polynomial coefficients for
 binary extension fields (bit i = coefficient of z^i), plain residues for
-prime fields.  FieldSpec carries the defining data plus int-level
-arithmetic; FieldElement is a thin immutable wrapper with operators.
+prime fields.  A FieldSpec carries the defining data and the arithmetic
+on those ints; there is no element type.  check_value is the one check
+that a value is canonical, made where a value comes in from outside.
 
 For m <= 8 a FieldSpec holds q x q multiplication and inverse tables,
 built in O(q) from a log/antilog walk over the powers of the smallest
@@ -26,7 +27,7 @@ carry-free SWAR reduction of every slot mod p.  Only primes above 127
 multiply entry by entry.  The translate tables are built on first use,
 one multiplier at a time, so constructing a FieldSpec builds none.
 
-Both types are immutable values and safe to share between threads.
+A FieldSpec is an immutable value and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -252,19 +253,6 @@ class FieldSpec:
             e >>= 1
         return acc
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> list[FieldElement]:
-        """All field elements: 0 first, then nonzero in increasing value."""
-        return [FieldElement(self, v) for v in range(self.order)]
-
     def check_value(self, value: int) -> int:
         if not isinstance(value, int) or not 0 <= value < self.order:
             raise UsageError(f"{value!r} is not a canonical element of {self}")
@@ -418,52 +406,4 @@ def binary_field(m: int, reduction_poly: int | None = None) -> FieldSpec:
 
 def prime_field(p: int) -> FieldSpec:
     return FieldSpec(PRIME, p=p)
-
-
-class FieldElement:
-    """An element of a FieldSpec, held as its canonical integer."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        self.spec = spec
-        self.value = spec.check_value(value)
-
-    def _coerce(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise UsageError(f"cannot combine field element with {other!r}")
-        if other.spec != self.spec:
-            raise UsageError(f"field mismatch: {self.spec} vs {other.spec}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.spec == self.spec and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __repr__(self):
-        return f"{self.value}@{self.spec}"
 

@@ -1,13 +1,13 @@
 """Dense exact linear algebra over a FieldSpec.
 
-Vectors and matrices store canonical integer values internally; the
-`coords` / `elements` accessors expose FieldElement views.  All row
-reduction goes through one incremental engine, Echelon: rank, the
-determinant, the inverse, span coefficients and the nullspace are thin
-callers of it, and its inner loop is the FieldSpec row operation
+A vector is a list of canonical ints and a matrix a list of such rows;
+nothing here checks the entries again (see fields.FieldSpec.check_value).
+All row reduction goes through one incremental engine, Echelon: rank,
+the determinant, the inverse, span coefficients and the nullspace are
+thin callers of it, and its inner loop is the FieldSpec row operation
 row - f*other.  Arithmetic is exact, so the pivot is simply the first
-nonzero column.  All values are immutable after construction;
-reduction works on private copies.
+nonzero column.  Reduction works on private copies; the caller's rows
+are never changed.
 
 Echelon packs each row it is given into one Python int, one big-endian
 slot of FieldSpec.slot_bytes per entry (entry 0 in the most significant
@@ -27,75 +27,7 @@ prefix reduce it once.
 from __future__ import annotations
 
 from .errors import UsageError
-from .fields import FieldElement, FieldSpec
-
-
-def _int_values(spec: FieldSpec, items) -> list[int]:
-    out = []
-    for x in items:
-        if isinstance(x, FieldElement):
-            if x.spec != spec:
-                raise UsageError(f"field mismatch: {spec} vs {x.spec}")
-            out.append(x.value)
-        else:
-            out.append(spec.check_value(x))
-    return out
-
-
-class Vector:
-    """Coordinate vector over a field; entries share one FieldSpec."""
-
-    __slots__ = ("spec", "values")
-
-    def __init__(self, spec: FieldSpec, values):
-        self.spec = spec
-        self.values = _int_values(spec, values)
-
-    @property
-    def coords(self) -> list[FieldElement]:
-        return [FieldElement(self.spec, v) for v in self.values]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i) -> FieldElement:
-        return FieldElement(self.spec, self.values[i])
-
-    def __add__(self, other: Vector) -> Vector:
-        self._check(other)
-        add = self.spec.add
-        return Vector(self.spec, [add(a, b) for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: Vector) -> Vector:
-        self._check(other)
-        sub = self.spec.sub
-        return Vector(self.spec, [sub(a, b) for a, b in zip(self.values, other.values)])
-
-    def scale(self, c) -> Vector:
-        c = _int_values(self.spec, [c])[0]
-        mul = self.spec.mul
-        return Vector(self.spec, [mul(c, v) for v in self.values])
-
-    def dot(self, other: Vector) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, dot_ints(self.spec, self.values, other.values))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def _check(self, other: Vector):
-        if other.spec != self.spec or len(other) != len(self):
-            raise UsageError("vectors must share field and length")
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector) and other.spec == self.spec
-                and other.values == self.values)
-
-    def __hash__(self):
-        return hash((self.spec, tuple(self.values)))
-
-    def __repr__(self):
-        return f"Vector({self.values})"
+from .fields import FieldSpec
 
 
 def dot_ints(spec: FieldSpec, a: list[int], b: list[int]) -> int:
@@ -108,56 +40,11 @@ def dot_ints(spec: FieldSpec, a: list[int], b: list[int]) -> int:
     return acc
 
 
-class Matrix:
-    """Row-major dense matrix over a field."""
-
-    __slots__ = ("spec", "nrows", "ncols", "rows")
-
-    def __init__(self, spec: FieldSpec, rows):
-        self.spec = spec
-        self.rows = [_int_values(spec, r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise UsageError("ragged matrix rows")
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> Matrix:
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec: FieldSpec, nrows: int, ncols: int) -> Matrix:
-        return cls(spec, [[0] * ncols for _ in range(nrows)])
-
-    @property
-    def entries(self) -> list[list[FieldElement]]:
-        return [[FieldElement(self.spec, v) for v in row] for row in self.rows]
-
-    def row(self, i) -> Vector:
-        return Vector(self.spec, self.rows[i])
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.spec, [[self.rows[i][j] for i in range(self.nrows)]
-                                  for j in range(self.ncols)])
-
-    def matvec(self, v: Vector) -> Vector:
-        if v.spec != self.spec or len(v) != self.ncols:
-            raise UsageError("dimension mismatch in matvec")
-        return Vector(self.spec, [dot_ints(self.spec, row, v.values) for row in self.rows])
-
-    def matmul(self, other: Matrix) -> Matrix:
-        if other.spec != self.spec or other.nrows != self.ncols:
-            raise UsageError("dimension mismatch in matmul")
-        cols = other.transpose().rows
-        return Matrix(self.spec, [[dot_ints(self.spec, row, col) for col in cols]
-                                  for row in self.rows])
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.spec == self.spec
-                and other.rows == self.rows)
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.spec})"
+def matvec(spec: FieldSpec, rows: list[list[int]], v: list[int]) -> list[int]:
+    """The matrix given by its rows times the column vector v."""
+    if rows and len(rows[0]) != len(v):
+        raise UsageError(f"matvec of {len(rows[0])} columns with a vector of {len(v)}")
+    return [dot_ints(spec, row, v) for row in rows]
 
 
 class Echelon:
@@ -332,40 +219,33 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
     return walk(extend(root, [root.pack(row) for row in base_rows]), 0, ())
 
 
-def det(matrix: Matrix) -> FieldElement:
+def det(spec: FieldSpec, rows: list[list[int]]) -> int:
     """Product of the pivot entries, signed by the parity of the pivot
     column sequence (the rows are never swapped)."""
-    if matrix.nrows != matrix.ncols:
+    if any(len(row) != len(rows) for row in rows):
         raise UsageError("determinant needs a square matrix")
-    spec = matrix.spec
-    echelon = Echelon(spec, matrix.ncols)
-    for row in matrix.rows:
+    echelon = Echelon(spec, len(rows))
+    for row in rows:
         if not echelon.offer(row):
-            return FieldElement(spec, 0)
+            return 0
     p = echelon.pivots
     inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
                      if p[i] > p[j])
-    value = echelon.leading
-    if inversions % 2:
-        value = spec.neg(value)
-    return FieldElement(spec, value)
+    return spec.neg(echelon.leading) if inversions % 2 else echelon.leading
 
 
-def invert(A: Matrix) -> Matrix | None:
+def invert(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]] | None:
     """Inverse of a square matrix, or None when singular."""
-    if A.nrows != A.ncols:
-        raise UsageError("inverse needs a square matrix")
-    n = A.nrows
-    aug = [row + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(A.rows)]
-    echelon = _echelon_of(A.spec, aug, n, 2 * n)
+    n = len(rows)
+    aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    echelon = _echelon_of(spec, aug, n, 2 * n)
     if echelon.rank < n:
         return None
-    _, rows = echelon.reduced()
-    return Matrix(A.spec, [row[n:] for row in rows])
+    return [row[n:] for row in echelon.reduced()[1]]
 
 
-def nullspace_with_free(A: Matrix) -> tuple[list[Vector], list[int]]:
+def nullspace_with_free(spec: FieldSpec, rows: list[list[int]]
+                        ) -> tuple[list[list[int]], list[int]]:
     """Canonical kernel basis from the reduced echelon form, plus the
     free columns it is systematic in.
 
@@ -373,17 +253,17 @@ def nullspace_with_free(A: Matrix) -> tuple[list[Vector], list[int]]:
     every other free column, so coordinates in this basis can be read
     off any kernel vector at the free positions.
     """
-    spec = A.spec
-    pivots, rows = _echelon_of(spec, A.rows, A.ncols).reduced()
+    ncols = len(rows[0]) if rows else 0
+    pivots, reduced = _echelon_of(spec, rows, ncols).reduced()
     pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [0] * A.ncols
+        v = [0] * ncols
         v[f] = 1
-        for row, c in zip(rows, pivots):
+        for row, c in zip(reduced, pivots):
             v[c] = spec.neg(row[f])
-        basis.append(Vector(spec, v))
+        basis.append(v)
     return basis, free
 
 
@@ -420,3 +300,8 @@ class SpanSolver:
             return None
         neg = self.spec.neg
         return [neg(v) for v in work[self.width:]]
+
+    def coefficient_rows(self, targets) -> list[list[int]] | None:
+        """coefficients_for of every target, or None if one is out of span."""
+        rows = [self.coefficients_for(target) for target in targets]
+        return None if None in rows else rows

@@ -28,7 +28,7 @@ from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params,
                    quotient_rows)
 from .errors import UsageError
 from .fields import FieldSpec, prime_field
-from .linalg import Matrix, Vector, det, first_deficient_subset
+from .linalg import det, first_deficient_subset
 from .tensors import star_rows
 
 NONZERO_WITNESSED = "nonzero-witnessed"
@@ -77,8 +77,8 @@ class PoolResult:
     reason: str = ""
 
 
-def _pattern_vector(spec: FieldSpec, a: int, pattern) -> Vector:
-    return Vector(spec, [spec.pow(a, e) for e in pattern])
+def _pattern_vector(spec: FieldSpec, a: int, pattern) -> list[int]:
+    return [spec.pow(a, e) for e in pattern]
 
 
 def grow_pool(cfg: SearchConfig) -> PoolResult:
@@ -92,14 +92,14 @@ def grow_pool(cfg: SearchConfig) -> PoolResult:
     spec = cfg.spec
     p = cfg.params
     pool: list[int] = []
-    xs: list[Vector] = []
-    ss: list[Vector] = []
+    xs: list[list[int]] = []
+    ss: list[list[int]] = []
     blocks: list[list] = []
     quotients: list[list] = []
     for v in range(spec.order):
         x = _pattern_vector(spec, v, cfg.x_pattern)
         s = _pattern_vector(spec, v, cfg.y_pattern)
-        if p.flavor == EXTERIOR and s.is_zero():
+        if p.flavor == EXTERIOR and not any(s):
             continue
         rows = _admitted_rows(spec, p, xs, ss, blocks, quotients, x, s)
         if rows is not None:
@@ -123,11 +123,10 @@ def _admitted_rows(spec, p, xs, ss, blocks, quotients, x_new, s_new):
     Each check puts the new point's rows first and lets the subset walk
     fill in every choice of pool points around them.
     """
-    if first_deficient_subset(spec, [[x.values] for x in xs], p.t - 1, p.t,
-                              [x_new.values]) is not None:
+    if first_deficient_subset(spec, [[x] for x in xs], p.t - 1, p.t, [x_new]) is not None:
         return None
-    if first_deficient_subset(spec, [[s.values] for s in ss], p.y_dim - 1, p.y_dim,
-                              [s_new.values]) is not None:
+    if first_deficient_subset(spec, [[s] for s in ss], p.y_dim - 1, p.y_dim,
+                              [s_new]) is not None:
         return None
     new_rows = star_rows(spec, p.flavor, x_new, s_new, p.t - 2)
     full = len(new_rows[0])
@@ -173,12 +172,12 @@ class WitnessReport:
 
 
 def witness_matrix(spec: FieldSpec, k: int, d: int, t: int,
-                   xs: list[list[int]], ys: list[list[int]]) -> Matrix:
+                   xs: list[list[int]], ys: list[list[int]]) -> list[list[int]]:
     """Stack the d*beta expanded tensors into the square witness matrix."""
     rows = []
     for x, y in zip(xs, ys):
         rows.extend(star_rows(spec, SYMMETRIC, x, y, t - 2))
-    return Matrix(spec, rows)
+    return rows
 
 
 def nullstellensatz_witness(params: CodeParams, witness_field: FieldSpec,
@@ -197,7 +196,7 @@ def nullstellensatz_witness(params: CodeParams, witness_field: FieldSpec,
     for redraw in range(max_redraws):
         xs = [[rng.randrange(order) for _ in range(t)] for _ in range(d)]
         ys = [[rng.randrange(order) for _ in range(k - t + 1)] for _ in range(d)]
-        value = det(witness_matrix(witness_field, k, d, t, xs, ys)).value
+        value = det(witness_field, witness_matrix(witness_field, k, d, t, xs, ys))
         if value != 0:
             return WitnessReport(case, order, redraw, NONZERO_WITNESSED,
                                  tuple(map(tuple, xs)), tuple(map(tuple, ys)), value)

@@ -17,7 +17,6 @@ import re
 from .code import EXTERIOR, SYMMETRIC, StarFamily, derive_params
 from .errors import CorruptDataError, UsageError
 from .fields import FieldSpec
-from .linalg import Vector
 from .transforms import ShortenedCode
 
 SPEC_FORMAT = "atrahasis-code-spec"
@@ -35,17 +34,18 @@ def _canonical_payload(doc: dict) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _star_hex(vectors: list[Vector]) -> list[list[str]]:
-    return [[format(v, "x") for v in vec.values] for vec in vectors]
+def _star_hex(vectors: list[list[int]]) -> list[list[str]]:
+    return [[format(v, "x") for v in vec] for vec in vectors]
 
 
-def _star_unhex(spec: FieldSpec, doc: dict, key: str) -> list[Vector]:
+def _star_unhex(doc: dict, key: str) -> list[list[int]]:
+    """The star vectors under key; StarFamily checks their entries."""
     rows = _entry(doc, key, list)
     for row in rows:
         if not (isinstance(row, list)
                 and all(isinstance(h, str) and _HEX.fullmatch(h) for h in row)):
             raise CorruptDataError(f"code-spec {key!r} holds a non-hex element row")
-    return [Vector(spec, [int(h, 16) for h in row]) for row in rows]
+    return [[int(h, 16) for h in row] for row in rows]
 
 
 def _entry(stanza: dict, key: str, kind):
@@ -107,8 +107,8 @@ def parse_document(doc: dict) -> tuple[ShortenedCode, bytes]:
     params = derive_params(n, k, d, pr["flavor"])
     if t != params.t:
         raise CorruptDataError("code-spec t disagrees with (n, k, d)")
-    family = StarFamily(spec, params, _star_unhex(spec, doc, "x_stars"),
-                        _star_unhex(spec, doc, "second_stars"))
+    family = StarFamily(spec, params, _star_unhex(doc, "x_stars"),
+                        _star_unhex(doc, "second_stars"))
     stanza, depth = None, 0
     if doc.get("shorten"):
         stanza = _entry(doc, "shorten", dict)

@@ -26,8 +26,8 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .errors import UsageError
-from .fields import FieldElement, FieldSpec
-from .linalg import Echelon, Vector
+from .fields import FieldSpec
+from .linalg import Echelon
 
 SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
@@ -99,17 +99,9 @@ class ExtBasis(_MonomialBasis):
     _tuples = staticmethod(_increasing_tuples)
 
 
-def _vector_values(spec: FieldSpec, m: int, v) -> list[int]:
-    if isinstance(v, Vector):
-        if v.spec != spec:
-            raise UsageError("vector field mismatch")
-        values = v.values
-    else:
-        values = [x.value if isinstance(x, FieldElement) else spec.check_value(x)
-                  for x in v]
-    if len(values) != m:
-        raise UsageError(f"expected vector of length {m}, got {len(values)}")
-    return values
+def _check_length(m: int, v) -> None:
+    if len(v) != m:
+        raise UsageError(f"expected vector of length {m}, got {len(v)}")
 
 
 def sym_product_ints(spec: FieldSpec, m: int, vectors, monomial: tuple = ()) -> dict:
@@ -120,10 +112,10 @@ def sym_product_ints(spec: FieldSpec, m: int, vectors, monomial: tuple = ()) -> 
     add, mul = spec.add, spec.mul
     acc = {tuple(sorted(monomial)): 1}
     for v in vectors:
-        values = _vector_values(spec, m, v)
+        _check_length(m, v)
         nxt: dict = {}
         for mono, c in acc.items():
-            for i, vi in enumerate(values):
+            for i, vi in enumerate(v):
                 if not vi:
                     continue
                 p = bisect_right(mono, i)
@@ -147,11 +139,11 @@ def ext_product_ints(spec: FieldSpec, k: int, vectors, monomial: tuple = ()) -> 
     if len(set(start)) != len(start):
         return {}
     acc = {tuple(sorted(start)): _sort_sign(spec, start)}
-    for pos in range(len(vectors) - 1, -1, -1):
-        values = _vector_values(spec, k, vectors[pos])
+    for v in reversed(vectors):
+        _check_length(k, v)
         nxt: dict = {}
         for mono, c in acc.items():
-            for i, vi in enumerate(values):
+            for i, vi in enumerate(v):
                 if not vi:
                     continue
                 p = bisect_left(mono, i)
@@ -201,13 +193,12 @@ def ext_tensor_rows(spec: FieldSpec, x, vectors: list, monomials: list[tuple],
 
 
 def _tensor_rows(product, spec, x, vectors, monomials, inner) -> list[list[int]]:
-    x_values = _vector_values(spec, len(x), x)
     rows = []
     for mono in monomials:
         dense = [0] * inner.dim
         for key, c in product(spec, inner.dim_space, vectors, mono).items():
             dense[inner.position[key]] = c
-        rows.append(tensor_with_x_ints(spec, x_values, dense))
+        rows.append(tensor_with_x_ints(spec, x, dense))
     return rows
 
 
@@ -233,7 +224,7 @@ def star_rows(spec: FieldSpec, flavor: str, x, s, degree: int,
     if flavor == SYMMETRIC:
         return sym_tensor_rows(spec, x, vectors, monomials, inner)
     if degree * len(targets) % 2:
-        x = [spec.neg(v) for v in _vector_values(spec, len(x), x)]
+        x = [spec.neg(v) for v in x]
     return ext_tensor_rows(spec, x, vectors, monomials, inner)
 
 

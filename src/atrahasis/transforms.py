@@ -27,8 +27,7 @@ from fractions import Fraction
 from .code import (SYMMETRIC, FileTensor, HelpMessage, NodeContent,
                    StarFamily, download, help_matrix, node_content, repair)
 from .errors import AxiomViolationError, UsageError
-from .linalg import (Echelon, Matrix, SpanSolver, Vector, dot_ints,
-                     nullspace_with_free)
+from .linalg import Echelon, SpanSolver, dot_ints, matvec, nullspace_with_free
 
 
 class ShortenedCode:
@@ -68,52 +67,51 @@ class ShortenedCode:
             constraint_rows.extend(base.node_tensor_rows(h))
         # systematic parameterization of the constraint nullspace: user
         # symbols sit at the free columns and read back directly
-        basis, self.free_cols = nullspace_with_free(Matrix(self.spec, constraint_rows))
+        basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
         if len(basis) != self.M:
             raise AxiomViolationError(
                 "shorten-constraint", subset=self.pinned,
                 message=f"pinning {depth} nodes cut {p.M - len(basis)} "
                         f"dimensions, expected {depth * p.alpha}")
         free = set(self.free_cols)
-        self.constrained = {c: [v.values[c] for v in basis]
+        self.constrained = {c: [v[c] for v in basis]
                             for c in range(p.M) if c not in free}
 
     def encode(self, raw) -> FileTensor:
-        """Map (k-depth)*alpha user symbols to a base file with pinned
-        node contents all zero."""
-        vec = raw if isinstance(raw, Vector) else Vector(self.spec, raw)
-        if len(vec) != self.M:
-            raise UsageError(f"shortened encode needs {self.M} symbols, got {len(vec)}")
+        """Map (k-depth)*alpha user symbols, each checked to be a canonical
+        element, to a base file with pinned node contents all zero."""
+        values = [self.spec.check_value(v) for v in raw]
+        if len(values) != self.M:
+            raise UsageError(f"shortened encode needs {self.M} symbols, got {len(values)}")
         coords = [0] * self.base.params.M
-        for c, value in zip(self.free_cols, vec.values):
+        for c, value in zip(self.free_cols, values):
             coords[c] = value
         for c, row in self.constrained.items():
-            coords[c] = dot_ints(self.spec, row, vec.values)
-        return FileTensor(self.base.params, Vector(self.spec, coords))
+            coords[c] = dot_ints(self.spec, row, values)
+        return FileTensor(self.base.params, coords)
 
-    def decode(self, file: FileTensor) -> Vector:
+    def decode(self, file: FileTensor) -> list[int]:
         """Read the user symbols back off the free coordinates."""
-        return Vector(self.spec, [file.vector.values[c] for c in self.free_cols])
+        return [file.values[c] for c in self.free_cols]
 
     def node_content(self, file: FileTensor, h: int) -> NodeContent:
         self._check_live(h)
         return node_content(file, self.base, h)
 
-    def download(self, contents: list[NodeContent]) -> Vector:
+    def download(self, contents: list[NodeContent]) -> list[int]:
         """Recover the user symbols from any k-depth live node contents."""
         if len(contents) != self.k:
             raise UsageError(f"shortened download needs {self.k} node contents")
         for c in contents:
             self._check_live(c.node_index)
-        zeros = Vector(self.spec, [0] * self.alpha)
-        padded = list(contents) + [NodeContent(h, zeros) for h in self.pinned]
+        padded = list(contents) + [NodeContent(h, [0] * self.alpha) for h in self.pinned]
         return self.decode(download(padded, self.base))
 
     def help_message(self, content: NodeContent, f: int) -> HelpMessage:
         self._check_live(content.node_index)
         self._check_live(f)
-        values = help_matrix(self.base, content.node_index, f).matvec(content.values)
-        return HelpMessage(content.node_index, f, values)
+        H = help_matrix(self.base, content.node_index, f)
+        return HelpMessage(content.node_index, f, matvec(self.spec, H, content.values))
 
     def repair(self, messages: list[HelpMessage]) -> NodeContent:
         """Repair from d-depth live helpers; the retired nodes' messages
@@ -124,8 +122,7 @@ class ShortenedCode:
         self._check_live(f)
         for m in messages:
             self._check_live(m.helper)
-        zeros = Vector(self.spec, [0] * self.beta)
-        simulated = [HelpMessage(h, f, zeros) for h in self.pinned]
+        simulated = [HelpMessage(h, f, [0] * self.beta) for h in self.pinned]
         return repair(list(messages) + simulated, self.base)
 
     def _check_live(self, h: int):
@@ -189,8 +186,9 @@ class CentralRepairPlan:
 class CentralRepairProgram:
     """Matrix form of a two-failure repair, reusable across files.
 
-    send_matrices[i] maps helper i's stored values to what it transmits;
-    recover_first / recover_second map the concatenated transmissions to
+    Every matrix is a list of int rows.  send_matrices[i] maps helper i's
+    stored values to what it transmits; recover_first / recover_second
+    map the concatenated transmissions to
     the two failed nodes' contents.  In the cascade strategy the second
     recovery additionally consumes the first node's rebuilt content
     (appended after the received symbols).
@@ -198,8 +196,8 @@ class CentralRepairProgram:
 
     plan: CentralRepairPlan
     send_matrices: tuple
-    recover_first: Matrix
-    recover_second: Matrix
+    recover_first: list[list[int]]
+    recover_second: list[list[int]]
     second_uses_first: bool
 
 
@@ -288,32 +286,24 @@ def central_repair_program(stars: StarFamily, f: int, g: int,
                                 recover_first, recover_second, second_uses_first)
 
 
-def _values_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> Matrix:
+def _values_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> list[list[int]]:
     """Coefficients that turn node h's stored values into the given
     tensors' evaluations (each tensor lies in the node subspace)."""
-    spec = stars.spec
-    solver = SpanSolver(spec, stars.node_tensor_rows(h), stars.params.M)
-    rows = []
-    for row in tensor_rows:
-        coeffs = solver.coefficients_for(row)
-        if coeffs is None:
-            raise AxiomViolationError(
-                "message-containment", subset=(h,),
-                message=f"helper {h} cannot evaluate a requested tensor")
-        rows.append(coeffs)
-    return Matrix(spec, rows)
+    solver = SpanSolver(stars.spec, stars.node_tensor_rows(h), stars.params.M)
+    rows = solver.coefficient_rows(tensor_rows)
+    if rows is None:
+        raise AxiomViolationError(
+            "message-containment", subset=(h,),
+            message=f"helper {h} cannot evaluate a requested tensor")
+    return rows
 
 
-def _recovery_matrix(stars, solver, target_node):
-    rows = []
-    for tensor in stars.node_tensor_rows(target_node):
-        coeffs = solver.coefficients_for(tensor)
-        if coeffs is None:
-            raise AxiomViolationError("pair-repair-span",
-                                      failed_node=target_node,
-                                      message="agent pool misses the target")
-        rows.append(coeffs)
-    return Matrix(stars.spec, rows)
+def _recovery_matrix(stars, solver, target_node) -> list[list[int]]:
+    rows = solver.coefficient_rows(stars.node_tensor_rows(target_node))
+    if rows is None:
+        raise AxiomViolationError("pair-repair-span", failed_node=target_node,
+                                  message="agent pool misses the target")
+    return rows
 
 
 def central_repair_two(file: FileTensor, stars: StarFamily, f: int, g: int,
@@ -328,13 +318,9 @@ def central_repair_two(file: FileTensor, stars: StarFamily, f: int, g: int,
     spec = stars.spec
     received: list[int] = []
     for (h, _), S in zip(program.plan.per_helper_sent, program.send_matrices):
-        stored = node_content(file, stars, h).values
-        received.extend(S.matvec(stored).values)
-    rec = Vector(spec, received)
-    values_f = program.recover_first.matvec(rec)
+        received.extend(matvec(spec, S, node_content(file, stars, h).values))
+    values_f = matvec(spec, program.recover_first, received)
     if program.second_uses_first:
-        extended = Vector(spec, received + values_f.values)
-        values_g = program.recover_second.matvec(extended)
-    else:
-        values_g = program.recover_second.matvec(rec)
+        received = received + values_f
+    values_g = matvec(spec, program.recover_second, received)
     return (NodeContent(f, values_f), NodeContent(g, values_g), program.plan)

@@ -51,6 +51,48 @@ def test_gen_fixture_and_verify(tmp_path):
     assert main(["verify", str(spec)]) == 0
 
 
+@pytest.mark.parametrize("option", [("--flavor", "exterior"), ("--field", "gf256"),
+                                    ("--field", "gf16/0x19")])
+def test_gen_fixture_rejects_other_field_or_flavor(tmp_path, option):
+    spec = tmp_path / "fix.spec"
+    assert_usage_error("gen", "--fixture", "atrahasis-956", *option, "--out", str(spec))
+    assert not spec.exists()
+
+
+def test_gen_fixture_accepts_its_own_field_and_flavor(tmp_path):
+    spec = tmp_path / "fix.spec"
+    assert main(["gen", "--fixture", "atrahasis-956", "--field", "gf16",
+                 "--flavor", "symmetric", "--out", str(spec)]) == 0
+    loaded, _ = specfile.read_spec_file(spec)
+    assert loaded.spec == binary_field(4) and loaded.base.params.flavor == "symmetric"
+
+
+def test_gen_spec_file_round_trip(tmp_path):
+    spec = tmp_path / "fix.spec"
+    again = tmp_path / "again.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    assert main(["gen", "--source", "spec-file", "--spec-file", str(spec),
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == spec.read_bytes()
+    assert main(["gen", "--source", "spec-file", "--spec-file", str(spec),
+                 "--n", "9", "--k", "5", "--d", "6", "--field", "gf16",
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == spec.read_bytes()
+
+
+@pytest.mark.parametrize("option", [("--field", "gf256", "--flavor", "exterior"),
+                                    ("--field", "gf256"), ("--flavor", "exterior"),
+                                    ("--n", "10")])
+def test_gen_spec_file_rejects_other_parameters(tmp_path, option):
+    spec = tmp_path / "fix.spec"
+    again = tmp_path / "again.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    # n, k and d match; the option (given last, so it wins) does not
+    assert_usage_error("gen", "--source", "spec-file", "--spec-file", str(spec),
+                       "--n", "9", "--k", "5", "--d", "6", *option, "--out", str(again))
+    assert not again.exists()
+
+
 def test_gen_rs_spec(tmp_path):
     spec = tmp_path / "rs.spec"
     code, out, err = run_cli("gen", "--n", "6", "--k", "3", "--d", "4",
@@ -563,6 +605,14 @@ def test_sweep_cli(tmp_path):
 def test_sweep_cli_rejects_alpha_cap_below_one(tmp_path, cap):
     table = tmp_path / "sweep.tsv"
     assert_usage_error("sweep", "--alpha-cap", cap, "--out", str(table))
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("redraws", ["0", "-1"])
+def test_sweep_cli_rejects_max_redraws_below_one(tmp_path, redraws):
+    table = tmp_path / "sweep.tsv"
+    assert_usage_error("sweep", "--alpha-cap", "3", "--max-redraws", redraws,
+                       "--out", str(table))
     assert not table.exists()
 
 

@@ -15,9 +15,9 @@ from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
                               UsageError)
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
-from atrahasis.linalg import Matrix, Vector
+from atrahasis.linalg import matvec
 from atrahasis.specfile import family_document, parse_document
-from atrahasis.transforms import ShortenedCode, central_repair_program
+from atrahasis.transforms import central_repair_program
 from conftest import pack_planes, random_values, read_stripes, unpack_planes
 
 
@@ -38,13 +38,13 @@ def make_store(tmp_path, doc, data: bytes):
 def test_bulk_matmul_matches_exact(rng):
     for spec in (binary_field(4), binary_field(9)):
         bulk = BulkField(spec)
-        A = Matrix(spec, [random_values(rng, spec, 5) for _ in range(4)])
+        A = [random_values(rng, spec, 5) for _ in range(4)]
         cols = 7
         data = [random_values(rng, spec, cols) for _ in range(5)]
         got = unpack_planes(bulk.matmul(A, pack_planes(data, spec.m)), spec.m, cols)
         for j in range(cols):
-            vec = A.matvec(Vector(spec, [data[i][j] for i in range(5)]))
-            assert [row[j] for row in got] == vec.values
+            vec = matvec(spec, A, [data[i][j] for i in range(5)])
+            assert [row[j] for row in got] == vec
 
 
 def test_bulk_rejects_prime_fields():
@@ -373,16 +373,11 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
     code, phash = parse_document(doc)
     spec = code.spec
     m = spec.m
-    if isinstance(code, ShortenedCode):
-        family, n, symbols = code.base, code.n, code.M
-        encode = lambda user: code.encode(user).vector  # noqa: E731
-    else:
-        family, n, symbols = code, code.params.n, code.params.M
-        encode = lambda user: Vector(spec, user)  # noqa: E731
+    family, n, symbols = code.base, code.n, code.M
     data = random.Random(2020).randbytes(4099)
     cluster, info = make_store(tmp_path, doc, data)
     # the format oracle: the documented layouts read bit by bit, against
-    # Matrix.matvec of each node's tensor rows on each chunk's symbols
+    # linalg.matvec of each node's tensor rows on each chunk's symbols
     chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m)
     assert len(chunks) == info["chunk_count"]
     for h in range(n):
@@ -390,9 +385,9 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
         assert blob[:16] == b"ATRA" + bytes([2, h, 0, 0]) + phash
         stored = read_stripes(blob[16:], family.params.alpha, m)
         assert len(stored) == len(chunks)
-        A = Matrix(spec, family.node_tensor_rows(h))
+        A = family.node_tensor_rows(h)
         for user, values in zip(chunks, stored):
-            assert A.matvec(encode(user)).values == values
+            assert matvec(spec, A, code.encode(user).values) == values
     digests = cluster._load()[0]["node_digests"]
     assert [digests[str(h)] for h in range(n)] == PINNED_DIGESTS[name]
     out = tmp_path / "out.bin"

@@ -11,8 +11,13 @@ from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import pattern_family
-from atrahasis.linalg import SpanSolver, Vector, dot_ints
+from atrahasis.linalg import SpanSolver, dot_ints
 from conftest import random_values
+
+
+def plus_scaled(spec, a, c, b):
+    """The int vector a + c*b."""
+    return [spec.add(x, spec.mul(c, y)) for x, y in zip(a, b)]
 
 
 def random_file(rng, spec, family):
@@ -132,12 +137,13 @@ def test_verify_axioms_pinned_passes(gf16, fixture_family):
 def test_encode_identity_and_linearity(gf16, fixture_family, rng):
     params = fixture_family.params
     raw = random_values(rng, gf16, params.M)
-    assert encode(gf16, raw, params).vector.values == raw
-    assert encode(gf16, [0] * params.M, params).vector.is_zero()
+    assert encode(gf16, raw, params).values == raw
+    assert not any(encode(gf16, [0] * params.M, params).values)
     other = random_values(rng, gf16, params.M)
     summed = [gf16.add(a, b) for a, b in zip(raw, other)]
-    lhs = encode(gf16, summed, params).vector
-    rhs = encode(gf16, raw, params).vector + encode(gf16, other, params).vector
+    lhs = encode(gf16, summed, params).values
+    rhs = plus_scaled(gf16, encode(gf16, raw, params).values, 1,
+                      encode(gf16, other, params).values)
     assert lhs == rhs
     with pytest.raises(UsageError):
         encode(gf16, raw[:-1], params)
@@ -146,16 +152,16 @@ def test_encode_identity_and_linearity(gf16, fixture_family, rng):
 def test_node_content_values(gf16, fixture_family, rng):
     params = fixture_family.params
     zero = encode(gf16, [0] * params.M, params)
-    assert node_content(zero, fixture_family, 0).values.is_zero()
+    assert not any(node_content(zero, fixture_family, 0).values)
     unit = encode(gf16, [1] + [0] * (params.M - 1), params)
     nc = node_content(unit, fixture_family, 2)
     assert len(nc.values) == 6
     expected = [row[0] for row in fixture_family.node_tensor_rows(2)]
-    assert nc.values.values == expected
+    assert nc.values == expected
     phi = random_file(rng, gf16, fixture_family)
     nc = node_content(phi, fixture_family, 5)
     rows = fixture_family.node_tensor_rows(5)
-    assert nc.values.values == [dot_ints(gf16, r, phi.vector.values) for r in rows]
+    assert nc.values == [dot_ints(gf16, r, phi.values) for r in rows]
     with pytest.raises(UsageError):
         node_content(phi, fixture_family, 9)
 
@@ -167,10 +173,10 @@ def test_download_exhaustive_small(gf16, rng):
         contents = all_contents(gf16, fam, phi)
         for K in combinations(range(6), 3):
             got = download([contents[h] for h in K], fam)
-            assert got.vector == phi.vector
+            assert got.values == phi.values
     zero = encode(gf16, [0] * fam.params.M, fam.params)
     zc = all_contents(gf16, fam, zero)
-    assert download(zc[:3], fam).vector.is_zero()
+    assert not any(download(zc[:3], fam).values)
     with pytest.raises(UsageError):
         download(zc[:2], fam)  # k-1 contents underdetermine the file
     with pytest.raises(UsageError):
@@ -199,10 +205,10 @@ def test_zero_file_messages(gf16, fixture_family):
     zero = encode(gf16, [0] * params.M, params)
     zc = node_content(zero, fixture_family, 0)
     msg = help_message(zc, fixture_family, 4)
-    assert msg.values.is_zero()
+    assert not any(msg.values)
     msgs = [help_message(node_content(zero, fixture_family, h), fixture_family, 0)
             for h in (1, 2, 3, 4, 5, 6)]
-    assert repair(msgs, fixture_family).values.is_zero()
+    assert not any(repair(msgs, fixture_family).values)
 
 
 def test_message_containment_all_pairs(gf16, fixture_family):
@@ -232,27 +238,27 @@ def test_linearity_of_pipeline(gf16, fixture_family, rng):
     summed = encode(
         gf16,
         [gf16.add(x, gf16.mul(c, y)) for x, y in
-         zip(a.vector.values, b.vector.values)],
+         zip(a.values, b.values)],
         params)
     for h in range(4):
         lhs = node_content(summed, fam, h).values
-        rhs = node_content(a, fam, h).values + \
-            node_content(b, fam, h).values.scale(c)
+        rhs = plus_scaled(gf16, node_content(a, fam, h).values, c,
+                          node_content(b, fam, h).values)
         assert lhs == rhs
     msg_lhs = help_message(node_content(summed, fam, 1), fam, 0).values
-    msg_rhs = help_message(node_content(a, fam, 1), fam, 0).values + \
-        help_message(node_content(b, fam, 1), fam, 0).values.scale(c)
+    msg_rhs = plus_scaled(gf16, help_message(node_content(a, fam, 1), fam, 0).values, c,
+                          help_message(node_content(b, fam, 1), fam, 0).values)
     assert msg_lhs == msg_rhs
     K = (0, 2, 4, 6, 8)
-    lhs = download([node_content(summed, fam, h) for h in K], fam).vector
-    rhs = download([node_content(a, fam, h) for h in K], fam).vector + \
-        download([node_content(b, fam, h) for h in K], fam).vector.scale(c)
+    lhs = download([node_content(summed, fam, h) for h in K], fam).values
+    rhs = plus_scaled(gf16, download([node_content(a, fam, h) for h in K], fam).values, c,
+                      download([node_content(b, fam, h) for h in K], fam).values)
     assert lhs == rhs
     H = (1, 2, 3, 4, 5, 6)
     def rebuild(phi):
         msgs = [help_message(node_content(phi, fam, h), fam, 0) for h in H]
         return repair(msgs, fam).values
-    assert rebuild(summed) == rebuild(a) + rebuild(b).scale(c)
+    assert rebuild(summed) == plus_scaled(gf16, rebuild(a), c, rebuild(b))
 
 
 def test_rs_stars_field_too_small():
@@ -265,7 +271,7 @@ def test_rs_stars_field_too_small():
     # GF(11) has six distinct squares: exactly enough for n = 6
     gf11 = prime_field(11)
     fam = rs_stars_t2(gf11, 6, 3, SYMMETRIC)
-    assert len({x.values[1] for x in fam.x_stars}) == 6
+    assert len({x[1] for x in fam.x_stars}) == 6
     assert verify_axioms(fam).ok
     with pytest.raises(FieldTooSmallError):
         rs_stars_t2(gf11, 7, 3, SYMMETRIC)
@@ -278,7 +284,7 @@ def test_rs_stars_frobenius_all_points(gf16):
     # eight distinct squares, enough for six nodes
     gf8 = binary_field(3)
     fam8 = rs_stars_t2(gf8, 6, 3, SYMMETRIC)
-    assert len({x.values[1] for x in fam8.x_stars}) == 6
+    assert len({x[1] for x in fam8.x_stars}) == 6
     assert verify_axioms(fam8).ok
     # k = 2 needs n >= d + 1 = 3; two nodes alone cannot run a repair
     with pytest.raises(InfeasibleParametersError):
@@ -292,15 +298,15 @@ def test_exterior_t3_roundtrip():
     spec = prime_field(17)
     params = derive_params(7, 5, 6, EXTERIOR)
     r = random.Random(2)
-    xs = [Vector(spec, [r.randrange(17) for _ in range(3)]) for _ in range(7)]
-    ws = [Vector(spec, [r.randrange(17) for _ in range(5)]) for _ in range(7)]
+    xs = [[r.randrange(17) for _ in range(3)] for _ in range(7)]
+    ws = [[r.randrange(17) for _ in range(5)] for _ in range(7)]
     fam = StarFamily(spec, params, xs, ws)
     assert verify_axioms(fam).ok
     rng = random.Random(5)
     phi = random_file(rng, spec, fam)
     contents = all_contents(spec, fam, phi)
     for K in combinations(range(7), 5):
-        assert download([contents[h] for h in K], fam).vector == phi.vector
+        assert download([contents[h] for h in K], fam).values == phi.values
     for f in range(7):
         helpers = [h for h in range(7) if h != f]
         msgs = [help_message(contents[h], fam, f) for h in helpers]
@@ -323,7 +329,7 @@ def test_t3_stretch_gf32_roundtrip():
     phi = random_file(rng, spec, fam)
     contents = all_contents(spec, fam, phi)
     assert download([contents[h] for h in (0, 1, 3, 5, 6, 8, 9)],
-                    fam).vector == phi.vector
+                    fam).values == phi.values
     f = 7
     helpers = [0, 1, 2, 3, 4, 5, 6, 8, 9]
     msgs = [help_message(contents[h], fam, f) for h in helpers]
@@ -346,7 +352,7 @@ def test_t4_symmetric_roundtrip():
     phi = random_file(rng, spec, fam)
     contents = all_contents(spec, fam, phi)
     assert download([contents[h] for h in (0, 2, 3, 5, 6, 7, 8)],
-                    fam).vector == phi.vector
+                    fam).values == phi.values
     f = 4
     helpers = [0, 1, 2, 3, 5, 6, 7, 8]
     msgs = [help_message(contents[h], fam, f) for h in helpers]
@@ -358,15 +364,15 @@ def test_degenerate_top_rate_over_gf2():
     # (4, 3, 3) with t = k = 3 over GF(2): unit x vectors plus all-ones
     spec = binary_field(1)
     params = derive_params(4, 3, 3, SYMMETRIC)
-    xs = [Vector(spec, v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
-    ys = [Vector(spec, [1])] * 4
+    xs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    ys = [[1]] * 4
     fam = StarFamily(spec, params, xs, ys)
     assert verify_axioms(fam).ok
     rng = random.Random(9)
     phi = random_file(rng, spec, fam)
     contents = all_contents(spec, fam, phi)
     for K in combinations(range(4), 3):
-        assert download([contents[h] for h in K], fam).vector == phi.vector
+        assert download([contents[h] for h in K], fam).values == phi.values
     for f in range(4):
         helpers = [h for h in range(4) if h != f]
         msgs = [help_message(contents[h], fam, f) for h in helpers]
@@ -403,12 +409,30 @@ def test_repair_span_deficient_names_pair(gf16, rng):
 
 def test_star_family_validation(gf16):
     params = derive_params(6, 3, 4, EXTERIOR)
-    xs = [Vector(gf16, [1, v]) for v in range(6)]
-    ws = [Vector(gf16, [1, v, v]) for v in range(6)]
+    xs = [[1, v] for v in range(6)]
+    ws = [[1, v, v] for v in range(6)]
     StarFamily(gf16, params, xs, ws)
     with pytest.raises(UsageError):
         StarFamily(gf16, params, xs[:5], ws)
     with pytest.raises(UsageError):
-        StarFamily(gf16, params, xs, ws[:5] + [Vector(gf16, [0, 0, 0])])
+        StarFamily(gf16, params, xs, ws[:5] + [[0, 0, 0]])
     with pytest.raises(UsageError):
-        StarFamily(gf16, params, [Vector(gf16, [1, 2, 3])] * 6, ws)
+        StarFamily(gf16, params, [[1, 2, 3]] * 6, ws)
+
+
+def test_star_family_rejects_non_canonical_entries(gf16):
+    params = derive_params(6, 3, 4, EXTERIOR)
+    xs = [[1, v] for v in range(6)]
+    ws = [[1, v, v] for v in range(6)]
+    with pytest.raises(UsageError, match="not a canonical element"):
+        StarFamily(gf16, params, xs[:5] + [[1, 16]], ws)
+    with pytest.raises(UsageError, match="not a canonical element"):
+        StarFamily(gf16, params, xs, ws[:5] + [[1, -1, 0]])
+
+
+def test_encode_rejects_non_canonical_symbols(gf16, fixture_family, rng):
+    params = fixture_family.params
+    raw = random_values(rng, gf16, params.M)
+    for bad in (16, -1, 2.0):
+        with pytest.raises(UsageError, match="not a canonical element"):
+            encode(gf16, raw[:-1] + [bad], params)

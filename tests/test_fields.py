@@ -18,62 +18,63 @@ def test_gf16_uses_standard_quartic(gf16):
 
 
 def test_addition_is_xor_in_characteristic_two(gf16):
-    z = gf16.element(2)
-    zero = gf16.zero()
-    for a in gf16.elements():
-        assert (a + a).value == 0
-    assert z + zero == z
+    z = 2
+    for a in range(gf16.order):
+        assert gf16.add(a, a) == 0
+        assert gf16.sub(a, a) == 0
+    assert gf16.add(z, 0) == z
 
 
 def test_prime_addition():
     f = prime_field(127)
-    assert (f.element(100) + f.element(50)).value == 23
+    assert f.add(100, 50) == 23
+    assert f.sub(50, 100) == 77
 
 
 def test_gf16_multiplication_reduces():
     gf16 = binary_field(4)
-    z = gf16.element(2)
-    z3 = gf16.element(8)
+    z, z3 = 2, 8
     # z^3 * z = z^4 = z + 1 under z^4 + z + 1
-    assert (z3 * z).value == 0b0011
+    assert gf16.mul(z3, z) == 0b0011
 
 
 def test_multiplicative_identity_and_group_order(gf16):
-    one = gf16.one()
-    for a in gf16.elements():
-        assert a * one == a
-        if a.value != 0:
-            assert (a ** 15).value == 1
+    for a in range(gf16.order):
+        assert gf16.mul(a, 1) == a
+        if a != 0:
+            assert gf16.pow(a, 15) == 1
 
 
 def test_inverse_examples(gf16):
-    assert gf16.one().inverse() == gf16.one()
+    assert gf16.inv(1) == 1
     # z * b = 1 mod z^4+z+1 has b = z^3 + 1
-    assert gf16.element(2).inverse().value == 0b1001
+    assert gf16.inv(2) == 0b1001
     f = prime_field(127)
-    assert f.element(2).inverse().value == 64
+    assert f.inv(2) == 64
     with pytest.raises(ZeroDivisionError):
-        gf16.zero().inverse()
+        gf16.inv(0)
 
 
 def test_pow_conventions(gf16):
-    z = gf16.element(2)
-    assert (z ** 4).value == 0b0011
-    assert (gf16.zero() ** 0).value == 1  # empty product, even at 0
-    assert z ** -3 == z ** 12  # exponent mod group order 15
+    z = 2
+    assert gf16.pow(z, 4) == 0b0011
+    assert gf16.pow(0, 0) == 1  # empty product, even at 0
+    assert gf16.pow(z, -3) == gf16.pow(z, 12)  # exponent mod group order 15
     with pytest.raises(ZeroDivisionError):
-        gf16.zero() ** -1
+        gf16.pow(0, -1)
 
 
 def test_enumerate_elements():
-    gf4 = binary_field(2)
-    assert [e.value for e in gf4.elements()] == [0, 1, 2, 3]
-    gf2 = binary_field(1)
-    assert [e.value for e in gf2.elements()] == [0, 1]
-    gf16 = binary_field(4)
-    values = [e.value for e in gf16.elements()]
-    assert len(values) == 16 and len(set(values)) == 16
-    assert values[0] == 0 and values == sorted(values)
+    # the canonical elements of a field of order q are exactly 0..q-1
+    for spec in (binary_field(1), binary_field(2), binary_field(4), prime_field(7)):
+        candidates = range(-2, spec.order + 3)
+        accepted = []
+        for v in candidates:
+            try:
+                accepted.append(spec.check_value(v))
+            except UsageError:
+                pass
+        assert accepted == list(range(spec.order))
 
 
 @pytest.mark.parametrize("spec", [binary_field(1), binary_field(2),
@@ -152,14 +153,11 @@ def test_caller_supplied_polynomial():
         assert alt.mul(a, alt.inv(a)) == 1
 
 
-def test_mismatched_spec_errors(gf16):
-    other = prime_field(7)
-    with pytest.raises(UsageError):
-        gf16.element(3) + other.element(3)
-    with pytest.raises(UsageError):
-        gf16.element(3) * other.element(3)
-    with pytest.raises(UsageError):
-        gf16.element(77)
+def test_check_value_rejects_non_canonical(gf16):
+    for bad in (77, 16, -1, 3.0, "3", None):
+        with pytest.raises(UsageError, match="not a canonical element"):
+            gf16.check_value(bad)
+    assert gf16.check_value(15) == 15
 
 
 def test_spec_serialization_roundtrip(gf16):

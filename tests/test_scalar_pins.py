@@ -22,19 +22,12 @@ from atrahasis.transforms import STRATEGIES, central_repair_program, shorten
 
 def _plain(value):
     """A library matrix as int rows; a field scalar as an int."""
-    if hasattr(value, "rows"):
-        return value.rows
-    if hasattr(value, "value"):
-        return value.value
     return value
 
 
 def _det_invert(spec, rows):
     """(det, inverse rows or None) of a square matrix given as int rows."""
-    from atrahasis.linalg import Matrix
-    matrix = Matrix(spec, rows)
-    inverse = invert(matrix)
-    return _plain(det(matrix)), None if inverse is None else _plain(inverse)
+    return det(spec, rows), invert(spec, rows)
 
 
 def _digest(value) -> str:
