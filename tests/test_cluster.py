@@ -9,7 +9,7 @@ import pytest
 
 from atrahasis import cluster as cluster_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
-from atrahasis.cluster import Cluster, CodeView
+from atrahasis.cluster import Cluster
 from atrahasis.code import SYMMETRIC, rs_stars_t2
 from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
                               UsageError)
@@ -17,7 +17,7 @@ from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.specfile import family_document, parse_document
-from atrahasis.transforms import central_repair_program
+from atrahasis.transforms import STRATEGIES, central_repair_program
 from conftest import pack_planes, random_values, read_stripes, unpack_planes
 
 
@@ -439,9 +439,9 @@ def _blobs(cluster, n):
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_batch_boundaries(tmp_path, monkeypatch, name):
     doc = CODES[name]()
-    view = CodeView(*parse_document(doc))
-    n, k = view.n, view.k
-    stripe = view.user_symbols * view.spec.m * 8  # stream bytes per stripe
+    code, _ = parse_document(doc)
+    n, k = code.n, code.k
+    stripe = code.M * code.spec.m * 8  # stream bytes per stripe
     B = 2
     # files of 1, B-1, B, B+1 and 2B+1 whole stripes (the stream is the
     # 8-byte length prefix plus the payload), one whose last stripe holds
@@ -466,11 +466,12 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
         cluster.fail(0)
         cluster.repair(0)
         assert _blobs(cluster, n) == reference, size
-        if name == "fixture":  # repair2 needs an unshortened t = 3 code
-            cluster.fail(1)
-            cluster.fail(n - 1)
-            cluster.repair2(1, n - 1)
-            assert _blobs(cluster, n) == reference, size
+        if code.base.params.t == 3:  # repair2 runs on t = 3 codes
+            for strategy in STRATEGIES:
+                cluster.fail(1)
+                cluster.fail(n - 1)
+                cluster.repair2(1, n - 1, strategy)
+                assert _blobs(cluster, n) == reference, (size, strategy)
         monkeypatch.undo()
 
 

@@ -3,7 +3,9 @@
 Each pin is the sha256 of the JSON of plain int rows (or ints), so a
 change of the algebra's value representation must reproduce every entry
 bit for bit.  `_plain` and `_det_invert` below are the only code that
-knows how the library takes and hands out values.
+knows how the library takes and hands out values, and
+`_shortened_matrix` the only code that knows where a shortening's store
+matrices come from.
 """
 
 import hashlib
@@ -28,6 +30,20 @@ def _plain(value):
 def _det_invert(spec, rows):
     """(det, inverse rows or None) of a square matrix given as int rows."""
     return det(spec, rows), invert(spec, rows)
+
+
+def _shortened_matrix(code, name: str, *nodes):
+    """A store matrix of a shortened code, as int rows: "put", "decode"
+    (the given live nodes) or "repair" (failed node, then live helpers)."""
+    from atrahasis.cluster import CodeView
+    view = CodeView(code, bytes(8))
+    if name == "put":
+        return view.put_matrix().rows
+    if name == "decode":
+        return view.decode_matrix(list(nodes))
+    f, *helpers = nodes
+    R = repair_matrix(code.base, f, helpers + list(code.pinned))
+    return [row[:code.d * code.beta] for row in R]
 
 
 def _digest(value) -> str:
@@ -70,6 +86,22 @@ def test_shortening_parameterization_pinned(fixture, depth):
     code = shorten(fixture, depth)
     got = _digest([code.free_cols, sorted(code.constrained.items())])
     assert got == PINNED_SHORTENINGS[depth]
+
+
+# sha256 of the JSON of each store matrix of the fixture shortened by 1
+PINNED_SHORTENED_MATRICES = {
+    ("put",): "3db9691d5f284598f3f5306fb5d8ff37a2b99b1496874831ccc73e926a3a1495",
+    ("decode", 0, 1, 2, 3): "8583bf178beb3658a7d686a282bb2cf55217ff51affdc3ad8ba959794108f108",
+    ("decode", 4, 5, 6, 7): "9b832b6f65074a2f81322f82444885cfe4761662aa7665a94ab22036ed9e8404",
+    ("repair", 2, 0, 1, 3, 4, 5): "cf054a5fa12dcfbe782e845106092787ce8fc355bf4ea6ca70ccf6c4e3ef847a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SHORTENED_MATRICES),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_shortened_store_matrices_pinned(fixture, key):
+    got = _digest(_plain(_shortened_matrix(shorten(fixture, 1), *key)))
+    assert got == PINNED_SHORTENED_MATRICES[key]
 
 
 # strategy -> sha256 of [send matrices, recover_first, recover_second] for

@@ -52,3 +52,43 @@ def test_every_traced_entry_point_resolves_and_is_restored(tracer):
     from atrahasis import code, linalg, search
     assert code.rank_of_rows is linalg.rank_of_rows
     assert search.det is linalg.det
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_node_byte_counters_count_blob_bodies(tmp_path, tracer, depth):
+    # the frozen bench's byte counters read cluster._record_len on whatever
+    # _read_node/_write_node get as their code argument
+    from atrahasis.cluster import Cluster
+    from atrahasis.fixtures import atrahasis_956
+    from atrahasis.specfile import family_document
+    from atrahasis.transforms import central_repair_program, shorten
+
+    family = atrahasis_956()
+    code = shorten(family, depth)
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 40)
+    cluster = Cluster(tmp_path / "store")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        def counted(op):
+            t.counters.clear()
+            op()
+            return (t.counters["cluster.read_node.bytes"],
+                    t.counters["cluster.write_node.bytes"])
+
+        assert counted(lambda: cluster.put(family_document(family, depth), src))[0] == 0
+        body = (cluster.root / "node_0" / "chunks.blob").stat().st_size - 16
+        assert t.counters["cluster.write_node.bytes"] == code.n * body
+        assert counted(lambda: cluster.get(tmp_path / "out.bin")) == (code.k * body, 0)
+        cluster.fail(0)
+        assert counted(lambda: cluster.repair(0)) == (code.d * body, body)
+        cluster.fail(1)
+        cluster.fail(2)
+        helpers = list(range(3, 3 + code.d))
+        plan = central_repair_program(family, 1, 2, list(code.pinned) + helpers,
+                                      "subspace").plan
+        senders = [h for h, sent in plan.per_helper_sent if sent and h in helpers]
+        assert counted(lambda: cluster.repair2(1, 2)) == (len(senders) * body, 2 * body)
+    finally:
+        t.uninstall()
