@@ -52,8 +52,8 @@ class BulkField:
     """Bit-sliced matrix application over one binary field."""
 
     def __init__(self, spec: FieldSpec):
-        if spec.kind != BINARY:
-            raise UsageError("bulk kernels support binary fields only")
+        if spec.kind != BINARY:  # put's check: the store loads no other field
+            raise UsageError("cluster storage requires a binary-extension field")
         self.spec = spec
         # coefficient -> its bit-matrix; this name and mul_table's are the
         # ones bench/tracer.py wraps to time block builds

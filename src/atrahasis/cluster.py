@@ -21,11 +21,13 @@ Layout under one store root:
 A put reads the byte stream (8-byte little-endian length prefix, then
 the payload, zero-padded to whole stripes of M*m words) as the bit-planes
 of M-symbol chunks, m bits per symbol, in the same stripe convention
-(bulk), so the data path never holds symbol values.  Get reads exactly
-k live nodes and reconstructs the bytes; repair regenerates a failed
-node bit-exactly against the digest retained at put time and charges
-the ledger exactly d*beta symbols per chunk, repair2 the strategy
-bandwidth.
+(bulk), so the data path never holds symbol values.  Every matrix
+applied comes from the store's ShortenedCode (transforms): put applies
+put_matrix, get the decode_matrix of k live nodes, and repair and
+repair2 share one regeneration loop, in which each helper applies its
+send matrix to its blob and each failed node is one recovery matrix over
+all that was received.  The ledger is charged what was sent: d*beta
+symbols per chunk for repair, the strategy bandwidth for repair2.
 
 Every data command streams: it expands its matrices once, then works
 through the file BATCH_STRIPES stripes at a time, reading one batch of
@@ -58,51 +60,15 @@ from pathlib import Path
 import numpy as np
 
 from . import specfile, store
-from .bulk import (WORD, BitMatrix, BulkField, bytes_to_symbols,
-                   symbols_to_bytes)
-from .code import download_matrix, help_matrix, repair_matrix
-from .errors import (CorruptDataError, InsufficientNodesError, UsageError)
+from .bulk import WORD, BulkField, bytes_to_symbols, symbols_to_bytes
+from .errors import CorruptDataError, InsufficientNodesError, UsageError
 from .store import (FAILED, LIVE, MANIFEST_FORMAT, MANIFEST_VERSION,
-                    ChunkedFile, Ledger, Staged, StoreView, locked)
-from .transforms import STRATEGIES, central_repair_program
+                    ChunkedFile, Ledger, Staged, check_nodes, locked)
+from .transforms import SUBSPACE, ShortenedCode
 
 # stripes per batch of every data command: each holds one batch of each
 # blob it reads or writes, so its memory does not grow with the file
 BATCH_STRIPES = 512
-
-
-class CodeView(StoreView):
-    """A store's code instance with the bulk kernel and the matrices of
-    the data path."""
-
-    def __init__(self, code, phash: bytes):
-        super().__init__(code, phash)
-        self.bulk = BulkField(self.spec)
-
-    def put_matrix(self) -> BitMatrix:
-        """The map put applies to the user planes (user_symbols*m, W): every
-        node's tensor rows, restated over the user symbols through the
-        shortening's encode -> (n*alpha*m, W), node h owning planes
-        h*alpha*m .. (h+1)*alpha*m - 1."""
-        spec, code = self.spec, self.code
-        rows = []
-        for h in range(self.n):
-            for row in self.family.node_tensor_rows(h):
-                out = [row[c] for c in code.free_cols]
-                for c, constraint in code.constrained.items():
-                    if row[c]:
-                        out = [spec.add(a, spec.mul(row[c], b))
-                               for a, b in zip(out, constraint)]
-                rows.append(out)
-        return self.bulk.expand(rows)
-
-    def decode_matrix(self, live_nodes: list[int]) -> list[list[int]]:
-        """User symbols from the stacked values of the given k live nodes.
-        The pinned nodes' all-zero values are sliced away, and only the
-        free (user) coordinates of the base file are kept."""
-        D = download_matrix(self.family, list(live_nodes) + list(self.pinned))
-        width = self.k * self.alpha
-        return [D[c][:width] for c in self.code.free_cols]
 
 
 class _BlobReader:
@@ -163,82 +129,55 @@ class Cluster:
     # ---- manifest plumbing (store) ----
 
     def _load(self):
-        manifest, view = store.load(self.root)
-        return manifest, CodeView(view.code, view.phash)
+        return store.load(self.root)
 
     def _save(self, manifest):
         store.save(self.root, manifest)
 
-    def _record_len(self, view: CodeView) -> int:
+    def _record_len(self, code: ShortenedCode) -> int:
         """Bytes of one stripe of one node: alpha*m plane words."""
-        return view.alpha * view.spec.m * WORD.itemsize
+        return code.alpha * code.spec.m * WORD.itemsize
 
-    def _stage_nodes(self, stack: ExitStack, view: CodeView, nodes) -> dict:
+    def _stage_nodes(self, stack: ExitStack, phash: bytes, nodes) -> dict:
         """node -> its blob staged under `stack`, header written."""
         return {h: stack.enter_context(closing(Staged(
                     store.blob_path(self.root, h),
-                    specfile.encode_node_blob(view.phash, h))))
+                    specfile.encode_node_blob(phash, h))))
                 for h in nodes}
 
-    def _open_nodes(self, stack: ExitStack, view: CodeView, nodes,
-                    stripes: int) -> dict:
+    def _open_nodes(self, stack: ExitStack, code: ShortenedCode, phash: bytes,
+                    nodes, stripes: int) -> dict:
         """node -> its blob opened under `stack` for one streaming pass."""
-        size = specfile.HEADER_LEN + stripes * self._record_len(view)
+        size = specfile.HEADER_LEN + stripes * self._record_len(code)
         return {h: stack.enter_context(closing(_BlobReader(
                     store.blob_path(self.root, h), h,
-                    specfile.encode_node_blob(view.phash, h), size)))
+                    specfile.encode_node_blob(phash, h), size)))
                 for h in nodes}
 
-    def _write_node(self, view: CodeView, h: int, planes: np.ndarray,
+    def _write_node(self, code: ShortenedCode, h: int, planes: np.ndarray,
                     staged: dict) -> None:
         """Append planes, node h's next (alpha*m, stripes) planes, to its
         blob in staged."""
         staged[h].write(np.ascontiguousarray(planes.T, dtype=WORD))
 
-    def _read_node(self, view: CodeView, h: int, stripes: int,
+    def _read_node(self, code: ShortenedCode, h: int, stripes: int,
                    blobs: dict) -> np.ndarray:
         """-> the next `stripes` stripes of node h's blob in blobs, as
         (alpha*m, stripes) planes."""
-        data = blobs[h].read(stripes * self._record_len(view))
+        data = blobs[h].read(stripes * self._record_len(code))
         return np.frombuffer(data, dtype=WORD).reshape(
-            stripes, view.alpha * view.spec.m).T
+            stripes, code.alpha * code.spec.m).T
 
-    def _helpers(self, manifest: dict, view: CodeView, failed: list[int],
-                 helpers: list[int] | None, op: str) -> list[int]:
-        """The d helpers of a repair of the failed nodes: the given ones,
-        which must all be live, or else the first d live nodes."""
-        view.check_nodes(failed, "node" if len(failed) == 1 else "nodes")
-        view.check_nodes(helpers or [], "helpers")
-        for node in failed:
-            if manifest["node_status"][node] != FAILED:
-                raise UsageError(f"node {node} is live; nothing to repair")
+    def _live(self, manifest: dict, nodes, count: int, what: str) -> list[int]:
+        """The given nodes, which must all be live, or else the first
+        `count` live nodes; at most `count` of them."""
         live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
-        if helpers is None:
-            helpers = live[:view.d]
-        else:
-            bad = [h for h in helpers if h not in live]
-            if bad:
-                raise UsageError(f"helper nodes {bad} are not live")
-        if len(helpers) < view.d:
-            raise InsufficientNodesError(
-                f"{op} needs {view.d} live helpers, have {len(helpers)}")
-        return list(helpers)[:view.d]
-
-    def _commit_repair(self, manifest: dict, blobs: dict, staged: dict) -> None:
-        """Rename the repaired blobs into place and mark their nodes live,
-        but only once every helper blob read and every repaired blob
-        matches its digest; otherwise the staged blobs are dropped and the
-        nodes stay failed."""
-        digests = manifest["node_digests"]
-        for blob in blobs.values():
-            blob.check(digests)
-        for node, blob in staged.items():
-            if blob.sha.hexdigest() != digests[str(node)]:
-                raise CorruptDataError(
-                    f"repaired node {node} does not match its original digest")
-        for node, blob in staged.items():
-            blob.commit()
-            manifest["node_status"][node] = LIVE
+        if nodes is None:
+            return live[:count]
+        bad = [h for h in nodes if h not in live]
+        if bad:
+            raise UsageError(f"{what} {bad} are not live")
+        return list(nodes)[:count]
 
     # ---- commands ----
 
@@ -246,19 +185,19 @@ class Cluster:
         """Initialize (or reinitialize) the store with one file."""
         with locked(self.root), ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
-            view = CodeView(code, phash)
+            bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())
             if not stat.S_ISREG(info.st_mode):
                 raise UsageError(f"{file_path} is not a regular file")
             length = info.st_size
-            chunked = ChunkedFile.plan(length, view.user_symbols, view.spec.m)
-            encode = view.put_matrix()
+            chunked = ChunkedFile.plan(length, code.M, code.spec.m)
+            encode = bulk.expand(code.put_matrix())
             for stale in self.root.glob("node_*"):
                 shutil.rmtree(stale)
-            staged = self._stage_nodes(stack, view, range(view.n))
-            rows = view.user_symbols * view.spec.m
-            a = view.alpha * view.spec.m
+            staged = self._stage_nodes(stack, phash, range(code.n))
+            rows = code.M * code.spec.m
+            a = code.alpha * code.spec.m
             head, remaining = length.to_bytes(8, "little"), length
             for stripes in _batches(chunked.stripes):
                 take = min(stripes * rows * WORD.itemsize - len(head), remaining)
@@ -266,10 +205,10 @@ class Cluster:
                 if len(data) != take:
                     raise UsageError(f"{file_path} shrank while put read it")
                 remaining -= take
-                planes = view.bulk.matmul(encode, bytes_to_symbols(head + data, rows))
+                planes = bulk.matmul(encode, bytes_to_symbols(head + data, rows))
                 head = b""
-                for h in range(view.n):
-                    self._write_node(view, h, planes[h * a:(h + 1) * a], staged)
+                for h in range(code.n):
+                    self._write_node(code, h, planes[h * a:(h + 1) * a], staged)
             for blob in staged.values():
                 blob.commit()
             manifest = {
@@ -278,38 +217,33 @@ class Cluster:
                 "code_spec": spec_doc,
                 "params_hash": phash.hex(),
                 "file": asdict(chunked),
-                "node_status": [LIVE] * view.n,
+                "node_status": [LIVE] * code.n,
                 "node_digests": {str(h): blob.sha.hexdigest()
                                  for h, blob in staged.items()},
                 "ledger": Ledger().to_dict(),
             }
             self._save(manifest)
-            return {"chunk_count": chunked.chunk_count, "nodes": view.n,
-                    "symbols_per_chunk": view.user_symbols}
+            return {"chunk_count": chunked.chunk_count, "nodes": code.n,
+                    "symbols_per_chunk": code.M}
 
     def get(self, out_path, nodes: list[int] | None = None) -> dict:
         """Decode the file from k live nodes into out_path.  The bytes go to
         a temp file beside it, renamed over it only once every blob read
         matches its digest and the length prefix matches the manifest."""
         with locked(self.root), ExitStack() as stack:
-            manifest, view = self._load()
-            live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
-            if nodes is None:
-                nodes = live[:view.k]
-            else:
-                view.check_nodes(nodes, "nodes")
-                bad = [h for h in nodes if h not in live]
-                if bad:
-                    raise UsageError(f"nodes {bad} are not live")
-            if len(nodes) < view.k:
+            manifest, code = self._load()
+            check_nodes(code, nodes or [], "nodes")
+            nodes = self._live(manifest, nodes, code.k, "nodes")
+            if len(nodes) < code.k:
                 raise InsufficientNodesError(
-                    f"get needs {view.k} live nodes, have {len(nodes)} "
-                    f"(short by {view.k - len(nodes)})")
-            nodes = list(nodes)[:view.k]
+                    f"get needs {code.k} live nodes, have {len(nodes)} "
+                    f"(short by {code.k - len(nodes)})")
             chunked = ChunkedFile.from_dict(manifest["file"])
             length = chunked.original_length
-            blobs = self._open_nodes(stack, view, nodes, chunked.stripes)
-            decode = view.bulk.expand(view.decode_matrix(nodes))
+            blobs = self._open_nodes(stack, code, bytes.fromhex(manifest["params_hash"]),
+                                     nodes, chunked.stripes)
+            bulk = BulkField(code.spec)
+            decode = bulk.expand(code.decode_matrix(nodes))
             out = Path(out_path)
             if out.is_symlink():
                 out = out.resolve()  # write through a symlink, not over it
@@ -323,9 +257,9 @@ class Cluster:
                     # the payload is bytes 8 .. 8+length of the decoded stream
                     pos = 0
                     for stripes in _batches(chunked.stripes):
-                        stacked = np.vstack([self._read_node(view, h, stripes, blobs)
+                        stacked = np.vstack([self._read_node(code, h, stripes, blobs)
                                              for h in nodes])
-                        stream = symbols_to_bytes(view.bulk.matmul(decode, stacked))
+                        stream = symbols_to_bytes(bulk.matmul(decode, stacked))
                         if pos == 0:
                             prefix = int.from_bytes(stream[:8], "little")
                         sink.write(memoryview(stream)[max(8 - pos, 0):
@@ -345,81 +279,67 @@ class Cluster:
         return store.fail(self.root, h)
 
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
-        with locked(self.root), ExitStack() as stack:
-            manifest, view = self._load()
-            helpers = self._helpers(manifest, view, [f], helpers, "repair")
-            chunked = ChunkedFile.from_dict(manifest["file"])
-            blobs = self._open_nodes(stack, view, helpers, chunked.stripes)
-            help_ = [view.bulk.expand(help_matrix(view.family, h, f))
-                     for h in helpers]
-            # pinned helpers of a shortened code contribute zero messages;
-            # their recovery columns multiply zeros and are dropped
-            R = repair_matrix(view.family, f, helpers + list(view.pinned))
-            recover = view.bulk.expand([row[:view.d * view.beta] for row in R])
-            staged = self._stage_nodes(stack, view, [f])
-            for stripes in _batches(chunked.stripes):
-                received = np.vstack([
-                    view.bulk.matmul(H, self._read_node(view, h, stripes, blobs))
-                    for h, H in zip(helpers, help_)])
-                self._write_node(view, f, view.bulk.matmul(recover, received),
-                                 staged)
-            self._commit_repair(manifest, blobs, staged)
-            symbols = chunked.chunk_count * view.d * view.beta
-            ledger = Ledger(manifest["ledger"])
-            ledger.charge("repair", symbols, node=f, helpers=helpers)
-            manifest["ledger"] = ledger.to_dict()
-            self._save(manifest)
-            return {"repaired": f, "helpers": helpers, "symbols": symbols}
+        helpers, symbols = self._regenerate("repair", [f], helpers, node=f)
+        return {"repaired": f, "helpers": helpers, "symbols": symbols}
 
-    def repair2(self, f: int, g: int, strategy: str = "subspace",
+    def repair2(self, f: int, g: int, strategy: str = SUBSPACE,
                 helpers: list[int] | None = None) -> dict:
+        helpers, symbols = self._regenerate("repair2", [f, g], helpers, strategy,
+                                            nodes=[f, g])
+        return {"repaired": [f, g], "strategy": strategy,
+                "helpers": helpers, "symbols": symbols}
+
+    def _regenerate(self, op: str, failed: list[int], helpers: list[int] | None,
+                    strategy: str = SUBSPACE, **entry) -> tuple[list[int], int]:
+        """Rebuild the failed nodes from d live helpers (the given ones, or
+        the first d live nodes) and charge op to the ledger; -> (helpers,
+        symbols sent).  The rebuilt blobs are renamed into place only once
+        every helper read and every rebuilt blob matches its digest."""
         with locked(self.root), ExitStack() as stack:
-            manifest, view = self._load()
-            if strategy not in STRATEGIES:
-                raise UsageError(f"unknown strategy {strategy!r}")
-            helpers = self._helpers(manifest, view, [f, g], helpers, "repair2")
-            # pinned nodes of a shortened code hold zeros, so they send
-            # zeros: they lead the helper list (the agent takes what it can
-            # from them first), and their received columns are dropped
-            program = central_repair_program(
-                view.family, f, g, list(view.pinned) + helpers, strategy)
+            manifest, code = self._load()
+            check_nodes(code, failed, "node" if len(failed) == 1 else "nodes")
+            check_nodes(code, helpers or [], "helpers")
+            for node in failed:
+                if manifest["node_status"][node] != FAILED:
+                    raise UsageError(f"node {node} is live; nothing to repair")
+            helpers = self._live(manifest, helpers, code.d, "helper nodes")
+            if len(helpers) < code.d:
+                raise InsufficientNodesError(
+                    f"{op} needs {code.d} live helpers, have {len(helpers)}")
+            sends, recover = code.repair_program(failed, helpers, strategy)
             chunked = ChunkedFile.from_dict(manifest["file"])
-            sends, received_cols, pos = [], [], 0
-            for (h, sent), S in zip(program.plan.per_helper_sent,
-                                    program.send_matrices):
-                if h not in view.pinned and sent:
-                    sends.append((h, view.bulk.expand(S)))
-                    received_cols.extend(range(pos, pos + sent))
-                pos += sent
-            # the cascade's second recovery also reads the rebuilt first node
-            second_cols = received_cols + (list(range(pos, pos + view.alpha))
-                                           if program.second_uses_first else [])
-            blobs = self._open_nodes(stack, view, [h for h, _ in sends],
+            phash = bytes.fromhex(manifest["params_hash"])
+            blobs = self._open_nodes(stack, code, phash, [h for h, _ in sends],
                                      chunked.stripes)
-            first = view.bulk.expand([[row[c] for c in received_cols]
-                                      for row in program.recover_first])
-            second = view.bulk.expand([[row[c] for c in second_cols]
-                                       for row in program.recover_second])
-            staged = self._stage_nodes(stack, view, [f, g])
+            bulk = BulkField(code.spec)
+            sends = [(h, bulk.expand(S)) for h, S in sends]
+            recover = [bulk.expand(R) for R in recover]
+            staged = self._stage_nodes(stack, phash, failed)
             for stripes in _batches(chunked.stripes):
                 received = np.vstack([
-                    view.bulk.matmul(S, self._read_node(view, h, stripes, blobs))
+                    bulk.matmul(S, self._read_node(code, h, stripes, blobs))
                     for h, S in sends])
-                values_f = view.bulk.matmul(first, received)
-                if program.second_uses_first:
-                    received = np.vstack([received, values_f])
-                self._write_node(view, f, values_f, staged)
-                self._write_node(view, g, view.bulk.matmul(second, received), staged)
-            self._commit_repair(manifest, blobs, staged)
-            bandwidth = len(received_cols)
+                for node, R in zip(failed, recover):
+                    self._write_node(code, node, bulk.matmul(R, received), staged)
+            digests = manifest["node_digests"]
+            for blob in blobs.values():
+                blob.check(digests)
+            for node, blob in staged.items():
+                if blob.sha.hexdigest() != digests[str(node)]:
+                    raise CorruptDataError(
+                        f"repaired node {node} does not match its original digest")
+            for node, blob in staged.items():
+                blob.commit()
+                manifest["node_status"][node] = LIVE
+            bandwidth = sum(len(S.rows) for _, S in sends)
+            if len(failed) > 1:  # a single repair always sends d*beta
+                entry.update(strategy=strategy, bandwidth_per_chunk=bandwidth)
             symbols = chunked.chunk_count * bandwidth
             ledger = Ledger(manifest["ledger"])
-            ledger.charge("repair2", symbols, nodes=[f, g], strategy=strategy,
-                          helpers=helpers, bandwidth_per_chunk=bandwidth)
+            ledger.charge(op, symbols, helpers=helpers, **entry)
             manifest["ledger"] = ledger.to_dict()
             self._save(manifest)
-            return {"repaired": [f, g], "strategy": strategy,
-                    "helpers": helpers, "symbols": symbols}
+            return helpers, symbols
 
     def status(self) -> dict:
         return store.status(self.root)

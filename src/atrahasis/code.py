@@ -13,8 +13,9 @@ two flavors differ only in the product it takes.
 
 Star vectors, files, node contents, help messages and every matrix are
 plain lists of canonical ints.  Values from outside are checked once, as
-they come in: StarFamily checks its star entries, and encode the user's
-symbols; nothing built from them is checked again.
+they come in: StarFamily checks its star entries, encode the user's
+symbols, and download, help_message and repair the node contents and
+help messages they are given; nothing built from them is checked again.
 
 Everything here is a pure function of its inputs, which it never
 changes; node_content, help_message and repair for distinct nodes may
@@ -255,29 +256,22 @@ def node_content(file: FileTensor, stars: StarFamily, h: int) -> NodeContent:
     return NodeContent(h, matvec(stars.spec, stars.node_tensor_rows(h), file.values))
 
 
-def download(contents: list[NodeContent], stars: StarFamily) -> FileTensor:
-    """Exact reconstruction of the file from any k node contents.
+def stack_values(spec: FieldSpec, parts, length: int, what: str) -> list[int]:
+    """The values of node contents or help messages one after another,
+    each part checked to hold `length` canonical elements of spec."""
+    values = []
+    for part in parts:
+        if len(part.values) != length:
+            raise UsageError(f"{what} has wrong length")
+        values.extend(spec.check_value(v) for v in part.values)
+    return values
 
-    Stacks the k*alpha = M node basis tensors into an M x M system and
-    solves it; singularity means the spanning axioms do not hold for
-    this subset.
-    """
-    p = stars.params
-    indices = [c.node_index for c in contents]
-    if len(indices) != p.k or len(set(indices)) != p.k:
-        raise UsageError(f"download needs exactly {p.k} distinct node contents")
-    spec = stars.spec
-    rows = []
-    rhs = []
-    for content in contents:
-        if len(content.values) != p.alpha:
-            raise UsageError("node content has wrong length")
-        rows.extend(stars.node_tensor_rows(content.node_index))
-        rhs.extend(content.values)
-    Ainv = invert(spec, rows)
-    if Ainv is None:
-        raise AxiomViolationError("download-span", subset=sorted(indices))
-    return FileTensor(p, matvec(spec, Ainv, rhs))
+
+def download(contents: list[NodeContent], stars: StarFamily) -> FileTensor:
+    """Exact reconstruction of the file from any k node contents."""
+    D = download_matrix(stars, [c.node_index for c in contents])
+    values = stack_values(stars.spec, contents, stars.params.alpha, "node content")
+    return FileTensor(stars.params, matvec(stars.spec, D, values))
 
 
 def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
@@ -315,7 +309,8 @@ def help_message(content: NodeContent, stars: StarFamily, f: int) -> HelpMessage
     h = content.node_index
     if h == f:
         raise UsageError("a node does not help itself")
-    return HelpMessage(h, f, matvec(stars.spec, help_matrix(stars, h, f), content.values))
+    values = stack_values(stars.spec, [content], stars.params.alpha, "node content")
+    return HelpMessage(h, f, matvec(stars.spec, help_matrix(stars, h, f), values))
 
 
 def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> list[list[int]]:
@@ -338,21 +333,22 @@ def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> list[list[in
     return rows
 
 
-def repair(messages: list[HelpMessage], stars: StarFamily) -> NodeContent:
-    """Rebuild a failed node's content from d help messages."""
-    p = stars.params
+def message_values(spec: FieldSpec, messages: list[HelpMessage],
+                   beta: int) -> tuple[int, list[int], list[int]]:
+    """(failed node, helpers, stacked values) of help messages that all
+    go toward one failed node, each value checked."""
     if not messages:
         raise UsageError("no help messages")
     f = messages[0].failed
     if any(m.failed != f for m in messages):
         raise UsageError("help messages disagree on the failed node")
-    helpers = [m.helper for m in messages]
-    for m in messages:
-        if len(m.values) != p.beta:
-            raise UsageError("help message has wrong length")
-    received = []
-    for m in messages:
-        received.extend(m.values)
+    return f, [m.helper for m in messages], stack_values(spec, messages, beta,
+                                                         "help message")
+
+
+def repair(messages: list[HelpMessage], stars: StarFamily) -> NodeContent:
+    """Rebuild a failed node's content from d help messages."""
+    f, helpers, received = message_values(stars.spec, messages, stars.params.beta)
     return NodeContent(f, matvec(stars.spec, repair_matrix(stars, f, helpers), received))
 
 

@@ -2,11 +2,12 @@
 no chunks.
 
 It holds the store lock, staged (write-then-rename) files, the chunk map
-of the stored file, the bandwidth ledger, the parameters of the store's
-code instance (always a ShortenedCode: a plain spec is depth 0, with no
-pinned nodes), and manifest load and save with every check on the
-manifest's format, version, keys and values.  The commands that only read
-or rewrite the manifest, fail and status, live here too.
+of the stored file, the bandwidth ledger, the node-index check, and
+manifest load and save with every check on the manifest's format,
+version, keys, field and values.  load hands out the manifest and the
+store's code instance itself (always a ShortenedCode: a plain spec is
+depth 0, with no pinned nodes).  The commands that only read or rewrite
+the manifest, fail and status, live here too.
 
 This module imports no numpy: fail and status start without it.  The
 data path (cluster, bulk) builds on top of it; see cluster for the blob
@@ -74,36 +75,6 @@ class ChunkedFile:
         return self.chunk_count // STRIPE_CHUNKS
 
 
-class StoreView:
-    """The parameters of a store's code instance (a shortening, of depth 0
-    for a plain spec)."""
-
-    def __init__(self, code: ShortenedCode, phash: bytes):
-        self.code = code
-        self.phash = phash
-        self.family = code.base
-        self.spec = code.spec
-        self.n = code.n
-        self.k = code.k
-        self.d = code.d
-        self.alpha = code.alpha
-        self.beta = code.beta
-        self.user_symbols = code.M
-        self.pinned = code.pinned
-        if self.spec.kind != BINARY:
-            raise UsageError("cluster storage requires a binary-extension field")
-
-    def check_nodes(self, nodes, what: str) -> None:
-        """Reject node indices outside 0..n-1, or named twice, before they
-        index anything."""
-        bad = [h for h in nodes if not 0 <= h < self.n]
-        if bad:
-            raise UsageError(f"{what} {bad} out of range 0..{self.n - 1}")
-        repeated = sorted({h for h in nodes if nodes.count(h) > 1})
-        if repeated:
-            raise UsageError(f"{what} {repeated} named more than once")
-
-
 class Ledger:
     def __init__(self, data=None):
         data = data or {}
@@ -169,26 +140,41 @@ def blob_path(root: Path, h: int) -> Path:
     return root / f"node_{h}" / "chunks.blob"
 
 
-def _check_manifest_values(manifest: dict, view: StoreView) -> None:
+def check_nodes(code: ShortenedCode, nodes, what: str) -> None:
+    """Reject node indices outside 0..n-1, or named twice, before they
+    index anything."""
+    bad = [h for h in nodes if not 0 <= h < code.n]
+    if bad:
+        raise UsageError(f"{what} {bad} out of range 0..{code.n - 1}")
+    repeated = sorted({h for h in nodes if nodes.count(h) > 1})
+    if repeated:
+        raise UsageError(f"{what} {repeated} named more than once")
+
+
+def _check_manifest_values(manifest: dict, code: ShortenedCode) -> None:
     """Reject manifest values of the wrong type before a command uses them,
-    and a chunk map that is not the stripe plan of the file's length."""
-    n = view.n
+    a chunk map that is not the stripe plan of the file's length, and a
+    ledger that is not the one put writes with non-negative counters."""
+    n = code.n
     file = manifest["file"]
     status = manifest["node_status"]
     digests = manifest["node_digests"]
+    ledger = manifest["ledger"]
     ok = {
         "file": isinstance(file, dict)
         and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
         and all(type(v) is int and v >= 0 for v in file.values())
         and ChunkedFile(**file) == ChunkedFile.plan(
-            file["original_length"], view.user_symbols, view.spec.m),
+            file["original_length"], code.M, code.spec.m),
         "node_status": isinstance(status, list) and len(status) == n
         and all(s in (LIVE, FAILED) for s in status),
         "node_digests": isinstance(digests, dict)
         and set(digests) == {str(h) for h in range(n)}
         and all(isinstance(v, str) and _SHA256_HEX.fullmatch(v)
                 for v in digests.values()),
-        "ledger": isinstance(manifest["ledger"], dict),
+        "ledger": isinstance(ledger, dict) and set(ledger) == set(Ledger().to_dict())
+        and isinstance(ledger["history"], list)
+        and all(type(v) is int and v >= 0 for key, v in ledger.items() if key != "history"),
     }
     bad = [key for key, good in ok.items() if not good]
     if bad:
@@ -196,9 +182,9 @@ def _check_manifest_values(manifest: dict, view: StoreView) -> None:
 
 
 def load(root: Path):
-    """The store's manifest and a view of its code instance, once the
-    manifest's format, version, keys, embedded spec, params hash and
-    values all check out."""
+    """The store's manifest and its code instance, once the manifest's
+    format, version, keys, embedded spec, params hash and values all
+    check out."""
     try:
         manifest = specfile.read_json(root / "manifest.json")
     except FileNotFoundError:
@@ -215,9 +201,10 @@ def load(root: Path):
     code, phash = specfile.parse_document(manifest["code_spec"])
     if phash.hex() != manifest["params_hash"]:
         raise CorruptDataError("manifest params hash mismatch")
-    view = StoreView(code, phash)
-    _check_manifest_values(manifest, view)
-    return manifest, view
+    if code.spec.kind != BINARY:
+        raise UsageError("cluster storage requires a binary-extension field")
+    _check_manifest_values(manifest, code)
+    return manifest, code
 
 
 def save(root: Path, manifest: dict) -> None:
@@ -230,8 +217,8 @@ def fail(root, h: int) -> dict:
     """Mark node h failed and delete its blob."""
     root = Path(root)
     with locked(root):
-        manifest, view = load(root)
-        view.check_nodes([h], "node")
+        manifest, code = load(root)
+        check_nodes(code, [h], "node")
         if manifest["node_status"][h] == FAILED:
             raise UsageError(f"node {h} is already failed")
         manifest["node_status"][h] = FAILED
@@ -246,10 +233,10 @@ def status(root) -> dict:
     """The code parameters, chunk map, node states and ledger."""
     root = Path(root)
     with locked(root):
-        manifest, view = load(root)
+        manifest, code = load(root)
         return {
-            "params": {"n": view.n, "k": view.k, "d": view.d,
-                       "alpha": view.alpha, "beta": view.beta},
+            "params": {"n": code.n, "k": code.k, "d": code.d,
+                       "alpha": code.alpha, "beta": code.beta},
             "file": manifest["file"],
             "node_status": manifest["node_status"],
             "ledger": manifest["ledger"],

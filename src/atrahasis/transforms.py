@@ -4,12 +4,14 @@ simultaneous failures for t = 3 symmetric codes.
 Shortening retires trailing nodes by constraining their contents to
 zero.  Encoding then parameterizes the constraint nullspace (canonical
 echelon pivots, so the map is systematic in the free coordinates);
-download feeds the known zero contents back in; repair has the failed
-node simulate the retired nodes' help messages locally, which are zero.
-Depth delta turns an (n, k, d, alpha) instance into
-(n-delta, k-delta, d-delta, alpha), keeping d-k+1 and beta.  A
-ShortenedCode is the one code type of the store: every code-spec file
-parses to one, and a plain spec is its depth 0.
+download and repair drop the columns the retired nodes' zero contents
+and zero help messages would feed.  Depth delta turns an
+(n, k, d, alpha) instance into (n-delta, k-delta, d-delta, alpha),
+keeping d-k+1 and beta.  A ShortenedCode is the one code type of the
+store: every code-spec file parses to one, and a plain spec is its
+depth 0.  It builds every matrix the store applies (put, decode, and
+the regeneration of one or two failed nodes), and its scalar download,
+help_message and repair apply the same matrices.
 
 Two-failure repair gathers messages at a central agent under one of
 three strategies: every helper sends its restriction toward both failed
@@ -25,9 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import (SYMMETRIC, FileTensor, HelpMessage, NodeContent,
-                   StarFamily, download, help_matrix, node_content, repair)
+                   StarFamily, download_matrix, help_matrix, help_message,
+                   message_values, node_content, repair_matrix, stack_values)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, SpanSolver, dot_ints, matvec, nullspace_with_free
+from .linalg import Echelon, SpanSolver, matvec, nullspace_with_free
+
+
+NAIVE = "naive"
+CASCADE = "cascade"
+SUBSPACE = "subspace"
+STRATEGIES = (NAIVE, CASCADE, SUBSPACE)
 
 
 class ShortenedCode:
@@ -40,8 +49,9 @@ class ShortenedCode:
 
     Encoding is systematic: user symbol j is the base file coordinate
     free_cols[j], and each other coordinate c is fixed by the pinned zeros
-    as constrained[c] . user symbols.  At depth 0 every coordinate is
-    free and nothing is constrained.
+    as constrained[c] . user symbols; the file is the user symbols'
+    combination of the nullspace basis rows.  At depth 0 every coordinate
+    is free and nothing is constrained.
     """
 
     def __init__(self, base: StarFamily, depth: int):
@@ -60,6 +70,7 @@ class ShortenedCode:
         self.M = self.k * p.alpha
         self.free_cols = list(range(p.M))
         self.constrained: dict[int, list[int]] = {}
+        self._basis = [[int(i == j) for j in range(p.M)] for i in range(p.M)]
         if depth == 0:
             return
         constraint_rows = []
@@ -67,14 +78,14 @@ class ShortenedCode:
             constraint_rows.extend(base.node_tensor_rows(h))
         # systematic parameterization of the constraint nullspace: user
         # symbols sit at the free columns and read back directly
-        basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
-        if len(basis) != self.M:
+        self._basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
+        if len(self._basis) != self.M:
             raise AxiomViolationError(
                 "shorten-constraint", subset=self.pinned,
-                message=f"pinning {depth} nodes cut {p.M - len(basis)} "
+                message=f"pinning {depth} nodes cut {p.M - len(self._basis)} "
                         f"dimensions, expected {depth * p.alpha}")
         free = set(self.free_cols)
-        self.constrained = {c: [v[c] for v in basis]
+        self.constrained = {c: [v[c] for v in self._basis]
                             for c in range(p.M) if c not in free}
 
     def encode(self, raw) -> FileTensor:
@@ -83,12 +94,8 @@ class ShortenedCode:
         values = [self.spec.check_value(v) for v in raw]
         if len(values) != self.M:
             raise UsageError(f"shortened encode needs {self.M} symbols, got {len(values)}")
-        coords = [0] * self.base.params.M
-        for c, value in zip(self.free_cols, values):
-            coords[c] = value
-        for c, row in self.constrained.items():
-            coords[c] = dot_ints(self.spec, row, values)
-        return FileTensor(self.base.params, coords)
+        columns = [list(column) for column in zip(*self._basis)]
+        return FileTensor(self.base.params, matvec(self.spec, columns, values))
 
     def decode(self, file: FileTensor) -> list[int]:
         """Read the user symbols back off the free coordinates."""
@@ -98,36 +105,89 @@ class ShortenedCode:
         self._check_live(h)
         return node_content(file, self.base, h)
 
+    def put_matrix(self) -> list[list[int]]:
+        """The M user symbols -> the n*alpha values of the live nodes, node h
+        owning rows h*alpha .. (h+1)*alpha - 1: each node tensor row
+        restated over the user symbols through encode."""
+        spec, rows = self.spec, []
+        for h in range(self.n):
+            for row in self.base.node_tensor_rows(h):
+                out = [row[c] for c in self.free_cols]
+                for c, constraint in self.constrained.items():
+                    if row[c]:
+                        out = [spec.add(a, spec.mul(row[c], b))
+                               for a, b in zip(out, constraint)]
+                rows.append(out)
+        return rows
+
+    def decode_matrix(self, nodes: list[int]) -> list[list[int]]:
+        """The stacked values of k live nodes -> the M user symbols.  The
+        pinned nodes' zero values are sliced away, and only the free (user)
+        coordinates of the base file are kept."""
+        self._check_live(*nodes)
+        D = download_matrix(self.base, list(nodes) + list(self.pinned))
+        return [D[c][:self.k * self.alpha] for c in self.free_cols]
+
+    def repair_matrix(self, f: int, helpers: list[int]) -> list[list[int]]:
+        """The help messages of d live helpers -> node f's values.  The
+        pinned nodes' messages are zero, so their columns are dropped."""
+        self._check_live(f, *helpers)
+        R = repair_matrix(self.base, f, list(helpers) + list(self.pinned))
+        return [row[:self.d * self.beta] for row in R]
+
+    def repair_program(self, failed: list[int], helpers: list[int],
+                       strategy: str = SUBSPACE) -> tuple[list, list]:
+        """One or two failed nodes rebuilt from d live helpers, as (sends,
+        recover): each helper that sends anything with the matrix it
+        applies to its values, and per failed node one matrix over all that
+        is sent.  Two failures put the pinned nodes, which send zeros, first
+        in the agent's helper list, then drop their sends, empty sends and
+        the columns these feed; the cascade's second recovery, which also
+        reads the rebuilt first node, is composed with the first."""
+        if len(failed) == 1:
+            f, = failed
+            return ([(h, help_matrix(self.base, h, f)) for h in helpers],
+                    [self.repair_matrix(f, helpers)])
+        f, g = failed
+        program = central_repair_program(self.base, f, g,
+                                         list(self.pinned) + list(helpers), strategy)
+        sends, kept, pos = [], [], 0
+        for (h, sent), S in zip(program.plan.per_helper_sent, program.send_matrices):
+            if h not in self.pinned and sent:
+                sends.append((h, S))
+                kept.extend(range(pos, pos + sent))
+            pos += sent
+        spec, first, second = self.spec, program.recover_first, program.recover_second
+        if program.second_uses_first:
+            columns = [list(column) for column in zip(*first)]
+            second = [[spec.add(a, b) for a, b in zip(row, matvec(spec, columns, row[pos:]))]
+                      for row in second]
+        return sends, [[[row[c] for c in kept] for row in R] for R in (first, second)]
+
     def download(self, contents: list[NodeContent]) -> list[int]:
         """Recover the user symbols from any k-depth live node contents."""
         if len(contents) != self.k:
             raise UsageError(f"shortened download needs {self.k} node contents")
-        for c in contents:
-            self._check_live(c.node_index)
-        padded = list(contents) + [NodeContent(h, [0] * self.alpha) for h in self.pinned]
-        return self.decode(download(padded, self.base))
+        D = self.decode_matrix([c.node_index for c in contents])
+        return matvec(self.spec, D, stack_values(self.spec, contents, self.alpha,
+                                                 "node content"))
 
     def help_message(self, content: NodeContent, f: int) -> HelpMessage:
-        self._check_live(content.node_index)
-        self._check_live(f)
-        H = help_matrix(self.base, content.node_index, f)
-        return HelpMessage(content.node_index, f, matvec(self.spec, H, content.values))
+        self._check_live(content.node_index, f)
+        return help_message(content, self.base, f)
 
     def repair(self, messages: list[HelpMessage]) -> NodeContent:
         """Repair from d-depth live helpers; the retired nodes' messages
-        are simulated locally (their contents are zero, so they send zero)."""
+        are zero, so repair_matrix drops their columns."""
         if len(messages) != self.d:
             raise UsageError(f"shortened repair needs {self.d} live help messages")
-        f = messages[0].failed
-        self._check_live(f)
-        for m in messages:
-            self._check_live(m.helper)
-        simulated = [HelpMessage(h, f, [0] * self.beta) for h in self.pinned]
-        return repair(list(messages) + simulated, self.base)
+        f, helpers, received = message_values(self.spec, messages, self.beta)
+        return NodeContent(f, matvec(self.spec, self.repair_matrix(f, helpers), received))
 
-    def _check_live(self, h: int):
-        if not 0 <= h < self.n:
-            raise UsageError(f"node {h} is not a live node of the shortened code")
+    def _check_live(self, *nodes: int):
+        for h in nodes:
+            if not 0 <= h < self.n:
+                raise UsageError(f"node {h} is not a live node of the shortened code")
 
     def __repr__(self):
         return (f"ShortenedCode(({self.n},{self.k},{self.d},{self.alpha}) "
@@ -139,12 +199,6 @@ def shorten(code, delta: int) -> ShortenedCode:
     """Retire delta more trailing nodes of a shortened code, or of a star
     family (a code of depth 0)."""
     return ShortenedCode(getattr(code, "base", code), getattr(code, "depth", 0) + delta)
-
-
-NAIVE = "naive"
-CASCADE = "cascade"
-SUBSPACE = "subspace"
-STRATEGIES = (NAIVE, CASCADE, SUBSPACE)
 
 
 def naive_bandwidth(k: int, d: int) -> int:
@@ -308,19 +362,17 @@ def _recovery_matrix(stars, solver, target_node) -> list[list[int]]:
 
 def central_repair_two(file: FileTensor, stars: StarFamily, f: int, g: int,
                        helpers: list[int], strategy: str = SUBSPACE):
-    """Repair nodes f and g at once through a central agent.
+    """Repair nodes f and g at once through a central agent, with the
+    matrices the store applies.
 
     Helpers compute transmissions from their own stored values only.
     Returns (content_f, content_g, plan); plan.total_bandwidth counts
     the symbols actually sent to the agent.
     """
-    program = central_repair_program(stars, f, g, helpers, strategy)
-    spec = stars.spec
+    sends, recover = ShortenedCode(stars, 0).repair_program([f, g], helpers, strategy)
     received: list[int] = []
-    for (h, _), S in zip(program.plan.per_helper_sent, program.send_matrices):
-        received.extend(matvec(spec, S, node_content(file, stars, h).values))
-    values_f = matvec(spec, program.recover_first, received)
-    if program.second_uses_first:
-        received = received + values_f
-    values_g = matvec(spec, program.recover_second, received)
-    return (NodeContent(f, values_f), NodeContent(g, values_g), program.plan)
+    for h, S in sends:
+        received.extend(matvec(stars.spec, S, node_content(file, stars, h).values))
+    values_f, values_g = (matvec(stars.spec, R, received) for R in recover)
+    plan = central_repair_program(stars, f, g, helpers, strategy).plan
+    return NodeContent(f, values_f), NodeContent(g, values_g), plan

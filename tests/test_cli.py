@@ -248,6 +248,12 @@ MANIFEST_DAMAGE = {
     "digests-missing-node": ("node_digests", lambda v: _without(v, "8"), "fail"),
     "digests-not-hex": ("node_digests", lambda v: {**v, "0": "zz"}, "fail"),
     "ledger-list": ("ledger", lambda v: [], "fail"),
+    "ledger-string-counter": ("ledger", lambda v: {**v, "repair_symbols": "x"}, "get"),
+    "ledger-negative-counter": ("ledger", lambda v: {**v, "repair2_symbols": -1},
+                                "status"),
+    "ledger-missing-key": ("ledger", lambda v: _without(v, "repair2_symbols"), "fail"),
+    "ledger-extra-key": ("ledger", lambda v: {**v, "other": 0}, "status"),
+    "ledger-history-not-list": ("ledger", lambda v: {**v, "history": 5}, "get"),
 }
 
 
@@ -279,6 +285,21 @@ def _put_hello(tmp_path):
     main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
     main(["put", str(data), "--spec", str(spec), "--store", str(store)])
     return store
+
+
+def test_repair_refuses_malformed_ledger_before_any_blob(tmp_path):
+    store = _put_hello(tmp_path)
+    assert main(["fail", "3", "--store", str(store)]) == 0
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["ledger"] = {"repair_symbols": "x", "history": 5}
+    path.write_text(json.dumps(manifest))
+    for args in (["repair", "3"], ["status"]):
+        code, out, err = run_cli(*args, "--store", str(store))
+        assert code == 2, (args, err)
+        assert "'ledger'" in err and "Traceback" not in err, err
+    assert list((store / "node_3").iterdir()) == []
+    assert json.loads(path.read_text())["node_status"][3] == "failed"
 
 
 def test_old_manifest_version_rejected(tmp_path):

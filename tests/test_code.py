@@ -4,14 +4,15 @@ from itertools import combinations
 import pytest
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
-                            StarFamily, derive_params, download, encode,
-                            help_matrix, help_message, node_content, repair,
-                            rs_stars_t2, verify_axioms)
+                            HelpMessage, NodeContent, StarFamily, derive_params,
+                            download, encode, help_matrix, help_message,
+                            node_content, repair, rs_stars_t2, verify_axioms)
 from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
-from atrahasis.fixtures import pattern_family
+from atrahasis.fixtures import atrahasis_956, pattern_family
 from atrahasis.linalg import SpanSolver, dot_ints
+from atrahasis.transforms import shorten
 from conftest import random_values
 
 
@@ -436,3 +437,33 @@ def test_encode_rejects_non_canonical_symbols(gf16, fixture_family, rng):
     for bad in (16, -1, 2.0):
         with pytest.raises(UsageError, match="not a canonical element"):
             encode(gf16, raw[:-1] + [bad], params)
+
+
+# a t = 3 family over GF(16) and t = 2 families over GF(2^12) and GF(127)
+VALUE_FAMILIES = {
+    "gf16": atrahasis_956,
+    "gf4096": lambda: rs_stars_t2(binary_field(12), 6, 3, SYMMETRIC),
+    "gf127": lambda: rs_stars_t2(prime_field(127), 6, 3, SYMMETRIC),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_FAMILIES)
+def test_scalar_api_rejects_non_canonical_values(name):
+    # the family's own functions, then the forms of its shortening by one
+    fam = VALUE_FAMILIES[name]()
+    sc = shorten(fam, 1)
+    p, spec = fam.params, fam.spec
+    calls = (
+        lambda bad: download([NodeContent(h, [bad] * p.alpha) for h in range(p.k)], fam),
+        lambda bad: help_message(NodeContent(0, [bad] * p.alpha), fam, p.d),
+        lambda bad: repair([HelpMessage(h, 0, [bad] * p.beta) for h in range(1, p.d + 1)],
+                           fam),
+        lambda bad: sc.download([NodeContent(h, [bad] * p.alpha) for h in range(sc.k)]),
+        lambda bad: sc.help_message(NodeContent(0, [bad] * p.alpha), sc.d),
+        lambda bad: sc.repair([HelpMessage(h, 0, [bad] * p.beta)
+                               for h in range(1, sc.d + 1)]),
+    )
+    for bad in (spec.order, -1):
+        for call in calls:
+            with pytest.raises(UsageError, match="not a canonical element"):
+                call(bad)

@@ -35,15 +35,12 @@ def _det_invert(spec, rows):
 def _shortened_matrix(code, name: str, *nodes):
     """A store matrix of a shortened code, as int rows: "put", "decode"
     (the given live nodes) or "repair" (failed node, then live helpers)."""
-    from atrahasis.cluster import CodeView
-    view = CodeView(code, bytes(8))
     if name == "put":
-        return view.put_matrix().rows
+        return code.put_matrix()
     if name == "decode":
-        return view.decode_matrix(list(nodes))
+        return code.decode_matrix(list(nodes))
     f, *helpers = nodes
-    R = repair_matrix(code.base, f, helpers + list(code.pinned))
-    return [row[:code.d * code.beta] for row in R]
+    return code.repair_matrix(f, helpers)
 
 
 def _digest(value) -> str:
