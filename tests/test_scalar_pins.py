@@ -118,6 +118,38 @@ def test_pair_repair_program_pinned(fixture, strategy):
     assert got == PINNED_PAIR_PROGRAMS[strategy]
 
 
+# (depth, failed nodes, strategy) -> sha256 of the JSON of repair_program's
+# (sends, recover) on the fixture shortened by depth, with the first d
+# live nodes that did not fail as helpers
+PINNED_REPAIR_PROGRAMS = {
+    (0, (0,), "subspace"): "52887e4177b1cb90d37d0ada0671f8036bd55e3898fa9ca6d6aaa7a4d9386b7c",
+    (0, (0, 1), "cascade"): "8d0a09530e2395fee03853949c116d5b4e301a5d5af9535e84440a7db943b54b",
+    (0, (0, 1), "naive"): "01f04107372ff72b74c4bd25a6941ac5e5a09984e28a53b89d9c3b071d97b63c",
+    (0, (0, 1), "subspace"): "1c5f4d4152a037e385e6afff9ffe8dd932f7f490c59c7ad79767df93038373e9",
+    (0, (2, 6), "cascade"): "b40e444039e5904f317c682f121a799a55639d8721afb1a9f9c777bd8c018e7a",
+    (0, (2, 6), "naive"): "c5d39c45648cfbb3240fc5cda5cb59538677b556c192ae04903f1cd938326759",
+    (0, (2, 6), "subspace"): "dd2b256426cc394213709850b20c1bcf4326696077bfc8ec754c81d6913423fe",
+    (1, (0,), "subspace"): "d9bb331be1dce8183c4e067c4edf4d4972e2d3c40cc34ed0b028766c9e3ade92",
+    (1, (0, 1), "cascade"): "f2aa219abffbfa7c2bfa77b3c44eeb7ba9166675d82dfa6e5fa109a554e0bc87",
+    (1, (0, 1), "naive"): "ed4cc6a14ebdb6883595c8d30a547e1dc610b67fd187b6f69f6c19610723e87e",
+    (1, (0, 1), "subspace"): "3eef3555da10c9a6cf899a04e9ef4456a61f0c5241f35b08e19419ff454fcb7f",
+    (1, (2, 6), "cascade"): "c1b49dc2d6fa9297dbd867730c1cb86df01b26a2075f6400fae13678d188697a",
+    (1, (2, 6), "naive"): "d2f9fb7467eeee36265029fdee85261ecb46d9c36e9d7208327cab2b34a69a6c",
+    (1, (2, 6), "subspace"): "76555884a8b7eab96dffd506387fabd1469671ff8126eab4fa3a574bce177db1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REPAIR_PROGRAMS),
+                         ids=lambda key: f"{key[0]}-{'-'.join(map(str, key[1]))}-{key[2]}")
+def test_repair_program_pinned(fixture, key):
+    depth, failed, strategy = key
+    code = shorten(fixture, depth)
+    helpers = [h for h in range(code.n) if h not in failed][:code.d]
+    sends, recover = code.repair_program(list(failed), helpers, strategy)
+    got = _digest([[h, _plain(S)] for h, S in sends] + [_plain(R) for R in recover])
+    assert got == PINNED_REPAIR_PROGRAMS[key]
+
+
 def test_sweep_points_and_determinants_pinned():
     reports = sweep_small_cases(30, prime_field(127))
     got = _digest([[r.x_points, r.y_points, r.determinant] for r in reports])
