@@ -353,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--helpers", default="auto")
     p.set_defaults(func=cmd_repair)
 
-    p = sub.add_parser("repair2",
-                       help="regenerate two failed nodes (t = 3 codes)")
+    p = sub.add_parser("repair2", help="regenerate two failed nodes")
     p.add_argument("first", type=int)
     p.add_argument("second", type=int)
     p.add_argument("--store", required=True)

@@ -288,20 +288,22 @@ def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
     return Ainv
 
 
-def help_matrix(stars: StarFamily, h: int, f: int) -> list[list[int]]:
-    """beta x alpha map from node h's stored values to its message for f.
-
-    The message subspace sits inside the node subspace, so every message
-    basis tensor is a combination of the node basis tensors; the
-    combination coefficients applied to stored values give the message.
-    """
+def send_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> list[list[int]]:
+    """The map from node h's stored values to the evaluations of the given
+    tensors of its subspace: each tensor's coefficients over the node
+    basis tensors, which applied to the stored values give its value."""
     solver = SpanSolver(stars.spec, stars.node_tensor_rows(h), stars.params.M)
-    rows = solver.coefficient_rows(stars.message_tensor_rows(h, f))
+    rows = solver.coefficient_rows(tensor_rows)
     if rows is None:
         raise AxiomViolationError(
-            "message-containment", subset=(h,), failed_node=f,
-            message=f"help message {h}->{f} leaves the node subspace")
+            "message-containment", subset=(h,),
+            message=f"node {h} is asked to send a tensor outside its subspace")
     return rows
+
+
+def help_matrix(stars: StarFamily, h: int, f: int) -> list[list[int]]:
+    """beta x alpha map from node h's stored values to its message for f."""
+    return send_matrix(stars, h, stars.message_tensor_rows(h, f))
 
 
 def help_message(content: NodeContent, stars: StarFamily, f: int) -> HelpMessage:

@@ -1,5 +1,5 @@
 """Code transforms: shortening, and centralized repair of two
-simultaneous failures for t = 3 symmetric codes.
+simultaneous failures.
 
 Shortening retires trailing nodes by constraining their contents to
 zero.  Encoding then parameterizes the constraint nullspace (canonical
@@ -13,12 +13,15 @@ depth 0.  It builds every matrix the store applies (put, decode, and
 the regeneration of one or two failed nodes), and its scalar download,
 help_message and repair apply the same matrices.
 
-Two-failure repair gathers messages at a central agent under one of
-three strategies: every helper sends its restriction toward both failed
-nodes (naive); one helper sends only the first node's message and the
-rebuilt node helps the second (cascade); or helpers stream symbols only
-until the joint target subspace is covered (subspace), whose dimension
-3(k-2)^2 is the best total here.
+One builder, ShortenedCode.repair_program, rebuilds one failed node, or
+two at a central agent, on any t and either flavor: the d helpers'
+messages toward each failed node already span it.  A pair is repaired
+under one of three strategies: every helper sends the independent part
+of its messages toward both nodes (naive); the last one sends only the
+first node's message and the rebuilt node helps the second (cascade); or
+helpers send only what is new to the agent (subspace).  On the t = 3 fixture that is 30 / 28 /
+27 symbols, the closed forms naive_bandwidth, cascade_bandwidth and
+subspace_bandwidth.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import (SYMMETRIC, FileTensor, HelpMessage, NodeContent,
-                   StarFamily, download_matrix, help_matrix, help_message,
-                   message_values, node_content, repair_matrix, stack_values)
+from .code import (FileTensor, HelpMessage, NodeContent, StarFamily,
+                   download_matrix, help_message, message_values, node_content,
+                   send_matrix, stack_values)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, SpanSolver, matvec, nullspace_with_free
+from .linalg import Echelon, SpanSolver, dot_ints, matvec, nullspace_with_free
 
 
 NAIVE = "naive"
@@ -49,9 +52,8 @@ class ShortenedCode:
 
     Encoding is systematic: user symbol j is the base file coordinate
     free_cols[j], and each other coordinate c is fixed by the pinned zeros
-    as constrained[c] . user symbols; the file is the user symbols'
-    combination of the nullspace basis rows.  At depth 0 every coordinate
-    is free and nothing is constrained.
+    as constrained[c] . user symbols.  At depth 0 every coordinate is free
+    and nothing is constrained.
     """
 
     def __init__(self, base: StarFamily, depth: int):
@@ -70,7 +72,6 @@ class ShortenedCode:
         self.M = self.k * p.alpha
         self.free_cols = list(range(p.M))
         self.constrained: dict[int, list[int]] = {}
-        self._basis = [[int(i == j) for j in range(p.M)] for i in range(p.M)]
         if depth == 0:
             return
         constraint_rows = []
@@ -78,14 +79,14 @@ class ShortenedCode:
             constraint_rows.extend(base.node_tensor_rows(h))
         # systematic parameterization of the constraint nullspace: user
         # symbols sit at the free columns and read back directly
-        self._basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
-        if len(self._basis) != self.M:
+        basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
+        if len(basis) != self.M:
             raise AxiomViolationError(
                 "shorten-constraint", subset=self.pinned,
-                message=f"pinning {depth} nodes cut {p.M - len(self._basis)} "
+                message=f"pinning {depth} nodes cut {p.M - len(basis)} "
                         f"dimensions, expected {depth * p.alpha}")
         free = set(self.free_cols)
-        self.constrained = {c: [v[c] for v in self._basis]
+        self.constrained = {c: [v[c] for v in basis]
                             for c in range(p.M) if c not in free}
 
     def encode(self, raw) -> FileTensor:
@@ -94,8 +95,12 @@ class ShortenedCode:
         values = [self.spec.check_value(v) for v in raw]
         if len(values) != self.M:
             raise UsageError(f"shortened encode needs {self.M} symbols, got {len(values)}")
-        columns = [list(column) for column in zip(*self._basis)]
-        return FileTensor(self.base.params, matvec(self.spec, columns, values))
+        file = [0] * self.base.params.M
+        for c, v in zip(self.free_cols, values):
+            file[c] = v
+        for c, constraint in self.constrained.items():
+            file[c] = dot_ints(self.spec, constraint, values)
+        return FileTensor(self.base.params, file)
 
     def decode(self, file: FileTensor) -> list[int]:
         """Read the user symbols back off the free coordinates."""
@@ -131,38 +136,66 @@ class ShortenedCode:
     def repair_matrix(self, f: int, helpers: list[int]) -> list[list[int]]:
         """The help messages of d live helpers -> node f's values.  The
         pinned nodes' messages are zero, so their columns are dropped."""
-        self._check_live(f, *helpers)
-        R = repair_matrix(self.base, f, list(helpers) + list(self.pinned))
-        return [row[:self.d * self.beta] for row in R]
+        return self.repair_program([f], helpers)[1][0]
 
     def repair_program(self, failed: list[int], helpers: list[int],
                        strategy: str = SUBSPACE) -> tuple[list, list]:
         """One or two failed nodes rebuilt from d live helpers, as (sends,
         recover): each helper that sends anything with the matrix it
         applies to its values, and per failed node one matrix over all that
-        is sent.  Two failures put the pinned nodes, which send zeros, first
-        in the agent's helper list, then drop their sends, empty sends and
-        the columns these feed; the cascade's second recovery, which also
-        reads the rebuilt first node, is composed with the first."""
-        if len(failed) == 1:
-            f, = failed
-            return ([(h, help_matrix(self.base, h, f)) for h in helpers],
-                    [self.repair_matrix(f, helpers)])
-        f, g = failed
-        program = central_repair_program(self.base, f, g,
-                                         list(self.pinned) + list(helpers), strategy)
-        sends, kept, pos = [], [], 0
-        for (h, sent), S in zip(program.plan.per_helper_sent, program.send_matrices):
-            if h not in self.pinned and sent:
-                sends.append((h, S))
-                kept.extend(range(pos, pos + sent))
-            pos += sent
-        spec, first, second = self.spec, program.recover_first, program.recover_second
-        if program.second_uses_first:
-            columns = [list(column) for column in zip(*first)]
-            second = [[spec.add(a, b) for a, b in zip(row, matvec(spec, columns, row[pos:]))]
-                      for row in second]
-        return sends, [[[row[c] for c in kept] for row in R] for R in (first, second)]
+        is sent, in order.
+
+        Each node offers its message rows toward the failed nodes (under
+        cascade the last helper only toward the first) to an echelon,
+        shared under subspace and for one failure, fresh per node
+        otherwise; the kept rows are what it sends.  The pinned nodes go
+        first: they store zeros, so their rows seed the generators and are
+        never sent.
+        """
+        failed, helpers = list(failed), list(helpers)
+        if strategy not in STRATEGIES:
+            raise UsageError(f"unknown strategy {strategy!r}")
+        counts = (2,) if strategy == CASCADE else (1, 2)
+        if len(failed) not in counts:
+            raise UsageError(f"{strategy} repair rebuilds {' or '.join(map(str, counts))} "
+                             f"failed nodes, got {len(failed)}")
+        if len(set(failed)) != len(failed):
+            raise UsageError("the failed nodes must differ")
+        if (len(helpers) != self.d or len(set(helpers)) != self.d
+                or set(helpers) & set(failed)):
+            raise UsageError(f"need {self.d} distinct helpers disjoint from "
+                             f"the failed nodes {failed}")
+        self._check_live(*failed, *helpers)
+        base, spec, width = self.base, self.spec, self.base.params.M
+        shared = Echelon(spec, width)
+        sends, generators, pinned_rows = [], [], 0
+        for h in list(self.pinned) + helpers:
+            toward = failed[:1] if strategy == CASCADE and h == helpers[-1] else failed
+            echelon = (shared if strategy == SUBSPACE or len(failed) == 1
+                       else Echelon(spec, width))
+            kept = [row for f in toward for row in base.message_tensor_rows(h, f)
+                    if echelon.offer(row)]
+            if h in self.pinned:
+                pinned_rows += len(kept)
+            elif kept:
+                sends.append((h, send_matrix(base, h, kept)))
+            generators.extend(kept)
+        solvers = [SpanSolver(spec, generators, width)] * len(failed)
+        if strategy == CASCADE:
+            # the rebuilt first node acts as one more helper for the second
+            solvers[1] = SpanSolver(spec, generators + base.node_tensor_rows(failed[0]),
+                                    width)
+        recover = [solver.coefficient_rows(base.node_tensor_rows(f))
+                   for f, solver in zip(failed, solvers)]
+        if None in recover:
+            raise AxiomViolationError("repair-span", subset=sorted(helpers),
+                                      failed_node=failed[recover.index(None)])
+        if strategy == CASCADE:
+            # ... and its reads of the first node compose with its recovery
+            columns, n = [list(column) for column in zip(*recover[0])], len(generators)
+            recover[1] = [[spec.add(a, b) for a, b in zip(row, matvec(spec, columns, row[n:]))]
+                          for row in recover[1]]
+        return sends, [[row[pinned_rows:] for row in R] for R in recover]
 
     def download(self, contents: list[NodeContent]) -> list[int]:
         """Recover the user symbols from any k-depth live node contents."""
@@ -227,152 +260,48 @@ def subspace_optimality_gap(k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CentralRepairPlan:
-    """What each helper sends and how the agent recombines it."""
+    """How many symbols each helper sends, and their total."""
 
-    failed: tuple
-    helpers: tuple
-    strategy: str
     per_helper_sent: tuple
     total_bandwidth: int
 
 
 @dataclass(frozen=True)
 class CentralRepairProgram:
-    """Matrix form of a two-failure repair, reusable across files.
-
-    Every matrix is a list of int rows.  send_matrices[i] maps helper i's
-    stored values to what it transmits; recover_first / recover_second
-    map the concatenated transmissions to
-    the two failed nodes' contents.  In the cascade strategy the second
-    recovery additionally consumes the first node's rebuilt content
-    (appended after the received symbols).
-    """
+    """Matrix form of a two-failure repair, reusable across files: every
+    matrix is a list of int rows.  send_matrices[i] maps helper i's stored
+    values to what it transmits (no rows if it sends nothing);
+    recover_first / recover_second map the concatenated transmissions to
+    the two failed nodes' contents."""
 
     plan: CentralRepairPlan
     send_matrices: tuple
     recover_first: list[list[int]]
     recover_second: list[list[int]]
-    second_uses_first: bool
 
 
 def central_repair_program(stars: StarFamily, f: int, g: int,
                            helpers: list[int], strategy: str) -> CentralRepairProgram:
-    """Build the transmission and recovery matrices for one failure pair."""
-    p = stars.params
-    if p.flavor != SYMMETRIC or p.t != 3:
-        raise UsageError("two-failure centralized repair is defined for "
-                         "t = 3 symmetric codes")
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy!r}")
-    if f == g:
-        raise UsageError("the two failed nodes must differ")
-    helpers = list(helpers)
-    if (len(helpers) != p.d or len(set(helpers)) != p.d
-            or f in helpers or g in helpers):
-        raise UsageError(f"need {p.d} distinct helpers disjoint from the failed pair")
-    spec = stars.spec
-    k = p.k
-    full_pair = 2 * k - 5
-
-    sent_rows: list[list[int]] = []      # tensors the agent receives, in order
-    send_matrices = []
-    per_helper_sent = []
-
-    if strategy in (NAIVE, CASCADE):
-        senders = helpers if strategy == NAIVE else helpers[:-1]
-        for h in senders:
-            candidates = (stars.message_tensor_rows(h, f)
-                          + stars.message_tensor_rows(h, g))
-            offer = Echelon(spec, p.M).offer
-            kept = [row for row in candidates if offer(row)]
-            if len(kept) != full_pair:
-                raise AxiomViolationError(
-                    "pair-message-dimension", subset=(h,), failed_node=f,
-                    message=f"helper {h} pair restriction has dimension "
-                            f"{len(kept)}, expected {full_pair}")
-            sent_rows.extend(kept)
-            send_matrices.append(_values_matrix(stars, h, kept))
-            per_helper_sent.append((h, len(kept)))
-        if strategy == CASCADE:
-            h = helpers[-1]
-            kept = stars.message_tensor_rows(h, f)
-            sent_rows.extend(kept)
-            send_matrices.append(help_matrix(stars, h, f))
-            per_helper_sent.append((h, len(kept)))
-    else:
-        target_rank = subspace_bandwidth(k)
-        echelon = Echelon(spec, p.M)
-        for h in helpers:
-            kept = []
-            if echelon.rank < target_rank:
-                for row in (stars.message_tensor_rows(h, f)
-                            + stars.message_tensor_rows(h, g)):
-                    if echelon.offer(row):
-                        kept.append(row)
-                        if echelon.rank == target_rank:
-                            break
-            sent_rows.extend(kept)
-            send_matrices.append(_values_matrix(stars, h, kept))
-            per_helper_sent.append((h, len(kept)))
-        if echelon.rank != target_rank:
-            raise AxiomViolationError(
-                "pair-repair-span", subset=sorted(helpers), failed_node=f,
-                message=f"pooled helper tensors cover {echelon.rank} of the "
-                        f"{target_rank}-dimensional pair target")
-
-    solver = SpanSolver(spec, sent_rows, p.M)
-    recover_first = _recovery_matrix(stars, solver, f)
-    if strategy == CASCADE:
-        # the rebuilt first node acts as one more helper for the second
-        extended = sent_rows + stars.node_tensor_rows(f)
-        solver2 = SpanSolver(spec, extended, p.M)
-        recover_second = _recovery_matrix(stars, solver2, g)
-        second_uses_first = True
-    else:
-        recover_second = _recovery_matrix(stars, solver, g)
-        second_uses_first = False
-
-    plan = CentralRepairPlan(
-        failed=(f, g), helpers=tuple(helpers), strategy=strategy,
-        per_helper_sent=tuple(per_helper_sent),
-        total_bandwidth=sum(c for _, c in per_helper_sent))
-    return CentralRepairProgram(plan, tuple(send_matrices),
-                                recover_first, recover_second, second_uses_first)
-
-
-def _values_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> list[list[int]]:
-    """Coefficients that turn node h's stored values into the given
-    tensors' evaluations (each tensor lies in the node subspace)."""
-    solver = SpanSolver(stars.spec, stars.node_tensor_rows(h), stars.params.M)
-    rows = solver.coefficient_rows(tensor_rows)
-    if rows is None:
-        raise AxiomViolationError(
-            "message-containment", subset=(h,),
-            message=f"helper {h} cannot evaluate a requested tensor")
-    return rows
-
-
-def _recovery_matrix(stars, solver, target_node) -> list[list[int]]:
-    rows = solver.coefficient_rows(stars.node_tensor_rows(target_node))
-    if rows is None:
-        raise AxiomViolationError("pair-repair-span", failed_node=target_node,
-                                  message="agent pool misses the target")
-    return rows
+    """ShortenedCode.repair_program for the pair (f, g) of a plain family,
+    with a send matrix and a count for every helper."""
+    sends, (first, second) = ShortenedCode(stars, 0).repair_program([f, g], helpers, strategy)
+    sent = dict(sends)
+    matrices = tuple(sent.get(h, []) for h in helpers)
+    per_helper_sent = tuple((h, len(S)) for h, S in zip(helpers, matrices))
+    plan = CentralRepairPlan(per_helper_sent, sum(c for _, c in per_helper_sent))
+    return CentralRepairProgram(plan, matrices, first, second)
 
 
 def central_repair_two(file: FileTensor, stars: StarFamily, f: int, g: int,
                        helpers: list[int], strategy: str = SUBSPACE):
     """Repair nodes f and g at once through a central agent, with the
-    matrices the store applies.
-
-    Helpers compute transmissions from their own stored values only.
-    Returns (content_f, content_g, plan); plan.total_bandwidth counts
-    the symbols actually sent to the agent.
-    """
-    sends, recover = ShortenedCode(stars, 0).repair_program([f, g], helpers, strategy)
+    matrices the store applies, each helper reading only its own values.
+    Returns (content_f, content_g, plan); plan.total_bandwidth counts the
+    symbols sent to the agent."""
+    program = central_repair_program(stars, f, g, helpers, strategy)
     received: list[int] = []
-    for h, S in sends:
+    for h, S in zip(helpers, program.send_matrices):
         received.extend(matvec(stars.spec, S, node_content(file, stars, h).values))
-    values_f, values_g = (matvec(stars.spec, R, received) for R in recover)
-    plan = central_repair_program(stars, f, g, helpers, strategy).plan
-    return NodeContent(f, values_f), NodeContent(g, values_g), plan
+    return (NodeContent(f, matvec(stars.spec, program.recover_first, received)),
+            NodeContent(g, matvec(stars.spec, program.recover_second, received)),
+            program.plan)

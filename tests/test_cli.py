@@ -455,6 +455,17 @@ def test_repair_rejects_repeated_helpers(tmp_path, shortened_store):
                  "--helpers", "0,1,2,3,4,6,7"]) == 0
 
 
+def test_repair2_cli_on_t2_store(tmp_path, shortened_store):
+    store = tmp_path / "store"
+    shutil.copytree(shortened_store, store)
+    blobs = [(store / f"node_{h}" / "chunks.blob").read_bytes() for h in range(11)]
+    for h in ("1", "9"):
+        assert main(["fail", h, "--store", str(store)]) == 0
+    code, out, err = run_cli("repair2", "1", "9", "--store", str(store))
+    assert code == 0, err
+    assert [(store / f"node_{h}" / "chunks.blob").read_bytes() for h in range(11)] == blobs
+
+
 def test_repair2_rejects_repeated_nodes(tmp_path):
     store = str(_put_hello(tmp_path))
     for h in ("2", "6"):

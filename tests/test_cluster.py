@@ -10,7 +10,7 @@ import pytest
 from atrahasis import cluster as cluster_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.cluster import Cluster
-from atrahasis.code import SYMMETRIC, rs_stars_t2
+from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
 from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
                               UsageError)
 from atrahasis.fields import binary_field, prime_field
@@ -263,6 +263,35 @@ def test_shortened_repair2_restores_blobs(tmp_path, strategy):
     assert result["symbols"] == info["chunk_count"] * live_sent
 
 
+# (base RS code over GF(256), flavor, shortening depth) -> symbols sent per
+# chunk under naive / cascade / subspace
+T2_PAIR_BANDWIDTHS = {
+    ((12, 5), EXTERIOR, 0): (16, 15, 14),
+    ((12, 5), SYMMETRIC, 1): (14, 13, 12),
+}
+
+
+@pytest.mark.parametrize("key", sorted(T2_PAIR_BANDWIDTHS),
+                         ids=lambda key: f"{key[1]}-depth{key[2]}")
+def test_repair2_on_t2_codes(tmp_path, key):
+    (n, k), flavor, depth = key
+    doc = family_document(rs_stars_t2(binary_field(8), n, k, flavor), shorten_depth=depth)
+    code, _ = parse_document(doc)
+    cluster, info = make_store(tmp_path, doc, random.Random(12).randbytes(3000))
+    written = _blobs(cluster, code.n)
+    f, g = 1, code.n - 2
+    for strategy, per_chunk in zip(STRATEGIES, T2_PAIR_BANDWIDTHS[key]):
+        cluster.fail(f)
+        cluster.fail(g)
+        result = cluster.repair2(f, g, strategy)
+        assert _blobs(cluster, code.n) == written, strategy
+        sends, _ = code.repair_program([f, g], result["helpers"], strategy)
+        assert sum(len(S) for _, S in sends) == per_chunk
+        assert result["symbols"] == info["chunk_count"] * per_chunk
+    ledger = cluster._load()[0]["ledger"]
+    assert ledger["repair2_symbols"] == info["chunk_count"] * sum(T2_PAIR_BANDWIDTHS[key])
+
+
 def test_two_byte_element_cluster(tmp_path, rng):
     # GF(512): the first field whose symbols are wider than a byte
     doc = family_document(rs_stars_t2(binary_field(9), 6, 3, SYMMETRIC))
@@ -466,12 +495,11 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
         cluster.fail(0)
         cluster.repair(0)
         assert _blobs(cluster, n) == reference, size
-        if code.base.params.t == 3:  # repair2 runs on t = 3 codes
-            for strategy in STRATEGIES:
-                cluster.fail(1)
-                cluster.fail(n - 1)
-                cluster.repair2(1, n - 1, strategy)
-                assert _blobs(cluster, n) == reference, (size, strategy)
+        for strategy in STRATEGIES:
+            cluster.fail(1)
+            cluster.fail(n - 1)
+            cluster.repair2(1, n - 1, strategy)
+            assert _blobs(cluster, n) == reference, (size, strategy)
         monkeypatch.undo()
 
 

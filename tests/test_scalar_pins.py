@@ -102,15 +102,16 @@ def test_shortened_store_matrices_pinned(fixture, key):
 
 
 # strategy -> sha256 of [send matrices, recover_first, recover_second] for
-# the fixture's failed pair (0, 1) with helpers 2..7
+# the fixture's failed pair (0, 1) with helpers 2..7; the cascade program,
+# whose second recovery is composed with the first, is pinned through
+# repair_program below
 PINNED_PAIR_PROGRAMS = {
     "naive": "6cfcc5f2f3a20eda1917e5e39bdb168c20260f1596cc567bf8ec5a5ba39eb7bd",
-    "cascade": "ad12321bf8c39178be4a6d1a5714b700ea1602c7c394c465bc582f8530529bf0",
     "subspace": "ecc285d7b77c832b4ee99dbf467b268c6f449bc7d6431e7f52d3be86ba2fdb2a",
 }
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", sorted(PINNED_PAIR_PROGRAMS))
 def test_pair_repair_program_pinned(fixture, strategy):
     program = central_repair_program(fixture, 0, 1, [2, 3, 4, 5, 6, 7], strategy)
     got = _digest([[_plain(S) for S in program.send_matrices],

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from atrahasis.code import (SYMMETRIC, StarFamily, encode, node_content,
+from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, encode, node_content,
                             rs_stars_t2)
 from atrahasis.errors import AxiomViolationError, UsageError
 from atrahasis.linalg import matvec
@@ -150,10 +150,31 @@ def test_central_repair_usage_errors(gf16, fixture_family):
         central_repair_two(phi, fixture_family, 0, 1, [2, 3, 4, 5, 6], NAIVE)
     with pytest.raises(UsageError):
         central_repair_two(phi, fixture_family, 0, 1, [2, 3, 4, 5, 6, 7], "other")
-    t2 = rs_stars_t2(gf16, 6, 3, SYMMETRIC)
-    phi2 = encode(gf16, [0] * 6, t2.params)
-    with pytest.raises(UsageError):
-        central_repair_two(phi2, t2, 0, 1, [2, 3, 4, 5], NAIVE)
+
+
+@pytest.mark.parametrize("flavor", [SYMMETRIC, EXTERIOR])
+def test_central_repair_on_t2_codes(gf16, rng, flavor):
+    # no t = 3 closed form is needed: a t = 2 pair is repaired exactly
+    t2 = rs_stars_t2(gf16, 6, 3, flavor)
+    phi = encode(gf16, random_values(rng, gf16, t2.params.M), t2.params)
+    for strategy, bw in ((NAIVE, 8), (CASCADE, 7), (SUBSPACE, 6)):
+        cf, cg, plan = central_repair_two(phi, t2, 0, 1, [2, 3, 4, 5], strategy)
+        assert cf.values == node_content(phi, t2, 0).values
+        assert cg.values == node_content(phi, t2, 1).values
+        assert plan.total_bandwidth == bw
+
+
+def test_repair_program_failed_counts(fixture_family):
+    sc = shorten(fixture_family, 0)
+    for failed in ([], [0, 1, 2]):
+        with pytest.raises(UsageError, match=f"got {len(failed)}"):
+            sc.repair_program(failed, [3, 4, 5, 6, 7, 8])
+    with pytest.raises(UsageError, match="cascade repair rebuilds 2 failed"):
+        sc.repair_program([0], [1, 2, 3, 4, 5, 6], CASCADE)
+    with pytest.raises(UsageError, match="must differ"):
+        sc.repair_program([0, 0], [1, 2, 3, 4, 5, 6])
+    with pytest.raises(UsageError, match="not a live node"):
+        shorten(fixture_family, 1).repair_program([0, 1], [2, 3, 4, 5, 8])
 
 
 def test_central_repair_messages_use_only_helper_contents(gf16, fixture_family, rng):
