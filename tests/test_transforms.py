@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, encode, node_content,
-                            rs_stars_t2)
+from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, encode, help_matrix,
+                            node_content, repair_matrix, rs_stars_t2)
 from atrahasis.errors import AxiomViolationError, UsageError
+from atrahasis.fields import binary_field
+from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
                                   cascade_bandwidth, central_repair_program,
@@ -85,6 +87,32 @@ def test_double_shorten_composes(gf16, fixture_family, rng):
     contents = [direct.node_content(phi, h) for h in range(7)]
     assert twice.download(contents[:3]) == raw
     assert direct.download(contents[:3]) == raw
+
+
+# codes whose single repairs code.repair_matrix and repair_program must
+# agree on: the t = 3 fixture, and t = 2 codes over GF(256) and GF(2^12)
+REPAIR_CODES = {
+    "fixture": atrahasis_956,
+    "rs-12-5-8-sym": lambda: rs_stars_t2(binary_field(8), 12, 5, SYMMETRIC),
+    "rs-12-5-8-ext": lambda: rs_stars_t2(binary_field(8), 12, 5, EXTERIOR),
+    "rs-6-3-4-gf4096": lambda: rs_stars_t2(binary_field(12), 6, 3, SYMMETRIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPAIR_CODES))
+def test_repair_matrix_matches_repair_program(name):
+    # the scalar repair matrix is the store's single-failure program: every
+    # helper sends its whole help message, and the recoveries are equal
+    fam = REPAIR_CODES[name]()
+    code = ShortenedCode(fam, 0)
+    rng = random.Random(name)
+    for f in range(code.n):
+        others = [h for h in range(code.n) if h != f]
+        for _ in range(4):
+            helpers = rng.sample(others, code.d)
+            sends, (recover,) = code.repair_program([f], helpers)
+            assert sends == [(h, help_matrix(fam, h, f)) for h in helpers]
+            assert recover == repair_matrix(fam, f, helpers)
 
 
 def test_shorten_detects_degenerate_base(gf16):
