@@ -2,16 +2,15 @@
 powers, with star-vector search/certification, code shortening, and a
 single-process storage-cluster simulator."""
 
-from .code import (CodeParams, FileTensor, HelpMessage, NodeContent,
-                   StarFamily, derive_params, download, encode, help_message,
-                   node_content, repair, rs_stars_t2, verify_axioms)
+from .code import (CodeParams, HelpMessage, NodeContent, StarFamily,
+                   derive_params, rs_stars_t2, verify_axioms)
 from .fields import FieldSpec, binary_field, prime_field
+from .transforms import ShortenedCode, shorten
 
 __all__ = [
-    "CodeParams", "FileTensor", "HelpMessage", "NodeContent", "StarFamily",
-    "derive_params", "download", "encode", "help_message", "node_content",
-    "repair", "rs_stars_t2", "verify_axioms",
-    "FieldSpec", "binary_field", "prime_field",
+    "CodeParams", "HelpMessage", "NodeContent", "StarFamily",
+    "derive_params", "rs_stars_t2", "verify_axioms",
+    "FieldSpec", "binary_field", "prime_field", "ShortenedCode", "shorten",
 ]
 
 __version__ = "0.1.0"

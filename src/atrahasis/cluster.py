@@ -182,7 +182,10 @@ class Cluster:
     # ---- commands ----
 
     def put(self, spec_doc: dict, file_path) -> dict:
-        """Initialize (or reinitialize) the store with one file."""
+        """Initialize (or reinitialize) the store with one file.  The new
+        blobs are staged beside any old ones, so a put that fails leaves
+        the stored file as it was; node directories the new code does not
+        use go only once the new manifest is saved."""
         with locked(self.root), ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             bulk = BulkField(code.spec)
@@ -193,8 +196,6 @@ class Cluster:
             length = info.st_size
             chunked = ChunkedFile.plan(length, code.M, code.spec.m)
             encode = bulk.expand(code.put_matrix())
-            for stale in self.root.glob("node_*"):
-                shutil.rmtree(stale)
             staged = self._stage_nodes(stack, phash, range(code.n))
             rows = code.M * code.spec.m
             a = code.alpha * code.spec.m
@@ -223,6 +224,10 @@ class Cluster:
                 "ledger": Ledger().to_dict(),
             }
             self._save(manifest)
+            nodes = {f"node_{h}" for h in range(code.n)}
+            for stale in self.root.glob("node_*"):
+                if stale.name not in nodes:
+                    shutil.rmtree(stale)
             return {"chunk_count": chunked.chunk_count, "nodes": code.n,
                     "symbols_per_chunk": code.M}
 

@@ -11,15 +11,16 @@ tensors of the node's / message's subspace.  Every such tensor, and
 every row of the repair-span axiom, is built by tensors.star_rows; the
 two flavors differ only in the product it takes.
 
-Star vectors, files, node contents, help messages and every matrix are
-plain lists of canonical ints.  Values from outside are checked once, as
-they come in: StarFamily checks its star entries, encode the user's
-symbols, and download, help_message and repair the node contents and
-help messages they are given; nothing built from them is checked again.
+This module builds the family and the matrices of download, help and
+repair; transforms.ShortenedCode applies them to values (a plain family
+is its shortening of depth 0).  Star vectors, files, node contents, help
+messages and every matrix are plain lists of canonical ints.  Values
+from outside are checked once, as they come in: StarFamily checks its
+star entries, and ShortenedCode the user's symbols and the node contents
+and help messages it is given; nothing built from them is checked again.
 
 Everything here is a pure function of its inputs, which it never
-changes; node_content, help_message and repair for distinct nodes may
-run concurrently.
+changes; the matrices for distinct nodes may be built concurrently.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 from .errors import (AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, UsageError)
 from .fields import FieldSpec
-from .linalg import SpanSolver, first_deficient_subset, invert, matvec, rank_of_rows
+from .linalg import SpanSolver, first_deficient_subset, invert, rank_of_rows
 from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
@@ -213,19 +214,6 @@ def quotient_rows(spec: FieldSpec, flavor: str, t: int, s) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class FileTensor:
-    """The stored file: its M coordinates against the canonical basis."""
-
-    params: CodeParams
-    values: list[int]
-
-    def __post_init__(self):
-        if len(self.values) != self.params.M:
-            raise UsageError(
-                f"file needs {self.params.M} coordinates, got {len(self.values)}")
-
-
-@dataclass(frozen=True)
 class NodeContent:
     """The alpha symbols stored by one node."""
 
@@ -240,38 +228,6 @@ class HelpMessage:
     helper: int
     failed: int
     values: list[int]
-
-
-def encode(spec: FieldSpec, raw, params: CodeParams) -> FileTensor:
-    """Systematic pre-encoding: the M user symbols, each checked to be a
-    canonical element of spec, become the coordinates."""
-    values = [spec.check_value(v) for v in raw]
-    if len(values) != params.M:
-        raise UsageError(f"encode needs exactly {params.M} symbols, got {len(values)}")
-    return FileTensor(params, values)
-
-
-def node_content(file: FileTensor, stars: StarFamily, h: int) -> NodeContent:
-    """Evaluate the file at node h's basis tensors."""
-    return NodeContent(h, matvec(stars.spec, stars.node_tensor_rows(h), file.values))
-
-
-def stack_values(spec: FieldSpec, parts, length: int, what: str) -> list[int]:
-    """The values of node contents or help messages one after another,
-    each part checked to hold `length` canonical elements of spec."""
-    values = []
-    for part in parts:
-        if len(part.values) != length:
-            raise UsageError(f"{what} has wrong length")
-        values.extend(spec.check_value(v) for v in part.values)
-    return values
-
-
-def download(contents: list[NodeContent], stars: StarFamily) -> FileTensor:
-    """Exact reconstruction of the file from any k node contents."""
-    D = download_matrix(stars, [c.node_index for c in contents])
-    values = stack_values(stars.spec, contents, stars.params.alpha, "node content")
-    return FileTensor(stars.params, matvec(stars.spec, D, values))
 
 
 def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
@@ -306,52 +262,13 @@ def help_matrix(stars: StarFamily, h: int, f: int) -> list[list[int]]:
     return send_matrix(stars, h, stars.message_tensor_rows(h, f))
 
 
-def help_message(content: NodeContent, stars: StarFamily, f: int) -> HelpMessage:
-    """What node `content.node_index` sends toward failed node f."""
-    h = content.node_index
-    if h == f:
-        raise UsageError("a node does not help itself")
-    values = stack_values(stars.spec, [content], stars.params.alpha, "node content")
-    return HelpMessage(h, f, matvec(stars.spec, help_matrix(stars, h, f), values))
-
-
 def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> list[list[int]]:
-    """alpha x (d*beta) map from concatenated help messages to node f's values.
-
-    Each of f's node basis tensors is expressed over the received
-    message tensors; span deficiency surfaces as an axiom violation
-    naming (f, helper set).
-    """
-    p = stars.params
-    if len(helpers) != p.d or len(set(helpers)) != p.d or f in helpers:
-        raise UsageError(f"repair needs {p.d} distinct helpers, none equal to {f}")
-    generators = []
-    for h in helpers:
-        generators.extend(stars.message_tensor_rows(h, f))
-    rows = SpanSolver(stars.spec, generators, p.M).coefficient_rows(
-        stars.node_tensor_rows(f))
-    if rows is None:
-        raise AxiomViolationError("repair-span", subset=sorted(helpers), failed_node=f)
-    return rows
-
-
-def message_values(spec: FieldSpec, messages: list[HelpMessage],
-                   beta: int) -> tuple[int, list[int], list[int]]:
-    """(failed node, helpers, stacked values) of help messages that all
-    go toward one failed node, each value checked."""
-    if not messages:
-        raise UsageError("no help messages")
-    f = messages[0].failed
-    if any(m.failed != f for m in messages):
-        raise UsageError("help messages disagree on the failed node")
-    return f, [m.helper for m in messages], stack_values(spec, messages, beta,
-                                                         "help message")
-
-
-def repair(messages: list[HelpMessage], stars: StarFamily) -> NodeContent:
-    """Rebuild a failed node's content from d help messages."""
-    f, helpers, received = message_values(stars.spec, messages, stars.params.beta)
-    return NodeContent(f, matvec(stars.spec, repair_matrix(stars, f, helpers), received))
+    """alpha x (d*beta) map from concatenated help messages to node f's
+    values: the recovery of the single-failure repair program the store
+    runs."""
+    # transforms imports this module, so the import waits for the call
+    from .transforms import ShortenedCode
+    return ShortenedCode(stars, 0).repair_matrix(f, helpers)
 
 
 @dataclass(frozen=True)

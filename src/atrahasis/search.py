@@ -49,8 +49,6 @@ class SearchConfig:
     params: CodeParams
     x_pattern: tuple
     y_pattern: tuple
-    seed: int = 0
-    max_redraws: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "x_pattern", tuple(self.x_pattern))
@@ -171,9 +169,10 @@ class WitnessReport:
     determinant: int = 0
 
 
-def witness_matrix(spec: FieldSpec, k: int, d: int, t: int,
-                   xs: list[list[int]], ys: list[list[int]]) -> list[list[int]]:
-    """Stack the d*beta expanded tensors into the square witness matrix."""
+def witness_matrix(spec: FieldSpec, t: int, xs: list[list[int]],
+                   ys: list[list[int]]) -> list[list[int]]:
+    """Stack the d*beta expanded tensors of the d star pairs (xs, ys)
+    into the square witness matrix."""
     rows = []
     for x, y in zip(xs, ys):
         rows.extend(star_rows(spec, SYMMETRIC, x, y, t - 2))
@@ -196,7 +195,7 @@ def nullstellensatz_witness(params: CodeParams, witness_field: FieldSpec,
     for redraw in range(max_redraws):
         xs = [[rng.randrange(order) for _ in range(t)] for _ in range(d)]
         ys = [[rng.randrange(order) for _ in range(k - t + 1)] for _ in range(d)]
-        value = det(witness_field, witness_matrix(witness_field, k, d, t, xs, ys))
+        value = det(witness_field, witness_matrix(witness_field, t, xs, ys))
         if value != 0:
             return WitnessReport(case, order, redraw, NONZERO_WITNESSED,
                                  tuple(map(tuple, xs)), tuple(map(tuple, ys)), value)

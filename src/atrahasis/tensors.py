@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 from .errors import UsageError
 from .fields import FieldSpec
@@ -31,38 +32,6 @@ from .linalg import Echelon
 
 SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
-
-
-def _nondecreasing_tuples(m: int, q: int):
-    if q < 0 or (m <= 0 and q > 0):
-        return
-    if q == 0:
-        yield ()
-        return
-    def rec(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, m):
-            for rest in rec(i, remaining - 1):
-                yield (i,) + rest
-    yield from rec(0, q)
-
-
-def _increasing_tuples(k: int, q: int):
-    if q < 0 or q > k:
-        return
-    if q == 0:
-        yield ()
-        return
-    def rec(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, k - remaining + 1):
-            for rest in rec(i + 1, remaining - 1):
-                yield (i,) + rest
-    yield from rec(0, q)
 
 
 class _MonomialBasis:
@@ -73,7 +42,8 @@ class _MonomialBasis:
     def __init__(self, m: int, q: int):
         self.dim_space = m
         self.degree = q
-        self.index = list(self._tuples(m, q))
+        # itertools rejects a negative degree; its power is the zero space
+        self.index = list(self._tuples(range(m), q)) if q >= 0 else []
         self.position = {t: i for i, t in enumerate(self.index)}
 
     @property
@@ -89,14 +59,14 @@ class SymBasis(_MonomialBasis):
     """Monomial basis of the degree-q symmetric power of F^m."""
 
     __slots__ = ()
-    _tuples = staticmethod(_nondecreasing_tuples)
+    _tuples = staticmethod(combinations_with_replacement)
 
 
 class ExtBasis(_MonomialBasis):
     """Wedge basis of the degree-q exterior power of F^k."""
 
     __slots__ = ()
-    _tuples = staticmethod(_increasing_tuples)
+    _tuples = staticmethod(combinations)
 
 
 def _check_length(m: int, v) -> None:

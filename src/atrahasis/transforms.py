@@ -8,10 +8,13 @@ download and repair drop the columns the retired nodes' zero contents
 and zero help messages would feed.  Depth delta turns an
 (n, k, d, alpha) instance into (n-delta, k-delta, d-delta, alpha),
 keeping d-k+1 and beta.  A ShortenedCode is the one code type of the
-store: every code-spec file parses to one, and a plain spec is its
-depth 0.  It builds every matrix the store applies (put, decode, and
-the regeneration of one or two failed nodes), and its scalar download,
-help_message and repair apply the same matrices.
+store and the library's one scalar code API: every code-spec file
+parses to one, and a plain star family is its depth 0.  It builds every
+matrix the store applies (put, decode, and the regeneration of one or
+two failed nodes), and its scalar encode, node_content, download,
+help_message and repair apply the same matrices to lists of ints; a file
+is the list of its base coordinates.  Values from outside are checked
+once, where these methods take them in.
 
 One builder, ShortenedCode.repair_program, rebuilds one failed node, or
 two at a central agent, on any t and either flavor: the d helpers'
@@ -29,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import (FileTensor, HelpMessage, NodeContent, StarFamily,
-                   download_matrix, help_message, message_values, node_content,
-                   send_matrix, stack_values)
+from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
+                   help_matrix, send_matrix)
 from .errors import AxiomViolationError, UsageError
 from .linalg import Echelon, SpanSolver, dot_ints, matvec, nullspace_with_free
 
@@ -89,26 +91,28 @@ class ShortenedCode:
         self.constrained = {c: [v[c] for v in basis]
                             for c in range(p.M) if c not in free}
 
-    def encode(self, raw) -> FileTensor:
+    def encode(self, raw) -> list[int]:
         """Map (k-depth)*alpha user symbols, each checked to be a canonical
-        element, to a base file with pinned node contents all zero."""
+        element, to the base file's coordinates, with the pinned node
+        contents all zero.  At depth 0 the file is the user symbols."""
         values = [self.spec.check_value(v) for v in raw]
         if len(values) != self.M:
-            raise UsageError(f"shortened encode needs {self.M} symbols, got {len(values)}")
+            raise UsageError(f"encode needs {self.M} symbols, got {len(values)}")
         file = [0] * self.base.params.M
         for c, v in zip(self.free_cols, values):
             file[c] = v
         for c, constraint in self.constrained.items():
             file[c] = dot_ints(self.spec, constraint, values)
-        return FileTensor(self.base.params, file)
+        return file
 
-    def decode(self, file: FileTensor) -> list[int]:
+    def decode(self, file: list[int]) -> list[int]:
         """Read the user symbols back off the free coordinates."""
-        return [file.values[c] for c in self.free_cols]
+        return [file[c] for c in self.free_cols]
 
-    def node_content(self, file: FileTensor, h: int) -> NodeContent:
+    def node_content(self, file: list[int], h: int) -> NodeContent:
+        """Evaluate the file at live node h's basis tensors."""
         self._check_live(h)
-        return node_content(file, self.base, h)
+        return NodeContent(h, matvec(self.spec, self.base.node_tensor_rows(h), file))
 
     def put_matrix(self) -> list[list[int]]:
         """The M user symbols -> the n*alpha values of the live nodes, node h
@@ -200,22 +204,39 @@ class ShortenedCode:
     def download(self, contents: list[NodeContent]) -> list[int]:
         """Recover the user symbols from any k-depth live node contents."""
         if len(contents) != self.k:
-            raise UsageError(f"shortened download needs {self.k} node contents")
+            raise UsageError(f"download needs {self.k} node contents")
         D = self.decode_matrix([c.node_index for c in contents])
-        return matvec(self.spec, D, stack_values(self.spec, contents, self.alpha,
-                                                 "node content"))
+        return matvec(self.spec, D, self._values(contents, self.alpha, "node content"))
 
     def help_message(self, content: NodeContent, f: int) -> HelpMessage:
-        self._check_live(content.node_index, f)
-        return help_message(content, self.base, f)
+        """What live node `content.node_index` sends toward failed node f."""
+        h = content.node_index
+        self._check_live(h, f)
+        values = self._values([content], self.alpha, "node content")
+        return HelpMessage(h, f, matvec(self.spec, help_matrix(self.base, h, f), values))
 
     def repair(self, messages: list[HelpMessage]) -> NodeContent:
-        """Repair from d-depth live helpers; the retired nodes' messages
-        are zero, so repair_matrix drops their columns."""
+        """Rebuild a failed node from the help messages of d-depth live
+        helpers; the retired nodes' messages are zero, so repair_matrix
+        drops their columns."""
         if len(messages) != self.d:
-            raise UsageError(f"shortened repair needs {self.d} live help messages")
-        f, helpers, received = message_values(self.spec, messages, self.beta)
-        return NodeContent(f, matvec(self.spec, self.repair_matrix(f, helpers), received))
+            raise UsageError(f"repair needs {self.d} live help messages")
+        f = messages[0].failed
+        if any(m.failed != f for m in messages):
+            raise UsageError("help messages disagree on the failed node")
+        received = self._values(messages, self.beta, "help message")
+        R = self.repair_matrix(f, [m.helper for m in messages])
+        return NodeContent(f, matvec(self.spec, R, received))
+
+    def _values(self, parts, length: int, what: str) -> list[int]:
+        """The values of node contents or help messages one after another,
+        each part checked to hold `length` canonical elements."""
+        values = []
+        for part in parts:
+            if len(part.values) != length:
+                raise UsageError(f"{what} has wrong length")
+            values.extend(self.spec.check_value(v) for v in part.values)
+        return values
 
     def _check_live(self, *nodes: int):
         for h in nodes:
@@ -292,16 +313,16 @@ def central_repair_program(stars: StarFamily, f: int, g: int,
     return CentralRepairProgram(plan, matrices, first, second)
 
 
-def central_repair_two(file: FileTensor, stars: StarFamily, f: int, g: int,
+def central_repair_two(file: list[int], stars: StarFamily, f: int, g: int,
                        helpers: list[int], strategy: str = SUBSPACE):
     """Repair nodes f and g at once through a central agent, with the
     matrices the store applies, each helper reading only its own values.
     Returns (content_f, content_g, plan); plan.total_bandwidth counts the
     symbols sent to the agent."""
     program = central_repair_program(stars, f, g, helpers, strategy)
-    received: list[int] = []
+    code, received = ShortenedCode(stars, 0), []
     for h, S in zip(helpers, program.send_matrices):
-        received.extend(matvec(stars.spec, S, node_content(file, stars, h).values))
+        received.extend(matvec(stars.spec, S, code.node_content(file, h).values))
     return (NodeContent(f, matvec(stars.spec, program.recover_first, received)),
             NodeContent(g, matvec(stars.spec, program.recover_second, received)),
             program.plan)

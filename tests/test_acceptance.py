@@ -16,9 +16,8 @@ import pytest
 
 import product_matrix as pm
 from atrahasis.cli import main
-from atrahasis.code import (EXTERIOR, SYMMETRIC, derive_params, download,
-                            download_matrix, encode, help_message,
-                            node_content, repair, rs_stars_t2, verify_axioms)
+from atrahasis.code import (EXTERIOR, SYMMETRIC, derive_params, download_matrix,
+                            rs_stars_t2, verify_axioms)
 from atrahasis.errors import InfeasibleParametersError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import (ATRAHASIS_956_POINT_EXPONENTS,
@@ -26,8 +25,8 @@ from atrahasis.fixtures import (ATRAHASIS_956_POINT_EXPONENTS,
                                 ATRAHASIS_956_Y_PATTERN, atrahasis_956)
 from atrahasis.linalg import matvec
 from atrahasis.search import NONZERO_WITNESSED, sweep_small_cases
-from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, central_repair_two,
-                                  shorten)
+from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
+                                  central_repair_two, shorten)
 from conftest import random_values
 
 
@@ -76,10 +75,10 @@ def test_criterion_1_fixture_reproduction(family, spec):
 
 @criterion(2, "all 126 five-node subsets reconstruct 20 random files exactly")
 def test_criterion_2_exhaustive_download(family, spec):
+    code = ShortenedCode(family, 0)
     rng = random.Random(2020)
-    files = [encode(spec, random_values(rng, spec, 30), family.params)
-             for _ in range(20)]
-    contents = [[node_content(phi, family, h) for h in range(9)]
+    files = [code.encode(random_values(rng, spec, 30)) for _ in range(20)]
+    contents = [[code.node_content(phi, h) for h in range(9)]
                 for phi in files]
     for K in combinations(range(9), 5):
         D = download_matrix(family, list(K))
@@ -87,19 +86,18 @@ def test_criterion_2_exhaustive_download(family, spec):
             stacked = []
             for h in K:
                 stacked.extend(cs[h].values)
-            assert matvec(spec, D, stacked) == phi.values
+            assert matvec(spec, D, stacked) == phi
     # the one-shot operation agrees with the reusable decode matrix
-    sample = files[0]
-    got = download([contents[0][h] for h in (0, 3, 4, 6, 8)], family)
-    assert got.values == sample.values
+    got = code.download([contents[0][h] for h in (0, 3, 4, 6, 8)])
+    assert got == files[0]
 
 
 @criterion(3, "all 9 x 28 single repairs are exact at beta = 3 per helper")
 def test_criterion_3_exhaustive_repair(family, spec):
+    code = ShortenedCode(family, 0)
     rng = random.Random(303)
-    files = [encode(spec, random_values(rng, spec, 30), family.params)
-             for _ in range(3)]
-    contents = [[node_content(phi, family, h) for h in range(9)]
+    files = [code.encode(random_values(rng, spec, 30)) for _ in range(3)]
+    contents = [[code.node_content(phi, h) for h in range(9)]
                 for phi in files]
     pairs = 0
     for f in range(9):
@@ -107,9 +105,9 @@ def test_criterion_3_exhaustive_repair(family, spec):
         for H in combinations(others, 6):
             pairs += 1
             for cs in contents:
-                msgs = [help_message(cs[h], family, f) for h in H]
+                msgs = [code.help_message(cs[h], f) for h in H]
                 assert all(len(m.values) == 3 for m in msgs)
-                assert repair(msgs, family).values == cs[f].values
+                assert code.repair(msgs).values == cs[f].values
     assert pairs == 9 * 28
 
 
@@ -143,29 +141,30 @@ def test_criterion_4_msr_identities():
 def test_criterion_5_oracle_equivalence(spec):
     fam = rs_stars_t2(spec, 6, 3, SYMMETRIC)
     assert verify_axioms(fam).ok
+    code = ShortenedCode(fam, 0)
     xis = [x[1] for x in fam.x_stars]
     ys = fam.second_stars
     rng = random.Random(5050)
     for _ in range(20):
         raw = random_values(rng, spec, 6)
-        phi = encode(spec, raw, fam.params)
+        phi = code.encode(raw)
         sfile = pm.pack_symmetric(spec, 3, raw)
-        contents = [node_content(phi, fam, h) for h in range(6)]
+        contents = [code.node_content(phi, h) for h in range(6)]
         for h in range(6):
             assert contents[h].values == pm.pm_node(sfile, xis[h], ys[h])
         for K in combinations(range(6), 3):
             rec = pm.pm_download(spec, [contents[h].values for h in K],
                                  [xis[h] for h in K], [ys[h] for h in K])
             assert pm.unpack_symmetric(rec) == raw
-            assert download([contents[h] for h in K], fam).values == phi.values
+            assert code.download([contents[h] for h in K]) == phi
         for f in range(6):
             for H in combinations([h for h in range(6) if h != f], 4):
-                msgs = [help_message(contents[h], fam, f) for h in H]
+                msgs = [code.help_message(contents[h], f) for h in H]
                 scalars = [pm.pm_help(sfile, xis[h], ys[h], ys[f]) for h in H]
                 assert [m.values[0] for m in msgs] == scalars
                 via_pm = pm.pm_repair(spec, scalars, [xis[h] for h in H],
                                       [ys[h] for h in H], xis[f], ys[f])
-                assert repair(msgs, fam).values == via_pm == contents[f].values
+                assert code.repair(msgs).values == via_pm == contents[f].values
 
     # the skew oracle passes the same exhaustive roundtrips independently
     famx = rs_stars_t2(spec, 6, 3, EXTERIOR)
@@ -207,7 +206,7 @@ def test_criterion_6_shortening(family, spec):
     direct = shorten(family, 2)
     assert twice.pinned == direct.pinned
     raw2 = random_values(rng, spec, direct.M)
-    assert twice.encode(raw2).values == direct.encode(raw2).values
+    assert twice.encode(raw2) == direct.encode(raw2)
     phi2 = direct.encode(raw2)
     cs2 = [direct.node_content(phi2, h) for h in range(7)]
     for K in list(combinations(range(7), 3))[:10]:
@@ -217,10 +216,10 @@ def test_criterion_6_shortening(family, spec):
 
 @criterion(7, "two-failure repair is exact with bandwidths 30 / 28 / 27")
 def test_criterion_7_two_failure_bandwidth(family, spec):
+    code = ShortenedCode(family, 0)
     rng = random.Random(707)
-    raw = random_values(rng, spec, 30)
-    phi = encode(spec, raw, family.params)
-    wanted = [node_content(phi, family, h).values for h in range(9)]
+    phi = code.encode(random_values(rng, spec, 30))
+    wanted = [code.node_content(phi, h).values for h in range(9)]
     bandwidths = {NAIVE: 30, CASCADE: 28, SUBSPACE: 27}
     assert bandwidths[NAIVE] == 6 * (2 * 5 - 5)
     assert bandwidths[CASCADE] == 5 * (2 * 5 - 5) + (5 - 2)

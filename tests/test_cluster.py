@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import random
@@ -319,6 +320,34 @@ def test_put_reinitializes_cleanly(tmp_path, fixture_doc, rng):
     assert out.read_bytes() == b"second file"
 
 
+def test_failed_put_keeps_the_stored_file(tmp_path, fixture_doc, monkeypatch):
+    # a second put that runs out of space mid-stream must leave the first
+    # file readable: its blobs are only replaced once the new ones commit
+    data = random.Random(7).randbytes(3000)
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    doc6 = family_document(rs_stars_t2(binary_field(4), 6, 3, SYMMETRIC))
+    src = tmp_path / "second.bin"
+    src.write_bytes(b"second file")
+    write_node, calls = Cluster._write_node, []
+
+    def full_disk(self, code, h, planes, staged):
+        calls.append(h)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_node(self, code, h, planes, staged)
+
+    monkeypatch.setattr(Cluster, "_write_node", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        cluster.put(doc6, src)
+    monkeypatch.undo()
+    assert not list(cluster.root.glob("node_*/*.tmp"))
+    out = tmp_path / "out.bin"
+    cluster.get(out)
+    assert out.read_bytes() == data
+    cluster.get(out, nodes=[4, 5, 6, 7, 8])
+    assert out.read_bytes() == data
+
+
 def test_put_needs_a_regular_file(tmp_path, fixture_doc):
     # the length prefix leads the stream, so put must know the size first
     with pytest.raises(UsageError, match="not a regular file"):
@@ -416,7 +445,7 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
         assert len(stored) == len(chunks)
         A = family.node_tensor_rows(h)
         for user, values in zip(chunks, stored):
-            assert matvec(spec, A, code.encode(user).values) == values
+            assert matvec(spec, A, code.encode(user)) == values
     digests = cluster._load()[0]["node_digests"]
     assert [digests[str(h)] for h in range(n)] == PINNED_DIGESTS[name]
     out = tmp_path / "out.bin"

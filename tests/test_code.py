@@ -5,14 +5,13 @@ import pytest
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
                             HelpMessage, NodeContent, StarFamily, derive_params,
-                            download, encode, help_matrix, help_message,
-                            node_content, repair, rs_stars_t2, verify_axioms)
+                            help_matrix, rs_stars_t2, verify_axioms)
 from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956, pattern_family
 from atrahasis.linalg import SpanSolver, dot_ints
-from atrahasis.transforms import shorten
+from atrahasis.transforms import ShortenedCode, shorten
 from conftest import random_values
 
 
@@ -21,12 +20,12 @@ def plus_scaled(spec, a, c, b):
     return [spec.add(x, spec.mul(c, y)) for x, y in zip(a, b)]
 
 
-def random_file(rng, spec, family):
-    return encode(spec, random_values(rng, spec, family.params.M), family.params)
+def random_file(rng, code):
+    return code.encode(random_values(rng, code.spec, code.M))
 
 
-def all_contents(spec, family, file):
-    return [node_content(file, family, h) for h in range(family.params.n)]
+def all_contents(code, file):
+    return [code.node_content(file, h) for h in range(code.n)]
 
 
 def test_derive_params_flagship():
@@ -136,80 +135,75 @@ def test_verify_axioms_pinned_passes(gf16, fixture_family):
 
 
 def test_encode_identity_and_linearity(gf16, fixture_family, rng):
-    params = fixture_family.params
-    raw = random_values(rng, gf16, params.M)
-    assert encode(gf16, raw, params).values == raw
-    assert not any(encode(gf16, [0] * params.M, params).values)
-    other = random_values(rng, gf16, params.M)
+    code = ShortenedCode(fixture_family, 0)
+    raw = random_values(rng, gf16, code.M)
+    assert code.encode(raw) == raw
+    assert not any(code.encode([0] * code.M))
+    other = random_values(rng, gf16, code.M)
     summed = [gf16.add(a, b) for a, b in zip(raw, other)]
-    lhs = encode(gf16, summed, params).values
-    rhs = plus_scaled(gf16, encode(gf16, raw, params).values, 1,
-                      encode(gf16, other, params).values)
+    lhs = code.encode(summed)
+    rhs = plus_scaled(gf16, code.encode(raw), 1, code.encode(other))
     assert lhs == rhs
     with pytest.raises(UsageError):
-        encode(gf16, raw[:-1], params)
+        code.encode(raw[:-1])
 
 
 def test_node_content_values(gf16, fixture_family, rng):
-    params = fixture_family.params
-    zero = encode(gf16, [0] * params.M, params)
-    assert not any(node_content(zero, fixture_family, 0).values)
-    unit = encode(gf16, [1] + [0] * (params.M - 1), params)
-    nc = node_content(unit, fixture_family, 2)
+    code = ShortenedCode(fixture_family, 0)
+    zero = code.encode([0] * code.M)
+    assert not any(code.node_content(zero, 0).values)
+    unit = code.encode([1] + [0] * (code.M - 1))
+    nc = code.node_content(unit, 2)
     assert len(nc.values) == 6
     expected = [row[0] for row in fixture_family.node_tensor_rows(2)]
     assert nc.values == expected
-    phi = random_file(rng, gf16, fixture_family)
-    nc = node_content(phi, fixture_family, 5)
+    phi = random_file(rng, code)
+    nc = code.node_content(phi, 5)
     rows = fixture_family.node_tensor_rows(5)
-    assert nc.values == [dot_ints(gf16, r, phi.values) for r in rows]
+    assert nc.values == [dot_ints(gf16, r, phi) for r in rows]
     with pytest.raises(UsageError):
-        node_content(phi, fixture_family, 9)
+        code.node_content(phi, 9)
 
 
 def test_download_exhaustive_small(gf16, rng):
-    fam = rs_stars_t2(gf16, 6, 3, SYMMETRIC)
+    code = ShortenedCode(rs_stars_t2(gf16, 6, 3, SYMMETRIC), 0)
     for _ in range(3):
-        phi = random_file(rng, gf16, fam)
-        contents = all_contents(gf16, fam, phi)
+        phi = random_file(rng, code)
+        contents = all_contents(code, phi)
         for K in combinations(range(6), 3):
-            got = download([contents[h] for h in K], fam)
-            assert got.values == phi.values
-    zero = encode(gf16, [0] * fam.params.M, fam.params)
-    zc = all_contents(gf16, fam, zero)
-    assert not any(download(zc[:3], fam).values)
+            assert code.download([contents[h] for h in K]) == phi
+    zc = all_contents(code, code.encode([0] * code.M))
+    assert not any(code.download(zc[:3]))
     with pytest.raises(UsageError):
-        download(zc[:2], fam)  # k-1 contents underdetermine the file
+        code.download(zc[:2])  # k-1 contents underdetermine the file
     with pytest.raises(UsageError):
-        download([zc[0], zc[0], zc[1]], fam)
+        code.download([zc[0], zc[0], zc[1]])
 
 
 def test_help_and_repair_roundtrip(gf16, fixture_family, rng):
-    fam = fixture_family
-    phi = random_file(rng, gf16, fam)
-    contents = all_contents(gf16, fam, phi)
+    code = ShortenedCode(fixture_family, 0)
+    phi = random_file(rng, code)
+    contents = all_contents(code, phi)
     f = 3
     helpers = [0, 1, 2, 4, 5, 8]
-    msgs = [help_message(contents[h], fam, f) for h in helpers]
+    msgs = [code.help_message(contents[h], f) for h in helpers]
     assert all(len(m.values) == 3 for m in msgs)
-    rebuilt = repair(msgs, fam)
+    rebuilt = code.repair(msgs)
     assert rebuilt.node_index == f
     assert rebuilt.values == contents[f].values
     with pytest.raises(UsageError):
-        repair(msgs[:-1], fam)
+        code.repair(msgs[:-1])
     with pytest.raises(UsageError):
-        help_message(contents[f], fam, f)
+        code.help_message(contents[f], f)
 
 
 def test_zero_file_messages(gf16, fixture_family):
-    params = fixture_family.params
-    zero = encode(gf16, [0] * params.M, params)
-    zc = node_content(zero, fixture_family, 0)
-    msg = help_message(zc, fixture_family, 4)
+    code = ShortenedCode(fixture_family, 0)
+    zero = code.encode([0] * code.M)
+    msg = code.help_message(code.node_content(zero, 0), 4)
     assert not any(msg.values)
-    msgs = [help_message(node_content(zero, fixture_family, h), fixture_family, 0)
-            for h in (1, 2, 3, 4, 5, 6)]
-    assert not any(repair(msgs, fixture_family).values)
+    msgs = [code.help_message(code.node_content(zero, h), 0) for h in (1, 2, 3, 4, 5, 6)]
+    assert not any(code.repair(msgs).values)
 
 
 def test_message_containment_all_pairs(gf16, fixture_family):
@@ -231,34 +225,27 @@ def test_short_helper_sets_are_span_deficient(gf16, fixture_family):
 
 
 def test_linearity_of_pipeline(gf16, fixture_family, rng):
-    fam = fixture_family
-    params = fam.params
-    a = random_file(rng, gf16, fam)
-    b = random_file(rng, gf16, fam)
+    code = ShortenedCode(fixture_family, 0)
+    a = random_file(rng, code)
+    b = random_file(rng, code)
     c = rng.randrange(1, 16)
-    summed = encode(
-        gf16,
-        [gf16.add(x, gf16.mul(c, y)) for x, y in
-         zip(a.values, b.values)],
-        params)
+    summed = code.encode(plus_scaled(gf16, a, c, b))
     for h in range(4):
-        lhs = node_content(summed, fam, h).values
-        rhs = plus_scaled(gf16, node_content(a, fam, h).values, c,
-                          node_content(b, fam, h).values)
+        lhs = code.node_content(summed, h).values
+        rhs = plus_scaled(gf16, code.node_content(a, h).values, c,
+                          code.node_content(b, h).values)
         assert lhs == rhs
-    msg_lhs = help_message(node_content(summed, fam, 1), fam, 0).values
-    msg_rhs = plus_scaled(gf16, help_message(node_content(a, fam, 1), fam, 0).values, c,
-                          help_message(node_content(b, fam, 1), fam, 0).values)
-    assert msg_lhs == msg_rhs
+    def message(phi):
+        return code.help_message(code.node_content(phi, 1), 0).values
+    assert message(summed) == plus_scaled(gf16, message(a), c, message(b))
     K = (0, 2, 4, 6, 8)
-    lhs = download([node_content(summed, fam, h) for h in K], fam).values
-    rhs = plus_scaled(gf16, download([node_content(a, fam, h) for h in K], fam).values, c,
-                      download([node_content(b, fam, h) for h in K], fam).values)
-    assert lhs == rhs
+    def download(phi):
+        return code.download([code.node_content(phi, h) for h in K])
+    assert download(summed) == plus_scaled(gf16, download(a), c, download(b))
     H = (1, 2, 3, 4, 5, 6)
     def rebuild(phi):
-        msgs = [help_message(node_content(phi, fam, h), fam, 0) for h in H]
-        return repair(msgs, fam).values
+        msgs = [code.help_message(code.node_content(phi, h), 0) for h in H]
+        return code.repair(msgs).values
     assert rebuild(summed) == plus_scaled(gf16, rebuild(a), c, rebuild(b))
 
 
@@ -303,16 +290,17 @@ def test_exterior_t3_roundtrip():
     ws = [[r.randrange(17) for _ in range(5)] for _ in range(7)]
     fam = StarFamily(spec, params, xs, ws)
     assert verify_axioms(fam).ok
+    code = ShortenedCode(fam, 0)
     rng = random.Random(5)
-    phi = random_file(rng, spec, fam)
-    contents = all_contents(spec, fam, phi)
+    phi = random_file(rng, code)
+    contents = all_contents(code, phi)
     for K in combinations(range(7), 5):
-        assert download([contents[h] for h in K], fam).values == phi.values
+        assert code.download([contents[h] for h in K]) == phi
     for f in range(7):
         helpers = [h for h in range(7) if h != f]
-        msgs = [help_message(contents[h], fam, f) for h in helpers]
+        msgs = [code.help_message(contents[h], f) for h in helpers]
         assert all(len(m.values) == 3 for m in msgs)
-        assert repair(msgs, fam).values == contents[f].values
+        assert code.repair(msgs).values == contents[f].values
 
 
 def test_t3_stretch_gf32_roundtrip():
@@ -326,16 +314,16 @@ def test_t3_stretch_gf32_roundtrip():
     fam = result.family
     assert (fam.params.t, fam.params.alpha, fam.params.beta, fam.params.M) == \
         (3, 15, 5, 105)
+    code = ShortenedCode(fam, 0)
     rng = random.Random(32)
-    phi = random_file(rng, spec, fam)
-    contents = all_contents(spec, fam, phi)
-    assert download([contents[h] for h in (0, 1, 3, 5, 6, 8, 9)],
-                    fam).values == phi.values
+    phi = random_file(rng, code)
+    contents = all_contents(code, phi)
+    assert code.download([contents[h] for h in (0, 1, 3, 5, 6, 8, 9)]) == phi
     f = 7
     helpers = [0, 1, 2, 3, 4, 5, 6, 8, 9]
-    msgs = [help_message(contents[h], fam, f) for h in helpers]
+    msgs = [code.help_message(contents[h], f) for h in helpers]
     assert all(len(m.values) == 5 for m in msgs)
-    assert repair(msgs, fam).values == contents[f].values
+    assert code.repair(msgs).values == contents[f].values
 
 
 def test_t4_symmetric_roundtrip():
@@ -349,16 +337,16 @@ def test_t4_symmetric_roundtrip():
     fam = result.family
     assert (fam.params.t, fam.params.alpha, fam.params.beta, fam.params.M) == \
         (4, 20, 10, 140)
+    code = ShortenedCode(fam, 0)
     rng = random.Random(44)
-    phi = random_file(rng, spec, fam)
-    contents = all_contents(spec, fam, phi)
-    assert download([contents[h] for h in (0, 2, 3, 5, 6, 7, 8)],
-                    fam).values == phi.values
+    phi = random_file(rng, code)
+    contents = all_contents(code, phi)
+    assert code.download([contents[h] for h in (0, 2, 3, 5, 6, 7, 8)]) == phi
     f = 4
     helpers = [0, 1, 2, 3, 5, 6, 7, 8]
-    msgs = [help_message(contents[h], fam, f) for h in helpers]
+    msgs = [code.help_message(contents[h], f) for h in helpers]
     assert all(len(m.values) == 10 for m in msgs)
-    assert repair(msgs, fam).values == contents[f].values
+    assert code.repair(msgs).values == contents[f].values
 
 
 def test_degenerate_top_rate_over_gf2():
@@ -369,15 +357,16 @@ def test_degenerate_top_rate_over_gf2():
     ys = [[1]] * 4
     fam = StarFamily(spec, params, xs, ys)
     assert verify_axioms(fam).ok
+    code = ShortenedCode(fam, 0)
     rng = random.Random(9)
-    phi = random_file(rng, spec, fam)
-    contents = all_contents(spec, fam, phi)
+    phi = random_file(rng, code)
+    contents = all_contents(code, phi)
     for K in combinations(range(4), 3):
-        assert download([contents[h] for h in K], fam).values == phi.values
+        assert code.download([contents[h] for h in K]) == phi
     for f in range(4):
         helpers = [h for h in range(4) if h != f]
-        msgs = [help_message(contents[h], fam, f) for h in helpers]
-        assert repair(msgs, fam).values == contents[f].values
+        msgs = [code.help_message(contents[h], f) for h in helpers]
+        assert code.repair(msgs).values == contents[f].values
 
 
 def test_download_singular_names_subset(gf16, rng):
@@ -386,10 +375,11 @@ def test_download_singular_names_subset(gf16, rng):
                         [fam.x_stars[0], fam.x_stars[0]] + fam.x_stars[2:],
                         [fam.second_stars[0], fam.second_stars[0]]
                         + fam.second_stars[2:])
-    phi = encode(gf16, random_values(rng, gf16, 6), fam.params)
-    contents = [node_content(phi, broken, h) for h in (0, 1, 2)]
+    code = ShortenedCode(broken, 0)
+    phi = code.encode(random_values(rng, gf16, 6))
+    contents = [code.node_content(phi, h) for h in (0, 1, 2)]
     with pytest.raises(AxiomViolationError) as exc:
-        download(contents, broken)
+        code.download(contents)
     assert exc.value.subset == (0, 1, 2)
 
 
@@ -399,11 +389,11 @@ def test_repair_span_deficient_names_pair(gf16, rng):
                         [fam.x_stars[0], fam.x_stars[0]] + fam.x_stars[2:],
                         [fam.second_stars[0], fam.second_stars[0]]
                         + fam.second_stars[2:])
-    phi = encode(gf16, random_values(rng, gf16, 6), fam.params)
-    msgs = [help_message(node_content(phi, broken, h), broken, 5)
-            for h in (0, 1, 2, 3)]
+    code = ShortenedCode(broken, 0)
+    phi = code.encode(random_values(rng, gf16, 6))
+    msgs = [code.help_message(code.node_content(phi, h), 5) for h in (0, 1, 2, 3)]
     with pytest.raises(AxiomViolationError) as exc:
-        repair(msgs, broken)
+        code.repair(msgs)
     assert exc.value.failed_node == 5
     assert exc.value.subset == (0, 1, 2, 3)
 
@@ -432,11 +422,11 @@ def test_star_family_rejects_non_canonical_entries(gf16):
 
 
 def test_encode_rejects_non_canonical_symbols(gf16, fixture_family, rng):
-    params = fixture_family.params
-    raw = random_values(rng, gf16, params.M)
+    code = ShortenedCode(fixture_family, 0)
+    raw = random_values(rng, gf16, code.M)
     for bad in (16, -1, 2.0):
         with pytest.raises(UsageError, match="not a canonical element"):
-            encode(gf16, raw[:-1] + [bad], params)
+            code.encode(raw[:-1] + [bad])
 
 
 # a t = 3 family over GF(16) and t = 2 families over GF(2^12) and GF(127)
@@ -449,21 +439,17 @@ VALUE_FAMILIES = {
 
 @pytest.mark.parametrize("name", VALUE_FAMILIES)
 def test_scalar_api_rejects_non_canonical_values(name):
-    # the family's own functions, then the forms of its shortening by one
+    # the family as a code of depth 0, then its shortening by one
     fam = VALUE_FAMILIES[name]()
-    sc = shorten(fam, 1)
-    p, spec = fam.params, fam.spec
-    calls = (
-        lambda bad: download([NodeContent(h, [bad] * p.alpha) for h in range(p.k)], fam),
-        lambda bad: help_message(NodeContent(0, [bad] * p.alpha), fam, p.d),
-        lambda bad: repair([HelpMessage(h, 0, [bad] * p.beta) for h in range(1, p.d + 1)],
-                           fam),
-        lambda bad: sc.download([NodeContent(h, [bad] * p.alpha) for h in range(sc.k)]),
-        lambda bad: sc.help_message(NodeContent(0, [bad] * p.alpha), sc.d),
-        lambda bad: sc.repair([HelpMessage(h, 0, [bad] * p.beta)
-                               for h in range(1, sc.d + 1)]),
-    )
-    for bad in (spec.order, -1):
-        for call in calls:
-            with pytest.raises(UsageError, match="not a canonical element"):
-                call(bad)
+    for code in (ShortenedCode(fam, 0), shorten(fam, 1)):
+        a, b = code.alpha, code.beta
+        calls = (
+            lambda bad: code.download([NodeContent(h, [bad] * a) for h in range(code.k)]),
+            lambda bad: code.help_message(NodeContent(0, [bad] * a), code.d),
+            lambda bad: code.repair([HelpMessage(h, 0, [bad] * b)
+                                     for h in range(1, code.d + 1)]),
+        )
+        for bad in (fam.spec.order, -1):
+            for call in calls:
+                with pytest.raises(UsageError, match="not a canonical element"):
+                    call(bad)

@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 
 import product_matrix as pm
-from atrahasis.code import SYMMETRIC, EXTERIOR, encode, node_content, rs_stars_t2
+from atrahasis.code import SYMMETRIC, EXTERIOR, rs_stars_t2
 from atrahasis.errors import AxiomViolationError, UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import rank_of_rows
+from atrahasis.transforms import ShortenedCode
 from conftest import random_values
 
 
@@ -46,11 +47,12 @@ def test_pm_matches_tensor_flavor():
     xis = [0, 1, 2, 3, 4]
     ys = [[1, rng.randrange(7)] for _ in range(5)]
     fam = StarFamily(spec, params, [[1, xi] for xi in xis], ys)
+    code = ShortenedCode(fam, 0)
     raw = random_values(rng, spec, params.M)
-    phi = encode(spec, raw, params)
+    phi = code.encode(raw)
     file = pm.pack_symmetric(spec, 3, raw)
     for h in range(5):
-        assert pm.pm_node(file, xis[h], ys[h]) == node_content(phi, fam, h).values
+        assert pm.pm_node(file, xis[h], ys[h]) == code.node_content(phi, h).values
 
 
 def test_pm_download_gf7_handcrafted():

@@ -92,7 +92,7 @@ def test_witness_flagship_case(gf127):
     assert report.redraws < 3
     assert report.field_order_used == 127
     # the witness matrix is d*beta square: 6 * 3 = 18
-    M = witness_matrix(gf127, 5, 6, 3,
+    M = witness_matrix(gf127, 3,
                        [list(x) for x in report.x_points],
                        [list(y) for y in report.y_points])
     assert len(M) == 18 and all(len(row) == 18 for row in M)
@@ -101,7 +101,7 @@ def test_witness_flagship_case(gf127):
 def test_witness_soundness_replay(gf127):
     params = derive_params(7, 5, 6, SYMMETRIC)
     report = nullstellensatz_witness(params, gf127, seed=3)
-    M = witness_matrix(gf127, 5, 6, 3,
+    M = witness_matrix(gf127, 3,
                        [list(x) for x in report.x_points],
                        [list(y) for y in report.y_points])
     assert det(gf127, M) == report.determinant != 0
@@ -118,7 +118,7 @@ def test_witness_degenerate_two_by_two(gf127):
     params = derive_params(3, 2, 2, SYMMETRIC)  # d*beta = 2
     report = nullstellensatz_witness(params, gf127, seed=0)
     assert report.verdict == NONZERO_WITNESSED
-    M = witness_matrix(gf127, 2, 2, 2,
+    M = witness_matrix(gf127, 2,
                        [list(x) for x in report.x_points],
                        [list(y) for y in report.y_points])
     assert len(M) == 2 and all(len(row) == 2 for row in M)

@@ -307,5 +307,5 @@ def test_witness_rows_pinned(gf127, case):
     rng = random.Random(f"{k}:{d}:{t}")
     xs = [random_values(rng, gf127, t) for _ in range(d)]
     ys = [random_values(rng, gf127, k - t + 1) for _ in range(d)]
-    M = witness_matrix(gf127, k, d, t, xs, ys)
+    M = witness_matrix(gf127, t, xs, ys)
     assert _digest(M) == PINNED_WITNESS[case]

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, encode, help_matrix,
-                            node_content, repair_matrix, rs_stars_t2)
+from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, help_matrix, repair_matrix,
+                            rs_stars_t2)
 from atrahasis.errors import AxiomViolationError, UsageError
 from atrahasis.fields import binary_field
 from atrahasis.fixtures import atrahasis_956
@@ -30,7 +30,7 @@ def test_shorten_zero_depth_is_identity(gf16, fixture_family, rng):
     sc = shorten(fixture_family, 0)
     raw = random_values(rng, gf16, 30)
     phi = sc.encode(raw)
-    assert phi.values == raw
+    assert phi == raw
     assert sc.decode(phi) == raw
 
 
@@ -53,8 +53,9 @@ def test_shortened_encode_pins_contents(gf16, fixture_family, rng):
     sc = shorten(fixture_family, 2)
     raw = random_values(rng, gf16, sc.M)
     phi = sc.encode(raw)
+    base = shorten(fixture_family, 0)
     for h in sc.pinned:
-        assert not any(node_content(phi, fixture_family, h).values)
+        assert not any(base.node_content(phi, h).values)
     assert sc.decode(phi) == raw
 
 
@@ -82,7 +83,7 @@ def test_double_shorten_composes(gf16, fixture_family, rng):
     assert twice.pinned == direct.pinned
     assert (twice.n, twice.k, twice.d) == (direct.n, direct.k, direct.d)
     raw = random_values(rng, gf16, direct.M)
-    assert twice.encode(raw).values == direct.encode(raw).values
+    assert twice.encode(raw) == direct.encode(raw)
     phi = direct.encode(raw)
     contents = [direct.node_content(phi, h) for h in range(7)]
     assert twice.download(contents[:3]) == raw
@@ -143,12 +144,12 @@ def test_bandwidth_ordering_and_gap(k):
 
 def test_central_repair_strategies(gf16, fixture_family, rng):
     fam = fixture_family
-    raw = random_values(rng, gf16, 30)
-    phi = encode(gf16, raw, fam.params)
+    code = shorten(fam, 0)
+    phi = code.encode(random_values(rng, gf16, 30))
     f, g = 1, 7
     helpers = [0, 2, 3, 4, 5, 6]
-    want_f = node_content(phi, fam, f).values
-    want_g = node_content(phi, fam, g).values
+    want_f = code.node_content(phi, f).values
+    want_g = code.node_content(phi, g).values
     for strategy, bw in ((NAIVE, 30), (CASCADE, 28), (SUBSPACE, 27)):
         cf, cg, plan = central_repair_two(phi, fam, f, g, helpers, strategy)
         assert cf.values == want_f and cg.values == want_g
@@ -161,7 +162,7 @@ def test_central_repair_strategies(gf16, fixture_family, rng):
 
 
 def test_central_repair_zero_file(gf16, fixture_family):
-    phi = encode(gf16, [0] * 30, fixture_family.params)
+    phi = [0] * 30
     cf, cg, plan = central_repair_two(phi, fixture_family, 0, 1,
                                       [2, 3, 4, 5, 6, 7], SUBSPACE)
     assert not any(cf.values) and not any(cg.values)
@@ -169,7 +170,7 @@ def test_central_repair_zero_file(gf16, fixture_family):
 
 
 def test_central_repair_usage_errors(gf16, fixture_family):
-    phi = encode(gf16, [0] * 30, fixture_family.params)
+    phi = [0] * 30
     with pytest.raises(UsageError):
         central_repair_two(phi, fixture_family, 1, 1, [0, 2, 3, 4, 5, 6], NAIVE)
     with pytest.raises(UsageError):
@@ -184,11 +185,12 @@ def test_central_repair_usage_errors(gf16, fixture_family):
 def test_central_repair_on_t2_codes(gf16, rng, flavor):
     # no t = 3 closed form is needed: a t = 2 pair is repaired exactly
     t2 = rs_stars_t2(gf16, 6, 3, flavor)
-    phi = encode(gf16, random_values(rng, gf16, t2.params.M), t2.params)
+    code = shorten(t2, 0)
+    phi = code.encode(random_values(rng, gf16, code.M))
     for strategy, bw in ((NAIVE, 8), (CASCADE, 7), (SUBSPACE, 6)):
         cf, cg, plan = central_repair_two(phi, t2, 0, 1, [2, 3, 4, 5], strategy)
-        assert cf.values == node_content(phi, t2, 0).values
-        assert cg.values == node_content(phi, t2, 1).values
+        assert cf.values == code.node_content(phi, 0).values
+        assert cg.values == code.node_content(phi, 1).values
         assert plan.total_bandwidth == bw
 
 
@@ -208,11 +210,10 @@ def test_repair_program_failed_counts(fixture_family):
 def test_central_repair_messages_use_only_helper_contents(gf16, fixture_family, rng):
     # the transmitted symbols are linear in each helper's alpha stored
     # values: check one helper's send matrix against direct evaluation
-    fam = fixture_family
-    raw = random_values(rng, gf16, 30)
-    phi = encode(gf16, raw, fam.params)
-    program = central_repair_program(fam, 0, 1, [2, 3, 4, 5, 6, 7], NAIVE)
+    code = shorten(fixture_family, 0)
+    phi = code.encode(random_values(rng, gf16, 30))
+    program = central_repair_program(fixture_family, 0, 1, [2, 3, 4, 5, 6, 7], NAIVE)
     (h, count) = program.plan.per_helper_sent[0]
-    stored = node_content(phi, fam, h).values
+    stored = code.node_content(phi, h).values
     sent = matvec(gf16, program.send_matrices[0], stored)
     assert len(sent) == count == 5
