@@ -26,13 +26,12 @@ changes; the matrices for distinct nodes may be built concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .errors import (AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, UsageError)
 from .fields import FieldSpec
-from .linalg import SpanSolver, first_deficient_subset, invert, rank_of_rows
+from .linalg import SpanSolver, first_deficient_subset, invert
 from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
@@ -299,47 +298,38 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
     k w-vectors spanning F^k, and the third by the quotient-augmented
     rank test over every (failed node, d-subset) pair.
 
-    The d-subset checks walk the subsets with first_deficient_subset;
-    a failing report counts every subset in combinations order up to
-    and including the first one that fails, as a one-by-one check would.
+    Every check is one first_deficient_subset walk over the nodes'
+    blocks: a single star vector each for the first two, the axiom rows
+    for the third (with the failed node's quotient rows as the base in
+    the exterior flavor).  A failing report counts every subset in
+    combinations order up to and including the first one that fails, as
+    a one-by-one check would.
     """
     p = stars.params
-    spec = stars.spec
+    everyone = list(range(p.n))
+
+    def passes():
+        # (axiom, failed node, nodes, their blocks, subset size, rank, base rows)
+        yield "MDSx", None, everyone, [[x] for x in stars.x_stars], p.t, p.t, ()
+        yield ("MDSy" if p.flavor == SYMMETRIC else "MDSw", None, everyone,
+               [[s] for s in stars.second_stars], p.y_dim, p.y_dim, ())
+        # the axiom rows fill their whole space, X tensor the degree-(t-1)
+        # power; symmetric: d*beta stacked tensors fill X tensor S^(t-1)
+        full_rank = len(stars.axiom_tensor_rows(0)[0])
+        assert p.flavor != SYMMETRIC or full_rank == p.d * p.beta
+        for f in [None] if p.flavor == SYMMETRIC else everyone:
+            nodes = [h for h in everyone if h != f]
+            yield ("MDSd" if f is None else "MDSq", f, nodes,
+                   [stars.axiom_tensor_rows(h) for h in nodes], p.d, full_rank,
+                   () if f is None else stars.quotient_rows(f))
+
     checked = 0
-
-    def fail(axiom, subset, failed_node=None):
-        return AxiomReport(False, axiom, tuple(subset), failed_node, checked)
-
-    for subset in combinations(range(p.n), p.t):
-        checked += 1
-        if rank_of_rows(spec, [stars.x_stars[h] for h in subset]) != p.t:
-            return fail("MDSx", subset)
-
-    second_need = p.y_dim
-    second_name = "MDSy" if p.flavor == SYMMETRIC else "MDSw"
-    for subset in combinations(range(p.n), second_need):
-        checked += 1
-        if rank_of_rows(spec, [stars.second_stars[h] for h in subset]) != second_need:
-            return fail(second_name, subset)
-
-    # the axiom rows fill their whole space, X tensor the degree-(t-1) power
-    full_rank = len(stars.axiom_tensor_rows(0)[0])
-    if p.flavor == SYMMETRIC:
-        # d*beta stacked tensors must fill X tensor S^(t-1): rank d*beta
-        assert full_rank == p.d * p.beta
-        axiom, passes = "MDSd", [(None, list(range(p.n)), ())]
-    else:
-        axiom = "MDSq"
-        passes = ((f, [h for h in range(p.n) if h != f], stars.quotient_rows(f))
-                  for f in range(p.n))
-    for f, nodes, base in passes:
-        blocks = [stars.axiom_tensor_rows(h) for h in nodes]
-        miss = first_deficient_subset(spec, blocks, p.d, full_rank, base)
+    for axiom, f, nodes, blocks, size, target, base in passes():
+        miss = first_deficient_subset(stars.spec, blocks, size, target, base)
         if miss is not None:
             checked += _combination_index(miss, len(nodes)) + 1
-            return fail(axiom, [nodes[i] for i in miss], failed_node=f)
-        checked += comb(len(nodes), p.d)
-
+            return AxiomReport(False, axiom, tuple(nodes[i] for i in miss), f, checked)
+        checked += comb(len(nodes), size)
     return AxiomReport(True, subsets_checked=checked)
 
 

@@ -20,8 +20,8 @@ and reduced() hand rows back as lists of ints.
 
 first_deficient_subset certifies spanning conditions over every subset
 of a collection of row blocks: it walks the subsets depth first and
-extends a copy of each prefix's echelon, so the subsets sharing a
-prefix reduce it once.
+keeps the blocks not yet chosen reduced modulo the span of the prefix,
+so a subset costs only the reduction of its last block.
 """
 
 from __future__ import annotations
@@ -55,13 +55,17 @@ class Echelon:
     kept; the row is kept when something is left, with its pivot (the
     first nonzero among the first `width` columns) scaled to 1.  Every
     kept row is zero at the pivots of the rows kept before it, so the
-    rows stay independent without ever being reordered.  Columns past
-    `width` ride along without pivoting (an augmented identity records
-    which combination of offered rows each kept row is).
+    rows stay independent without ever being reordered, and a reduced
+    row is zero at every pivot.  Columns past `width` ride along without
+    pivoting (an augmented identity records which combination of offered
+    rows each kept row is).
 
     The row being reduced is one packed int and each row operation is
     one FieldSpec.sub_scaled_row on the whole row; kept rows are stored
-    as the packed bytes that operation takes.
+    as the packed bytes that operation takes, each with the bit offset
+    of its pivot slot.  Reduction against them runs in one loop, sweep(),
+    which takes blocks of packed rows in one call: it reduces them, and
+    keeps what is left of them up to a given rank.
     """
 
     def __init__(self, spec: FieldSpec, width: int, length: int | None = None):
@@ -71,10 +75,13 @@ class Echelon:
         self._bits = 8 * spec.slot_bytes
         self._mask = (1 << self._bits) - 1
         self._nbytes = self.length * spec.slot_bytes
-        self._kept: list[bytes] = []
-        self._shifts: list[int] = []  # bit offset of each kept row's pivot slot
-        self.pivots: list[int] = []
+        self._tail = (self.length - width) * self._bits  # bits of the augmented columns
+        self._kept: list[tuple[int, bytes]] = []  # (pivot slot's bit offset, row)
         self.leading = 1  # product of the kept pivot entries before scaling
+
+    def clear(self) -> None:
+        """Forget every kept row."""
+        self._kept, self.leading = [], 1
 
     @property
     def rank(self) -> int:
@@ -82,17 +89,12 @@ class Echelon:
 
     @property
     def rows(self) -> list[list[int]]:
-        return [self.spec.row_values(row) for row in self._kept]
+        return [self.spec.row_values(row) for _, row in self._kept]
 
-    def copy(self) -> Echelon:
-        """An independent echelon with the same kept rows (shared: kept
-        rows are immutable bytes)."""
-        twin = Echelon(self.spec, self.width, self.length)
-        twin._kept = self._kept.copy()
-        twin._shifts = self._shifts.copy()
-        twin.pivots = self.pivots.copy()
-        twin.leading = self.leading
-        return twin
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot column of each kept row, in the order kept."""
+        return [self.width - 1 - (shift - self._tail) // self._bits for shift, _ in self._kept]
 
     def pack(self, row) -> int:
         """The row as one int of packed slots (see the module docstring)."""
@@ -100,44 +102,47 @@ class Echelon:
             raise UsageError(f"row of length {len(row)} in an echelon of length {self.length}")
         return int.from_bytes(self.spec.row_bytes(row), "big")
 
-    def _reduce(self, work: int) -> int:
-        sub_scaled = self.spec.sub_scaled_row
-        mask = self._mask
-        for shift, prow in zip(self._shifts, self._kept):
-            f = work >> shift & mask
-            if f:
-                work = sub_scaled(work, f, prow)
-        return work
+    def sweep(self, blocks, keep: int = 0) -> list[list[int]]:
+        """Reduce each packed row of each block in turn against the kept
+        rows, keeping what is left of it while fewer than `keep` rows are
+        kept.  Per block, the nonzero remainders not kept, in order."""
+        spec, kept, mask = self.spec, self._kept, self._mask
+        bits, tail, nbytes = self._bits, self._tail, self._nbytes
+        sub_scaled = spec.sub_scaled_row
+        out = []
+        for rows in blocks:
+            left = []
+            for work in rows:
+                for shift, prow in kept:
+                    f = work >> shift & mask
+                    if f:
+                        work = sub_scaled(work, f, prow)
+                if not work:
+                    continue
+                head = (work >> tail).bit_length() if len(kept) < keep else 0
+                if not head:
+                    left.append(work)
+                    continue
+                shift = tail + (head - 1) // bits * bits
+                lead = work >> shift & mask
+                self.leading = spec.mul(self.leading, lead)
+                row = work.to_bytes(nbytes, "big")
+                if lead != 1:
+                    row = spec.scale_row(spec.inv(lead), row)
+                kept.append((shift, row))
+            out.append(left)
+        return out
 
     def reduce(self, row) -> list[int]:
         """The row minus its components along the kept rows."""
-        work = self._reduce(self.pack(row))
-        return self.spec.row_values(work.to_bytes(self._nbytes, "big"))
+        left = self.sweep([[self.pack(row)]])[0]
+        return self.spec.row_values((left[0] if left else 0).to_bytes(self._nbytes, "big"))
 
     def offer(self, row) -> bool:
         """Keep the row if it is independent of the kept rows."""
-        return self.offer_packed(self.pack(row))
-
-    def offer_packed(self, work: int) -> bool:
-        """offer() for a row already packed by pack()."""
-        work = self._reduce(work)
-        bits = self._bits
-        tail = (self.length - self.width) * bits
-        head = (work >> tail).bit_length()
-        if not head:
-            return False
-        slot = (head - 1) // bits
-        shift = tail + slot * bits
-        spec = self.spec
-        lead = work >> shift & self._mask
-        self.leading = spec.mul(self.leading, lead)
-        row = work.to_bytes(self._nbytes, "big")
-        if lead != 1:
-            row = spec.scale_row(spec.inv(lead), row)
-        self._kept.append(row)
-        self._shifts.append(shift)
-        self.pivots.append(self.width - 1 - slot)
-        return True
+        rank = len(self._kept)
+        self.sweep([[self.pack(row)]], rank + 1)
+        return len(self._kept) > rank
 
     def reduced(self) -> tuple[list[int], list[list[int]]]:
         """(pivot columns, rows) of the reduced row echelon form.
@@ -149,9 +154,9 @@ class Echelon:
         """
         spec, mask, nbytes = self.spec, self._mask, self._nbytes
         sub_scaled = spec.sub_scaled_row
-        rows = [int.from_bytes(row, "big") for row in self._kept]
+        rows = [int.from_bytes(row, "big") for _, row in self._kept]
         for j in range(len(rows) - 1, 0, -1):
-            shift, prow = self._shifts[j], rows[j].to_bytes(nbytes, "big")
+            shift, prow = self._kept[j][0], rows[j].to_bytes(nbytes, "big")
             for i in range(j):
                 f = rows[i] >> shift & mask
                 if f:
@@ -163,8 +168,7 @@ class Echelon:
 
 def _echelon_of(spec: FieldSpec, rows, width: int, length: int | None = None) -> Echelon:
     echelon = Echelon(spec, width, length)
-    for row in rows:
-        echelon.offer(row)
+    echelon.sweep([[echelon.pack(row) for row in rows]], width)
     return echelon
 
 
@@ -180,43 +184,52 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
     order, whose rows base_rows + blocks[i] for i in S have rank below
     `target`; None when every subset reaches it.
 
-    Walks the subsets depth first, each one extending its prefix's
-    echelon, so subsets sharing a prefix share its reduction.  A prefix
-    that reaches the target passes with its whole subtree.  A prefix
-    that cannot reach it even if every later row were independent fails
-    with its whole subtree, and the first subset below it is the answer;
-    when the target is the row count, that is any dependent prefix.
-    Every row is packed once, up front.
+    Walks the subsets depth first, keeping the blocks not yet chosen
+    reduced modulo the span of the prefix (a Schur complement kept up to
+    date by block elimination).  Choosing block i adds the echelon of
+    its reduced rows to the prefix, and the later blocks are reduced
+    against those added rows alone, since they are already zero at every
+    pivot before them; a subset's rank is the prefix rank plus what its
+    last block adds.  A prefix that reaches the target passes with its
+    whole subtree.  A prefix that cannot reach it even if every later
+    row were independent fails with its whole subtree, and the first
+    subset below it is the answer; when the target is the row count,
+    that is any dependent prefix.  Every row is packed once, up front.
     """
     n = len(blocks)
     if not 0 <= size <= n:
         return None
     width = next((len(row) for block in (base_rows, *blocks) for row in block), 0)
     most = max(map(len, blocks), default=0)
-    root = Echelon(spec, width)
-    packed = [[root.pack(row) for row in block] for block in blocks]
+    # one echelon for the base rows and one for the block chosen at each depth
+    base, *chosen = (Echelon(spec, width) for _ in range(size + 1))
+    packed = [[base.pack(row) for row in block] for block in blocks]
+    base.sweep([[base.pack(row) for row in base_rows]], target)
+    rank = base.rank
+    if rank >= target:
+        return None
+    if rank + size * most < target:
+        return tuple(range(size))
 
-    def extend(echelon: Echelon, block) -> Echelon:
-        echelon = echelon.copy()
-        for row in block:
-            if echelon.rank >= target:
-                break
-            echelon.offer_packed(row)
-        return echelon
-
-    def walk(echelon: Echelon, start: int, prefix: tuple) -> tuple | None:
+    def walk(rank: int, later: list, start: int, prefix: tuple) -> tuple | None:
+        # later: blocks start.. modulo the span of the base rows and the
+        # prefix, which has rank `rank`
         left = size - len(prefix)
-        if echelon.rank >= target:
-            return None
-        if echelon.rank + left * most < target:
-            return prefix + tuple(range(start, start + left))
+        added = chosen[len(prefix)]
         for i in range(start, n - left + 1):
-            found = walk(extend(echelon, packed[i]), i + 1, prefix + (i,))
+            added.clear()
+            added.sweep([later[i - start]], target - rank)
+            reach = rank + added.rank
+            if reach >= target:
+                continue
+            if reach + (left - 1) * most < target:
+                return prefix + tuple(range(i, i + left))
+            found = walk(reach, added.sweep(later[i - start + 1:]), i + 1, prefix + (i,))
             if found is not None:
                 return found
         return None
 
-    return walk(extend(root, [root.pack(row) for row in base_rows]), 0, ())
+    return walk(rank, base.sweep(packed), 0, ())
 
 
 def det(spec: FieldSpec, rows: list[list[int]]) -> int:
@@ -224,10 +237,9 @@ def det(spec: FieldSpec, rows: list[list[int]]) -> int:
     column sequence (the rows are never swapped)."""
     if any(len(row) != len(rows) for row in rows):
         raise UsageError("determinant needs a square matrix")
-    echelon = Echelon(spec, len(rows))
-    for row in rows:
-        if not echelon.offer(row):
-            return 0
+    echelon = _echelon_of(spec, rows, len(rows))
+    if echelon.rank < len(rows):
+        return 0
     p = echelon.pivots
     inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
                      if p[i] > p[j])

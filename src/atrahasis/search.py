@@ -6,8 +6,9 @@ Two routes:
   points are scanned in canonical field order; a point joins the pool
   iff every spanning condition touching it still holds.  Each condition
   is one linalg.first_deficient_subset walk: the candidate's rows are
-  the base, the pool points' rows the blocks.  The exhaustive check is
-  the certification path for concrete families.
+  the base, the pool points' rows the blocks, and the walk keeps the
+  blocks not yet chosen reduced modulo each prefix's span.  The
+  exhaustive check is the certification path for concrete families.
 
 * nullstellensatz_witness -- randomized polynomial identity testing for
   the repair-span determinant.  Random star vectors over a small prime

@@ -312,17 +312,3 @@ def central_repair_program(stars: StarFamily, f: int, g: int,
     plan = CentralRepairPlan(per_helper_sent, sum(c for _, c in per_helper_sent))
     return CentralRepairProgram(plan, matrices, first, second)
 
-
-def central_repair_two(file: list[int], stars: StarFamily, f: int, g: int,
-                       helpers: list[int], strategy: str = SUBSPACE):
-    """Repair nodes f and g at once through a central agent, with the
-    matrices the store applies, each helper reading only its own values.
-    Returns (content_f, content_g, plan); plan.total_bandwidth counts the
-    symbols sent to the agent."""
-    program = central_repair_program(stars, f, g, helpers, strategy)
-    code, received = ShortenedCode(stars, 0), []
-    for h, S in zip(helpers, program.send_matrices):
-        received.extend(matvec(stars.spec, S, code.node_content(file, h).values))
-    return (NodeContent(f, matvec(stars.spec, program.recover_first, received)),
-            NodeContent(g, matvec(stars.spec, program.recover_second, received)),
-            program.plan)

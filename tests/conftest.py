@@ -1,10 +1,21 @@
+import os
 import random
 
 import numpy as np
 import pytest
 
+from atrahasis.code import NodeContent
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
+from atrahasis.linalg import matvec
+from atrahasis.transforms import SUBSPACE, ShortenedCode, central_repair_program
+
+
+def pytest_configure(config):
+    # pytest finds the package through its pythonpath setting; the commands
+    # the tests start (`python -m atrahasis`, the RSS probes) need PYTHONPATH
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +40,20 @@ def rng():
 
 def random_values(rng, spec, count):
     return [rng.randrange(spec.order) for _ in range(count)]
+
+
+def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):
+    """Repair nodes f and g of a plain family at once through a central
+    agent, with the matrices the store applies, each helper reading only
+    its own values.  Returns (content_f, content_g, plan);
+    plan.total_bandwidth counts the symbols sent to the agent."""
+    program = central_repair_program(stars, f, g, helpers, strategy)
+    code, received = ShortenedCode(stars, 0), []
+    for h, S in zip(helpers, program.send_matrices):
+        received.extend(matvec(stars.spec, S, code.node_content(file, h).values))
+    return (NodeContent(f, matvec(stars.spec, program.recover_first, received)),
+            NodeContent(g, matvec(stars.spec, program.recover_second, received)),
+            program.plan)
 
 
 def pack_planes(rows, m):

@@ -25,9 +25,8 @@ from atrahasis.fixtures import (ATRAHASIS_956_POINT_EXPONENTS,
                                 ATRAHASIS_956_Y_PATTERN, atrahasis_956)
 from atrahasis.linalg import matvec
 from atrahasis.search import NONZERO_WITNESSED, sweep_small_cases
-from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
-                                  central_repair_two, shorten)
-from conftest import random_values
+from atrahasis.transforms import CASCADE, NAIVE, SUBSPACE, ShortenedCode, shorten
+from conftest import central_repair_two, random_values
 
 
 def criterion(number, description):

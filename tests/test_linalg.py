@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atrahasis.code import EXTERIOR, derive_params
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset,
                               invert, matvec, nullspace_with_free, rank_of_rows)
+from atrahasis.search import SearchConfig, grow_pool
 from atrahasis.tensors import rank_filter
 from conftest import random_values
 
@@ -417,14 +419,53 @@ def test_first_deficient_subset_examples(gf16):
     assert first_deficient_subset(gf16, blocks, 0, 1, [e[1]]) is None
 
 
-def test_echelon_copy_is_independent(gf16):
-    echelon = Echelon(gf16, 3)
-    echelon.offer([1, 2, 3])
-    twin = echelon.copy()
-    assert twin.offer([0, 1, 1]) and twin.rank == 2
-    assert echelon.rank == 1 and echelon.rows == [[1, 2, 3]]
-    assert echelon.offer([0, 0, 5]) and echelon.pivots == [0, 2]
-    assert twin.pivots == [0, 1]
+def combination(spec, a, b, fa, fb):
+    return [spec.add(spec.mul(fa, x), spec.mul(fb, y)) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_first_deficient_subset_deep_fixture_blocks(fixture_family, size):
+    # the fixture's 9 axiom blocks, 3 rows of width 18: walks to depth 5
+    # and 6 with multi-row blocks, which subset_problems never reaches
+    spec = fixture_family.spec
+    blocks = [fixture_family.axiom_tensor_rows(h) for h in range(9)]
+    target = 3 * size
+    assert first_deficient_subset(spec, blocks, size, target) is None
+    assert brute_force_first_deficient(spec, blocks, size, target, ()) is None
+    for j in range(9):
+        # row j % 3 of block j becomes a combination of rows of blocks
+        # j + 1 and j + 4, so a subset holding all three falls short
+        spliced = [list(block) for block in blocks]
+        spliced[j][j % 3] = combination(spec, blocks[(j + 1) % 9][0],
+                                        blocks[(j + 4) % 9][2], 3, 7)
+        found = first_deficient_subset(spec, spliced, size, target)
+        assert found is not None
+        assert found == brute_force_first_deficient(spec, spliced, size, target, ())
+
+
+def test_first_deficient_subset_deep_exterior_quotient_pass():
+    # verify_axioms' MDSq pass for failed node 0 of the exterior (8,5,6)
+    # pool over GF(31): its 15 quotient rows are the base, and the other 7
+    # nodes' blocks have 5 rows of width 30 (rank 4, so redundant)
+    family = grow_pool(SearchConfig(prime_field(31), derive_params(8, 5, 6, EXTERIOR),
+                                    (0, 2, 6), (0, 1, 2, 3, 4))).family
+    spec, full = family.spec, len(family.axiom_tensor_rows(0)[0])
+    base = family.quotient_rows(0)
+    blocks = [family.axiom_tensor_rows(h) for h in range(1, 8)]
+    cases = [(blocks, 6), (blocks, 5)]
+    for j in range(7):
+        # rows 2.. of block j become combinations of its first two rows and
+        # a base row, so the block adds at most 2 to any prefix
+        spliced = [list(block) for block in blocks]
+        spliced[j][2:] = [combination(spec, combination(spec, blocks[j][0], blocks[j][1], 1, r),
+                                      base[r], 1, 5) for r in range(2, 5)]
+        cases.append((spliced, 6))
+    answers = set()
+    for case, size in cases:
+        found = first_deficient_subset(spec, case, size, full, base)
+        assert found == brute_force_first_deficient(spec, case, size, full, base)
+        answers.add(found)
+    assert None in answers and len(answers) > 3
 
 
 # ---- the engine against a scalar Gauss-Jordan elimination ----

@@ -49,8 +49,8 @@ def test_every_traced_entry_point_resolves_and_is_restored(tracer):
         assert entry_point(m, a) is orig, f"{m}.{a} was not restored"
     assert os.fsync is fsync
     # names bound with `from .linalg import ...` are restored too
-    from atrahasis import code, linalg, search
-    assert code.rank_of_rows is linalg.rank_of_rows
+    from atrahasis import code, linalg, search, tensors
+    assert code.rank_filter is tensors.rank_filter
     assert search.det is linalg.det
 
 
