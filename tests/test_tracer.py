@@ -48,7 +48,7 @@ def test_every_traced_entry_point_resolves_and_is_restored(tracer):
     for (m, a), orig in originals.items():
         assert entry_point(m, a) is orig, f"{m}.{a} was not restored"
     assert os.fsync is fsync
-    # names bound with `from .linalg import ...` are restored too
+    # names bound with `from .module import ...` are restored too
     from atrahasis import code, linalg, search, tensors
     assert code.rank_filter is tensors.rank_filter
     assert search.det is linalg.det
