@@ -209,9 +209,9 @@ def cmd_verify(args) -> int:
 
 
 def _cluster(args):
-    """The store of a data command.  cluster imports numpy (through bulk),
-    so only put, get, repair and repair2 load it; fail and status work on
-    the manifest alone (store)."""
+    """The store of a data command.  Only put, get, repair and repair2
+    load the data path (cluster, bulk); fail and status work on the
+    manifest alone (store)."""
     from .cluster import Cluster
     return Cluster(args.store)
 

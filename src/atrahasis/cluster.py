@@ -2,9 +2,8 @@
 injection, repair orchestration and bandwidth accounting.
 
 The manifest layer (lock, staged files, chunk map, ledger, manifest load
-and save, fail and status) is the store module, which imports no numpy;
-this module adds the data path on top of it and imports numpy (through
-bulk) when it is imported.
+and save, fail and status) is the store module; this module adds the
+data path on top of it.  Both are standard-library Python only.
 
 Layout under one store root:
 
@@ -13,14 +12,17 @@ Layout under one store root:
     .lock           per-store lock file; commands serialize on it
     node_<h>/chunks.blob
                     the node's contents: one 16-byte header (specfile,
-                    blob version 2), then one stripe per 64 chunks of
-                    alpha*m little-endian uint64 words; bit t of word
-                    i*m + b in stripe s is bit b of the node's symbol i
-                    for chunk 64*s + t
+                    blob version 3), then the node's alpha*m bit-planes,
+                    plane-major per batch of store.BATCH_STRIPES stripes
+                    (the last batch may be shorter): a batch of W
+                    stripes starting at stripe s0 stores plane i*m + b
+                    as W little-endian uint64 words, and bit t of its
+                    word w is bit b of the node's symbol i for chunk
+                    64*(s0 + w) + t
 
 A put reads the byte stream (8-byte little-endian length prefix, then
 the payload, zero-padded to whole stripes of M*m words) as the bit-planes
-of M-symbol chunks, m bits per symbol, in the same stripe convention
+of M-symbol chunks, m bits per symbol, in the same plane-major batches
 (bulk), so the data path never holds symbol values.  Every matrix
 applied comes from the store's ShortenedCode (transforms): put applies
 put_matrix, get the decode_matrix of k live nodes, and repair and
@@ -30,11 +32,12 @@ all that was received.  The ledger is charged what was sent: d*beta
 symbols per chunk for repair, the strategy bandwidth for repair2.
 
 Every data command streams: it expands its matrices once, then works
-through the file BATCH_STRIPES stripes at a time, reading one batch of
-the user file or of each node blob at its offset, applying the bulk
-kernel and appending the results to temp files hashed as they grow.  Its
-memory is one batch, whatever the file size, and the stripe-major blob
-layout makes the output identical to a whole-file pass.
+through the file one batch of BATCH_STRIPES stripes at a time, reading
+that batch of the user file or of each node blob at its offset, applying
+the bulk kernel and appending the results to temp files hashed as they
+grow.  Its memory is one batch, whatever the file size; the batches are
+the layout's own, so each one is read or written as one contiguous
+slice of every stream.
 
 Reads are verified and writes are staged.  A blob's length and header
 are checked when it is opened and its SHA-256 against the manifest once
@@ -55,20 +58,15 @@ import shutil
 import stat
 from contextlib import ExitStack, closing
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from . import specfile, store
-from .bulk import WORD, BulkField, bytes_to_symbols, symbols_to_bytes
+from .bulk import BulkField, Planes, bytes_to_symbols, symbols_to_bytes
 from .errors import CorruptDataError, InsufficientNodesError, UsageError
 from .store import (FAILED, LIVE, MANIFEST_FORMAT, MANIFEST_VERSION,
                     ChunkedFile, Ledger, Staged, check_nodes, locked)
 from .transforms import SUBSPACE, ShortenedCode
-
-# stripes per batch of every data command: each holds one batch of each
-# blob it reads or writes, so its memory does not grow with the file
-BATCH_STRIPES = 512
 
 
 class _BlobReader:
@@ -115,8 +113,8 @@ class _BlobReader:
 
 def _batches(stripes: int):
     """The stripe count of each batch of a streaming pass, in order."""
-    for start in range(0, stripes, BATCH_STRIPES):
-        yield min(BATCH_STRIPES, stripes - start)
+    for start in range(0, stripes, store.BATCH_STRIPES):
+        yield min(store.BATCH_STRIPES, stripes - start)
 
 
 class Cluster:
@@ -136,7 +134,7 @@ class Cluster:
 
     def _record_len(self, code: ShortenedCode) -> int:
         """Bytes of one stripe of one node: alpha*m plane words."""
-        return code.alpha * code.spec.m * WORD.itemsize
+        return code.alpha * code.spec.m * Planes.itemsize
 
     def _stage_nodes(self, stack: ExitStack, phash: bytes, nodes) -> dict:
         """node -> its blob staged under `stack`, header written."""
@@ -154,30 +152,31 @@ class Cluster:
                     specfile.encode_node_blob(phash, h), size)))
                 for h in nodes}
 
-    def _write_node(self, code: ShortenedCode, h: int, planes: np.ndarray,
+    def _write_node(self, code: ShortenedCode, h: int, planes: Planes,
                     staged: dict) -> None:
-        """Append planes, node h's next (alpha*m, stripes) planes, to its
+        """Append planes, node h's alpha*m planes of the next batch, to its
         blob in staged."""
-        staged[h].write(np.ascontiguousarray(planes.T, dtype=WORD))
+        staged[h].write(symbols_to_bytes(planes))
 
     def _read_node(self, code: ShortenedCode, h: int, stripes: int,
-                   blobs: dict) -> np.ndarray:
-        """-> the next `stripes` stripes of node h's blob in blobs, as
-        (alpha*m, stripes) planes."""
+                   blobs: dict) -> Planes:
+        """-> the next batch, `stripes` stripes, of node h's blob in blobs,
+        as its alpha*m planes."""
         data = blobs[h].read(stripes * self._record_len(code))
-        return np.frombuffer(data, dtype=WORD).reshape(
-            stripes, code.alpha * code.spec.m).T
+        return bytes_to_symbols(data, code.alpha * code.spec.m)
 
     def _live(self, manifest: dict, nodes, count: int, what: str) -> list[int]:
-        """The given nodes, which must all be live, or else the first
-        `count` live nodes; at most `count` of them."""
+        """The given nodes, which must all be live and at most `count`, or
+        else the first `count` live nodes."""
         live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
         if nodes is None:
             return live[:count]
+        if len(nodes) > count:
+            raise UsageError(f"{len(nodes)} {what} given; this code uses {count}")
         bad = [h for h in nodes if h not in live]
         if bad:
             raise UsageError(f"{what} {bad} are not live")
-        return list(nodes)[:count]
+        return list(nodes)
 
     # ---- commands ----
 
@@ -201,15 +200,15 @@ class Cluster:
             a = code.alpha * code.spec.m
             head, remaining = length.to_bytes(8, "little"), length
             for stripes in _batches(chunked.stripes):
-                take = min(stripes * rows * WORD.itemsize - len(head), remaining)
+                take = min(stripes * rows * Planes.itemsize - len(head), remaining)
                 data = src.read(take)
                 if len(data) != take:
                     raise UsageError(f"{file_path} shrank while put read it")
                 remaining -= take
                 planes = bulk.matmul(encode, bytes_to_symbols(head + data, rows))
                 head = b""
-                for h in range(code.n):
-                    self._write_node(code, h, planes[h * a:(h + 1) * a], staged)
+                for h, node in enumerate(planes.split(a)):
+                    self._write_node(code, h, node, staged)
             for blob in staged.values():
                 blob.commit()
             manifest = {
@@ -262,8 +261,9 @@ class Cluster:
                     # the payload is bytes 8 .. 8+length of the decoded stream
                     pos = 0
                     for stripes in _batches(chunked.stripes):
-                        stacked = np.vstack([self._read_node(code, h, stripes, blobs)
-                                             for h in nodes])
+                        stacked = Planes(chain.from_iterable(
+                            self._read_node(code, h, stripes, blobs) for h in nodes),
+                            stripes)
                         stream = symbols_to_bytes(bulk.matmul(decode, stacked))
                         if pos == 0:
                             prefix = int.from_bytes(stream[:8], "little")
@@ -321,9 +321,9 @@ class Cluster:
             recover = [bulk.expand(R) for R in recover]
             staged = self._stage_nodes(stack, phash, failed)
             for stripes in _batches(chunked.stripes):
-                received = np.vstack([
+                received = Planes(chain.from_iterable(
                     bulk.matmul(S, self._read_node(code, h, stripes, blobs))
-                    for h, S in sends])
+                    for h, S in sends), stripes)
                 for node, R in zip(failed, recover):
                     self._write_node(code, node, bulk.matmul(R, received), staged)
             digests = manifest["node_digests"]

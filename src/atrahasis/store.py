@@ -9,9 +9,10 @@ store's code instance itself (always a ShortenedCode: a plain spec is
 depth 0, with no pinned nodes).  The commands that only read or rewrite
 the manifest, fail and status, live here too.
 
-This module imports no numpy: fail and status start without it.  The
-data path (cluster, bulk) builds on top of it; see cluster for the blob
-layout.
+The data path (cluster, bulk) builds on top of it, and fail and status
+start without loading it.  The stream and blob layout is set by two
+constants here, STRIPE_CHUNKS and BATCH_STRIPES; see cluster for the
+blob layout in full.
 """
 
 from __future__ import annotations
@@ -36,8 +37,14 @@ MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
                  "node_digests", "ledger")
 LIVE = "live"
 FAILED = "failed"
-# chunks per stripe: the bit width of one uint64 plane word (bulk.WORD)
+# chunks per stripe: the bit width of one uint64 plane word (bulk)
 STRIPE_CHUNKS = 64
+# stripes per batch, part of the stream and blob layout: both are cut into
+# batches of BATCH_STRIPES stripes (the last may be shorter), and each batch
+# stores its planes one after another, each as one word per stripe.  Every
+# data command works one batch at a time, so its memory does not grow with
+# the file.
+BATCH_STRIPES = 512
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 

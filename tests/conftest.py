@@ -1,9 +1,9 @@
 import os
 import random
 
-import numpy as np
 import pytest
 
+from atrahasis.bulk import Planes
 from atrahasis.code import NodeContent
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
@@ -57,39 +57,40 @@ def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):
 
 
 def pack_planes(rows, m):
-    """Test-side reference packing: per-row symbol lists -> (len(rows)*m, W)
-    uint64 planes, W = ceil(N/64); bit t%64 of word t//64 of plane j*m + b
-    is bit b of rows[j][t], and the padding lanes are 0."""
+    """Test-side reference packing: per-row symbol lists -> len(rows)*m int
+    planes, W = ceil(N/64) words wide; bit t of plane j*m + b is bit b of
+    rows[j][t], and the padding lanes are 0."""
     n = len(rows[0]) if rows else 0
-    words = -(-n // 64)
-    planes = np.zeros((len(rows) * m, words), dtype="<u8")
-    for j, row in enumerate(rows):
-        for b in range(m):
-            for w in range(words):
-                planes[j * m + b, w] = sum(((v >> b) & 1) << t
-                                           for t, v in enumerate(row[64 * w:64 * w + 64]))
-    return planes
+    return Planes([sum(((v >> b) & 1) << t for t, v in enumerate(row))
+                   for row in rows for b in range(m)], -(-n // 64))
 
 
 def unpack_planes(planes, m, n):
     """Inverse of pack_planes for the first n chunks."""
-    return [[sum(((int(planes[j * m + b, t // 64]) >> (t % 64)) & 1) << b
-                 for b in range(m))
+    return [[sum(((planes[j * m + b] >> t) & 1) << b for b in range(m))
              for t in range(n)]
-            for j in range(planes.shape[0] // m)]
+            for j in range(len(planes) // m)]
 
 
-def read_stripes(data: bytes, symbols: int, m: int) -> list[list[int]]:
-    """The documented stripe layout, read bit by bit from a user stream or
-    a blob body (zero-extended to whole stripes): chunk 64*s + t holds
-    `symbols` symbols, and bit b of symbol j is bit t of little-endian
-    uint64 word j*m + b of stripe s."""
+def read_stripes(data: bytes, symbols: int, m: int, batch: int) -> list[list[int]]:
+    """The documented plane-major batch layout, read bit by bit from a user
+    stream or a blob body (zero-extended to whole stripes).  The stripes
+    are cut into batches of `batch` (the last may be shorter); a batch of
+    W stripes starting at stripe s0 stores plane j*m + b as W consecutive
+    little-endian uint64 words, and bit t of its word w is bit b of symbol
+    j of chunk 64*(s0 + w) + t, each chunk holding `symbols` symbols."""
     def bit(word, t):
         i = 8 * word + t // 8
         return (data[i] >> (t % 8)) & 1 if i < len(data) else 0
 
-    stripe = symbols * m
-    stripes = -(-len(data) // (8 * stripe))
-    return [[sum(bit(s * stripe + j * m + b, t) << b for b in range(m))
-             for j in range(symbols)]
-            for s in range(stripes) for t in range(64)]
+    rows = symbols * m
+    stripes = -(-len(data) // (8 * rows))
+    chunks = []
+    for s0 in range(0, stripes, batch):
+        width = min(batch, stripes - s0)
+        for w in range(width):
+            for t in range(64):
+                chunks.append([sum(bit(s0 * rows + (j * m + b) * width + w, t) << b
+                                   for b in range(m))
+                               for j in range(symbols)])
+    return chunks

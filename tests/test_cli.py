@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -33,8 +34,7 @@ def test_parse_field():
 
 
 def test_algebra_imports_leave_numpy_unloaded():
-    # only the store (cluster, bulk) needs numpy; a command that never
-    # touches a store must not pay for importing it
+    # no command needs numpy, and none may pay for importing it
     modules = ("cli", "code", "search", "linalg", "fields", "transforms")
     script = (f"import sys\nfor name in {modules!r}:\n"
               f"    __import__('atrahasis.' + name)\n"
@@ -378,16 +378,62 @@ def test_fail_and_status_leave_numpy_unloaded(tmp_path):
               f"assert cli.main(['fail', '3', '--store', {store!r}]) == 0\n"
               f"assert cli.main(['status', '--store', {store!r}]) == 0\n"
               f"print([m for m in ('numpy', 'atrahasis.bulk', 'atrahasis.cluster',"
-              f" 'atrahasis.search') if m in sys.modules])")
+              f" 'atrahasis.search') if m in sys.modules])\n"
+              f"import atrahasis.cluster\n"
+              f"print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
+
+
+# every data command, and fail and status, in an interpreter where any
+# import of numpy raises ImportError; prints "ok" when each output matched
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from pathlib import Path
+from atrahasis.cli import main
+
+spec, data, store, out = sys.argv[1:5]
+user = Path(data).read_bytes()
+
+def blobs():
+    return [(Path(store) / f"node_{h}" / "chunks.blob").read_bytes() for h in range(9)]
+
+assert main(["put", data, "--spec", spec, "--store", store]) == 0
+written = blobs()
+for nodes in ("0,1,2,3,4", "4,5,6,7,8"):
+    assert main(["get", out, "--store", store, "--nodes", nodes]) == 0
+    assert Path(out).read_bytes() == user, nodes
+assert main(["fail", "3", "--store", store]) == 0
+assert main(["repair", "3", "--store", store]) == 0
+assert blobs() == written
+assert main(["fail", "0", "--store", store]) == 0
+assert main(["fail", "7", "--store", store]) == 0
+assert main(["repair2", "0", "7", "--store", store]) == 0
+assert blobs() == written
+assert main(["status", "--store", store]) == 0
+print("ok")
+"""
+
+
+def test_data_commands_run_without_numpy(tmp_path):
+    spec, data = tmp_path / "fix.spec", tmp_path / "data.bin"
+    assert main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)]) == 0
+    # two batches of stripes, the second one short
+    data.write_bytes(random.Random(16).randbytes(600_000))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, str(spec), str(data),
+                           str(tmp_path / "store"), str(tmp_path / "out.bin")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 # the manifest after put and after fail 3, and status then, as they were
-# when fail and status were implemented in cluster
-PUT_MANIFEST_SHA256 = "54a2ae7680220a653233f48837d0d1941bdb8cf3ef5ec670bb5d3f5c4b564acf"
-FAIL_MANIFEST_SHA256 = "48146f0a0cf16958a8c87fe8934c5e5d660057ef7315b06e2c0e3b93adf732b5"
+# when fail and status were implemented in cluster (the manifest records
+# the blob digests, so these follow the blob layout, now version 3)
+PUT_MANIFEST_SHA256 = "d451cc8593f02b3bf3529f32fea1502d63fc670d960751605b1245f948b6f5c1"
+FAIL_MANIFEST_SHA256 = "387693633f2943c744b0d860ca566c01c9d8a2aa6d6cfa9b02c1b5a407e73684"
 STATUS_AFTER_FAIL = {
     "file": {"chunk_count": 128, "original_length": 1280, "padding_bits": 5056,
              "symbols_per_chunk": 30},
@@ -489,11 +535,55 @@ def test_old_blob_version_rejected(tmp_path):
     out = str(tmp_path / "out.bin")
     code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "0,1,2,3,4")
     assert code == 2, err
-    assert "node 0 blob is version 1, expected 2 (re-put the file)" in err, err
+    assert "node 0 blob is version 1, expected 3 (re-put the file)" in err, err
     assert "Traceback" not in err
     code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "1,2,3,4,5")
     assert code == 0, err
     assert (tmp_path / "out.bin").read_bytes() == b"hello"
+
+
+def test_version_2_blob_rejected(tmp_path):
+    # a blob as version 2 wrote it: the same words, stripe-major (word
+    # w*rows + p, for plane p of stripe w) instead of plane-major per batch
+    spec, data = tmp_path / "fix.spec", tmp_path / "data.bin"
+    store = tmp_path / "store"
+    data.write_bytes(random.Random(2).randbytes(5000))  # 6 stripes, one batch
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    main(["put", str(data), "--spec", str(spec), "--store", str(store)])
+    blob = store / "node_0" / "chunks.blob"
+    raw = blob.read_bytes()
+    words = [raw[i:i + 8] for i in range(16, len(raw), 8)]
+    stripes, rows = 6, 6 * 4  # alpha*m planes
+    assert len(words) == stripes * rows
+    body = b"".join(words[p * stripes + w] for w in range(stripes) for p in range(rows))
+    assert body != raw[16:]
+    blob.write_bytes(raw[:4] + bytes([2]) + raw[5:16] + body)
+    out = tmp_path / "out.bin"
+    for args in (["get", str(out), "--nodes", "0,1,2,3,4"], ["repair", "8"]):
+        if args[0] == "repair":
+            assert main(["fail", "8", "--store", str(store)]) == 0
+        code, _, err = run_cli(*args, "--store", str(store))
+        assert code == 2, (args, err)
+        assert "node 0 blob is version 2, expected 3 (re-put the file)" in err, err
+        assert "Traceback" not in err
+    assert not out.exists()
+    assert not (store / "node_8" / "chunks.blob").exists()
+
+
+def test_more_nodes_or_helpers_than_used_exit_2(tmp_path):
+    store = str(_put_hello(tmp_path))
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli("get", str(out), "--store", store, "--nodes", "0,1,2,3,4,5,6")
+    assert code == 2, err
+    assert "7 nodes given; this code uses 5" in err and "Traceback" not in err, err
+    assert not out.exists()
+    assert main(["fail", "8", "--store", store]) == 0
+    code, _, err = run_cli("repair", "8", "--store", store,
+                           "--helpers", "0,1,2,3,4,5,6,7")
+    assert code == 2, err
+    assert "8 helper nodes given; this code uses 6" in err and "Traceback" not in err, err
+    assert not (tmp_path / "store" / "node_8" / "chunks.blob").exists()
+    assert main(["repair", "8", "--store", store, "--helpers", "7,6,5,4,3,2"]) == 0
 
 
 def test_corrupt_blob_body_exits_2(tmp_path):

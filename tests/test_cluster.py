@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from atrahasis import cluster as cluster_module
+from atrahasis import store as store_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.cluster import Cluster
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
@@ -60,7 +60,7 @@ def test_symbol_packing_roundtrip(m, rng):
     planes = bytes_to_symbols(data, rows)
     assert planes.shape == (rows, -(-len(data) // (8 * rows)))
     back = symbols_to_bytes(planes)
-    assert len(back) == 8 * planes.size
+    assert len(back) == 8 * rows * planes.stripes
     assert back[:len(data)] == data
     assert all(b == 0 for b in back[len(data):])
 
@@ -134,6 +134,25 @@ def test_get_rejects_dead_nodes(tmp_path, fixture_doc, rng):
         cluster.get(tmp_path / "out.bin", nodes=[0, 1, 2, 3, 4])
     with pytest.raises(UsageError):
         cluster.repair(2, helpers=[2, 3, 4, 5, 6, 7])
+
+
+def test_more_nodes_or_helpers_than_used_are_rejected(tmp_path, fixture_doc, rng):
+    data = bytes(rng.randrange(256) for _ in range(100))
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    out = tmp_path / "out.bin"
+    with pytest.raises(UsageError, match="7 nodes given; this code uses 5"):
+        cluster.get(out, nodes=[0, 1, 2, 3, 4, 5, 6])
+    assert not out.exists()
+    cluster.fail(8)
+    with pytest.raises(UsageError, match="8 helper nodes given; this code uses 6"):
+        cluster.repair(8, helpers=list(range(8)))
+    cluster.fail(7)
+    with pytest.raises(UsageError, match="7 helper nodes given; this code uses 6"):
+        cluster.repair2(7, 8, helpers=list(range(7)))
+    assert cluster._load()[0]["node_status"] == ["live"] * 7 + ["failed"] * 2
+    assert cluster.repair2(7, 8, helpers=[6, 5, 4, 3, 2, 1])["helpers"] == [6, 5, 4, 3, 2, 1]
+    assert cluster.get(out, nodes=[8, 7, 6, 5, 4])["nodes"] == [8, 7, 6, 5, 4]
+    assert out.read_bytes() == data
 
 
 def test_get_insufficient_nodes(tmp_path, fixture_doc, rng):
@@ -386,41 +405,41 @@ CODES = {
 # that alters any stored bit fails here
 PINNED_DIGESTS = {
     "fixture": [
-        "f9b8540a43012a1bc66bbb7bed68e214a086fe5c08fbcaff93d055404ed2cf58",
-        "0ca68cb301c28c8408de98c8ded28462fcca10dc8dc002fdf966727690a7af6a",
-        "72e736236d500453c42c31c9d0e258c7410e39f8c53071f94b788f4de141fef4",
-        "ecabbb81ba21aea442e39349ddb68dce960212581ae1ef2511ae318bec4626fa",
-        "55b74cae74d37149ed98c5262d19f7da879c658b36cab1458d07731fc328d147",
-        "5271b2fafe8bed14165f185590a31c2e5975e8131a5dcb87a940acf01b5f06d5",
-        "894502836428cf8a12ceb66ae9a3c0a43b4aa77fab16e78595fddd24e81a22b4",
-        "108de3a80fed581ae5e00670856fc6f087891e9cf215e04fb58e2245550ffb58",
-        "3d81190125763b50ea18c11e09c9f0c1aae57c942d58ff50282920a2eeb8df61",
+        "c5358f6cbf52fd5fa30c2541f58dee9fb199a95462d3c0103cb3c900ed2cdcb5",
+        "a63ce9fcb6d56e52fac8e6b7e3e7a51ead592cd82df51073e5c8625366c3910f",
+        "c9d42cd3a3b06ac80f149a92e72cbc17e5f275beee4aa794d2400b8996356172",
+        "7e6e719634bd8221fcbb84fc4e8a5dc5f066ab9b02ef2253fdfde1068b620ecb",
+        "7e0f76eb04a7535955ee79a9a387563688d3ba50f18744f23712c87e52bf78bd",
+        "4b099679530971c0062d285762ff846a9062ca9fbdec808108f0df22127586c7",
+        "387000da800b9d86913a795150ca5e46619bb59fde4a2a6250e3bf27f2992130",
+        "2fbb1fd53d835b12ba59f7f21b3c72a7b1226b03368208319197d887c5c19aec",
+        "c62b0d26f196f407984c4ab04b30ebd633999d7f3917eee484d3a976030b4b6c",
     ],
     "fixture-shortened": [
-        "653c8c70d81078f4bdeb0cd3449ba5f113e44d42fed502c0b71b4b048c82f1fe",
-        "c997c9cc9fe1d6386e68f57fe89877dc0e9252b839db41747f614e1b1add5401",
-        "a644211db5bab6f741f0a0720fd447cdadbb371c6be24d7ffdf0ed75970edc23",
-        "f1ff00edd7cf15aefac929889e52acd9078578abf5a031d7d2411fc7f6c97196",
-        "01d962d4b04cf72ea692188cbb5bee792f7c9e25d6c2c25c3f911be4bea3ac49",
-        "aaca63b9da63e68eecaae0f6334fcc24480845c873919f7615916643e53ef1ba",
-        "260ef349fe3d44f34615e561568d8ac2e0e0efee9d54d600b758a41d333d8efa",
-        "6c9a4b7ad8daec00f837e9e306c9ad878002384c1adcc7de03080c35798529b2",
+        "28a173b153f432b49bb6e14b55b1067a9609274a43feb55e32f8fa083e7a930a",
+        "1f0e59e72bc1ffbf68cf038d0e7b31a80e9ea6a05df0938f1cd372e9ed509312",
+        "d4c1c953478b4a196f6c9f357bb877162b8ee60d1c0d9cce09f22e42bd0f33ee",
+        "cfd3a4fc604590ead5524f2086d90b705f5a21e34ac1610e77db1f6173fff2c3",
+        "ff2aaae551b1f79799607570321c04a2d631f668a56cc714a6eb4dd34885e469",
+        "a23eeea1c8c3619eb37a2f8f7f8e7464cf94ab05efbae28c579b8bbd3291e957",
+        "6623549b0a9f30230294ef490a7721fbcb93c1159c282f1c50964eb7d637c344",
+        "6b421bb2f22a34f9faa31d894eeb5d3b02947cd6fb4975283d3d0a1ae08a816f",
     ],
     "rs-gf512": [
-        "7511cf9f3981ae3aa3c90643dd06158ac3be5b20717228ac7bd24b9a2c741853",
-        "23e9e70232facf039aee49540ede636ba62e309060f14b1f2a66f7537c2115ff",
-        "75189ce5835d6ca8037c8cece4e962c7a2fe4b1eff6353b9650f37df8fed1204",
-        "c25949afd1adc6231ba6359dc20e410c6816b7fef724809d439600513ba12063",
-        "eb36ad840dd31e7a2f53b22d11a720c2de4be96d2bab65d9467a45a4bf2223ca",
-        "33cd3f9c6ae1da235ae0db766b8fcf661c64f45e5500ba2a957494f0b937c76b",
+        "3973f1e87844567b03a52af1af55fdc7ee322be7ec3fb8317e126ecaca633ae0",
+        "5ebf210ab10a97b71e451f482ca08e939fb81ce63be3f9e2735b626a63ee08d9",
+        "0344cf8ab878dfd4d304e18766c44f83683069026fe9adc58723f796162bfac4",
+        "0d42957ce43e3e5975cadf6fbdecbebeec76cac8a628f82970dac51a92185d87",
+        "8e7789893e35e047485df34dac57767ac18dc1241aa3e7ea2111958ecd9ae9e4",
+        "d057e92268fda57f4bfbe9cbe32410a9bed15a3f02535bf0aa32a0e8fa61bac1",
     ],
     "rs-gf65536": [
-        "cf6052a4e4924a2bd12952304520938a9f0e5739094308b53db89a42c022c854",
-        "f4cd375b28fcf5081a7920fe05124c71a240ae46af6e0ca5f5f3d890b3a5c4e9",
-        "809bc24f094a4be87e5549fcb4f4251a0e99684a6251b66093975f8cfa73f6d3",
-        "66a0b2cafc46ad8f80726df6f82e3d7fd707f8bf0775b8316e9a570c0bbbfddf",
-        "27cc0c27c0c8c076163062a5f7a8b272769c4080f7a7629351bd600077f6d92c",
-        "261532a5f2cb9710d3ba5eb1313dd67ac0fd57e0440f1cb0bfa41e59f1da2633",
+        "024d53f5eea1de9f3992b2b425a800cbb476c036746016c6acddb74800378818",
+        "233f2d7c3bc6cc1d5fb83eb7ef1f2fcddd8df32ec0bf171fa160f611adb061c3",
+        "574daa954a3dd388b6b82b3a121f70e6462819b2d142918c2afca9584a0a0329",
+        "b00b348cae51b264885f3f2b4174d76d30e5aa92bae449071d468a1b78ca5e8e",
+        "3bd023f5268a35fbf96e85b37b8a917989301824db8bdd5523c8305ffc1ca281",
+        "f7597a074a9ef132bfbfbd5f51181ce9fafdb8bdc923fdc0982da12a6d9cdfd9",
     ],
 }
 
@@ -436,12 +455,13 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
     cluster, info = make_store(tmp_path, doc, data)
     # the format oracle: the documented layouts read bit by bit, against
     # linalg.matvec of each node's tensor rows on each chunk's symbols
-    chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m)
+    batch = store_module.BATCH_STRIPES
+    chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m, batch)
     assert len(chunks) == info["chunk_count"]
     for h in range(n):
         blob = (cluster.root / f"node_{h}" / "chunks.blob").read_bytes()
-        assert blob[:16] == b"ATRA" + bytes([2, h, 0, 0]) + phash
-        stored = read_stripes(blob[16:], family.params.alpha, m)
+        assert blob[:16] == b"ATRA" + bytes([3, h, 0, 0]) + phash
+        stored = read_stripes(blob[16:], family.params.alpha, m, batch)
         assert len(stored) == len(chunks)
         A = family.node_tensor_rows(h)
         for user, values in zip(chunks, stored):
@@ -498,9 +518,12 @@ def _blobs(cluster, n):
 def test_batch_boundaries(tmp_path, monkeypatch, name):
     doc = CODES[name]()
     code, _ = parse_document(doc)
-    n, k = code.n, code.k
-    stripe = code.M * code.spec.m * 8  # stream bytes per stripe
+    spec, n, k, m = code.spec, code.n, code.k, code.spec.m
+    stripe = code.M * m * 8  # stream bytes per stripe
     B = 2
+    # the blobs depend on the batch size, so the reference is the layout
+    # oracle run with the same B, checked against the scalar encode
+    monkeypatch.setattr(store_module, "BATCH_STRIPES", B)
     # files of 1, B-1, B, B+1 and 2B+1 whole stripes (the stream is the
     # 8-byte length prefix plus the payload), one whose last stripe holds
     # a single byte, and the empty file
@@ -510,13 +533,17 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
         data = random.Random(size).randbytes(size)
         src = tmp_path / "input.bin"
         src.write_bytes(data)
-        whole = Cluster(tmp_path / "whole")
-        whole.put(doc, src)  # one batch: these files are far below BATCH_STRIPES
-        reference = _blobs(whole, n)
-        monkeypatch.setattr(cluster_module, "BATCH_STRIPES", B)
         cluster = Cluster(tmp_path / "batched")
         cluster.put(doc, src)
-        assert _blobs(cluster, n) == reference, size
+        reference = _blobs(cluster, n)
+        chunks = read_stripes(len(data).to_bytes(8, "little") + data, code.M, m, B)
+        encoded = [code.encode(user) for user in chunks]
+        for h, blob in enumerate(reference):
+            stored = read_stripes(blob[16:], code.alpha, m, B)
+            assert len(stored) == len(chunks), (size, h)
+            A = code.base.node_tensor_rows(h)
+            for phi, values in zip(encoded, stored):
+                assert matvec(spec, A, phi) == values, (size, h)
         out = tmp_path / "out.bin"
         for nodes in (list(range(k)), list(range(n - k, n))):
             cluster.get(out, nodes=nodes)
@@ -529,7 +556,6 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
             cluster.fail(n - 1)
             cluster.repair2(1, n - 1, strategy)
             assert _blobs(cluster, n) == reference, (size, strategy)
-        monkeypatch.undo()
 
 
 def _flip_node_0(cluster):
