@@ -12,7 +12,7 @@ Layout under one store root:
     .lock           per-store lock file; commands serialize on it
     node_<h>/chunks.blob
                     the node's contents: one 16-byte header (specfile,
-                    blob version 3), then the node's alpha*m bit-planes,
+                    blob version 4), then the node's alpha*m bit-planes,
                     plane-major per batch of store.BATCH_STRIPES stripes
                     (the last batch may be shorter): a batch of W
                     stripes starting at stripe s0 stores plane i*m + b
@@ -23,13 +23,18 @@ Layout under one store root:
 A put reads the byte stream (8-byte little-endian length prefix, then
 the payload, zero-padded to whole stripes of M*m words) as the bit-planes
 of M-symbol chunks, m bits per symbol, in the same plane-major batches
-(bulk), so the data path never holds symbol values.  Every matrix
-applied comes from the store's ShortenedCode (transforms): put applies
-put_matrix, get the decode_matrix of k live nodes, and repair and
-repair2 share one regeneration loop, in which each helper applies its
-send matrix to its blob and each failed node is one recovery matrix over
-all that was received.  The ledger is charged what was sent: d*beta
-symbols per chunk for repair, the strategy bandwidth for repair2.
+(bulk), so the data path never holds symbol values.  The store is
+systematic: nodes 0..k-1 hold the user symbols, so the body of node
+h < k is the stream's planes h*alpha*m .. (h+1)*alpha*m, batch by batch,
+byte for byte.  Every matrix applied comes from the store's
+ShortenedCode (transforms): put writes those slices as they are and
+applies parity_matrix for nodes k..n-1; get from nodes 0..k-1, in any
+order, copies their bytes, and from any other k live nodes applies their
+systematic_decode_matrix; repair and repair2 share one regeneration
+loop, in which each helper applies its send matrix to its blob and each
+failed node is one recovery matrix over all that was received.  The
+ledger is charged what was sent: d*beta symbols per chunk for repair,
+the strategy bandwidth for repair2.
 
 Every data command streams: it expands its matrices once, then works
 through the file one batch of BATCH_STRIPES stripes at a time, reading
@@ -153,25 +158,31 @@ class Cluster:
                 for h in nodes}
 
     def _write_node(self, code: ShortenedCode, h: int, planes: Planes,
-                    staged: dict) -> None:
+                    staged: dict, data=None) -> None:
         """Append planes, node h's alpha*m planes of the next batch, to its
-        blob in staged."""
-        staged[h].write(symbols_to_bytes(planes))
+        blob in staged.  data, when given, is their bytes already: a
+        systematic node's slice of the user stream."""
+        staged[h].write(symbols_to_bytes(planes) if data is None else data)
 
     def _read_node(self, code: ShortenedCode, h: int, stripes: int,
-                   blobs: dict) -> Planes:
+                   blobs: dict) -> bytes:
         """-> the next batch, `stripes` stripes, of node h's blob in blobs,
-        as its alpha*m planes."""
-        data = blobs[h].read(stripes * self._record_len(code))
-        return bytes_to_symbols(data, code.alpha * code.spec.m)
+        as the bytes of its alpha*m planes."""
+        return blobs[h].read(stripes * self._record_len(code))
+
+    def _read_planes(self, code: ShortenedCode, h: int, stripes: int,
+                     blobs: dict) -> Planes:
+        """_read_node's batch as node h's alpha*m planes."""
+        return bytes_to_symbols(self._read_node(code, h, stripes, blobs),
+                                code.alpha * code.spec.m)
 
     def _live(self, manifest: dict, nodes, count: int, what: str) -> list[int]:
-        """The given nodes, which must all be live and at most `count`, or
-        else the first `count` live nodes."""
+        """The given nodes, which must be `count` live nodes, or else the
+        first `count` live nodes."""
         live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
         if nodes is None:
             return live[:count]
-        if len(nodes) > count:
+        if len(nodes) != count:
             raise UsageError(f"{len(nodes)} {what} given; this code uses {count}")
         bad = [h for h in nodes if h not in live]
         if bad:
@@ -194,21 +205,29 @@ class Cluster:
                 raise UsageError(f"{file_path} is not a regular file")
             length = info.st_size
             chunked = ChunkedFile.plan(length, code.M, code.spec.m)
-            encode = bulk.expand(code.put_matrix())
+            parity = bulk.expand(code.parity_matrix())
             staged = self._stage_nodes(stack, phash, range(code.n))
             rows = code.M * code.spec.m
             a = code.alpha * code.spec.m
             head, remaining = length.to_bytes(8, "little"), length
             for stripes in _batches(chunked.stripes):
-                take = min(stripes * rows * Planes.itemsize - len(head), remaining)
+                size = stripes * rows * Planes.itemsize
+                take = min(size - len(head), remaining)
                 data = src.read(take)
                 if len(data) != take:
                     raise UsageError(f"{file_path} shrank while put read it")
                 remaining -= take
-                planes = bulk.matmul(encode, bytes_to_symbols(head + data, rows))
+                stream = memoryview((head + data).ljust(size, b"\x00"))
                 head = b""
-                for h, node in enumerate(planes.split(a)):
-                    self._write_node(code, h, node, staged)
+                user = bytes_to_symbols(stream, rows)
+                # nodes 0..k-1 hold the user planes: each stores its slice of
+                # the stream as it is
+                part = size // code.k
+                for h, planes in enumerate(user.split(a)):
+                    self._write_node(code, h, planes, staged,
+                                     stream[h * part:(h + 1) * part])
+                for h, planes in enumerate(bulk.matmul(parity, user).split(a), code.k):
+                    self._write_node(code, h, planes, staged)
             for blob in staged.values():
                 blob.commit()
             manifest = {
@@ -231,9 +250,10 @@ class Cluster:
                     "symbols_per_chunk": code.M}
 
     def get(self, out_path, nodes: list[int] | None = None) -> dict:
-        """Decode the file from k live nodes into out_path.  The bytes go to
-        a temp file beside it, renamed over it only once every blob read
-        matches its digest and the length prefix matches the manifest."""
+        """Decode the file from k live nodes into out_path, or copy it from
+        nodes 0..k-1.  The bytes go to a temp file beside it, renamed over
+        it only once every blob read matches its digest and the length
+        prefix matches the manifest."""
         with locked(self.root), ExitStack() as stack:
             manifest, code = self._load()
             check_nodes(code, nodes or [], "nodes")
@@ -246,8 +266,12 @@ class Cluster:
             length = chunked.original_length
             blobs = self._open_nodes(stack, code, bytes.fromhex(manifest["params_hash"]),
                                      nodes, chunked.stripes)
-            bulk = BulkField(code.spec)
-            decode = bulk.expand(code.decode_matrix(nodes))
+            # from nodes 0..k-1, in any order, the stream is their planes
+            # copied; from any other k nodes it is decoded
+            copy = sorted(nodes) == list(range(code.k))
+            if not copy:
+                bulk = BulkField(code.spec)
+                decode = bulk.expand(code.systematic_decode_matrix(nodes))
             out = Path(out_path)
             if out.is_symlink():
                 out = out.resolve()  # write through a symlink, not over it
@@ -258,18 +282,23 @@ class Cluster:
             tmp = out.with_name(f".{out.name}.tmp")
             try:
                 with open(tmp, "wb") as sink:
-                    # the payload is bytes 8 .. 8+length of the decoded stream
+                    # the payload is bytes 8 .. 8+length of the stream
                     pos = 0
                     for stripes in _batches(chunked.stripes):
-                        stacked = Planes(chain.from_iterable(
-                            self._read_node(code, h, stripes, blobs) for h in nodes),
-                            stripes)
-                        stream = symbols_to_bytes(bulk.matmul(decode, stacked))
-                        if pos == 0:
-                            prefix = int.from_bytes(stream[:8], "little")
-                        sink.write(memoryview(stream)[max(8 - pos, 0):
-                                                      max(8 + length - pos, 0)])
-                        pos += len(stream)
+                        if copy:
+                            pieces = [self._read_node(code, h, stripes, blobs)
+                                      for h in range(code.k)]
+                        else:
+                            stacked = Planes(chain.from_iterable(
+                                self._read_planes(code, h, stripes, blobs) for h in nodes),
+                                stripes)
+                            pieces = [symbols_to_bytes(bulk.matmul(decode, stacked))]
+                        for piece in pieces:
+                            if pos == 0:
+                                prefix = int.from_bytes(piece[:8], "little")
+                            sink.write(memoryview(piece)[max(8 - pos, 0):
+                                                         max(8 + length - pos, 0)])
+                            pos += len(piece)
                 for blob in blobs.values():
                     blob.check(manifest["node_digests"])
                 if prefix != length:
@@ -322,7 +351,7 @@ class Cluster:
             staged = self._stage_nodes(stack, phash, failed)
             for stripes in _batches(chunked.stripes):
                 received = Planes(chain.from_iterable(
-                    bulk.matmul(S, self._read_node(code, h, stripes, blobs))
+                    bulk.matmul(S, self._read_planes(code, h, stripes, blobs))
                     for h, S in sends), stripes)
                 for node, R in zip(failed, recover):
                     self._write_node(code, node, bulk.matmul(R, received), staged)

@@ -47,6 +47,25 @@ def matvec(spec: FieldSpec, rows: list[list[int]], v: list[int]) -> list[int]:
     return [dot_ints(spec, row, v) for row in rows]
 
 
+def matmul(spec: FieldSpec, left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
+    """The product of two matrices given by their rows.  Each output row
+    is the sum of right's rows scaled by the entries of a row of left, one
+    FieldSpec.sub_scaled_row on packed rows per nonzero entry."""
+    if left and len(left[0]) != len(right):
+        raise UsageError(f"matmul of {len(left[0])} columns with {len(right)} rows")
+    nbytes = len(right[0]) * spec.slot_bytes if right else 0
+    packed = [spec.row_bytes(row) for row in right]
+    sub_scaled, neg = spec.sub_scaled_row, spec.neg
+    out = []
+    for row in left:
+        acc = 0
+        for f, other in zip(row, packed):
+            if f:
+                acc = sub_scaled(acc, neg(f), other)
+        out.append(spec.row_values(acc.to_bytes(nbytes, "big")))
+    return out
+
+
 class Echelon:
     """Incremental row echelon form over the first `width` of `length`
     columns (default: all of them).

@@ -23,7 +23,7 @@ SPEC_FORMAT = "atrahasis-code-spec"
 SPEC_VERSION = 1
 
 BLOB_MAGIC = b"ATRA"
-BLOB_VERSION = 3
+BLOB_VERSION = 4
 HEADER_LEN = 16
 
 _HEX = re.compile(r"[0-9a-fA-F]+")

@@ -16,6 +16,14 @@ help_message and repair apply the same matrices to lists of ints; a file
 is the list of its base coordinates.  Values from outside are checked
 once, where these methods take them in.
 
+The store keeps a file in the systematic basis: for user symbols u it
+stores the codeword of D0.u, D0 the decode matrix of nodes 0..k-1, so
+those nodes hold u unchanged (Rashmi, Shah, Kumar, IEEE Trans. IT 2011).
+Its put applies only parity_matrix, and its get systematic_decode_matrix
+or, from nodes 0..k-1, nothing; the repair programs are the same in any
+basis.  The scalar API keeps the plain basis, in which encode is the
+identity at depth 0.
+
 One builder, ShortenedCode.repair_program, rebuilds one failed node, or
 two at a central agent, on any t and either flavor: the d helpers'
 messages toward each failed node already span it.  A pair is repaired
@@ -30,12 +38,12 @@ subspace_bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
                    help_matrix, send_matrix)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, SpanSolver, dot_ints, matvec, nullspace_with_free
+from .linalg import (Echelon, SpanSolver, dot_ints, matmul, matvec,
+                     nullspace_with_free)
 
 
 NAIVE = "naive"
@@ -114,20 +122,35 @@ class ShortenedCode:
         self._check_live(h)
         return NodeContent(h, matvec(self.spec, self.base.node_tensor_rows(h), file))
 
-    def put_matrix(self) -> list[list[int]]:
-        """The M user symbols -> the n*alpha values of the live nodes, node h
-        owning rows h*alpha .. (h+1)*alpha - 1: each node tensor row
-        restated over the user symbols through encode."""
-        spec, rows = self.spec, []
-        for h in range(self.n):
-            for row in self.base.node_tensor_rows(h):
-                out = [row[c] for c in self.free_cols]
-                for c, constraint in self.constrained.items():
-                    if row[c]:
-                        out = [spec.add(a, spec.mul(row[c], b))
-                               for a, b in zip(out, constraint)]
-                rows.append(out)
-        return rows
+    def put_matrix(self, nodes=None) -> list[list[int]]:
+        """The M user symbols -> the values of the given live nodes (all of
+        them by default), node by node, alpha rows each: each node tensor
+        row restated over the user symbols through encode."""
+        self._check_live(*(nodes or ()))
+        rows = [row for h in (range(self.n) if nodes is None else nodes)
+                for row in self.base.node_tensor_rows(h)]
+        if not self.constrained:  # depth 0: the file is the user symbols
+            return [list(row) for row in rows]
+        column = {c: j for j, c in enumerate(self.free_cols)}
+        encode = [self.constrained[c] if c in self.constrained
+                  else [int(j == column[c]) for j in range(self.M)]
+                  for c in range(self.base.params.M)]
+        return matmul(self.spec, rows, encode)
+
+    def parity_matrix(self) -> list[list[int]]:
+        """The store's put: the M user symbols u -> the values of the parity
+        nodes k..n-1, (n-k)*alpha rows.  The store keeps the codeword of
+        D0.u, with D0 = decode_matrix(0..k-1), so that nodes 0..k-1 hold
+        u itself and only the parity nodes are computed."""
+        return matmul(self.spec, self.put_matrix(range(self.k, self.n)),
+                      self.decode_matrix(list(range(self.k))))
+
+    def systematic_decode_matrix(self, nodes: list[int]) -> list[list[int]]:
+        """The store's get: the stacked values of k live nodes of the
+        codeword of D0.u (see parity_matrix) -> u.  decode_matrix(nodes)
+        gives D0.u, and the put rows of nodes 0..k-1 map it to what those
+        nodes hold, which is u."""
+        return matmul(self.spec, self.put_matrix(range(self.k)), self.decode_matrix(nodes))
 
     def decode_matrix(self, nodes: list[int]) -> list[list[int]]:
         """The stacked values of k live nodes -> the M user symbols.  The
@@ -265,18 +288,6 @@ def cascade_bandwidth(k: int, d: int) -> int:
 
 def subspace_bandwidth(k: int) -> int:
     return 3 * (k - 2) ** 2
-
-
-def cutset_two_failure_bandwidth(k: int) -> Fraction:
-    """The information-flow floor 2*d*alpha/(d+2-k) at d = 3(k-1)/2."""
-    d = Fraction(3 * (k - 1), 2)
-    alpha = Fraction((k - 1) * (k - 2), 2)
-    return 2 * d * alpha / (d + 2 - k)
-
-
-def subspace_optimality_gap(k: int) -> Fraction:
-    """Exact distance of the subspace strategy from the cut-set floor."""
-    return subspace_bandwidth(k) - cutset_two_failure_bandwidth(k)
 
 
 @dataclass(frozen=True)

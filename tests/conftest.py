@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,8 @@ from atrahasis.code import NodeContent
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
-from atrahasis.transforms import SUBSPACE, ShortenedCode, central_repair_program
+from atrahasis.transforms import (SUBSPACE, ShortenedCode, central_repair_program,
+                                  subspace_bandwidth)
 
 
 def pytest_configure(config):
@@ -54,6 +56,18 @@ def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):
     return (NodeContent(f, matvec(stars.spec, program.recover_first, received)),
             NodeContent(g, matvec(stars.spec, program.recover_second, received)),
             program.plan)
+
+
+def cutset_two_failure_bandwidth(k: int) -> Fraction:
+    """The information-flow floor 2*d*alpha/(d+2-k) at d = 3(k-1)/2."""
+    d = Fraction(3 * (k - 1), 2)
+    alpha = Fraction((k - 1) * (k - 2), 2)
+    return 2 * d * alpha / (d + 2 - k)
+
+
+def subspace_optimality_gap(k: int) -> Fraction:
+    """Exact distance of the subspace strategy from the cut-set floor."""
+    return subspace_bandwidth(k) - cutset_two_failure_bandwidth(k)
 
 
 def pack_planes(rows, m):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from atrahasis import specfile
+from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.cli import main, parse_field
 from atrahasis.cluster import Cluster
 from atrahasis.code import SYMMETRIC, rs_stars_t2
@@ -377,13 +378,13 @@ def test_fail_and_status_leave_numpy_unloaded(tmp_path):
     script = (f"import sys\nfrom atrahasis import cli\n"
               f"assert cli.main(['fail', '3', '--store', {store!r}]) == 0\n"
               f"assert cli.main(['status', '--store', {store!r}]) == 0\n"
-              f"print([m for m in ('numpy', 'atrahasis.bulk', 'atrahasis.cluster',"
-              f" 'atrahasis.search') if m in sys.modules])\n"
+              f"print([m for m in ('numpy', 'fractions', 'atrahasis.bulk',"
+              f" 'atrahasis.cluster', 'atrahasis.search') if m in sys.modules])\n"
               f"import atrahasis.cluster\n"
-              f"print('numpy' in sys.modules)")
+              f"print('numpy' in sys.modules, 'fractions' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False False"]
 
 
 # every data command, and fail and status, in an interpreter where any
@@ -431,9 +432,9 @@ def test_data_commands_run_without_numpy(tmp_path):
 
 # the manifest after put and after fail 3, and status then, as they were
 # when fail and status were implemented in cluster (the manifest records
-# the blob digests, so these follow the blob layout, now version 3)
-PUT_MANIFEST_SHA256 = "d451cc8593f02b3bf3529f32fea1502d63fc670d960751605b1245f948b6f5c1"
-FAIL_MANIFEST_SHA256 = "387693633f2943c744b0d860ca566c01c9d8a2aa6d6cfa9b02c1b5a407e73684"
+# the blob digests, so these follow the blob format, now version 4)
+PUT_MANIFEST_SHA256 = "565835e4c8478774ba2bbc3beba28b3a8553b028950f900091e2d5e62a027438"
+FAIL_MANIFEST_SHA256 = "8d72b9655593ae5e032c767484498a29cb89986f8cc49d63494c632ec8ba2fd6"
 STATUS_AFTER_FAIL = {
     "file": {"chunk_count": 128, "original_length": 1280, "padding_bits": 5056,
              "symbols_per_chunk": 30},
@@ -527,24 +528,31 @@ def test_repair2_rejects_repeated_nodes(tmp_path):
 
 
 def test_old_blob_version_rejected(tmp_path):
+    # node 1's blob as version 3 wrote it: the same layout, but the plain
+    # basis, so its planes are node 1's put rows applied to the stream's
+    # (the fixture's node 0 holds the same planes in either basis)
     store = _put_hello(tmp_path)
-    blob = store / "node_0" / "chunks.blob"
-    raw = bytearray(blob.read_bytes())
-    raw[4] = 1  # the header's version byte
-    blob.write_bytes(bytes(raw))
+    blob = store / "node_1" / "chunks.blob"
+    raw = blob.read_bytes()
+    sc, _ = specfile.read_spec_file(tmp_path / "fix.spec")
+    stream = bytes_to_symbols(len(b"hello").to_bytes(8, "little") + b"hello",
+                              sc.M * sc.spec.m)
+    body = symbols_to_bytes(BulkField(sc.spec).matmul(sc.put_matrix([1]), stream))
+    assert len(body) == len(raw) - 16 and body != raw[16:]
+    blob.write_bytes(raw[:4] + bytes([3]) + raw[5:16] + body)
     out = str(tmp_path / "out.bin")
     code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "0,1,2,3,4")
     assert code == 2, err
-    assert "node 0 blob is version 1, expected 3 (re-put the file)" in err, err
+    assert "node 1 blob is version 3, expected 4 (re-put the file)" in err, err
     assert "Traceback" not in err
-    code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "1,2,3,4,5")
+    code, _, err = run_cli("get", out, "--store", str(store), "--nodes", "0,2,3,4,5")
     assert code == 0, err
     assert (tmp_path / "out.bin").read_bytes() == b"hello"
 
 
 def test_version_2_blob_rejected(tmp_path):
-    # a blob as version 2 wrote it: the same words, stripe-major (word
-    # w*rows + p, for plane p of stripe w) instead of plane-major per batch
+    # a blob in version 2's layout: the words stripe-major (word w*rows + p,
+    # for plane p of stripe w) instead of plane-major per batch
     spec, data = tmp_path / "fix.spec", tmp_path / "data.bin"
     store = tmp_path / "store"
     data.write_bytes(random.Random(2).randbytes(5000))  # 6 stripes, one batch
@@ -564,7 +572,7 @@ def test_version_2_blob_rejected(tmp_path):
             assert main(["fail", "8", "--store", str(store)]) == 0
         code, _, err = run_cli(*args, "--store", str(store))
         assert code == 2, (args, err)
-        assert "node 0 blob is version 2, expected 3 (re-put the file)" in err, err
+        assert "node 0 blob is version 2, expected 4 (re-put the file)" in err, err
         assert "Traceback" not in err
     assert not out.exists()
     assert not (store / "node_8" / "chunks.blob").exists()
@@ -573,15 +581,21 @@ def test_version_2_blob_rejected(tmp_path):
 def test_more_nodes_or_helpers_than_used_exit_2(tmp_path):
     store = str(_put_hello(tmp_path))
     out = tmp_path / "out.bin"
-    code, _, err = run_cli("get", str(out), "--store", store, "--nodes", "0,1,2,3,4,5,6")
-    assert code == 2, err
-    assert "7 nodes given; this code uses 5" in err and "Traceback" not in err, err
+    # too few given is a usage error too, not a shortage of live nodes
+    for nodes in ("0,1,2,3,4,5,6", "0,1,2"):
+        code, _, err = run_cli("get", str(out), "--store", store, "--nodes", nodes)
+        assert code == 2, err
+        given = nodes.count(",") + 1
+        assert f"{given} nodes given; this code uses 5" in err, err
+        assert "Traceback" not in err, err
     assert not out.exists()
     assert main(["fail", "8", "--store", store]) == 0
-    code, _, err = run_cli("repair", "8", "--store", store,
-                           "--helpers", "0,1,2,3,4,5,6,7")
-    assert code == 2, err
-    assert "8 helper nodes given; this code uses 6" in err and "Traceback" not in err, err
+    for helpers in ("0,1,2,3,4,5,6,7", "0,1,2,3,4"):
+        code, _, err = run_cli("repair", "8", "--store", store, "--helpers", helpers)
+        assert code == 2, err
+        given = helpers.count(",") + 1
+        assert f"{given} helper nodes given; this code uses 6" in err, err
+        assert "Traceback" not in err, err
     assert not (tmp_path / "store" / "node_8" / "chunks.blob").exists()
     assert main(["repair", "8", "--store", store, "--helpers", "7,6,5,4,3,2"]) == 0
 

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from atrahasis import cluster as cluster_module
 from atrahasis import store as store_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.cluster import Cluster
@@ -116,9 +118,12 @@ def test_fail_repair_cycle(tmp_path, fixture_doc, rng):
         cluster.repair(4)  # node is live again
 
 
-def test_exhaustive_failure_sets(tmp_path, fixture_doc, rng):
-    data = bytes(rng.randrange(256) for _ in range(64))
-    cluster, _ = make_store(tmp_path, fixture_doc, data)
+def test_exhaustive_failure_sets(tmp_path, fixture_doc, rng, monkeypatch):
+    # every one of the 126 5-subsets, on a file of two batches of stripes
+    monkeypatch.setattr(store_module, "BATCH_STRIPES", 2)
+    data = bytes(rng.randrange(256) for _ in range(2500))  # 3 stripes of 960 bytes
+    cluster, info = make_store(tmp_path, fixture_doc, data)
+    assert info["chunk_count"] == 3 * 64
     out = tmp_path / "out.bin"
     for lost in combinations(range(9), 4):
         live = [h for h in range(9) if h not in lost]
@@ -140,19 +145,79 @@ def test_more_nodes_or_helpers_than_used_are_rejected(tmp_path, fixture_doc, rng
     data = bytes(rng.randrange(256) for _ in range(100))
     cluster, _ = make_store(tmp_path, fixture_doc, data)
     out = tmp_path / "out.bin"
-    with pytest.raises(UsageError, match="7 nodes given; this code uses 5"):
-        cluster.get(out, nodes=[0, 1, 2, 3, 4, 5, 6])
+    for nodes in ([0, 1, 2, 3, 4, 5, 6], [0, 1, 2], [8, 7, 6, 5]):
+        with pytest.raises(UsageError, match=f"{len(nodes)} nodes given; this code uses 5"):
+            cluster.get(out, nodes=nodes)
     assert not out.exists()
     cluster.fail(8)
-    with pytest.raises(UsageError, match="8 helper nodes given; this code uses 6"):
-        cluster.repair(8, helpers=list(range(8)))
+    for helpers in (list(range(8)), [0, 1, 2, 3, 4]):
+        with pytest.raises(UsageError,
+                           match=f"{len(helpers)} helper nodes given; this code uses 6"):
+            cluster.repair(8, helpers=helpers)
     cluster.fail(7)
-    with pytest.raises(UsageError, match="7 helper nodes given; this code uses 6"):
-        cluster.repair2(7, 8, helpers=list(range(7)))
+    for helpers in (list(range(7)), [6, 5]):
+        with pytest.raises(UsageError,
+                           match=f"{len(helpers)} helper nodes given; this code uses 6"):
+            cluster.repair2(7, 8, helpers=helpers)
     assert cluster._load()[0]["node_status"] == ["live"] * 7 + ["failed"] * 2
     assert cluster.repair2(7, 8, helpers=[6, 5, 4, 3, 2, 1])["helpers"] == [6, 5, 4, 3, 2, 1]
     assert cluster.get(out, nodes=[8, 7, 6, 5, 4])["nodes"] == [8, 7, 6, 5, 4]
     assert out.read_bytes() == data
+
+
+def test_systematic_get_is_a_verified_copy(tmp_path, fixture_doc, monkeypatch):
+    # nodes 0..4, in any order, hold the stream's planes: get copies them
+    # and applies, expands and packs nothing, yet checks every digest and
+    # the length prefix
+    data = random.Random(17).randbytes(50_000)
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    out = tmp_path / "out.bin"
+
+    def refuse(*args):
+        raise AssertionError("the systematic get computed something")
+
+    for name in ("matmul", "expand"):
+        monkeypatch.setattr(BulkField, name, refuse)
+    for name in ("bytes_to_symbols", "symbols_to_bytes"):
+        monkeypatch.setattr(cluster_module, name, refuse)
+    assert cluster.get(out, nodes=[4, 3, 2, 1, 0])["nodes"] == [4, 3, 2, 1, 0]
+    assert out.read_bytes() == data
+    manifest_path = cluster.root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    blob = cluster.root / "node_0" / "chunks.blob"
+    raw = bytearray(blob.read_bytes())
+    raw[16] ^= 0x01  # the low byte of the length prefix
+    blob.write_bytes(bytes(raw))
+    out.write_bytes(b"previous")
+    with pytest.raises(CorruptDataError, match="node 0 blob does not match"):
+        cluster.get(out, nodes=[4, 3, 2, 1, 0])
+    # the same blob with its digest recorded: only the prefix check is left
+    manifest["node_digests"]["0"] = hashlib.sha256(raw).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptDataError, match="length prefix disagrees"):
+        cluster.get(out, nodes=[0, 1, 2, 3, 4])
+    assert out.read_bytes() == b"previous"
+
+
+def test_xors_per_batch_on_the_fixture(fixture_doc):
+    # sum(len(s) - 1) over the expanded selections: the XORs one batch
+    # costs.  The systematic basis makes put pay for the parity nodes only
+    # (4,500 against 3,456 for all nine nodes in the plain basis), the
+    # copy from nodes 0-4 nothing (3,276 in the plain basis) and the dense
+    # get from 4-8 5,769 (7,006)
+    code, _ = parse_document(fixture_doc)
+    bulk = BulkField(code.spec)
+
+    def xors(rows):
+        return sum(len(s) - 1 for s in bulk.expand(rows).selections)
+
+    assert xors(code.put_matrix()) == 3456
+    assert xors(code.parity_matrix()) == 4500
+    assert xors(code.decode_matrix([0, 1, 2, 3, 4])) == 3276
+    assert code.systematic_decode_matrix([0, 1, 2, 3, 4]) == \
+        [[int(i == j) for j in range(30)] for i in range(30)]
+    assert xors(code.decode_matrix([4, 5, 6, 7, 8])) == 7006
+    assert xors(code.systematic_decode_matrix([4, 5, 6, 7, 8])) == 5769
 
 
 def test_get_insufficient_nodes(tmp_path, fixture_doc, rng):
@@ -349,11 +414,11 @@ def test_failed_put_keeps_the_stored_file(tmp_path, fixture_doc, monkeypatch):
     src.write_bytes(b"second file")
     write_node, calls = Cluster._write_node, []
 
-    def full_disk(self, code, h, planes, staged):
+    def full_disk(self, code, h, *args):
         calls.append(h)
         if len(calls) == 3:
             raise OSError(errno.ENOSPC, "No space left on device")
-        write_node(self, code, h, planes, staged)
+        write_node(self, code, h, *args)
 
     monkeypatch.setattr(Cluster, "_write_node", full_disk)
     with pytest.raises(OSError, match="No space left"):
@@ -405,41 +470,41 @@ CODES = {
 # that alters any stored bit fails here
 PINNED_DIGESTS = {
     "fixture": [
-        "c5358f6cbf52fd5fa30c2541f58dee9fb199a95462d3c0103cb3c900ed2cdcb5",
-        "a63ce9fcb6d56e52fac8e6b7e3e7a51ead592cd82df51073e5c8625366c3910f",
-        "c9d42cd3a3b06ac80f149a92e72cbc17e5f275beee4aa794d2400b8996356172",
-        "7e6e719634bd8221fcbb84fc4e8a5dc5f066ab9b02ef2253fdfde1068b620ecb",
-        "7e0f76eb04a7535955ee79a9a387563688d3ba50f18744f23712c87e52bf78bd",
-        "4b099679530971c0062d285762ff846a9062ca9fbdec808108f0df22127586c7",
-        "387000da800b9d86913a795150ca5e46619bb59fde4a2a6250e3bf27f2992130",
-        "2fbb1fd53d835b12ba59f7f21b3c72a7b1226b03368208319197d887c5c19aec",
-        "c62b0d26f196f407984c4ab04b30ebd633999d7f3917eee484d3a976030b4b6c",
+        "0cef60b01796dc074fc6615ea189eb77ddd532fe2f538f52564c365097622afb",
+        "23f84b039e0def92bf1dea4b6e9d22a81ba5a1c933ad0fa6681e9916ee53134d",
+        "3acd8177ee95857174a28abfe20a82f5f59a7fcfe6799c9440d80ac205bd50f1",
+        "bc3db3e572b1f6e1aa98273212d34b14a3cf0699b8e4a143b75e26fe00fc4c12",
+        "f89e351c9bff33fa2825961cf96c45a645a8cb2bbe8b916f4a8144f0f3708ec4",
+        "2c891a5fac47bbbcadb35ab7669335e46399b70f20f30398061153b65e6289b4",
+        "2566106d1eb60599f72d2da52fabbc8581be0cb1044b69f1293e3d3f497cb401",
+        "0cd14d589f95a0e0b209d273caa47e2cfa8cdde3cfebfd9a1e0e9cd8e9ee9476",
+        "e9519ff7093b78395ff304c259a3e691636c47c19c0123c0b59efb02401393fc",
     ],
     "fixture-shortened": [
-        "28a173b153f432b49bb6e14b55b1067a9609274a43feb55e32f8fa083e7a930a",
-        "1f0e59e72bc1ffbf68cf038d0e7b31a80e9ea6a05df0938f1cd372e9ed509312",
-        "d4c1c953478b4a196f6c9f357bb877162b8ee60d1c0d9cce09f22e42bd0f33ee",
-        "cfd3a4fc604590ead5524f2086d90b705f5a21e34ac1610e77db1f6173fff2c3",
-        "ff2aaae551b1f79799607570321c04a2d631f668a56cc714a6eb4dd34885e469",
-        "a23eeea1c8c3619eb37a2f8f7f8e7464cf94ab05efbae28c579b8bbd3291e957",
-        "6623549b0a9f30230294ef490a7721fbcb93c1159c282f1c50964eb7d637c344",
-        "6b421bb2f22a34f9faa31d894eeb5d3b02947cd6fb4975283d3d0a1ae08a816f",
+        "c9a1bda62650acf4e81a7baf03a2fcb1cc379dfd5e4ffacc64cd438292f65f44",
+        "a1bb01186bff1e5c816c35160d217b633bdd4ad69baf37d2fa9ef959c1c3f32a",
+        "6b5586daa94f93fd728c11cb2853f3bd9c8e01f2c61633eed3b6e9802eb7e6d5",
+        "26f1517edf87af8ac33e97b1bb12772dcfd92c9bfda17fb3f195a252c5665b8b",
+        "ea486495be3ce1998d605cd7ca5ef7748a504eae294dce48e6d35c947ccb11b1",
+        "071d4691cab9bb215a0156aef1eb3422b5438c07346ef3e9122b91c3093d0fe8",
+        "d0e38fa5547d388e130c6c6cfdf06238c73e5b1b17d8b388f7e6420447c92e55",
+        "1d77b1ecd0d927c8ae55a6672500276d6576477913b5befed168426c03880ea4",
     ],
     "rs-gf512": [
-        "3973f1e87844567b03a52af1af55fdc7ee322be7ec3fb8317e126ecaca633ae0",
-        "5ebf210ab10a97b71e451f482ca08e939fb81ce63be3f9e2735b626a63ee08d9",
-        "0344cf8ab878dfd4d304e18766c44f83683069026fe9adc58723f796162bfac4",
-        "0d42957ce43e3e5975cadf6fbdecbebeec76cac8a628f82970dac51a92185d87",
-        "8e7789893e35e047485df34dac57767ac18dc1241aa3e7ea2111958ecd9ae9e4",
-        "d057e92268fda57f4bfbe9cbe32410a9bed15a3f02535bf0aa32a0e8fa61bac1",
+        "eb82d2fc75af6e4c7532f58bc0ea556242f5f600c2749da45fed899922251853",
+        "7b6b0e79d2795a27bc891135fb2adc7366bac55a34b424105f46684976ce178d",
+        "6c3798de4e3976a7e334af5ab35b72ba7f451f4420f3e65074a1cf2ce6e1f3a0",
+        "ea5a989ab5a81a2729d4e4a07468aa981ff5879255afd4ff2a875facf8d8bc79",
+        "7d06c5fc2cb8a9c29921bff91e234061571c9f750f96386b41022733b06a8176",
+        "974ff6cd673d53a6f81bce342d82e13faac78e46b69a54a1cc5fe4570f110f28",
     ],
     "rs-gf65536": [
-        "024d53f5eea1de9f3992b2b425a800cbb476c036746016c6acddb74800378818",
-        "233f2d7c3bc6cc1d5fb83eb7ef1f2fcddd8df32ec0bf171fa160f611adb061c3",
-        "574daa954a3dd388b6b82b3a121f70e6462819b2d142918c2afca9584a0a0329",
-        "b00b348cae51b264885f3f2b4174d76d30e5aa92bae449071d468a1b78ca5e8e",
-        "3bd023f5268a35fbf96e85b37b8a917989301824db8bdd5523c8305ffc1ca281",
-        "f7597a074a9ef132bfbfbd5f51181ce9fafdb8bdc923fdc0982da12a6d9cdfd9",
+        "c7e1ccc73839296d6b02cbe18392937698ac11708ffc2136fd36bad28808ef20",
+        "ce7645ada8b35783ead613d1e01d8891098a598a840d46ddac0d469e2d6447fd",
+        "107fff89d0b45221a264a1db2aa7e53934cae2438e8184ee680305b69967fe6d",
+        "936c3cf2d732f31149a23b855d0676f75e0feea175d02a2bcf2ab8740ea91e70",
+        "a113e00d1fc42c867255f1bd2ec1ea7053156de105e930eb8303fd2a19143960",
+        "7e2ee427281467dff2b2b15cc437ee34d5a5337392c549f0f01e87d9d5298d21",
     ],
 }
 
@@ -454,18 +519,20 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
     data = random.Random(2020).randbytes(4099)
     cluster, info = make_store(tmp_path, doc, data)
     # the format oracle: the documented layouts read bit by bit, against
-    # linalg.matvec of each node's tensor rows on each chunk's symbols
+    # linalg.matvec of each node's tensor rows on the scalar encode of each
+    # chunk's symbols in the systematic basis, D0 times them
     batch = store_module.BATCH_STRIPES
     chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m, batch)
     assert len(chunks) == info["chunk_count"]
+    D0 = code.decode_matrix(list(range(code.k)))
     for h in range(n):
         blob = (cluster.root / f"node_{h}" / "chunks.blob").read_bytes()
-        assert blob[:16] == b"ATRA" + bytes([3, h, 0, 0]) + phash
+        assert blob[:16] == b"ATRA" + bytes([4, h, 0, 0]) + phash
         stored = read_stripes(blob[16:], family.params.alpha, m, batch)
         assert len(stored) == len(chunks)
         A = family.node_tensor_rows(h)
         for user, values in zip(chunks, stored):
-            assert matvec(spec, A, code.encode(user)) == values
+            assert matvec(spec, A, code.encode(matvec(spec, D0, user))) == values
     digests = cluster._load()[0]["node_digests"]
     assert [digests[str(h)] for h in range(n)] == PINNED_DIGESTS[name]
     out = tmp_path / "out.bin"
@@ -520,6 +587,7 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
     code, _ = parse_document(doc)
     spec, n, k, m = code.spec, code.n, code.k, code.spec.m
     stripe = code.M * m * 8  # stream bytes per stripe
+    D0 = code.decode_matrix(list(range(k)))
     B = 2
     # the blobs depend on the batch size, so the reference is the layout
     # oracle run with the same B, checked against the scalar encode
@@ -537,10 +605,14 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
         cluster.put(doc, src)
         reference = _blobs(cluster, n)
         chunks = read_stripes(len(data).to_bytes(8, "little") + data, code.M, m, B)
-        encoded = [code.encode(user) for user in chunks]
+        encoded = [code.encode(matvec(spec, D0, user)) for user in chunks]
         for h, blob in enumerate(reference):
             stored = read_stripes(blob[16:], code.alpha, m, B)
             assert len(stored) == len(chunks), (size, h)
+            if h < k:
+                # node h holds the stream's planes h*alpha*m .. (h+1)*alpha*m
+                assert stored == [user[h * code.alpha:(h + 1) * code.alpha]
+                                  for user in chunks], (size, h)
             A = code.base.node_tensor_rows(h)
             for phi, values in zip(encoded, stored):
                 assert matvec(spec, A, phi) == values, (size, h)

@@ -9,6 +9,7 @@ from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset,
                               invert, matvec, nullspace_with_free, rank_of_rows)
+from atrahasis.linalg import matmul as packed_matmul
 from atrahasis.search import SearchConfig, grow_pool
 from atrahasis.tensors import rank_filter
 from conftest import random_values
@@ -238,6 +239,8 @@ def test_dimension_mismatch_errors(gf16):
         det(gf16, [[1, 2], [3]])
     with pytest.raises(UsageError):
         matvec(gf16, identity(2), [1, 2, 3])
+    with pytest.raises(UsageError):
+        packed_matmul(gf16, identity(2), identity(3))
     with pytest.raises(UsageError):
         SpanSolver(gf16, [[1, 2]], 2).coefficients_for([1, 2, 3])
     with pytest.raises(UsageError):
@@ -601,3 +604,12 @@ def test_first_deficient_subset_matches_gauss_jordan(problem):
                                                         for row in blocks[i]]) < target),
                     None)
     assert first_deficient_subset(spec, blocks, size, target, base) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_packed_matmul_matches_matvec(spec, data):
+    inner = data.draw(st.integers(1, 6))
+    left = data.draw(spliced_rows(spec, data.draw(st.integers(0, 5)), inner))
+    right = data.draw(spliced_rows(spec, inner, data.draw(st.integers(1, 6))))
+    assert packed_matmul(spec, left, right) == matmul(spec, left, right)

@@ -118,7 +118,7 @@ def test_node_blob_roundtrip():
     assert len(blob) == specfile.HEADER_LEN == 16
     assert blob[:4] == b"ATRA"
     assert blob[4:8] == bytes([specfile.BLOB_VERSION, 3, 0, 0])
-    assert specfile.BLOB_VERSION == 3
+    assert specfile.BLOB_VERSION == 4
     assert blob[8:16] == phash
 
 

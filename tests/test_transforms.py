@@ -12,9 +12,9 @@ from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
                                   cascade_bandwidth, central_repair_program,
-                                  cutset_two_failure_bandwidth, naive_bandwidth,
-                                  shorten, subspace_bandwidth, subspace_optimality_gap)
-from conftest import central_repair_two, random_values
+                                  naive_bandwidth, shorten, subspace_bandwidth)
+from conftest import (central_repair_two, cutset_two_failure_bandwidth, random_values,
+                      subspace_optimality_gap)
 
 
 def test_shorten_parameters(fixture_family):
