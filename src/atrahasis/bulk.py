@@ -11,7 +11,7 @@ m x m bit-matrix and the whole matrix an (r*m x c*m) GF(2) matrix.
 Data never exists as symbol values here: it is held as bit-planes, the
 packet layout of Cauchy Reed-Solomon coding (Blomer et al., "An
 XOR-based erasure-resilient coding scheme", ICSI TR-95-048, 1995; Plank
-& Xu, NCA 2006).  A stripe is store.STRIPE_CHUNKS = 64 consecutive
+& Xu, NCA 2006).  A stripe is cluster.STRIPE_CHUNKS = 64 consecutive
 chunks, one per bit of a little-endian uint64 plane word.  A batch of
 `stripes` stripes holds, for each symbol row j and bit b, one plane
 j*m + b: `stripes` words, read as one Python int whose bit 64*w + t is
@@ -23,7 +23,7 @@ passes the BitMatrix to matmul.  One code path serves every m = 1..16.
 Results are bit-identical to the scalar path in linalg, which the tests
 cross-check.
 
-The byte streams (the user stream and the node blobs, see store) are
+The byte streams (the user stream and the node blobs, see cluster) are
 plane-major per batch: a batch stores its planes one after another, each
 as `stripes` little-endian uint64 words.  Packing a batch is therefore
 int.from_bytes of one contiguous slice per plane, and unpacking a join

@@ -20,10 +20,10 @@ import argparse
 import json
 import sys
 
-from . import specfile, store
+from . import specfile
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
                    rs_stars_t2, verify_axioms)
-from .errors import (AtrahasisError, AxiomViolationError, CorruptDataError,
+from .errors import (AtrahasisError, AxiomViolationError,
                      InfeasibleParametersError, InsufficientNodesError,
                      UsageError)
 from .fields import FieldSpec, binary_field, is_prime, prime_field
@@ -35,6 +35,16 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_AXIOM = 4
 EXIT_NODES = 5
+# an error's exit code is that of the first entry it is an instance of;
+# CorruptDataError is a UsageError, FieldTooSmallError an
+# InfeasibleParametersError
+EXIT_CODES = (
+    (AxiomViolationError, EXIT_AXIOM),
+    (InsufficientNodesError, EXIT_NODES),
+    (InfeasibleParametersError, EXIT_INFEASIBLE),
+    ((UsageError, FileNotFoundError), EXIT_USAGE),
+    (AtrahasisError, EXIT_FAILURE),
+)
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -209,9 +219,8 @@ def cmd_verify(args) -> int:
 
 
 def _cluster(args):
-    """The store of a data command.  Only put, get, repair and repair2
-    load the data path (cluster, bulk); fail and status work on the
-    manifest alone (store)."""
+    """The Cluster at --store, through which every store command goes.  It
+    is imported here, so the algebra commands never load cluster or bulk."""
     from .cluster import Cluster
     return Cluster(args.store)
 
@@ -230,7 +239,7 @@ def cmd_get(args) -> int:
 
 
 def cmd_fail(args) -> int:
-    info = store.fail(args.store, args.node)
+    info = _cluster(args).fail(args.node)
     _emit(args, info, f"node {args.node} failed")
     return EXIT_OK
 
@@ -253,7 +262,7 @@ def cmd_repair2(args) -> int:
 
 
 def cmd_status(args) -> int:
-    info = store.status(args.store)
+    info = _cluster(args).status()
     _emit(args, info, json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -387,21 +396,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AxiomViolationError as exc:
+    except (AtrahasisError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except InsufficientNodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NODES
-    except InfeasibleParametersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (UsageError, CorruptDataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AtrahasisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

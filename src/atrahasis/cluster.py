@@ -1,9 +1,14 @@
 """Single-process storage cluster: on-disk node stores, failure
-injection, repair orchestration and bandwidth accounting.
+injection, repair orchestration and bandwidth accounting, in
+standard-library Python only.
 
-The manifest layer (lock, staged files, chunk map, ledger, manifest load
-and save, fail and status) is the store module; this module adds the
-data path on top of it.  Both are standard-library Python only.
+Cluster is the one store API, and this module the only one that knows
+the manifest, the ledger and the blob layout.  Every command runs under
+the store's lock, and only put creates a store.  Each command loads the
+manifest with every check on its format, version, keys, embedded spec,
+params hash, field and values, and gets the store's code instance with
+it: always a ShortenedCode (a plain spec is depth 0, with no pinned
+nodes).  fail and status read or rewrite the manifest alone.
 
 Layout under one store root:
 
@@ -13,7 +18,7 @@ Layout under one store root:
     node_<h>/chunks.blob
                     the node's contents: one 16-byte header (specfile,
                     blob version 4), then the node's alpha*m bit-planes,
-                    plane-major per batch of store.BATCH_STRIPES stripes
+                    plane-major per batch of BATCH_STRIPES stripes
                     (the last batch may be shorter): a batch of W
                     stripes starting at stripe s0 stores plane i*m + b
                     as W little-endian uint64 words, and bit t of its
@@ -48,30 +53,137 @@ Reads are verified and writes are staged.  A blob's length and header
 are checked when it is opened and its SHA-256 against the manifest once
 it has been read through; get writes a temp file beside its output and
 renames it only after every digest and the length prefix check out.
-Blob writes go through a temp file and rename, so a blob on disk is
-either absent or fully valid; repair and repair2 rename only once every
-helper and every rebuilt blob matches its digest, and otherwise leave
-the node failed with no blob.  Stores of another manifest or blob
-version are rejected, not migrated: re-put the file.
+Blob and manifest writes go through a temp file and rename, so a file
+on disk is either absent or fully valid; repair and repair2 rename only
+once every helper and every rebuilt blob matches its digest, and
+otherwise leave the node failed with no blob.  Stores of another
+manifest or blob version are rejected, not migrated: re-put the file.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import json
 import os
+import re
 import shutil
 import stat
-from contextlib import ExitStack, closing
-from dataclasses import asdict
+from contextlib import ExitStack, closing, contextmanager
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from itertools import chain
 from pathlib import Path
 
-from . import specfile, store
+from . import specfile
 from .bulk import BulkField, Planes, bytes_to_symbols, symbols_to_bytes
 from .errors import CorruptDataError, InsufficientNodesError, UsageError
-from .store import (FAILED, LIVE, MANIFEST_FORMAT, MANIFEST_VERSION,
-                    ChunkedFile, Ledger, Staged, check_nodes, locked)
+from .fields import BINARY
 from .transforms import SUBSPACE, ShortenedCode
+
+MANIFEST_FORMAT = "atrahasis-cluster"
+MANIFEST_VERSION = 2
+MANIFEST_KEYS = ("code_spec", "params_hash", "file", "node_status",
+                 "node_digests", "ledger")
+# the ledger's symbol counters, one per repair command; beside them it
+# keeps the history of every charge
+LEDGER_COUNTERS = ("repair_symbols", "repair2_symbols")
+LIVE = "live"
+FAILED = "failed"
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+
+# chunks per stripe: the bit width of one uint64 plane word (bulk)
+STRIPE_CHUNKS = 64
+# stripes per batch, part of the stream and blob layout: both are cut into
+# batches of BATCH_STRIPES stripes (the last may be shorter), and each batch
+# stores its planes one after another, each as one word per stripe.  Every
+# data command works one batch at a time, so its memory does not grow with
+# the file.
+BATCH_STRIPES = 512
+
+
+def _batches(stripes: int):
+    """The stripe count of each batch of a streaming pass, in order."""
+    for start in range(0, stripes, BATCH_STRIPES):
+        yield min(BATCH_STRIPES, stripes - start)
+
+
+@dataclass(frozen=True)
+class ChunkedFile:
+    """How one byte stream maps onto stripes of 64 chunks of M symbols.
+
+    The stream is the 8-byte little-endian length prefix plus the
+    payload; padding_bits zero bits complete the last stripe and are
+    stripped again on the way out.
+    """
+
+    original_length: int
+    chunk_count: int
+    padding_bits: int
+    symbols_per_chunk: int
+
+    @classmethod
+    def plan(cls, payload_length: int, symbols_per_chunk: int,
+             bits_per_symbol: int) -> "ChunkedFile":
+        stream_bits = (8 + payload_length) * 8
+        stripe_bits = STRIPE_CHUNKS * symbols_per_chunk * bits_per_symbol
+        stripes = -(-stream_bits // stripe_bits)
+        return cls(original_length=payload_length,
+                   chunk_count=stripes * STRIPE_CHUNKS,
+                   padding_bits=stripes * stripe_bits - stream_bits,
+                   symbols_per_chunk=symbols_per_chunk)
+
+    @property
+    def stripes(self) -> int:
+        return self.chunk_count // STRIPE_CHUNKS
+
+
+@contextmanager
+def locked(root: Path, create: bool = False):
+    """Hold the store's lock file; every command runs under it.  Only put
+    (create) makes a store directory that is not there."""
+    if create and not root.exists():
+        try:
+            root.mkdir(parents=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create store {root}: {exc.strerror}") from None
+    if not root.is_dir():
+        raise UsageError(f"store {root} is not a directory" if root.exists()
+                         else f"no cluster at {root} (run put first)")
+    with open(root / ".lock", "a+") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+class Staged:
+    """A file written beside `path` under a temp name and hashed as it
+    grows.  commit() makes it durable and renames it over `path`; close()
+    before that deletes it, so `path` is either untouched or complete."""
+
+    def __init__(self, path: Path, header: bytes = b""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = path
+        self.tmp = path.with_name(path.name + ".tmp")
+        self.fh = open(self.tmp, "wb")
+        self.sha = hashlib.sha256()
+        self.write(header)
+
+    def write(self, data) -> None:
+        self.fh.write(data)
+        self.sha.update(data)
+
+    def commit(self) -> None:
+        self.fh.flush()
+        os.fsync(self.fh.fileno())
+        self.fh.close()
+        os.replace(self.tmp, self.path)
+
+    def close(self) -> None:
+        if not self.fh.closed:
+            self.fh.close()
+            self.tmp.unlink()
 
 
 class _BlobReader:
@@ -116,26 +228,119 @@ class _BlobReader:
         self.fh.close()
 
 
-def _batches(stripes: int):
-    """The stripe count of each batch of a streaming pass, in order."""
-    for start in range(0, stripes, store.BATCH_STRIPES):
-        yield min(store.BATCH_STRIPES, stripes - start)
+def check_nodes(code: ShortenedCode, nodes, what: str) -> None:
+    """Reject node indices outside 0..n-1, or named twice, before they
+    index anything."""
+    bad = [h for h in nodes if not 0 <= h < code.n]
+    if bad:
+        raise UsageError(f"{what} {bad} out of range 0..{code.n - 1}")
+    repeated = sorted({h for h in nodes if nodes.count(h) > 1})
+    if repeated:
+        raise UsageError(f"{what} {repeated} named more than once")
+
+
+def _check_manifest_values(manifest: dict, code: ShortenedCode) -> None:
+    """Reject manifest values of the wrong type before a command uses them,
+    a chunk map that is not the stripe plan of the file's length, and a
+    ledger that is not the one put writes with non-negative counters."""
+    n = code.n
+    file = manifest["file"]
+    status = manifest["node_status"]
+    digests = manifest["node_digests"]
+    ledger = manifest["ledger"]
+    ok = {
+        "file": isinstance(file, dict)
+        and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
+        and all(type(v) is int and v >= 0 for v in file.values())
+        and ChunkedFile(**file) == ChunkedFile.plan(
+            file["original_length"], code.M, code.spec.m),
+        "node_status": isinstance(status, list) and len(status) == n
+        and all(s in (LIVE, FAILED) for s in status),
+        "node_digests": isinstance(digests, dict)
+        and set(digests) == {str(h) for h in range(n)}
+        and all(isinstance(v, str) and _SHA256_HEX.fullmatch(v)
+                for v in digests.values()),
+        "ledger": isinstance(ledger, dict)
+        and set(ledger) == {"history", *LEDGER_COUNTERS}
+        and isinstance(ledger["history"], list)
+        and all(type(ledger[key]) is int and ledger[key] >= 0
+                for key in LEDGER_COUNTERS),
+    }
+    bad = [key for key, good in ok.items() if not good]
+    if bad:
+        raise CorruptDataError(f"cluster manifest has malformed {bad}")
 
 
 class Cluster:
-    """A loaded cluster; every public method runs under the store lock.
-    fail and status, _load and _save are the store module's."""
+    """The store at one root; every public method runs under its lock."""
 
     def __init__(self, root):
         self.root = Path(root)
 
-    # ---- manifest plumbing (store) ----
+    # ---- manifest ----
 
     def _load(self):
-        return store.load(self.root)
+        """The store's manifest and its code instance, once the manifest's
+        format, version, keys, embedded spec, params hash and values all
+        check out."""
+        try:
+            manifest = specfile.read_json(self.root / "manifest.json")
+        except FileNotFoundError:
+            raise UsageError(f"no cluster at {self.root} (run put first)")
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise CorruptDataError("not a cluster manifest")
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise CorruptDataError(
+                f"cluster manifest is version {manifest.get('version')!r}, "
+                f"expected {MANIFEST_VERSION} (re-put the file)")
+        missing = [key for key in MANIFEST_KEYS if key not in manifest]
+        if missing:
+            raise CorruptDataError(f"cluster manifest lacks {missing}")
+        code, phash = specfile.parse_document(manifest["code_spec"])
+        if phash.hex() != manifest["params_hash"]:
+            raise CorruptDataError("manifest params hash mismatch")
+        if code.spec.kind != BINARY:
+            raise UsageError("cluster storage requires a binary-extension field")
+        _check_manifest_values(manifest, code)
+        return manifest, code
 
     def _save(self, manifest):
-        store.save(self.root, manifest)
+        with closing(Staged(self.root / "manifest.json")) as staged:
+            staged.write(json.dumps(manifest, indent=2, sort_keys=True).encode())
+            staged.commit()
+
+    def _pick_nodes(self, manifest: dict, code: ShortenedCode, op: str, nodes,
+                    failed=()) -> list[int]:
+        """The nodes op reads, k for get and d helpers for a repair of the
+        failed nodes: the given ones, which must be that many distinct live
+        nodes, or else the first that many live nodes.  Every index is
+        checked before any node state, and the failed nodes' states before
+        the helpers'."""
+        what, named, count = (("nodes", "nodes", code.k) if op == "get"
+                              else ("helpers", "helper nodes", code.d))
+        check_nodes(code, failed, "node" if len(failed) == 1 else "nodes")
+        check_nodes(code, nodes or [], what)
+        for node in failed:
+            if manifest["node_status"][node] != FAILED:
+                raise UsageError(f"node {node} is live; nothing to repair")
+        live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
+        if nodes is None:
+            if len(live) < count:
+                short = f" (short by {count - len(live)})" if op == "get" else ""
+                raise InsufficientNodesError(
+                    f"{op} needs {count} live {what}, have {len(live)}{short}")
+            return live[:count]
+        if len(nodes) != count:
+            raise UsageError(f"{len(nodes)} {named} given; this code uses {count}")
+        bad = [h for h in nodes if h not in live]
+        if bad:
+            raise UsageError(f"{named} {bad} are not live")
+        return list(nodes)
+
+    # ---- blobs ----
+
+    def _blob_path(self, h: int) -> Path:
+        return self.root / f"node_{h}" / "chunks.blob"
 
     def _record_len(self, code: ShortenedCode) -> int:
         """Bytes of one stripe of one node: alpha*m plane words."""
@@ -144,8 +349,7 @@ class Cluster:
     def _stage_nodes(self, stack: ExitStack, phash: bytes, nodes) -> dict:
         """node -> its blob staged under `stack`, header written."""
         return {h: stack.enter_context(closing(Staged(
-                    store.blob_path(self.root, h),
-                    specfile.encode_node_blob(phash, h))))
+                    self._blob_path(h), specfile.encode_node_blob(phash, h))))
                 for h in nodes}
 
     def _open_nodes(self, stack: ExitStack, code: ShortenedCode, phash: bytes,
@@ -153,8 +357,7 @@ class Cluster:
         """node -> its blob opened under `stack` for one streaming pass."""
         size = specfile.HEADER_LEN + stripes * self._record_len(code)
         return {h: stack.enter_context(closing(_BlobReader(
-                    store.blob_path(self.root, h), h,
-                    specfile.encode_node_blob(phash, h), size)))
+                    self._blob_path(h), h, specfile.encode_node_blob(phash, h), size)))
                 for h in nodes}
 
     def _write_node(self, code: ShortenedCode, h: int, planes: Planes,
@@ -176,19 +379,6 @@ class Cluster:
         return bytes_to_symbols(self._read_node(code, h, stripes, blobs),
                                 code.alpha * code.spec.m)
 
-    def _live(self, manifest: dict, nodes, count: int, what: str) -> list[int]:
-        """The given nodes, which must be `count` live nodes, or else the
-        first `count` live nodes."""
-        live = [h for h, s in enumerate(manifest["node_status"]) if s == LIVE]
-        if nodes is None:
-            return live[:count]
-        if len(nodes) != count:
-            raise UsageError(f"{len(nodes)} {what} given; this code uses {count}")
-        bad = [h for h in nodes if h not in live]
-        if bad:
-            raise UsageError(f"{what} {bad} are not live")
-        return list(nodes)
-
     # ---- commands ----
 
     def put(self, spec_doc: dict, file_path) -> dict:
@@ -196,7 +386,7 @@ class Cluster:
         blobs are staged beside any old ones, so a put that fails leaves
         the stored file as it was; node directories the new code does not
         use go only once the new manifest is saved."""
-        with locked(self.root), ExitStack() as stack:
+        with locked(self.root, create=True), ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
@@ -239,7 +429,7 @@ class Cluster:
                 "node_status": [LIVE] * code.n,
                 "node_digests": {str(h): blob.sha.hexdigest()
                                  for h, blob in staged.items()},
-                "ledger": Ledger().to_dict(),
+                "ledger": {"history": [], **dict.fromkeys(LEDGER_COUNTERS, 0)},
             }
             self._save(manifest)
             nodes = {f"node_{h}" for h in range(code.n)}
@@ -256,13 +446,8 @@ class Cluster:
         prefix matches the manifest."""
         with locked(self.root), ExitStack() as stack:
             manifest, code = self._load()
-            check_nodes(code, nodes or [], "nodes")
-            nodes = self._live(manifest, nodes, code.k, "nodes")
-            if len(nodes) < code.k:
-                raise InsufficientNodesError(
-                    f"get needs {code.k} live nodes, have {len(nodes)} "
-                    f"(short by {code.k - len(nodes)})")
-            chunked = ChunkedFile.from_dict(manifest["file"])
+            nodes = self._pick_nodes(manifest, code, "get", nodes)
+            chunked = ChunkedFile(**manifest["file"])
             length = chunked.original_length
             blobs = self._open_nodes(stack, code, bytes.fromhex(manifest["params_hash"]),
                                      nodes, chunked.stripes)
@@ -310,7 +495,16 @@ class Cluster:
             return {"bytes": length, "nodes": nodes}
 
     def fail(self, h: int) -> dict:
-        return store.fail(self.root, h)
+        """Mark node h failed and delete its blob."""
+        with locked(self.root):
+            manifest, code = self._load()
+            check_nodes(code, [h], "node")
+            if manifest["node_status"][h] == FAILED:
+                raise UsageError(f"node {h} is already failed")
+            manifest["node_status"][h] = FAILED
+            self._blob_path(h).unlink(missing_ok=True)
+            self._save(manifest)
+            return {"failed": h}
 
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:
         helpers, symbols = self._regenerate("repair", [f], helpers, node=f)
@@ -331,17 +525,9 @@ class Cluster:
         every helper read and every rebuilt blob matches its digest."""
         with locked(self.root), ExitStack() as stack:
             manifest, code = self._load()
-            check_nodes(code, failed, "node" if len(failed) == 1 else "nodes")
-            check_nodes(code, helpers or [], "helpers")
-            for node in failed:
-                if manifest["node_status"][node] != FAILED:
-                    raise UsageError(f"node {node} is live; nothing to repair")
-            helpers = self._live(manifest, helpers, code.d, "helper nodes")
-            if len(helpers) < code.d:
-                raise InsufficientNodesError(
-                    f"{op} needs {code.d} live helpers, have {len(helpers)}")
+            helpers = self._pick_nodes(manifest, code, op, helpers, failed)
             sends, recover = code.repair_program(failed, helpers, strategy)
-            chunked = ChunkedFile.from_dict(manifest["file"])
+            chunked = ChunkedFile(**manifest["file"])
             phash = bytes.fromhex(manifest["params_hash"])
             blobs = self._open_nodes(stack, code, phash, [h for h, _ in sends],
                                      chunked.stripes)
@@ -369,11 +555,21 @@ class Cluster:
             if len(failed) > 1:  # a single repair always sends d*beta
                 entry.update(strategy=strategy, bandwidth_per_chunk=bandwidth)
             symbols = chunked.chunk_count * bandwidth
-            ledger = Ledger(manifest["ledger"])
-            ledger.charge(op, symbols, helpers=helpers, **entry)
-            manifest["ledger"] = ledger.to_dict()
+            ledger = manifest["ledger"]
+            ledger[f"{op}_symbols"] += symbols
+            ledger["history"].append({"op": op, "symbols": symbols,
+                                      "helpers": helpers, **entry})
             self._save(manifest)
             return helpers, symbols
 
     def status(self) -> dict:
-        return store.status(self.root)
+        """The code parameters, chunk map, node states and ledger."""
+        with locked(self.root):
+            manifest, code = self._load()
+            return {
+                "params": {"n": code.n, "k": code.k, "d": code.d,
+                           "alpha": code.alpha, "beta": code.beta},
+                "file": manifest["file"],
+                "node_status": manifest["node_status"],
+                "ledger": manifest["ledger"],
+            }

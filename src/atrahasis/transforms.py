@@ -30,9 +30,9 @@ messages toward each failed node already span it.  A pair is repaired
 under one of three strategies: every helper sends the independent part
 of its messages toward both nodes (naive); the last one sends only the
 first node's message and the rebuilt node helps the second (cascade); or
-helpers send only what is new to the agent (subspace).  On the t = 3 fixture that is 30 / 28 /
-27 symbols, the closed forms naive_bandwidth, cascade_bandwidth and
-subspace_bandwidth.
+helpers send only what is new to the agent (subspace).  On the t = 3
+fixture that is 30 / 28 / 27 symbols; subspace_bandwidth is the closed
+form of the last.
 """
 
 from __future__ import annotations
@@ -276,14 +276,6 @@ def shorten(code, delta: int) -> ShortenedCode:
     """Retire delta more trailing nodes of a shortened code, or of a star
     family (a code of depth 0)."""
     return ShortenedCode(getattr(code, "base", code), getattr(code, "depth", 0) + delta)
-
-
-def naive_bandwidth(k: int, d: int) -> int:
-    return d * (2 * k - 5)
-
-
-def cascade_bandwidth(k: int, d: int) -> int:
-    return (d - 1) * (2 * k - 5) + (k - 2)
 
 
 def subspace_bandwidth(k: int) -> int:

@@ -58,6 +58,14 @@ def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):
             program.plan)
 
 
+def naive_bandwidth(k: int, d: int) -> int:
+    return d * (2 * k - 5)
+
+
+def cascade_bandwidth(k: int, d: int) -> int:
+    return (d - 1) * (2 * k - 5) + (k - 2)
+
+
 def cutset_two_failure_bandwidth(k: int) -> Fraction:
     """The information-flow floor 2*d*alpha/(d+2-k) at d = 3(k-1)/2."""
     d = Fraction(3 * (k - 1), 2)

@@ -378,8 +378,8 @@ def test_fail_and_status_leave_numpy_unloaded(tmp_path):
     script = (f"import sys\nfrom atrahasis import cli\n"
               f"assert cli.main(['fail', '3', '--store', {store!r}]) == 0\n"
               f"assert cli.main(['status', '--store', {store!r}]) == 0\n"
-              f"print([m for m in ('numpy', 'fractions', 'atrahasis.bulk',"
-              f" 'atrahasis.cluster', 'atrahasis.search') if m in sys.modules])\n"
+              f"print([m for m in ('numpy', 'fractions', 'atrahasis.search')"
+              f" if m in sys.modules])\n"
               f"import atrahasis.cluster\n"
               f"print('numpy' in sys.modules, 'fractions' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -463,6 +463,48 @@ def test_fail_and_status_same_through_api_and_cli(tmp_path, capsys):
     assert (cli_store / "manifest.json").read_bytes() == manifest.read_bytes()
     assert main(["--json", "status", "--store", str(cli_store)]) == 0
     assert json.loads(capsys.readouterr().out) == STATUS_AFTER_FAIL
+
+
+# every store command but put, with its arguments before --store
+NOT_PUT = (("status",), ("get", "out.bin"), ("fail", "0"), ("repair", "0"),
+           ("repair2", "0", "1"))
+
+
+@pytest.mark.parametrize("args", NOT_PUT, ids=lambda args: args[0])
+def test_store_commands_but_put_create_no_store(tmp_path, args):
+    store = tmp_path / "absent" / "store"
+    code, out, err = run_cli(*args, "--store", str(store))
+    assert code == 2, err
+    assert err == f"error: no cluster at {store} (run put first)\n"
+    assert not (tmp_path / "absent").exists()
+
+
+def _put_args(tmp_path):
+    """put's arguments before --store, with its input and spec files."""
+    (tmp_path / "data.bin").write_bytes(b"hello")
+    specfile.write_spec_file(tmp_path / "fix.spec", atrahasis_956())
+    return "put", str(tmp_path / "data.bin"), "--spec", str(tmp_path / "fix.spec")
+
+
+@pytest.mark.parametrize("args", (("put",),) + NOT_PUT, ids=lambda args: args[0])
+def test_store_that_is_a_regular_file_exits_2(tmp_path, args):
+    args = _put_args(tmp_path) if args == ("put",) else args
+    store = tmp_path / "store"
+    store.write_bytes(b"not a store")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(*args, "--store", str(store))
+    assert code == 2, err
+    assert err == f"error: store {store} is not a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert store.read_bytes() == b"not a store"
+
+
+def test_put_under_a_regular_file_exits_2(tmp_path):
+    (tmp_path / "file").write_bytes(b"")
+    store = tmp_path / "file" / "store"
+    code, out, err = run_cli(*_put_args(tmp_path), "--store", str(store))
+    assert code == 2, err
+    assert err == f"error: cannot create store {store}: Not a directory\n"
 
 
 @pytest.fixture(scope="module")

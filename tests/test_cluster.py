@@ -10,7 +10,6 @@ from itertools import combinations
 import pytest
 
 from atrahasis import cluster as cluster_module
-from atrahasis import store as store_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis.cluster import Cluster
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
@@ -120,7 +119,7 @@ def test_fail_repair_cycle(tmp_path, fixture_doc, rng):
 
 def test_exhaustive_failure_sets(tmp_path, fixture_doc, rng, monkeypatch):
     # every one of the 126 5-subsets, on a file of two batches of stripes
-    monkeypatch.setattr(store_module, "BATCH_STRIPES", 2)
+    monkeypatch.setattr(cluster_module, "BATCH_STRIPES", 2)
     data = bytes(rng.randrange(256) for _ in range(2500))  # 3 stripes of 960 bytes
     cluster, info = make_store(tmp_path, fixture_doc, data)
     assert info["chunk_count"] == 3 * 64
@@ -521,7 +520,7 @@ def test_put_blobs_match_pinned_digests(tmp_path, name):
     # the format oracle: the documented layouts read bit by bit, against
     # linalg.matvec of each node's tensor rows on the scalar encode of each
     # chunk's symbols in the systematic basis, D0 times them
-    batch = store_module.BATCH_STRIPES
+    batch = cluster_module.BATCH_STRIPES
     chunks = read_stripes(len(data).to_bytes(8, "little") + data, symbols, m, batch)
     assert len(chunks) == info["chunk_count"]
     D0 = code.decode_matrix(list(range(code.k)))
@@ -591,7 +590,7 @@ def test_batch_boundaries(tmp_path, monkeypatch, name):
     B = 2
     # the blobs depend on the batch size, so the reference is the layout
     # oracle run with the same B, checked against the scalar encode
-    monkeypatch.setattr(store_module, "BATCH_STRIPES", B)
+    monkeypatch.setattr(cluster_module, "BATCH_STRIPES", B)
     # files of 1, B-1, B, B+1 and 2B+1 whole stripes (the stream is the
     # 8-byte length prefix plus the payload), one whose last stripe holds
     # a single byte, and the empty file

@@ -92,3 +92,32 @@ def test_node_byte_counters_count_blob_bodies(tmp_path, tracer, depth):
         assert counted(lambda: cluster.repair2(1, 2)) == (len(senders) * body, 2 * body)
     finally:
         t.uninstall()
+
+
+def test_cli_fail_and_status_record_cluster_spans(tmp_path, tracer):
+    # CLI fail and status go through Cluster, so the traced bench sees them
+    from atrahasis import cli
+    from atrahasis.cluster import Cluster
+    from atrahasis.fixtures import atrahasis_956
+    from atrahasis.specfile import family_document
+
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"hello")
+    store = str(tmp_path / "store")
+    Cluster(store).put(family_document(atrahasis_956()), src)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["fail", "3", "--store", store]) == 0
+        assert cli.main(["status", "--store", store]) == 0
+    finally:
+        t.uninstall()
+    # (span, its parent) in order; the manifest spans are the commands'
+    spans = [(name, t.spans[parent][0]) for name, _, _, parent in t.spans
+             if name in ("cluster.fail", "cluster.status", "cluster.manifest_load",
+                         "cluster.manifest_save")]
+    assert spans == [("cluster.fail", "cli.main"),
+                     ("cluster.manifest_load", "cluster.fail"),
+                     ("cluster.manifest_save", "cluster.fail"),
+                     ("cluster.status", "cli.main"),
+                     ("cluster.manifest_load", "cluster.status")]

@@ -11,10 +11,9 @@ from atrahasis.fields import binary_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
-                                  cascade_bandwidth, central_repair_program,
-                                  naive_bandwidth, shorten, subspace_bandwidth)
-from conftest import (central_repair_two, cutset_two_failure_bandwidth, random_values,
-                      subspace_optimality_gap)
+                                  central_repair_program, shorten, subspace_bandwidth)
+from conftest import (cascade_bandwidth, central_repair_two, cutset_two_failure_bandwidth,
+                      naive_bandwidth, random_values, subspace_optimality_gap)
 
 
 def test_shorten_parameters(fixture_family):
