@@ -32,7 +32,7 @@ of int.to_bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import itemgetter, xor
 
@@ -61,14 +61,15 @@ class Planes(list):
                 for i in range(0, len(self), size)]
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(namedtuple("BitMatrix", "rows ncols selections")):
     """An exact matrix expanded once to its GF(2) bit-matrix: for each output
-    plane, the indices of the input planes whose XOR it is."""
+    plane, the indices of the input planes whose XOR it is.
 
-    rows: list[list[int]]  # the field coefficients; bench/tracer.py counts them
-    ncols: int
-    selections: list[tuple[int, ...]]
+    rows are the field coefficients (bench/tracer.py counts them), ncols
+    their column count, selections a tuple of input plane indices per
+    output plane."""
+
+    __slots__ = ()
 
 
 class BulkField:

@@ -37,13 +37,15 @@ EXIT_AXIOM = 4
 EXIT_NODES = 5
 # an error's exit code is that of the first entry it is an instance of;
 # CorruptDataError is a UsageError, FieldTooSmallError an
-# InfeasibleParametersError
+# InfeasibleParametersError; a path that names the wrong kind of file or
+# may not be opened is a usage error, any other OSError a failure
 EXIT_CODES = (
     (AxiomViolationError, EXIT_AXIOM),
     (InsufficientNodesError, EXIT_NODES),
     (InfeasibleParametersError, EXIT_INFEASIBLE),
-    ((UsageError, FileNotFoundError), EXIT_USAGE),
-    (AtrahasisError, EXIT_FAILURE),
+    ((UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+      PermissionError), EXIT_USAGE),
+    ((AtrahasisError, OSError), EXIT_FAILURE),
 )
 
 
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AtrahasisError, FileNotFoundError) as exc:
+    except (AtrahasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 

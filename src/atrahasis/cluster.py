@@ -69,8 +69,8 @@ import os
 import re
 import shutil
 import stat
+from collections import namedtuple
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import asdict, dataclass, fields as dataclass_fields
 from itertools import chain
 from pathlib import Path
 
@@ -107,8 +107,8 @@ def _batches(stripes: int):
         yield min(BATCH_STRIPES, stripes - start)
 
 
-@dataclass(frozen=True)
-class ChunkedFile:
+class ChunkedFile(namedtuple("ChunkedFile", "original_length chunk_count "
+                                            "padding_bits symbols_per_chunk")):
     """How one byte stream maps onto stripes of 64 chunks of M symbols.
 
     The stream is the 8-byte little-endian length prefix plus the
@@ -116,10 +116,7 @@ class ChunkedFile:
     stripped again on the way out.
     """
 
-    original_length: int
-    chunk_count: int
-    padding_bits: int
-    symbols_per_chunk: int
+    __slots__ = ()
 
     @classmethod
     def plan(cls, payload_length: int, symbols_per_chunk: int,
@@ -140,7 +137,7 @@ class ChunkedFile:
 @contextmanager
 def locked(root: Path, create: bool = False):
     """Hold the store's lock file; every command runs under it.  Only put
-    (create) makes a store directory that is not there."""
+    (create) makes a store directory or lock file that is not there."""
     if create and not root.exists():
         try:
             root.mkdir(parents=True)
@@ -149,7 +146,11 @@ def locked(root: Path, create: bool = False):
     if not root.is_dir():
         raise UsageError(f"store {root} is not a directory" if root.exists()
                          else f"no cluster at {root} (run put first)")
-    with open(root / ".lock", "a+") as fh:
+    try:
+        fh = open(root / ".lock", "a+" if create else "r+")
+    except FileNotFoundError:
+        raise UsageError(f"no cluster at {root} (run put first)") from None
+    with fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             yield
@@ -250,7 +251,7 @@ def _check_manifest_values(manifest: dict, code: ShortenedCode) -> None:
     ledger = manifest["ledger"]
     ok = {
         "file": isinstance(file, dict)
-        and set(file) == {f.name for f in dataclass_fields(ChunkedFile)}
+        and set(file) == set(ChunkedFile._fields)
         and all(type(v) is int and v >= 0 for v in file.values())
         and ChunkedFile(**file) == ChunkedFile.plan(
             file["original_length"], code.M, code.spec.m),
@@ -385,14 +386,17 @@ class Cluster:
         """Initialize (or reinitialize) the store with one file.  The new
         blobs are staged beside any old ones, so a put that fails leaves
         the stored file as it was; node directories the new code does not
-        use go only once the new manifest is saved."""
-        with locked(self.root, create=True), ExitStack() as stack:
+        use go only once the new manifest is saved.  The spec and the input
+        are checked before the lock is taken, so a put that fails on
+        either creates no store."""
+        with ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())
             if not stat.S_ISREG(info.st_mode):
                 raise UsageError(f"{file_path} is not a regular file")
+            stack.enter_context(locked(self.root, create=True))
             length = info.st_size
             chunked = ChunkedFile.plan(length, code.M, code.spec.m)
             parity = bulk.expand(code.parity_matrix())
@@ -425,7 +429,7 @@ class Cluster:
                 "version": MANIFEST_VERSION,
                 "code_spec": spec_doc,
                 "params_hash": phash.hex(),
-                "file": asdict(chunked),
+                "file": chunked._asdict(),
                 "node_status": [LIVE] * code.n,
                 "node_digests": {str(h): blob.sha.hexdigest()
                                  for h, blob in staged.items()},

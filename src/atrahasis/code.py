@@ -25,7 +25,7 @@ changes; the matrices for distinct nodes may be built concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import (AxiomViolationError, FieldTooSmallError,
@@ -35,8 +35,7 @@ from .linalg import SpanSolver, first_deficient_subset, invert
 from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(namedtuple("CodeParams", "n k d t alpha beta M flavor")):
     """The parameter tuple (n, k, d, t, alpha, beta, M) plus flavor.
 
     The defining ratios are locked together: t = d/(d-k+1) is integral,
@@ -46,19 +45,12 @@ class CodeParams:
     asserted at construction.
     """
 
-    n: int
-    k: int
-    d: int
-    t: int
-    alpha: int
-    beta: int
-    M: int
-    flavor: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, k, d, t = self.n, self.k, self.d, self.t
-        if self.flavor not in (SYMMETRIC, EXTERIOR):
-            raise UsageError(f"unknown flavor {self.flavor!r}")
+    def __new__(cls, n: int, k: int, d: int, t: int, alpha: int, beta: int,
+                M: int, flavor: str):
+        if flavor not in (SYMMETRIC, EXTERIOR):
+            raise UsageError(f"unknown flavor {flavor!r}")
         if not (n - 1 >= d >= k >= 2):
             raise InfeasibleParametersError(
                 f"need n-1 >= d >= k >= 2, got (n,k,d)=({n},{k},{d})")
@@ -67,16 +59,17 @@ class CodeParams:
             raise InfeasibleParametersError(f"t={t} is not d/(d-k+1) for (k,d)=({k},{d})")
         if (t - 1) * r != k - 1:
             raise InfeasibleParametersError("rank-one parameter consistency broken")
-        if self.alpha != comb(k - 1, t - 1):
+        if alpha != comb(k - 1, t - 1):
             raise InfeasibleParametersError(f"alpha must be C({k - 1},{t - 1})")
-        if self.beta * r != self.alpha or self.beta != comb(k - 2, t - 2):
+        if beta * r != alpha or beta != comb(k - 2, t - 2):
             raise InfeasibleParametersError("beta must be alpha/(d-k+1) = C(k-2,t-2)")
-        if self.M != k * self.alpha:
+        if M != k * alpha:
             raise InfeasibleParametersError("M must be k*alpha")
-        if self.t * self.alpha != d * self.beta:
+        if t * alpha != d * beta:
             raise InfeasibleParametersError("t*alpha must equal d*beta")
-        if self.alpha > 2 ** (k - 1) or self.alpha > (k - 1) ** (t - 1):
+        if alpha > 2 ** (k - 1) or alpha > (k - 1) ** (t - 1):
             raise InfeasibleParametersError("sub-packetization bound violated")
+        return super().__new__(cls, n, k, d, t, alpha, beta, M, flavor)
 
     @property
     def y_dim(self) -> int:
@@ -212,21 +205,17 @@ def quotient_rows(spec: FieldSpec, flavor: str, t: int, s) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class NodeContent:
-    """The alpha symbols stored by one node."""
+class NodeContent(namedtuple("NodeContent", "node_index values")):
+    """The alpha symbols stored by one node: values, a list of ints."""
 
-    node_index: int
-    values: list[int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HelpMessage:
-    """The beta symbols a helper sends toward a failed node."""
+class HelpMessage(namedtuple("HelpMessage", "helper failed values")):
+    """The beta symbols a helper sends toward a failed node: values, a
+    list of ints."""
 
-    helper: int
-    failed: int
-    values: list[int]
+    __slots__ = ()
 
 
 def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
@@ -270,15 +259,14 @@ def repair_matrix(stars: StarFamily, f: int, helpers: list[int]) -> list[list[in
     return ShortenedCode(stars, 0).repair_matrix(f, helpers)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of verify_axioms: pass, or the first violating subset."""
+class AxiomReport(namedtuple("AxiomReport", "ok axiom subset failed_node subsets_checked",
+                             defaults=(None, None, None, 0))):
+    """Outcome of verify_axioms: pass, or the first violating subset.
 
-    ok: bool
-    axiom: str | None = None
-    subset: tuple | None = None
-    failed_node: int | None = None
-    subsets_checked: int = 0
+    ok is a bool; axiom (str), subset (tuple of nodes) and failed_node
+    (int) are None on a pass; subsets_checked is an int."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.ok:

@@ -6,10 +6,12 @@ prime fields.  A FieldSpec carries the defining data and the arithmetic
 on those ints; there is no element type.  check_value is the one check
 that a value is canonical, made where a value comes in from outside.
 
-For m <= 8 a FieldSpec holds q x q multiplication and inverse tables,
-built in O(q) from a log/antilog walk over the powers of the smallest
-generator of GF(2^m)*; larger binary fields multiply carry-less and invert
-by the extended Euclidean algorithm over GF(2)[z].
+For m <= 8 a FieldSpec holds an inverse table and a q x q product table,
+both from one O(q) log/antilog walk over the powers of the smallest
+generator of GF(2^m)*; each row of the product table is built the first
+time it is read, since a command multiplies by few coefficients.  Larger
+binary fields multiply carry-less and invert by the extended Euclidean
+algorithm over GF(2)[z].
 
 Rows are packed for exact row reduction: a row of n entries is n
 fixed-width slots of slot_bytes bytes each, big-endian, entry 0 first,
@@ -60,7 +62,7 @@ DEFAULT_REDUCTION_POLY = {
     16: 0x1002B,
 }
 
-_MAX_TABLE_DEGREE = 8  # full multiplication table up to GF(256)
+_MAX_TABLE_DEGREE = 8  # product and inverse tables up to GF(256)
 
 # struct codes of the packed-row slot widths, in bytes
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -173,6 +175,7 @@ class FieldSpec:
         # z need not be primitive (0x11B gives it order 51), so walk the
         # powers of g = 1, 2, ... until one reaches all q-1 nonzero
         # elements; then a*b = exp[log a + log b] and 1/a = exp[-log a].
+        # The inverse table is built whole, the product rows on first use.
         q, poly = self.order, self.reduction_poly
         n = q - 1
         for g in range(1, q):
@@ -183,9 +186,7 @@ class FieldSpec:
                 break
         log = {x: i for i, x in enumerate(exp)}
         logs = [log[a] for a in range(1, q)]
-        exp2 = exp + exp
-        self._mul_table = [[0] * q] + [
-            [0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs]
+        self._mul_table = _ProductRows(exp, logs)
         self._inv_table = [0] + [exp[-la % n] for la in logs]
 
     # -- int-level arithmetic (values assumed reduced) --
@@ -287,6 +288,26 @@ class FieldSpec:
         if self.kind == BINARY:
             return f"GF(2^{self.m}; {self.reduction_poly:#x})"
         return f"GF({self.p})"
+
+
+class _ProductRows(dict):
+    """a -> row a of the product table of GF(2^m), [a*b for b in range(q)],
+    built from the log/antilog tables the first time it is read: row a
+    is exp[log a + log b] for b = 1..q-1, after a zero for b = 0."""
+
+    __slots__ = ("_exp2", "_logs")
+
+    def __init__(self, exp: list[int], logs: list[int]):
+        super().__init__({0: [0] * (len(logs) + 1)})
+        self._exp2 = exp + exp
+        self._logs = logs
+
+    def __missing__(self, a: int) -> list[int]:
+        logs = self._logs
+        la = logs[a - 1]
+        powers = self._exp2[la:la + len(logs)]  # exp[log a + i] for i < q-1
+        row = self[a] = [0, *map(powers.__getitem__, logs)]
+        return row
 
 
 def _clmul(a: int, b: int, poly: int) -> int:

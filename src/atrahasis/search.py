@@ -22,7 +22,7 @@ Two routes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params,
@@ -36,9 +36,9 @@ NONZERO_WITNESSED = "nonzero-witnessed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Inputs of a deterministic pool search.
+class SearchConfig(namedtuple("SearchConfig", "spec params x_pattern y_pattern")):
+    """Inputs of a deterministic pool search: a FieldSpec, CodeParams and
+    two exponent patterns, each kept as a tuple.
 
     x_pattern / y_pattern are exponent lists: point a becomes
     x = [a^e for e in x_pattern] (with 0^0 = 1) and likewise for the
@@ -46,34 +46,27 @@ class SearchConfig:
     dimension (k-t+1 symmetric, k exterior).
     """
 
-    spec: FieldSpec
-    params: CodeParams
-    x_pattern: tuple
-    y_pattern: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_pattern", tuple(self.x_pattern))
-        object.__setattr__(self, "y_pattern", tuple(self.y_pattern))
-        p = self.params
-        if len(self.x_pattern) != p.t or len(self.y_pattern) != p.y_dim:
-            raise UsageError(f"patterns must have lengths {p.t} and {p.y_dim}")
-        if any(e < 0 for e in self.x_pattern + self.y_pattern):
+    def __new__(cls, spec: FieldSpec, params: CodeParams, x_pattern, y_pattern):
+        x_pattern, y_pattern = tuple(x_pattern), tuple(y_pattern)
+        if len(x_pattern) != params.t or len(y_pattern) != params.y_dim:
+            raise UsageError(f"patterns must have lengths {params.t} and {params.y_dim}")
+        if any(e < 0 for e in x_pattern + y_pattern):
             raise UsageError("pattern exponents must be non-negative")
+        return super().__new__(cls, spec, params, x_pattern, y_pattern)
 
 
-@dataclass(frozen=True)
-class PoolResult:
-    """Outcome of grow_pool: the pool found, and a family when viable.
+class PoolResult(namedtuple("PoolResult", "ok pool family reason", defaults=("",))):
+    """Outcome of grow_pool: the pool found (a tuple), and a StarFamily
+    when viable, else None with the reason.
 
     ok means the pool supports at least one valid code (pool >= d+1,
     since a code needs n-1 >= d).  The family spans the whole pool; any
     subfamily inherits the axioms, which quantify over all subsets.
     """
 
-    ok: bool
-    pool: tuple
-    family: StarFamily | None
-    reason: str = ""
+    __slots__ = ()
 
 
 def _pattern_vector(spec: FieldSpec, a: int, pattern) -> list[int]:
@@ -145,29 +138,18 @@ def _admitted_rows(spec, p, xs, ss, blocks, quotients, x_new, s_new):
     return new_rows, new_quotient
 
 
-@dataclass(frozen=True)
-class WitnessCase:
-    k: int
-    d: int
-    t: int
-    alpha: int
+WitnessCase = namedtuple("WitnessCase", "k d t alpha")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(namedtuple("WitnessReport", "case field_order_used redraws verdict "
+                               "x_points y_points determinant", defaults=((), (), 0))):
     """One randomized determinant run and its verdict.
 
     A nonzero-witnessed verdict records the evaluation point (the drawn
     star vectors) and the determinant value, so the run can be replayed.
     """
 
-    case: WitnessCase
-    field_order_used: int
-    redraws: int
-    verdict: str
-    x_points: tuple = ()
-    y_points: tuple = ()
-    determinant: int = 0
+    __slots__ = ()
 
 
 def witness_matrix(spec: FieldSpec, t: int, xs: list[list[int]],

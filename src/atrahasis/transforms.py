@@ -37,7 +37,7 @@ form of the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
                    help_matrix, send_matrix)
@@ -282,26 +282,23 @@ def subspace_bandwidth(k: int) -> int:
     return 3 * (k - 2) ** 2
 
 
-@dataclass(frozen=True)
-class CentralRepairPlan:
-    """How many symbols each helper sends, and their total."""
+class CentralRepairPlan(namedtuple("CentralRepairPlan",
+                                   "per_helper_sent total_bandwidth")):
+    """How many symbols each helper sends, as (helper, count) pairs, and
+    their total."""
 
-    per_helper_sent: tuple
-    total_bandwidth: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CentralRepairProgram:
+class CentralRepairProgram(namedtuple("CentralRepairProgram", "plan send_matrices "
+                                      "recover_first recover_second")):
     """Matrix form of a two-failure repair, reusable across files: every
     matrix is a list of int rows.  send_matrices[i] maps helper i's stored
     values to what it transmits (no rows if it sends nothing);
     recover_first / recover_second map the concatenated transmissions to
     the two failed nodes' contents."""
 
-    plan: CentralRepairPlan
-    send_matrices: tuple
-    recover_first: list[list[int]]
-    recover_second: list[list[int]]
+    __slots__ = ()
 
 
 def central_repair_program(stars: StarFamily, f: int, g: int,

@@ -35,14 +35,18 @@ def test_parse_field():
 
 
 def test_algebra_imports_leave_numpy_unloaded():
-    # no command needs numpy, and none may pay for importing it
-    modules = ("cli", "code", "search", "linalg", "fields", "transforms")
-    script = (f"import sys\nfor name in {modules!r}:\n"
+    # no command needs numpy, and none may pay for importing it; nor for
+    # dataclasses, which imports inspect, ast, dis and tokenize
+    modules = ("cli", "code", "search", "linalg", "fields", "transforms",
+               "cluster", "bulk", "fixtures")
+    unwanted = {"numpy", "dataclasses", "inspect"}
+    script = (f"import sys\nbefore = set(sys.modules)\n"
+              f"for name in {modules!r}:\n"
               f"    __import__('atrahasis.' + name)\n"
-              f"print('numpy' in sys.modules)")
+              f"print(sorted({unwanted!r} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gen_fixture_and_verify(tmp_path):
@@ -505,6 +509,67 @@ def test_put_under_a_regular_file_exits_2(tmp_path):
     code, out, err = run_cli(*_put_args(tmp_path), "--store", str(store))
     assert code == 2, err
     assert err == f"error: cannot create store {store}: Not a directory\n"
+
+
+@pytest.mark.parametrize("args", NOT_PUT, ids=lambda args: args[0])
+def test_store_commands_but_put_leave_an_empty_directory_empty(tmp_path, args):
+    store = tmp_path / "store"
+    store.mkdir()
+    code, out, err = run_cli(*args, "--store", str(store))
+    assert code == 2, err
+    assert err == f"error: no cluster at {store} (run put first)\n"
+    assert list(store.iterdir()) == []
+
+
+def _bad_put_input(tmp_path, case):
+    """put's arguments before --store, with an input or a spec it rejects."""
+    args = list(_put_args(tmp_path))
+    if case == "input is a directory":
+        args[1] = str(tmp_path)
+    elif case == "input is missing":
+        args[1] = str(tmp_path / "absent.bin")
+    elif case == "spec is a directory":
+        args[3] = str(tmp_path)
+    else:  # valid JSON, not a code spec
+        (tmp_path / "fix.spec").write_text('{"format": "x"}')
+    return args
+
+
+@pytest.mark.parametrize("case", ("input is a directory", "input is missing",
+                                  "spec is a directory", "spec is not a code spec"))
+@pytest.mark.parametrize("existing", (False, True), ids=("new", "empty-dir"))
+def test_failed_put_creates_no_store(tmp_path, case, existing):
+    args = _bad_put_input(tmp_path, case)
+    store = tmp_path / "store"
+    if existing:
+        store.mkdir()
+    assert_usage_error(*args, "--store", str(store))
+    assert (list(store.iterdir()) == []) if existing else not store.exists()
+
+
+def _os_error_args(tmp_path, case):
+    """A command whose path argument makes open() fail, and its exit code."""
+    regular = tmp_path / "regular"
+    regular.write_bytes(b"")
+    if case == "verify a directory":
+        return ("verify", str(tmp_path)), 2
+    if case == "verify under a regular file":
+        return ("verify", str(regular / "x.spec")), 2
+    if case == "get under a regular file":
+        store = tmp_path / "store"
+        assert main([*_put_args(tmp_path), "--store", str(store)]) == 0
+        return ("get", str(regular / "out.bin"), "--store", str(store)), 2
+    # any other OSError: a file name longer than the file system allows
+    return ("verify", str(tmp_path / ("x" * 300))), 1
+
+
+@pytest.mark.parametrize("case", ("verify a directory", "verify under a regular file",
+                                  "get under a regular file", "name too long"))
+def test_os_errors_are_one_line(tmp_path, case):
+    args, expected = _os_error_args(tmp_path, case)
+    code, out, err = run_cli(*args)
+    assert code == expected, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")

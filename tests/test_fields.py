@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -182,12 +183,24 @@ def test_tables_match_carryless_reference(poly):
     q = spec.order
     # _clmul reduces with _poly_mod on every call; the tables come from
     # the log/antilog walk, so every entry is checked against it
-    assert spec._mul_table == [[_clmul(a, b, poly) for b in range(q)]
-                               for a in range(q)]
+    assert [spec._mul_table[a] for a in range(q)] == [
+        [_clmul(a, b, poly) for b in range(q)] for a in range(q)]
     for a in range(1, q):
         assert _clmul(a, spec.inv(a), poly) == 1
     with pytest.raises(ZeroDivisionError):
         spec.inv(0)
+
+
+def test_gf256_product_rows_built_in_any_order():
+    # construction builds no product row beyond row 0; each row is built
+    # the first time mul reads it, whatever the order
+    spec = binary_field(8)
+    assert list(spec._mul_table) == [0]
+    pairs = list(itertools.product(range(256), repeat=2))
+    random.Random(8).shuffle(pairs)
+    for a, b in pairs:
+        assert spec.mul(a, b) == _clmul(a, b, spec.reduction_poly)
+    assert sorted(spec._mul_table) == list(range(256))
 
 
 def test_default_gf256_generator_is_not_z():
