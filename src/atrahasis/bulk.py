@@ -23,6 +23,26 @@ passes the BitMatrix to matmul.  One code path serves every m = 1..16.
 Results are bit-identical to the scalar path in linalg, which the tests
 cross-check.
 
+expand compiles a matrix into one XOR program.  Row b of coefficient
+(i, j)'s bit-matrix, its row mask, selects planes of input symbol j, and
+the same mask recurs wherever column j holds coefficients with a common
+row.  A column whose masks recur enough gets a table, the Four Russians
+idea applied per input symbol (Albrecht, Bard & Hart, "Efficient dense
+Gaussian elimination over GF(2)", ACM TOMS 2010): every row mask of the
+column is built once, from the entry of its lower bits plus one plane,
+and each output plane then XORs in one entry per nonzero coefficient
+instead of one plane per set bit.  The choice is counted per column
+(Plank, Schuman & Robison, "Heuristics for optimizing matrix-based
+erasure codes", DSN 2012): the table is taken when the XORs its uses
+save are at least twice what its builds can cost, so at m = 4 the store's
+wide columns take one, while at m = 12, where masks seldom recur, and in
+the small send matrices of a repair, the columns stay plain.  The plain
+columns form the plain selection, one XOR reduction per output plane;
+a matrix with no table is that selection alone.  matmul runs the tables
+one input symbol at a time, so only one symbol's entries are live
+besides the outputs, which keeps the working set small: a plane of a
+full batch (cluster.BATCH_STRIPES = 512 stripes) is 4 KiB.
+
 The byte streams (the user stream and the node blobs, see cluster) are
 plane-major per batch: a batch stores its planes one after another, each
 as `stripes` little-endian uint64 words.  Packing a batch is therefore
@@ -32,8 +52,10 @@ of int.to_bytes.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
+from itertools import chain, compress
 from operator import itemgetter, xor
 
 from .errors import UsageError
@@ -61,13 +83,17 @@ class Planes(list):
                 for i in range(0, len(self), size)]
 
 
-class BitMatrix(namedtuple("BitMatrix", "rows ncols selections")):
-    """An exact matrix expanded once to its GF(2) bit-matrix: for each output
-    plane, the indices of the input planes whose XOR it is.
+class BitMatrix(namedtuple("BitMatrix", "rows ncols program")):
+    """An exact matrix compiled once to an XOR program over bit-planes.
 
     rows are the field coefficients (bench/tracer.py counts them), ncols
-    their column count, selections a tuple of input plane indices per
-    output plane."""
+    their column count.  program is (selections, steps).  Output plane k
+    starts as the XOR of the input planes selections[k] lists.  Each
+    step (base, chains, coefficients) then serves one input symbol: its
+    table maps row masks to planes, one-bit mask 1 << e being input plane
+    base + e, and each chain (mask, link, top) adds the entry of link XOR
+    that of top; each (o, terms) of coefficients XORs, for each (b, mask)
+    of terms, the entry of mask into output plane o + b."""
 
     __slots__ = ()
 
@@ -79,62 +105,166 @@ class BulkField:
         if spec.kind != BINARY:  # put's check: the store loads no other field
             raise UsageError("cluster storage requires a binary-extension field")
         self.spec = spec
+        m, poly = spec.m, spec.reduction_poly
+        # The rows of a bit-matrix side by side in one int, row b in bits
+        # b*w .. b*w + m - 1 of a w-bit field.  Row b of z^s is bits s ..
+        # s + m - 1 of span b, whose bit t is bit b of z^t (t < 2m - 1), so
+        # the rows of z^s are the spans shifted right by s: what spills
+        # into a field from the next lands at bit w - s > m.  Below t = m,
+        # z^t is 1 << t, so only the m - 1 reduced powers take a loop.
+        w = 8 if m <= 4 else 16 if m <= 8 else 32
+        spans, column = sum(1 << b * (w + 1) for b in range(m)), 1 << m - 1
+        for t in range(m, 2 * m - 1):
+            column <<= 1
+            if column >> m:
+                column ^= poly
+            bits = column
+            while bits:
+                low = bits & -bits
+                spans |= 1 << (low.bit_length() - 1) * w + t
+                bits ^= low
+        self._powers = {1 << s: spans >> s for s in range(m)}
+        self._keep = int.from_bytes(((1 << m) - 1).to_bytes(w // 8, "little") * m, "little")
+        self._layout = (m * w // 8, "BHI"[w // 16])
         # coefficient -> its bit-matrix; this name and mul_table's are the
         # ones bench/tracer.py wraps to time block builds
-        self._tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._tables: dict[int, tuple[int, ...]] = {}
+        self._units = [1 << e for e in range(m)]
+        # coefficient -> its rows as terms (b, row mask), the set bits of
+        # each row, and the XORs its plain selection spends beyond one a row
+        self._terms: dict[int, tuple] = {}
+        self._bits: dict[int, list] = {}
+        self._excess: dict[int, int] = {}
+        self._chains: dict[frozenset, tuple] = {}  # column masks -> builds
 
-    def mul_table(self, c: int) -> tuple[tuple[int, ...], ...]:
-        """The m x m GF(2) matrix of multiplication by c, as m rows: row i
-        lists the bits b of a symbol v whose XOR is bit i of c*v, those b
-        where c * z^b has bit i set.  Column c * z^(b+1) is c * z^b
-        shifted, reduced by one XOR of the reduction polynomial when it
-        reaches z^m."""
+    def mul_table(self, c: int) -> tuple[int, ...]:
+        """The m x m GF(2) matrix of multiplication by c, as m row masks:
+        bit e of row b is set when bit b of c * z^e is, so bit b of c*v is
+        the parity of v & row b.  Multiplication is GF(2)-linear in c, so
+        the rows of c are those of c without its lowest bit XOR those of
+        that bit, z^s: one XOR of packed rows per bit of c."""
         block = self._tables.get(c)
         if block is None:
-            m, poly = self.spec.m, self.spec.reduction_poly
-            rows = [[] for _ in range(m)]
-            column = c
-            for b in range(m):
-                bits = column
-                while bits:
-                    low = bits & -bits
-                    rows[low.bit_length() - 1].append(b)
-                    bits ^= low
-                column <<= 1
-                if column >> m:
-                    column ^= poly
-            block = self._tables[c] = tuple(map(tuple, rows))
+            rows, bits = 0, c
+            while bits:
+                low = bits & -bits
+                rows ^= self._powers[low]
+                bits ^= low
+            size, code = self._layout
+            block = self._tables[c] = tuple(memoryview(
+                (rows & self._keep).to_bytes(size, sys.byteorder)).cast(code))
         return block
 
     def expand(self, rows: list[list[int]]) -> BitMatrix:
         """An (r x c) exact matrix, as int rows -> its BitMatrix, for
-        applying it to many batches of planes.  Output plane i*m + b selects
-        input plane j*m + e for each e in row b of coefficient (i, j)'s
-        bit-matrix."""
+        applying it to many batches of planes.
+
+        Output plane i*m + b is the XOR over j of the input planes j*m + e
+        selected by row b of coefficient (i, j)'s bit-matrix, its row mask.
+        Column j is either plain or tabled.  Plain, each row mask joins
+        the plain selection of its output plane.  Tabled, input symbol j
+        gets a step whose table holds every row mask of the column, each
+        built from the entry of its lower bits (built first, the same way)
+        XOR the plane of its top bit, and each use XORs in one entry.  A
+        mask of p bits costs at most p - 1 builds and saves p - 1 XORs per
+        use, so a column is tabled when its uses save at least twice what
+        its distinct masks can cost: the table then saves at least as many
+        XORs as it builds.  A column that repeats no mask stays plain."""
         m = self.spec.m
+        blocks, terms, bits, excess = self._tables, self._terms, self._bits, self._excess
+        chunks = _bit_chunks()
+        for c in set(chain.from_iterable(rows)):
+            if c and c not in terms:
+                block = self.mul_table(c)
+                terms[c] = tuple(enumerate(block))
+                bits[c] = [chunks[0][mask & 15] + chunks[1][mask >> 4 & 15]
+                           + chunks[2][mask >> 8 & 15] + chunks[3][mask >> 12]
+                           for mask in block]
+                # a row mask's plain selection spends its bits less one
+                # XORs beyond the one that adds it to its output plane
+                excess[c] = sum(map(int.bit_count, block)) - m
+        offsets = range(0, len(rows) * m, m)
+        steps, plain = [], []
+        for j, column in enumerate(zip(*rows)):
+            coefficients = list(compress(column, column))
+            spent = list(map(excess.__getitem__, coefficients))
+            # a coefficient's m row masks differ, so the column's distinct
+            # masks cost at least what its costliest coefficient spends
+            tabled = bool(spent) and 0 < 2 * max(spent) <= sum(spent)
+            if tabled:
+                masks = frozenset(chain.from_iterable(map(blocks.__getitem__, coefficients)))
+                tabled = 2 * (sum(map(int.bit_count, masks)) - len(masks)) <= sum(spent)
+            if tabled:
+                chains = self._chains.get(masks)
+                if chains is None:
+                    chains = self._chains[masks] = _prefix_chains(masks)
+                steps.append((j * m, chains, tuple(
+                    zip(compress(offsets, column), map(terms.__getitem__, coefficients)))))
+            plain.append(not tabled)
         selections = []
         for row in rows:
-            blocks = [(j * m, self.mul_table(c)) for j, c in enumerate(row) if c]
+            parts = [(j * m, bits[c]) for j, c in enumerate(row) if c and plain[j]]
             for b in range(m):
-                selections.append(tuple([base + e for base, block in blocks
-                                         for e in block[b]]))
-        return BitMatrix(rows, len(rows[0]) if rows else 0, selections)
+                selections.append(tuple([base + e for base, row_bits in parts
+                                         for e in row_bits[b]]))
+        return BitMatrix(rows, len(rows[0]) if rows else 0, (tuple(selections), tuple(steps)))
 
     def matmul(self, matrix, planes: Planes) -> Planes:
         """Apply an (r x c) exact matrix, or its BitMatrix, to c*m planes
-        -> r*m planes of the same width."""
+        -> r*m planes of the same width: the plain selections first, then
+        the table steps one input symbol at a time, so that only that
+        symbol's table is live."""
         if not isinstance(matrix, BitMatrix):
             matrix = self.expand(matrix)
-        if len(planes) != matrix.ncols * self.spec.m:
-            raise UsageError(f"bulk matmul expects {matrix.ncols * self.spec.m} "
+        m = self.spec.m
+        if len(planes) != matrix.ncols * m:
+            raise UsageError(f"bulk matmul expects {matrix.ncols * m} "
                              f"planes, got {len(planes)}")
-        out = Planes(stripes=planes.stripes)
-        for selected in matrix.selections:
+        selections, steps = matrix.program
+        out = []
+        for selected in selections:
             if len(selected) > 1:
                 out.append(reduce(xor, itemgetter(*selected)(planes)))
             else:
                 out.append(planes[selected[0]] if selected else 0)
-        return out
+        units = self._units
+        for base, chains, coefficients in steps:
+            table = dict(zip(units, planes[base:base + m]))
+            for mask, link, top in chains:
+                table[mask] = table[link] ^ table[top]
+            for o, block in coefficients:
+                for b, mask in block:
+                    out[o + b] ^= table[mask]
+        return Planes(out, planes.stripes)
+
+
+def _prefix_chains(masks: frozenset) -> tuple[tuple[int, int, int], ...]:
+    """The builds (mask, link, top) that give each mask a table entry: link
+    is mask without its top bit, itself built first when it has two or
+    more bits, so each entry costs one XOR."""
+    known, builds = set(), []
+    for mask in masks:
+        links = []
+        while mask & mask - 1 and mask not in known:
+            known.add(mask)
+            top = 1 << mask.bit_length() - 1
+            links.append((mask, mask ^ top, top))
+            mask ^= top
+        builds += reversed(links)
+    return tuple(builds)
+
+
+@cache
+def _bit_chunks() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The set bits of every 4-bit chunk value, at offsets 0, 4, 8 and 12
+    (a row mask has m <= 16 bits)."""
+    tables = []
+    for offset in range(0, 16, 4):
+        table = [()]
+        for e in range(offset, offset + 4):
+            table += [bits + (e,) for bits in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def bytes_to_symbols(stream, rows: int) -> Planes:

@@ -470,7 +470,12 @@ class Cluster:
                 raise UsageError(f"{out_path} is not a regular file")
             tmp = out.with_name(f".{out.name}.tmp")
             try:
-                with open(tmp, "wb") as sink:
+                sink = open(tmp, "wb")
+            except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+                # the directory of out is at fault: name out, not the temp file
+                raise type(exc)(exc.errno, exc.strerror, str(out_path)) from None
+            try:
+                with sink:
                     # the payload is bytes 8 .. 8+length of the stream
                     pos = 0
                     for stripes in _batches(chunked.stripes):

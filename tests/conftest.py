@@ -87,6 +87,52 @@ def pack_planes(rows, m):
                    for row in rows for b in range(m)], -(-n // 64))
 
 
+def multiplication_rows(spec, c):
+    """The bit-matrix of multiplication by c from the definition: row b
+    has bit e set when bit b of c * z^e is."""
+    products = [spec.mul(c, 1 << e) for e in range(spec.m)]
+    return tuple(sum(((p >> b) & 1) << e for e, p in enumerate(products))
+                 for b in range(spec.m))
+
+
+def bit_matrix_rows(spec, rows):
+    """An exact matrix's GF(2) bit-matrix from the definition, one mask of
+    input planes per output plane: plane i*m + b selects plane j*m + e
+    when bit b of rows[i][j] * z^e is set."""
+    m, blocks = spec.m, {}
+    out = []
+    for row in rows:
+        for b in range(m):
+            mask = 0
+            for j, c in enumerate(row):
+                if c not in blocks:
+                    blocks[c] = multiplication_rows(spec, c)
+                mask |= blocks[c][b] << (j * m)
+            out.append(mask)
+    return out
+
+
+def replay(bulk, matrix):
+    """Run a BitMatrix on identity planes, input plane e being 1 << e, so
+    that each output plane is the mask of the input planes it XORs."""
+    return list(bulk.matmul(matrix, Planes([1 << e for e in range(matrix.ncols * bulk.spec.m)],
+                                           1)))
+
+
+def program_xors(matrix):
+    """The XORs one batch costs under a BitMatrix: a plain selection of n
+    planes takes n - 1, a chain one, and a table term one, except the
+    first into an output plane with an empty selection, which is a copy."""
+    selections, steps = matrix.program
+    xors, fed = sum(max(len(s) - 1, 0) for s in selections), set()
+    for _, chains, coefficients in steps:
+        xors += len(chains)
+        for o, terms in coefficients:
+            xors += len(terms)
+            fed.update(o + b for b, _ in terms)
+    return xors - sum(1 for k in fed if not selections[k])
+
+
 def unpack_planes(planes, m, n):
     """Inverse of pack_planes for the first n chunks."""
     return [[sum(((planes[j * m + b] >> t) & 1) << b for b in range(m))

@@ -3,6 +3,7 @@ checked against the scalar field arithmetic and a bit-by-bit reference
 for every extension degree m = 1..16."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,12 @@ from hypothesis import strategies as st
 
 from atrahasis.bulk import BulkField, Planes, bytes_to_symbols, symbols_to_bytes
 from atrahasis.fields import binary_field
+from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
-from conftest import pack_planes, read_stripes, unpack_planes
+from atrahasis.specfile import family_document, parse_document
+from atrahasis.transforms import STRATEGIES, SUBSPACE
+from conftest import (bit_matrix_rows, multiplication_rows, pack_planes, read_stripes,
+                      replay, unpack_planes)
 
 DEGREES = range(1, 17)
 
@@ -78,22 +83,54 @@ def test_mul_table_is_multiplication_bit_matrix(m):
     bulk = BulkField(spec)
 
     def apply(block, v):
-        # bit i of the product is the XOR of v's bits listed in row i
-        return sum((sum((v >> b) & 1 for b in block[i]) & 1) << i for i in range(m))
+        # bit i of the product is the parity of v's bits selected by row i
+        return sum(((v & block[i]).bit_count() & 1) << i for i in range(m))
 
-    assert bulk.mul_table(0) == ((),) * m
-    assert bulk.mul_table(1) == tuple((i,) for i in range(m))
+    assert bulk.mul_table(0) == (0,) * m
+    assert bulk.mul_table(1) == tuple(1 << i for i in range(m))
     c = spec.order - 1
     block = bulk.mul_table(c)
     assert bulk._tables[c] is block
     for v in (1, spec.order // 2, spec.order - 1):
         assert apply(block, v) == spec.mul(c, v)
+    # the linear build against the definition, row b of column e being bit
+    # b of c * z^e: every coefficient up to m = 8, a sample above
+    rng = random.Random(m)
+    coefficients = (range(spec.order) if m <= 8
+                    else rng.sample(range(2, spec.order - 1), 60) + [spec.order - 1])
+    for c in coefficients:
+        assert bulk.mul_table(c) == multiplication_rows(spec, c), c
     if m > 8:  # no product tables: check random coefficients and symbols
-        rng = random.Random(m)
         for c in rng.sample(range(2, spec.order - 1), 20):
             block = bulk.mul_table(c)
             for v in rng.sample(range(spec.order), 20):
                 assert apply(block, v) == spec.mul(c, v), (c, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_program_replays_to_the_bit_matrix(draw):
+    # replay on identity planes: input plane e is 1 << e, so each output
+    # plane comes out as the mask of the input planes it XORs; it must be
+    # the bit-matrix row straight from the field multiplication.  The
+    # coefficients come from a small pool, so columns repeat them (and
+    # their row masks), and zero rows and columns are spliced in
+    m = draw.draw(st.integers(1, 16), label="m")
+    spec = binary_field(m)
+    r = draw.draw(st.integers(1, 6), label="r")
+    c = draw.draw(st.integers(1, 6), label="c")
+    pool = draw.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=4),
+                     label="pool")
+    rows = draw.draw(st.lists(st.lists(st.sampled_from(pool), min_size=c, max_size=c),
+                              min_size=r, max_size=r), label="rows")
+    if draw.draw(st.booleans(), label="zero row"):
+        rows[draw.draw(st.integers(0, r - 1), label="which row")] = [0] * c
+    if draw.draw(st.booleans(), label="zero column"):
+        j = draw.draw(st.integers(0, c - 1), label="which column")
+        for row in rows:
+            row[j] = 0
+    bulk = BulkField(spec)
+    assert replay(bulk, bulk.expand(rows)) == bit_matrix_rows(spec, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,6 +149,35 @@ def test_matmul_random(draw):
     data = [[gen.randrange(spec.order) for _ in range(n)] for _ in range(c)]
     got = BulkField(spec).matmul(rows, pack_planes(data, m))
     assert unpack_planes(got, m, n) == scalar_matmul(spec, rows, data)
+
+
+def fixture_matrices():
+    """Every matrix the store applies on the (9,5,6,6) GF(16) fixture: the
+    parity matrix, the systematic decode of every 5 nodes, and the send
+    and recovery matrices of every one-failure repair and of every
+    two-failure repair under each strategy, the first d live nodes
+    helping."""
+    code, _ = parse_document(family_document(atrahasis_956()))
+    yield "parity", code.parity_matrix()
+    for nodes in combinations(range(code.n), code.k):
+        yield f"decode {nodes}", code.systematic_decode_matrix(list(nodes))
+    repairs = [([f], SUBSPACE) for f in range(code.n)]
+    repairs += [(list(pair), strategy) for pair in combinations(range(code.n), 2)
+                for strategy in STRATEGIES]
+    for failed, strategy in repairs:
+        helpers = [h for h in range(code.n) if h not in failed][:code.d]
+        sends, recover = code.repair_program(failed, helpers, strategy)
+        for h, rows in sends:
+            yield f"{strategy} {failed} send {h}", rows
+        for f, rows in zip(failed, recover):
+            yield f"{strategy} {failed} recover {f}", rows
+
+
+def test_fixture_programs_replay_to_their_bit_matrices():
+    spec = binary_field(4)
+    bulk = BulkField(spec)
+    for name, rows in fixture_matrices():
+        assert replay(bulk, bulk.expand(rows)) == bit_matrix_rows(spec, rows), name
 
 
 @pytest.mark.parametrize("m", DEGREES)

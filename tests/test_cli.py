@@ -572,6 +572,23 @@ def test_os_errors_are_one_line(tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("parent", ("regular", "missing"))
+def test_get_into_a_bad_directory_names_the_output(tmp_path, parent):
+    # get writes a temp file beside its output; when the output's directory
+    # is a regular file or missing, the error names the output the user gave
+    store = tmp_path / "store"
+    assert main([*_put_args(tmp_path), "--store", str(store)]) == 0
+    (tmp_path / "regular").write_bytes(b"kept")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / parent / "x"
+    code, _, err = run_cli("get", str(out), "--store", str(store))
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{out}'" in err and ".tmp" not in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "regular").read_bytes() == b"kept"
+
+
 @pytest.fixture(scope="module")
 def shortened_store(tmp_path_factory):
     """A store on RS (12,5,8) over GF(256) shortened to (11,4,7,4)."""

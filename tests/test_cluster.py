@@ -19,8 +19,9 @@ from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.specfile import family_document, parse_document
-from atrahasis.transforms import STRATEGIES, central_repair_program
-from conftest import pack_planes, random_values, read_stripes, unpack_planes
+from atrahasis.transforms import STRATEGIES, SUBSPACE, central_repair_program
+from conftest import (bit_matrix_rows, pack_planes, program_xors, random_values, read_stripes,
+                      unpack_planes)
 
 
 @pytest.fixture(scope="module")
@@ -199,24 +200,34 @@ def test_systematic_get_is_a_verified_copy(tmp_path, fixture_doc, monkeypatch):
 
 
 def test_xors_per_batch_on_the_fixture(fixture_doc):
-    # sum(len(s) - 1) over the expanded selections: the XORs one batch
-    # costs.  The systematic basis makes put pay for the parity nodes only
-    # (4,500 against 3,456 for all nine nodes in the plain basis), the
-    # copy from nodes 0-4 nothing (3,276 in the plain basis) and the dense
-    # get from 4-8 5,769 (7,006)
+    # The XORs one batch costs.  Plain, each output plane XORs the n planes
+    # of its bit-matrix row, n - 1 XORs: the systematic basis makes put pay
+    # for the parity nodes only (4,500 against 3,456 for all nine nodes in
+    # the plain basis), the copy from nodes 0-4 nothing (3,276 in the plain
+    # basis) and the dense get from 4-8 5,769 (7,006).  The compiled
+    # program builds each table entry once and XORs it in once per use;
+    # its counts pin what bulk's schedule spends on each store matrix
     code, _ = parse_document(fixture_doc)
     bulk = BulkField(code.spec)
 
-    def xors(rows):
-        return sum(len(s) - 1 for s in bulk.expand(rows).selections)
+    def plain(rows):
+        return sum(max(mask.bit_count() - 1, 0) for mask in bit_matrix_rows(code.spec, rows))
 
-    assert xors(code.put_matrix()) == 3456
-    assert xors(code.parity_matrix()) == 4500
-    assert xors(code.decode_matrix([0, 1, 2, 3, 4])) == 3276
+    def xors(*matrices):
+        return (sum(map(plain, matrices)),
+                sum(program_xors(bulk.expand(rows)) for rows in matrices))
+
+    assert plain(code.put_matrix()) == 3456
+    assert xors(code.parity_matrix()) == (4500, 2376)
+    assert plain(code.decode_matrix([0, 1, 2, 3, 4])) == 3276
     assert code.systematic_decode_matrix([0, 1, 2, 3, 4]) == \
         [[int(i == j) for j in range(30)] for i in range(30)]
-    assert xors(code.decode_matrix([4, 5, 6, 7, 8])) == 7006
-    assert xors(code.systematic_decode_matrix([4, 5, 6, 7, 8])) == 5769
+    assert plain(code.decode_matrix([4, 5, 6, 7, 8])) == 7006
+    assert xors(code.systematic_decode_matrix([4, 5, 6, 7, 8])) == (5769, 2957)
+    sends, recover = code.repair_program([3], [0, 1, 2, 4, 5, 6])
+    assert xors(*[S for _, S in sends], *recover) == (1107, 983)
+    sends, recover = code.repair_program([2, 6], [0, 1, 3, 4, 5, 7], SUBSPACE)
+    assert xors(*[S for _, S in sends], *recover) == (2991, 2519)
 
 
 def test_get_insufficient_nodes(tmp_path, fixture_doc, rng):
