@@ -134,7 +134,7 @@ class BulkField:
         # each row, and the XORs its plain selection spends beyond one a row
         self._terms: dict[int, tuple] = {}
         self._bits: dict[int, list] = {}
-        self._excess: dict[int, int] = {}
+        self._excess: dict[int, int] = {0: 0}
         self._chains: dict[frozenset, tuple] = {}  # column masks -> builds
 
     def mul_table(self, c: int) -> tuple[int, ...]:
@@ -183,24 +183,29 @@ class BulkField:
                 # a row mask's plain selection spends its bits less one
                 # XORs beyond the one that adds it to its output plane
                 excess[c] = sum(map(int.bit_count, block)) - m
-        offsets = range(0, len(rows) * m, m)
-        steps, plain = [], []
-        for j, column in enumerate(zip(*rows)):
+        # a coefficient's m row masks differ, so a column's distinct masks
+        # cost at least what its costliest coefficient spends: only a
+        # column that spends twice that can take a table.  The whole
+        # matrix is tested for such columns first; the small matrices of
+        # a repair seldom have one, and then every column is plain.
+        get = excess.__getitem__
+        candidates = [(j, total) for j, spent in enumerate(zip(*[map(get, row) for row in rows]))
+                      if 0 < 2 * max(spent) <= (total := sum(spent))]
+        steps, plain = [], [True] * (len(rows[0]) if rows else 0)
+        if candidates:
+            offsets, columns = range(0, len(rows) * m, m), list(zip(*rows))
+        for j, total in candidates:
+            column = columns[j]
             coefficients = list(compress(column, column))
-            spent = list(map(excess.__getitem__, coefficients))
-            # a coefficient's m row masks differ, so the column's distinct
-            # masks cost at least what its costliest coefficient spends
-            tabled = bool(spent) and 0 < 2 * max(spent) <= sum(spent)
-            if tabled:
-                masks = frozenset(chain.from_iterable(map(blocks.__getitem__, coefficients)))
-                tabled = 2 * (sum(map(int.bit_count, masks)) - len(masks)) <= sum(spent)
-            if tabled:
-                chains = self._chains.get(masks)
-                if chains is None:
-                    chains = self._chains[masks] = _prefix_chains(masks)
-                steps.append((j * m, chains, tuple(
-                    zip(compress(offsets, column), map(terms.__getitem__, coefficients)))))
-            plain.append(not tabled)
+            masks = frozenset(chain.from_iterable(map(blocks.__getitem__, coefficients)))
+            if 2 * (sum(map(int.bit_count, masks)) - len(masks)) > total:
+                continue
+            chains = self._chains.get(masks)
+            if chains is None:
+                chains = self._chains[masks] = _prefix_chains(masks)
+            steps.append((j * m, chains, tuple(
+                zip(compress(offsets, column), map(terms.__getitem__, coefficients)))))
+            plain[j] = False
         selections = []
         for row in rows:
             parts = [(j * m, bits[c]) for j, c in enumerate(row) if c and plain[j]]

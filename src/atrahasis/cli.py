@@ -155,13 +155,12 @@ def _build_family(args, triple=None) -> StarFamily:
         x_pattern = x_pattern or lx
         if y_pattern is None:
             y_pattern = ly if flavor == SYMMETRIC else tuple(range(k))
-    result = grow_pool(SearchConfig(spec, params, x_pattern, y_pattern))
+    result = grow_pool(SearchConfig(spec, params, x_pattern, y_pattern), n)
     if not result.ok or len(result.pool) < n:
         raise InfeasibleParametersError(
             f"search found a pool of {len(result.pool)} points over {spec}, "
             f"need {n}; try a larger field or different patterns")
-    fam = result.family
-    return StarFamily(spec, params, fam.x_stars[:n], fam.second_stars[:n])
+    return result.family
 
 
 def _derive_or_suggest(n, k, d, flavor):

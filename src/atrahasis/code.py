@@ -9,15 +9,18 @@ coordinates against the canonical monomial basis.  Node contents and
 help messages are evaluations of that functional at canonical basis
 tensors of the node's / message's subspace.  Every such tensor, and
 every row of the repair-span axiom, is built by tensors.star_rows; the
-two flavors differ only in the product it takes.
+two flavors differ only in the insertion maps it reads.
 
 This module builds the family and the matrices of download, help and
 repair; transforms.ShortenedCode applies them to values (a plain family
-is its shortening of depth 0).  Star vectors, files, node contents, help
-messages and every matrix are plain lists of canonical ints.  Values
-from outside are checked once, as they come in: StarFamily checks its
-star entries, and ShortenedCode the user's symbols and the node contents
-and help messages it is given; nothing built from them is checked again.
+is its shortening of depth 0).  A family caches, per node, its basis
+tensors and the SpanSolver that restates any tensor of the node's
+subspace over them, which every send and help matrix of the node
+reuses.  Star vectors, files, node contents, help messages and every
+matrix are plain lists of canonical ints.  Values from outside are
+checked once, as they come in: StarFamily checks its star entries, and
+ShortenedCode the user's symbols and the node contents and help
+messages it is given; nothing built from them is checked again.
 
 Everything here is a pure function of its inputs, which it never
 changes; the matrices for distinct nodes may be built concurrently.
@@ -125,6 +128,7 @@ class StarFamily:
         self.spec = spec
         self.params = params
         self._node_rows_cache: dict = {}
+        self._node_solvers: dict = {}
         self._msg_rows_cache: dict = {}
         self._axiom_rows_cache: dict = {}
 
@@ -154,6 +158,15 @@ class StarFamily:
                             f"expected alpha={p.alpha}")
             self._node_rows_cache[h] = rows
         return rows
+
+    def _node_solver(self, h: int) -> SpanSolver:
+        """The SpanSolver of node h's basis tensors, built once: every
+        send matrix of node h is a set of queries against it."""
+        solver = self._node_solvers.get(h)
+        if solver is None:
+            solver = self._node_solvers[h] = SpanSolver(
+                self.spec, self.node_tensor_rows(h), self.params.M)
+        return solver
 
     def message_tensor_rows(self, h: int, f: int) -> list[list[int]]:
         """The beta basis tensors of the (h -> f) help-message subspace."""
@@ -235,9 +248,9 @@ def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
 def send_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> list[list[int]]:
     """The map from node h's stored values to the evaluations of the given
     tensors of its subspace: each tensor's coefficients over the node
-    basis tensors, which applied to the stored values give its value."""
-    solver = SpanSolver(stars.spec, stars.node_tensor_rows(h), stars.params.M)
-    rows = solver.coefficient_rows(tensor_rows)
+    basis tensors, which applied to the stored values give its value.
+    The node's solver is built once per family and reused."""
+    rows = stars._node_solver(h).coefficient_rows(tensor_rows)
     if rows is None:
         raise AxiomViolationError(
             "message-containment", subset=(h,),

@@ -96,14 +96,22 @@ def _poly_inv(a: int, poly: int) -> int:
 
 
 def poly_is_irreducible(p: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..deg/2."""
+    """Ben-Or's test: p of degree m >= 1 over GF(2) is irreducible iff
+    gcd(z^(2^i) - z mod p, p) = 1 for every i <= m/2, since z^(2^i) - z
+    is the product of the irreducibles of degree dividing i (Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981).  The powers
+    z^(2^i) mod p come by repeated squaring."""
     m = _poly_degree(p)
     if m < 1:
         return False
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(p, q) == 0:
-                return False
+    power = 2  # z^(2^i) mod p, from i = 0
+    for _ in range(m // 2):
+        power = _clmul(power, power, p)
+        a, b = p, power ^ 2
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
+            return False
     return True
 
 

@@ -9,14 +9,19 @@ Two routes:
   the base, the pool points' rows the blocks, and the walk keeps the
   blocks not yet chosen reduced modulo each prefix's span.  The
   exhaustive check is the certification path for concrete families.
+  Given n, the growth stops at n points, the first n of the whole pool.
 
 * nullstellensatz_witness -- randomized polynomial identity testing for
   the repair-span determinant.  Random star vectors over a small prime
   field are expanded into the d*beta square matrix; one nonzero
   determinant evaluation witnesses that the determinant polynomial is
   nonzero over the integers, hence star vectors exist over sufficiently
-  large fields.  A witness does NOT certify any specific family over a
-  specific field; grow_pool (or verify_axioms) does that.
+  large fields (Schwartz, "Fast probabilistic algorithms for
+  verification of polynomial identities", JACM 1980).  A witness does
+  NOT certify any specific family over a specific field; grow_pool (or
+  verify_axioms) does that.  The draws are the stream of
+  random.Random(seed).randrange(order), taken directly from getrandbits,
+  so a report replays bit for bit.
 """
 
 from __future__ import annotations
@@ -73,13 +78,16 @@ def _pattern_vector(spec: FieldSpec, a: int, pattern) -> list[int]:
     return [spec.pow(a, e) for e in pattern]
 
 
-def grow_pool(cfg: SearchConfig) -> PoolResult:
-    """Greedy brute-force pool growth over the whole field.
+def grow_pool(cfg: SearchConfig, n: int | None = None) -> PoolResult:
+    """Greedy brute-force pool growth over the whole field, or until n
+    points are admitted.
 
     Incremental checking: only subsets touching the candidate point are
     re-verified, which is equivalent to full re-verification because
     previously accepted subsets are untouched by a new point.  Each pool
     point's axiom and quotient rows are built once, when it is admitted.
+    Admission is greedy in field order, so the pool stopped at n points
+    is the first n points of the whole field's pool.
     """
     spec = cfg.spec
     p = cfg.params
@@ -100,6 +108,8 @@ def grow_pool(cfg: SearchConfig) -> PoolResult:
             ss.append(s)
             blocks.append(rows[0])
             quotients.append(rows[1])
+            if len(pool) == n:
+                break
     if len(pool) < p.d + 1:
         return PoolResult(False, tuple(pool), None,
                           f"pool of {len(pool)} points cannot support d={p.d}")
@@ -162,6 +172,19 @@ def witness_matrix(spec: FieldSpec, t: int, xs: list[list[int]],
     return rows
 
 
+def _draw_rows(rng: random.Random, order: int, rows: int, width: int) -> list[list[int]]:
+    """rows x width uniform draws from range(order), row by row: each is
+    getrandbits of order's bit length, redrawn while it is >= order.  That
+    is how Random.randrange(order) draws, so the values are the ones that
+    many randrange(order) calls give, in the same order."""
+    bits, getrandbits, flat = order.bit_length(), rng.getrandbits, []
+    while len(flat) < rows * width:
+        r = getrandbits(bits)
+        if r < order:
+            flat.append(r)
+    return [flat[i:i + width] for i in range(0, rows * width, width)]
+
+
 def nullstellensatz_witness(params: CodeParams, witness_field: FieldSpec,
                             seed=0, max_redraws: int = 10) -> WitnessReport:
     """Randomized nonzero test of the repair-span determinant.
@@ -176,8 +199,8 @@ def nullstellensatz_witness(params: CodeParams, witness_field: FieldSpec,
     rng = random.Random(seed)
     order = witness_field.order
     for redraw in range(max_redraws):
-        xs = [[rng.randrange(order) for _ in range(t)] for _ in range(d)]
-        ys = [[rng.randrange(order) for _ in range(k - t + 1)] for _ in range(d)]
+        xs = _draw_rows(rng, order, d, t)
+        ys = _draw_rows(rng, order, d, k - t + 1)
         value = det(witness_field, witness_matrix(witness_field, t, xs, ys))
         if value != 0:
             return WitnessReport(case, order, redraw, NONZERO_WITNESSED,

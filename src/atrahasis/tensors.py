@@ -8,16 +8,23 @@ fixes serialization and makes every expansion deterministic.
 
 The symmetric product of coordinate vectors is computed as iterated
 monomial multiplication: multiplying by a vector v sends a monomial to
-the sum over i of v[i] times the re-sorted monomial with i inserted.
-That is exactly the sort-the-indices product map from the tensor power,
-well defined in every characteristic (no division by multiplicities).
-The wedge product inserts with a parity sign and kills repeats.
+the sum over i of v[i] times the monomial with i inserted in sorted
+place.  That is exactly the sort-the-indices product map from the tensor
+power, well defined in every characteristic (no division by
+multiplicities).  The wedge product inserts with a parity sign and kills
+repeats.  Where each insertion lands depends on the basis alone, so it
+is tabled once per (flavor, dimension, degree), like the bases: the
+insertion map gives, for each monomial and coordinate i, the index of
+the product with e_i and its sign, or that it is killed.
 
 Every tensor a code evaluates the file at has one shape: a node's basis,
-a help message's basis and the repair-span axiom's rows are all
-x tensor (s . e_eta . targets) for the monomials eta of one degree.
-star_rows builds them, in the x-major product basis (one block of the
-inner power per coordinate of x).
+a help message's basis, the repair-span axiom's rows and the witness
+rows are all x tensor (s . e_eta . targets) for the monomials eta of one
+degree.  star_rows builds them all through one builder, in the x-major
+product basis (one block of the inner power per coordinate of x).  With
+no targets a row is a scatter of s through the insertion map, with no
+multiply; each target adds one pass.  x is applied last, one
+FieldSpec.scale_row of the packed inner rows per entry of x.
 """
 
 from __future__ import annotations
@@ -69,112 +76,95 @@ class ExtBasis(_MonomialBasis):
     _tuples = staticmethod(combinations)
 
 
-def _check_length(m: int, v) -> None:
-    if len(v) != m:
-        raise UsageError(f"expected vector of length {m}, got {len(v)}")
-
-
-def sym_product_ints(spec: FieldSpec, m: int, vectors, monomial: tuple = ()) -> dict:
-    """Sparse coordinates of (v_1 . v_2 ... v_q) . e_monomial in S^(q+|monomial|)F^m.
-
-    Returns {sorted index tuple: coefficient}.
-    """
-    add, mul = spec.add, spec.mul
-    acc = {tuple(sorted(monomial)): 1}
-    for v in vectors:
-        _check_length(m, v)
-        nxt: dict = {}
-        for mono, c in acc.items():
-            for i, vi in enumerate(v):
-                if not vi:
-                    continue
-                p = bisect_right(mono, i)
-                key = mono[:p] + (i,) + mono[p:]
-                coeff = mul(c, vi)
-                prev = nxt.get(key)
-                nxt[key] = coeff if prev is None else add(prev, coeff)
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
-
-
-def ext_product_ints(spec: FieldSpec, k: int, vectors, monomial: tuple = ()) -> dict:
-    """Sparse coordinates of (v_1 ^ v_2 ^ ... ^ v_q) ^ e_monomial in the
-    exterior power, as {strictly increasing tuple: coefficient}.
-
-    Each vector is wedged on from the right of the accumulated product,
-    with the parity sign of moving the new index into sorted position.
-    """
-    add, mul, neg = spec.add, spec.mul, spec.neg
-    start = tuple(monomial)
-    if len(set(start)) != len(start):
-        return {}
-    acc = {tuple(sorted(start)): _sort_sign(spec, start)}
-    for v in reversed(vectors):
-        _check_length(k, v)
-        nxt: dict = {}
-        for mono, c in acc.items():
-            for i, vi in enumerate(v):
-                if not vi:
-                    continue
-                p = bisect_left(mono, i)
-                if p < len(mono) and mono[p] == i:
-                    continue
-                key = mono[:p] + (i,) + mono[p:]
-                coeff = mul(c, vi)
-                if p % 2 == 1:
-                    coeff = neg(coeff)
-                prev = nxt.get(key)
-                nxt[key] = coeff if prev is None else add(prev, coeff)
-        acc = {key: v for key, v in nxt.items() if v}
-    return acc
-
-
-def _sort_sign(spec: FieldSpec, t: tuple) -> int:
-    swaps = sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
-    return spec.neg(1) if swaps % 2 else 1
-
-
-def tensor_with_x_ints(spec: FieldSpec, x_values: list[int], inner_dense: list[int]) -> list[int]:
-    """Coordinates of x tensor s in the X-major product basis."""
-    mul = spec.mul
-    out = []
-    for xc in x_values:
-        if xc == 0:
-            out.extend([0] * len(inner_dense))
-        elif xc == 1:
-            out.extend(inner_dense)
-        else:
-            out.extend([mul(xc, v) for v in inner_dense])
-    return out
-
-
-def sym_tensor_rows(spec: FieldSpec, x, vectors: list, monomials: list[tuple],
-                    inner: SymBasis) -> list[list[int]]:
-    """x tensor (v_1 . v_2 ... v_j . e_eta) for each monomial eta, densified
-    over X tensor inner."""
-    return _tensor_rows(sym_product_ints, spec, x, vectors, monomials, inner)
-
-
-def ext_tensor_rows(spec: FieldSpec, x, vectors: list, monomials: list[tuple],
-                    inner: ExtBasis) -> list[list[int]]:
-    """x tensor (v_1 ^ v_2 ^ ... ^ v_j ^ e_eta) for each wedge eta, densified
-    over X tensor inner."""
-    return _tensor_rows(ext_product_ints, spec, x, vectors, monomials, inner)
-
-
-def _tensor_rows(product, spec, x, vectors, monomials, inner) -> list[list[int]]:
-    rows = []
-    for mono in monomials:
-        dense = [0] * inner.dim
-        for key, c in product(spec, inner.dim_space, vectors, mono).items():
-            dense[inner.position[key]] = c
-        rows.append(tensor_with_x_ints(spec, x, dense))
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _basis(flavor: str, m: int, q: int):
     return SymBasis(m, q) if flavor == SYMMETRIC else ExtBasis(m, q)
+
+
+@lru_cache(maxsize=None)
+def _insertions(flavor: str, m: int, q: int) -> tuple:
+    """The insertion map of the degree-q monomials over F^m: for monomial
+    j of the degree-q basis, the triples (i, position, odd) for each
+    coordinate i that e_i times it does not kill, position being that
+    product's index in the degree-(q+1) basis and odd its sign.  e_i . mono
+    inserts i in sorted place; e_i ^ mono also, with the parity of the
+    indices it moves past, and kills the wedge when i is already there."""
+    position = _basis(flavor, m, q + 1).position
+    table = []
+    for mono in _basis(flavor, m, q).index:
+        triples = []
+        for i in range(m):
+            if flavor == SYMMETRIC:
+                p, odd = bisect_right(mono, i), False
+            else:
+                p = bisect_left(mono, i)
+                if p < len(mono) and mono[p] == i:
+                    continue
+                odd = p % 2 == 1
+            triples.append((i, position[mono[:p] + (i,) + mono[p:]], odd))
+        table.append(tuple(triples))
+    return tuple(table)
+
+
+def tensor_with_x_ints(spec: FieldSpec, x_values: list[int],
+                       inner_rows: list[list[int]]) -> list[list[int]]:
+    """x tensor s for each inner row s, in the X-major product basis: the
+    inner rows packed into one block, scaled once per entry of x by
+    FieldSpec.scale_row, and each row's slices of the scaled blocks
+    joined."""
+    width = len(x_values) * len(inner_rows[0]) if inner_rows else 0
+    if not width:
+        return [[] for _ in inner_rows]
+    packed = spec.row_bytes([v for row in inner_rows for v in row])
+    scale, zero = spec.scale_row, bytes(len(packed))
+    blocks = [packed if xc == 1 else scale(xc, packed) if xc else zero for xc in x_values]
+    step = len(packed) // len(inner_rows)
+    values = spec.row_values(b"".join([block[i:i + step] for i in range(0, len(packed), step)
+                                       for block in blocks]))
+    return [values[i:i + width] for i in range(0, len(values), width)]
+
+
+def sym_tensor_rows(spec: FieldSpec, x, vectors: list, degree: int) -> list[list[int]]:
+    """x tensor (v_1 . v_2 ... v_j . e_eta) for each degree-`degree`
+    monomial eta, densified over X tensor the inner power."""
+    return _tensor_rows(spec, SYMMETRIC, x, vectors, degree)
+
+
+def ext_tensor_rows(spec: FieldSpec, x, vectors: list, degree: int) -> list[list[int]]:
+    """x tensor (v_1 ^ v_2 ^ ... ^ v_j ^ e_eta) for each degree-`degree`
+    wedge eta, densified over X tensor the inner power."""
+    return _tensor_rows(spec, EXTERIOR, x, vectors, degree)
+
+
+def _tensor_rows(spec, flavor, x, vectors, degree) -> list[list[int]]:
+    """The one builder.  The product is taken from the right: e_eta first,
+    then the last vector, which is a scatter of its entries (with signs)
+    through the insertion map of eta's degree, then each earlier vector,
+    one pass through the next map that multiplies it in by every nonzero
+    entry so far."""
+    m, neg = len(vectors[0]), spec.neg
+    *earlier, last = vectors
+    signed = (last, last if flavor == SYMMETRIC else [neg(v) for v in last])
+    dim = _basis(flavor, m, degree + 1).dim
+    rows = []
+    for triples in _insertions(flavor, m, degree):
+        row = [0] * dim
+        for i, position, odd in triples:
+            row[position] = signed[odd][i]
+        rows.append(row)
+    add, mul = spec.add, spec.mul
+    for q, v in enumerate(reversed(earlier), degree + 1):
+        table = _insertions(flavor, m, q)
+        signed = (v, v if flavor == SYMMETRIC else [neg(a) for a in v])
+        dim = _basis(flavor, m, q + 1).dim
+        for r, row in enumerate(rows):
+            out = [0] * dim
+            for c, triples in zip(row, table):
+                if c:
+                    for i, position, odd in triples:
+                        out[position] = add(out[position], mul(c, signed[odd][i]))
+            rows[r] = out
+    return tensor_with_x_ints(spec, x, rows)
 
 
 def star_rows(spec: FieldSpec, flavor: str, x, s, degree: int,
@@ -183,19 +173,20 @@ def star_rows(spec: FieldSpec, flavor: str, x, s, degree: int,
     over the space of s, in canonical order of eta: symmetric products,
     or wedges in that order in the exterior flavor.
 
-    Each product starts from e_eta (the monomial start of the product
-    maps) and multiplies s and the targets in; in the exterior flavor that
-    is s ^ targets ^ e_eta, which differs from s ^ e_eta ^ targets by the
-    sign (-1)^(degree * len(targets)), carried on x.
+    Each product is taken from the right, starting at e_eta; in the
+    exterior flavor that is s ^ targets ^ e_eta, which differs from
+    s ^ e_eta ^ targets by the sign (-1)^(degree * len(targets)), carried
+    on x.  A negative degree, or one past the space in the exterior
+    flavor, has no monomials and gives no rows.
     """
+    if any(len(v) != len(s) for v in targets):
+        raise UsageError(f"expected target vectors of length {len(s)}")
     vectors = [s, *targets]
-    monomials = _basis(flavor, len(s), degree).index
-    inner = _basis(flavor, len(s), 1 + degree + len(targets))
     if flavor == SYMMETRIC:
-        return sym_tensor_rows(spec, x, vectors, monomials, inner)
+        return sym_tensor_rows(spec, x, vectors, degree)
     if degree * len(targets) % 2:
         x = [spec.neg(v) for v in x]
-    return ext_tensor_rows(spec, x, vectors, monomials, inner)
+    return ext_tensor_rows(spec, x, vectors, degree)
 
 
 def rank_filter(spec: FieldSpec, rows: list[list[int]], limit: int | None = None):

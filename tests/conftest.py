@@ -1,14 +1,17 @@
 import os
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
 from atrahasis.bulk import Planes
-from atrahasis.code import NodeContent
+from atrahasis.code import SYMMETRIC, NodeContent
+from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
+from atrahasis.tensors import ExtBasis, SymBasis
 from atrahasis.transforms import (SUBSPACE, ShortenedCode, central_repair_program,
                                   subspace_bandwidth)
 
@@ -42,6 +45,84 @@ def rng():
 
 def random_values(rng, spec, count):
     return [rng.randrange(spec.order) for _ in range(count)]
+
+
+def _check_length(m, v):
+    if len(v) != m:
+        raise UsageError(f"expected vector of length {m}, got {len(v)}")
+
+
+def sym_product_ints(spec, m, vectors, monomial=()):
+    """Reference symmetric product: sparse coordinates of
+    (v_1 . v_2 ... v_q) . e_monomial in S^(q+|monomial|)F^m, as
+    {sorted index tuple: coefficient}, by iterated monomial
+    multiplication with a re-sort per term."""
+    add, mul = spec.add, spec.mul
+    acc = {tuple(sorted(monomial)): 1}
+    for v in vectors:
+        _check_length(m, v)
+        nxt = {}
+        for mono, c in acc.items():
+            for i, vi in enumerate(v):
+                if not vi:
+                    continue
+                p = bisect_right(mono, i)
+                key = mono[:p] + (i,) + mono[p:]
+                coeff = mul(c, vi)
+                prev = nxt.get(key)
+                nxt[key] = coeff if prev is None else add(prev, coeff)
+        acc = {k: v for k, v in nxt.items() if v}
+    return acc
+
+
+def ext_product_ints(spec, k, vectors, monomial=()):
+    """Reference wedge product: sparse coordinates of
+    (v_1 ^ v_2 ^ ... ^ v_q) ^ e_monomial, as {strictly increasing tuple:
+    coefficient}.  Each vector is wedged on from the left of the
+    accumulated product, with the parity sign of moving its index into
+    sorted position."""
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    start = tuple(monomial)
+    if len(set(start)) != len(start):
+        return {}
+    swaps = sum(1 for i in range(len(start)) for j in range(i + 1, len(start))
+                if start[i] > start[j])
+    acc = {tuple(sorted(start)): neg(1) if swaps % 2 else 1}
+    for v in reversed(vectors):
+        _check_length(k, v)
+        nxt = {}
+        for mono, c in acc.items():
+            for i, vi in enumerate(v):
+                if not vi:
+                    continue
+                p = bisect_left(mono, i)
+                if p < len(mono) and mono[p] == i:
+                    continue
+                key = mono[:p] + (i,) + mono[p:]
+                coeff = mul(c, vi)
+                if p % 2 == 1:
+                    coeff = neg(coeff)
+                prev = nxt.get(key)
+                nxt[key] = coeff if prev is None else add(prev, coeff)
+        acc = {key: v for key, v in nxt.items() if v}
+    return acc
+
+
+def oracle_star_rows(spec, flavor, x, s, degree, targets=()):
+    """tensors.star_rows from the dict products: each monomial's product
+    densified over the inner basis, then tensored with x entry by entry."""
+    basis = SymBasis if flavor == SYMMETRIC else ExtBasis
+    product = sym_product_ints if flavor == SYMMETRIC else ext_product_ints
+    inner = basis(len(s), 1 + degree + len(targets))
+    if flavor != SYMMETRIC and degree * len(targets) % 2:
+        x = [spec.neg(v) for v in x]
+    rows = []
+    for mono in basis(len(s), degree).index:
+        dense = [0] * inner.dim
+        for key, c in product(spec, len(s), [s, *targets], mono).items():
+            dense[inner.position[key]] = c
+        rows.append([spec.mul(xc, v) for xc in x for v in dense])
+    return rows
 
 
 def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):

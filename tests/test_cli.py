@@ -137,6 +137,36 @@ def test_gen_shorten_from(tmp_path):
     assert (loaded.n, loaded.k, loaded.d) == (6, 4, 5)
 
 
+# sha256 of the spec files `gen --source search` writes over GF(16), where
+# the pool search scanning the whole field finishes: stopping it at n
+# points must keep them byte for byte
+PINNED_SEARCH_SPECS = {
+    "--n 9 --k 5 --d 5 --field gf16 --x-pattern 0,1,2,3,4 --y-pattern 0":
+        "e420b6a886318ed77eeea35748c5a7b1b367373561b86304a33254c1e4d6f155",
+    "--n 6 --k 3 --d 4 --flavor exterior --field gf16":
+        "40c0c933a55b9c2729dad544ffb2cf10dbb209bb71706d1c2cb407ecf0970586",
+    "--n 6 --k 4 --d 5 --shorten-from 7,5,6 --field gf16 --x-pattern 0,2,6 --y-pattern 0,1,3":
+        "0617b017f7d7c70ca1c48e6d3fe3cced9c96616572796d5db908be10df3912cf",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_SEARCH_SPECS))
+def test_gen_search_spec_bytes_pinned(tmp_path, args):
+    spec = tmp_path / "search.spec"
+    assert main(["gen", *args.split(), "--out", str(spec)]) == 0
+    assert hashlib.sha256(spec.read_bytes()).hexdigest() == PINNED_SEARCH_SPECS[args]
+
+
+def test_gen_search_large_field_stops_at_n_points(tmp_path):
+    # every point of GF(256) would be admitted, each check walking
+    # C(pool, d-1) subsets; the search stops once it has n = 9 points
+    spec = tmp_path / "wide.spec"
+    assert main(["gen", "--n", "9", "--k", "5", "--d", "5", "--field", "gf256",
+                 "--x-pattern", "0,1,2,3,4", "--y-pattern", "0", "--out", str(spec)]) == 0
+    loaded, _ = specfile.read_spec_file(spec)
+    assert [x[1] for x in loaded.base.x_stars] == list(range(9))
+
+
 def test_gen_rs_wrong_t(tmp_path):
     code, out, err = run_cli("gen", "--n", "9", "--k", "5", "--d", "6",
                              "--source", "rs", "--out", str(tmp_path / "x.spec"))

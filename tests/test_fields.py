@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrahasis.errors import UsageError
-from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, _clmul, binary_field,
-                              poly_is_irreducible, prime_field)
+from atrahasis.fields import (DEFAULT_REDUCTION_POLY, FieldSpec, _clmul, _poly_mod,
+                              binary_field, poly_is_irreducible, prime_field)
 
 IRREDUCIBLE_UP_TO_256 = [p for m in range(1, 9) for p in range(1 << m, 1 << (m + 1))
                          if poly_is_irreducible(p)]
@@ -134,6 +134,28 @@ def test_builtin_polynomials_all_irreducible():
         spec = binary_field(m)  # construction verifies irreducibility
         assert spec.reduction_poly == DEFAULT_REDUCTION_POLY[m]
         assert poly_is_irreducible(spec.reduction_poly)
+
+
+def irreducible_by_trial_division(p):
+    """Reference: no polynomial of degree 1..deg/2 divides p."""
+    m = p.bit_length() - 1
+    return m >= 1 and all(_poly_mod(p, q) for d in range(1, m // 2 + 1)
+                          for q in range(1 << d, 1 << (d + 1)))
+
+
+def test_irreducibility_matches_trial_division():
+    # every polynomial of degree 0..12, constants (not irreducible) included
+    for p in range(1 << 13):
+        assert poly_is_irreducible(p) == irreducible_by_trial_division(p), hex(p)
+
+
+def test_reducible_polynomial_error_text():
+    for poly in (0b10101, 0b10000, 0x10145):  # (z^2+z+1)^2, z^4, (z^8+z^4+z^3+z+1)^2
+        m = poly.bit_length() - 1
+        assert not irreducible_by_trial_division(poly)
+        with pytest.raises(UsageError, match=f"reduction polynomial {poly:#x} is "
+                                             f"reducible over GF\\(2\\)$"):
+            binary_field(m, poly)
 
 
 def test_bad_reduction_polynomials_rejected():

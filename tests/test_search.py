@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from atrahasis.code import EXTERIOR, SYMMETRIC, derive_params, verify_axioms
@@ -5,8 +9,8 @@ from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import det
 from atrahasis.search import (INCONCLUSIVE, NONZERO_WITNESSED, SearchConfig,
-                              WitnessCase, enumerate_primitive_cases, grow_pool,
-                              nullstellensatz_witness, render_report_table,
+                              WitnessCase, _draw_rows, enumerate_primitive_cases,
+                              grow_pool, nullstellensatz_witness, render_report_table,
                               sweep_small_cases, witness_matrix)
 
 
@@ -45,6 +49,15 @@ def test_grow_pool_pinned_pools(spec, params, x_pattern, y_pattern, pool):
     result = grow_pool(SearchConfig(spec, derive_params(*params), x_pattern, y_pattern))
     assert result.ok and result.pool == pool
     assert result.family.params.n == len(pool)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_grow_pool_stops_at_n_points(n):
+    # admission is greedy in field order: the first n points of the pool
+    spec, params, x_pattern, y_pattern, pool = PINNED_POOLS[2]
+    result = grow_pool(SearchConfig(spec, derive_params(*params), x_pattern, y_pattern), n)
+    assert result.ok and result.pool == pool[:n]
+    assert result.family.params.n == n
 
 
 def test_grow_pool_deterministic():
@@ -165,3 +178,24 @@ def test_report_table_format(tmp_path):
     for line in lines[1:]:
         cols = line.split("\t")
         assert len(cols) == 7 and cols[6] == NONZERO_WITNESSED
+
+
+@pytest.mark.parametrize("order", [2, 127, 128, 65521])
+def test_witness_draws_are_the_randrange_stream(order):
+    # the witness draws by getrandbits with rejection; a report replays
+    # only if that is the stream randrange(order) gives, to the last draw
+    seed = f"draws:{order}"
+    rng, ref = random.Random(seed), random.Random(seed)
+    for rows, width in ((7, 3), (1, 1), (4, 5)):
+        assert _draw_rows(rng, order, rows, width) == [
+            [ref.randrange(order) for _ in range(width)] for _ in range(rows)]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sweep_reports_pinned():
+    # sha256 of the JSON of every witness report of the alpha <= 30 sweep
+    # over GF(127) at seed 5: draws, redraw counts and determinants
+    reports = sweep_small_cases(30, prime_field(127), seed=5)
+    assert len(reports) == 64
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == \
+        "2cd5b92d18e081ce93bd1f7dae945c800864a7c90bec2db84ac8f9d8d7d23ab9"

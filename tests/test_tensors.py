@@ -5,6 +5,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
                             rs_stars_t2)
@@ -13,9 +15,8 @@ from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import det, rank_of_rows
 from atrahasis.search import witness_matrix
-from atrahasis.tensors import (ExtBasis, SymBasis, ext_product_ints, rank_filter,
-                               star_rows, sym_product_ints)
-from conftest import random_values
+from atrahasis.tensors import ExtBasis, SymBasis, rank_filter, star_rows
+from conftest import ext_product_ints, oracle_star_rows, random_values, sym_product_ints
 
 
 def sorted_product_oracle(spec, vectors, m):
@@ -229,10 +230,9 @@ def test_expand_node_basis_ext_rejects_zero(gf16):
 
 
 def test_expand_length_mismatch(gf16):
-    with pytest.raises(UsageError):
-        sym_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
-    with pytest.raises(UsageError):
-        ext_product_ints(gf16, 2, [[1, 2], [1, 2, 3]])
+    for flavor in (SYMMETRIC, EXTERIOR):
+        with pytest.raises(UsageError):
+            star_rows(gf16, flavor, [1], [1, 2], 1, ([1, 2, 3],))
 
 
 def _digest(rows) -> str:
@@ -309,3 +309,28 @@ def test_witness_rows_pinned(gf127, case):
     ys = [random_values(rng, gf127, k - t + 1) for _ in range(d)]
     M = witness_matrix(gf127, t, xs, ys)
     assert _digest(M) == PINNED_WITNESS[case]
+
+
+# one field for each path of FieldSpec.scale_row: byte tables from the
+# log walk (GF(16), GF(256)), a carry-less multiply of the whole row
+# (GF(4096)), byte tables over GF(p) (p = 127), entry by entry (p = 65521)
+PROPERTY_FIELDS = [binary_field(4), binary_field(8), binary_field(12),
+                   prime_field(127), prime_field(65521)]
+
+
+@st.composite
+def star_cases(draw):
+    spec = draw(st.sampled_from(PROPERTY_FIELDS))
+    # 0 and 1 take their own paths in the builder
+    value = st.one_of(st.sampled_from([0, 1]), st.integers(0, spec.order - 1))
+    m = draw(st.integers(1, 5))
+    vector = st.lists(value, min_size=m, max_size=m)
+    return (spec, draw(st.sampled_from([SYMMETRIC, EXTERIOR])),
+            draw(st.lists(value, min_size=1, max_size=4)), draw(vector),
+            draw(st.integers(0, 3)), tuple(draw(vector) for _ in range(draw(st.integers(0, 2)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_cases())
+def test_star_rows_match_dict_product_oracle(case):
+    assert star_rows(*case) == oracle_star_rows(*case)

@@ -121,3 +121,26 @@ def test_cli_fail_and_status_record_cluster_spans(tmp_path, tracer):
                      ("cluster.manifest_save", "cluster.fail"),
                      ("cluster.status", "cli.main"),
                      ("cluster.manifest_load", "cluster.status")]
+
+
+def test_verify_axioms_records_tensor_row_spans(tracer):
+    # the frozen bench counts the builder's rows through these two names;
+    # the builder must reach them through the tensors module
+    from atrahasis import code
+    from atrahasis.fields import binary_field
+    from atrahasis.fixtures import atrahasis_956
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert code.verify_axioms(atrahasis_956()).ok
+        assert code.verify_axioms(code.rs_stars_t2(binary_field(8), 12, 5,
+                                                   code.EXTERIOR)).ok
+    finally:
+        t.uninstall()
+    calls = tracer.summarize(t.spans)
+    assert calls["code.verify_axioms"]["calls"] == 2
+    # fixture: 9 nodes' axiom rows; RS exterior: 12 nodes' axiom rows and
+    # 2 quotient rows for each of the 12 failed nodes
+    assert calls["tensors.sym_tensor_rows"]["calls"] == 9
+    assert calls["tensors.ext_tensor_rows"]["calls"] == 12 + 12 * 2
