@@ -21,13 +21,13 @@ import json
 import sys
 
 from . import specfile
-from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params,
+from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params, rs_patterns,
                    rs_stars_t2, verify_axioms)
 from .errors import (AtrahasisError, AxiomViolationError,
                      InfeasibleParametersError, InsufficientNodesError,
                      UsageError)
 from .fields import FieldSpec, binary_field, is_prime, prime_field
-from .transforms import shorten
+from .transforms import STRATEGIES, SUBSPACE, shorten
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -98,10 +98,6 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
-def _lemma_patterns(k: int):
-    return (0, k - 1), tuple(range(k - 1))
-
-
 def _given_family(args, want) -> StarFamily:
     """The family of --fixture or --source spec-file.  Each of n, k, d,
     --field and --flavor that was given must match it; one left out
@@ -151,10 +147,10 @@ def _build_family(args, triple=None) -> StarFamily:
         if params.t != 2:
             raise UsageError("--source search needs --x-pattern/--y-pattern "
                              "for t > 2")
-        lx, ly = _lemma_patterns(k)
-        x_pattern = x_pattern or lx
+        rx, ry = rs_patterns(k, flavor)
+        x_pattern = x_pattern or rx
         if y_pattern is None:
-            y_pattern = ly if flavor == SYMMETRIC else tuple(range(k))
+            y_pattern = ry
     result = grow_pool(SearchConfig(spec, params, x_pattern, y_pattern), n)
     if not result.ok or len(result.pool) < n:
         raise InfeasibleParametersError(
@@ -367,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", type=int)
     p.add_argument("second", type=int)
     p.add_argument("--store", required=True)
-    p.add_argument("--strategy", choices=("naive", "cascade", "subspace"),
-                   default="subspace")
+    p.add_argument("--strategy", choices=STRATEGIES, default=SUBSPACE)
     p.add_argument("--helpers", default="auto")
     p.set_defaults(func=cmd_repair2)
 

@@ -8,7 +8,8 @@ the store's lock, and only put creates a store.  Each command loads the
 manifest with every check on its format, version, keys, embedded spec,
 params hash, field and values, and gets the store's code instance with
 it: always a ShortenedCode (a plain spec is depth 0, with no pinned
-nodes).  fail and status read or rewrite the manifest alone.
+nodes) that check_storable admits, as put checks before it creates
+anything.  fail and status read or rewrite the manifest alone.
 
 Layout under one store root:
 
@@ -16,8 +17,8 @@ Layout under one store root:
                     metadata, node status, per-node blob digests, ledger)
     .lock           per-store lock file; commands serialize on it
     node_<h>/chunks.blob
-                    the node's contents: one 16-byte header (specfile,
-                    blob version 4), then the node's alpha*m bit-planes,
+                    the node's contents: one 16-byte header (blob_header,
+                    version 4), then the node's alpha*m bit-planes,
                     plane-major per batch of BATCH_STRIPES stripes
                     (the last batch may be shorter): a batch of W
                     stripes starting at stripe s0 stores plane i*m + b
@@ -90,6 +91,9 @@ LEDGER_COUNTERS = ("repair_symbols", "repair2_symbols")
 LIVE = "live"
 FAILED = "failed"
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+BLOB_MAGIC = b"ATRA"
+BLOB_VERSION = 4
+HEADER_LEN = 16
 
 # chunks per stripe: the bit width of one uint64 plane word (bulk)
 STRIPE_CHUNKS = 64
@@ -99,6 +103,21 @@ STRIPE_CHUNKS = 64
 # data command works one batch at a time, so its memory does not grow with
 # the file.
 BATCH_STRIPES = 512
+
+
+def blob_header(phash: bytes, h: int) -> bytes:
+    """The 16-byte header of node h's blob: magic, version, node index,
+    two reserved zero bytes, the spec's params hash."""
+    return BLOB_MAGIC + bytes([BLOB_VERSION, h, 0, 0]) + phash
+
+
+def check_storable(code: ShortenedCode) -> None:
+    """Reject a code the blob layout cannot hold: one over a prime field,
+    or with more than 256 nodes (the header's node index is one byte)."""
+    if code.spec.kind != BINARY:
+        raise UsageError("cluster storage requires a binary-extension field")
+    if code.n > 256:
+        raise UsageError(f"a store holds at most 256 nodes; this code has {code.n}")
 
 
 def _batches(stripes: int):
@@ -202,10 +221,10 @@ class _BlobReader:
             if os.fstat(self.fh.fileno()).st_size != size:
                 raise CorruptDataError(f"node {h} blob has wrong length")
             got = self.fh.read(len(header))
-            if got[4] != specfile.BLOB_VERSION:
+            if got[4] != BLOB_VERSION:
                 raise CorruptDataError(
                     f"node {h} blob is version {got[4]}, expected "
-                    f"{specfile.BLOB_VERSION} (re-put the file)")
+                    f"{BLOB_VERSION} (re-put the file)")
             if got != header:
                 raise CorruptDataError(f"node {h} blob header mismatch")
         except CorruptDataError:
@@ -300,8 +319,7 @@ class Cluster:
         code, phash = specfile.parse_document(manifest["code_spec"])
         if phash.hex() != manifest["params_hash"]:
             raise CorruptDataError("manifest params hash mismatch")
-        if code.spec.kind != BINARY:
-            raise UsageError("cluster storage requires a binary-extension field")
+        check_storable(code)
         _check_manifest_values(manifest, code)
         return manifest, code
 
@@ -350,15 +368,15 @@ class Cluster:
     def _stage_nodes(self, stack: ExitStack, phash: bytes, nodes) -> dict:
         """node -> its blob staged under `stack`, header written."""
         return {h: stack.enter_context(closing(Staged(
-                    self._blob_path(h), specfile.encode_node_blob(phash, h))))
+                    self._blob_path(h), blob_header(phash, h))))
                 for h in nodes}
 
     def _open_nodes(self, stack: ExitStack, code: ShortenedCode, phash: bytes,
                     nodes, stripes: int) -> dict:
         """node -> its blob opened under `stack` for one streaming pass."""
-        size = specfile.HEADER_LEN + stripes * self._record_len(code)
+        size = HEADER_LEN + stripes * self._record_len(code)
         return {h: stack.enter_context(closing(_BlobReader(
-                    self._blob_path(h), h, specfile.encode_node_blob(phash, h), size)))
+                    self._blob_path(h), h, blob_header(phash, h), size)))
                 for h in nodes}
 
     def _write_node(self, code: ShortenedCode, h: int, planes: Planes,
@@ -391,6 +409,7 @@ class Cluster:
         either creates no store."""
         with ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
+            check_storable(code)
             bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())
@@ -504,15 +523,16 @@ class Cluster:
             return {"bytes": length, "nodes": nodes}
 
     def fail(self, h: int) -> dict:
-        """Mark node h failed and delete its blob."""
+        """Mark node h failed, then delete its blob (a crash in between
+        leaves a failed node whose stale blob repair or put replaces)."""
         with locked(self.root):
             manifest, code = self._load()
             check_nodes(code, [h], "node")
             if manifest["node_status"][h] == FAILED:
                 raise UsageError(f"node {h} is already failed")
             manifest["node_status"][h] = FAILED
-            self._blob_path(h).unlink(missing_ok=True)
             self._save(manifest)
+            self._blob_path(h).unlink(missing_ok=True)
             return {"failed": h}
 
     def repair(self, f: int, helpers: list[int] | None = None) -> dict:

@@ -343,13 +343,28 @@ def _combination_index(subset: tuple, n: int) -> int:
     return index
 
 
+def pattern_family(spec: FieldSpec, params: CodeParams, points, x_pattern,
+                   y_pattern) -> StarFamily:
+    """The family whose star vectors are powers of per-node points: x_h =
+    [a_h^e for e in x_pattern], the second star likewise (0^0 = 1)."""
+    xs = [[spec.pow(a, e) for e in x_pattern] for a in points]
+    ys = [[spec.pow(a, e) for e in y_pattern] for a in points]
+    return StarFamily(spec, params, xs, ys)
+
+
+def rs_patterns(k: int, flavor: str) -> tuple:
+    """The t = 2 Reed-Solomon exponents, the product-matrix Vandermonde
+    rows (Rashmi, Shah, Kumar, IEEE Trans. IT 2011): x = (0, k-1), and
+    range(k-1) (symmetric) or range(k) (exterior)."""
+    return (0, k - 1), tuple(range(k - 1 if flavor == SYMMETRIC else k))
+
+
 def rs_stars_t2(spec: FieldSpec, n: int, k: int, flavor: str = SYMMETRIC) -> StarFamily:
     """Reed-Solomon star selection for the t = 2 point d = 2(k-1).
 
     Picks evaluation points whose (k-1)-th powers are pairwise distinct,
-    scanning the field in canonical order; x_h = [1, a_h^(k-1)] and the
-    second star is the moment vector [1, a_h, ..., a_h^(k-2)] (symmetric)
-    or [1, a_h, ..., a_h^(k-1)] (exterior).
+    scanning the field in canonical order, and gives them the stars of
+    rs_patterns.
     """
     d = 2 * (k - 1)
     params = derive_params(n, k, d, flavor)
@@ -367,7 +382,4 @@ def rs_stars_t2(spec: FieldSpec, n: int, k: int, flavor: str = SYMMETRIC) -> Sta
     if len(points) < n:
         raise FieldTooSmallError(
             f"{spec} has only {len(points)} distinct (k-1)-th powers, need {n}")
-    x_stars = [[1, spec.pow(a, k - 1)] for a in points]
-    top = k - 2 if flavor == SYMMETRIC else k - 1
-    second = [[spec.pow(a, e) for e in range(top + 1)] for a in points]
-    return StarFamily(spec, params, x_stars, second)
+    return pattern_family(spec, params, points, *rs_patterns(k, flavor))

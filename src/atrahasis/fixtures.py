@@ -9,21 +9,14 @@ that down.
 
 from __future__ import annotations
 
-from .code import SYMMETRIC, StarFamily, derive_params
+from .code import SYMMETRIC, StarFamily, derive_params, pattern_family
 from .errors import UsageError
-from .fields import FieldSpec, binary_field
+from .fields import binary_field
 
 # exponents of z for the nine evaluation points; None is the zero element
 ATRAHASIS_956_POINT_EXPONENTS = (None, 3, 6, -3, -6, -1, -2, -4, -8)
 ATRAHASIS_956_X_PATTERN = (0, 2, 6)
 ATRAHASIS_956_Y_PATTERN = (0, 1, 3)
-
-
-def pattern_family(spec: FieldSpec, params, points, x_pattern, y_pattern) -> StarFamily:
-    """Build a family whose star vectors are powers of per-node points."""
-    xs = [[spec.pow(a, e) for e in x_pattern] for a in points]
-    ys = [[spec.pow(a, e) for e in y_pattern] for a in points]
-    return StarFamily(spec, params, xs, ys)
 
 
 def atrahasis_956() -> StarFamily:

@@ -15,8 +15,8 @@ slot; see fields).  Entry c of an n-entry row is a shift by
 (n-1-c)*8*slot_bytes bits and a mask; the pivot is the bit length of
 the row shifted past its augmented columns; a row operation is one
 FieldSpec.sub_scaled_row on the whole int.  The kept rows are stored as
-packed bytes, the operand of that operation.  Echelon.rows, reduce()
-and reduced() hand rows back as lists of ints.
+packed bytes, the operand of that operation.  reduce() and reduced()
+hand rows back as lists of ints.
 
 first_deficient_subset certifies spanning conditions over every subset
 of a collection of row blocks: it walks the subsets depth first and
@@ -30,21 +30,19 @@ from .errors import UsageError
 from .fields import FieldSpec
 
 
-def dot_ints(spec: FieldSpec, a: list[int], b: list[int]) -> int:
-    mul = spec.mul
-    add = spec.add
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
-
-
 def matvec(spec: FieldSpec, rows: list[list[int]], v: list[int]) -> list[int]:
     """The matrix given by its rows times the column vector v."""
     if rows and len(rows[0]) != len(v):
         raise UsageError(f"matvec of {len(rows[0])} columns with a vector of {len(v)}")
-    return [dot_ints(spec, row, v) for row in rows]
+    mul, add = spec.mul, spec.add
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, v):
+            if a and b:
+                acc = add(acc, mul(a, b))
+        out.append(acc)
+    return out
 
 
 def matmul(spec: FieldSpec, left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
@@ -105,10 +103,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self._kept)
-
-    @property
-    def rows(self) -> list[list[int]]:
-        return [self.spec.row_values(row) for _, row in self._kept]
 
     @property
     def pivots(self) -> list[int]:

@@ -1,11 +1,11 @@
-"""On-disk formats: the textual code-spec file and the node blob header.
+"""The code-spec file format.
 
 The code-spec file is versioned JSON carrying the field, the parameters,
 the star vectors as hex element lists, and a content hash over the
-canonical serialization.  An 8-byte params hash derived from the same
-canonical form ties blobs to the code instance they belong to, so a
-mismatched or corrupted artifact is always detected.  The blob body
-after the header is the node's bit-plane stripes (see cluster).
+canonical serialization.  The first 8 bytes of that same SHA-256 are the
+params hash, which cluster writes into every node blob header to tie the
+blob to the code instance it belongs to, so a mismatched or corrupted
+artifact is always detected.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ import json
 import re
 
 from .code import EXTERIOR, SYMMETRIC, StarFamily, derive_params
-from .errors import CorruptDataError, UsageError
+from .errors import CorruptDataError
 from .fields import FieldSpec
 from .transforms import ShortenedCode
 
 SPEC_FORMAT = "atrahasis-code-spec"
 SPEC_VERSION = 1
-
-BLOB_MAGIC = b"ATRA"
-BLOB_VERSION = 4
-HEADER_LEN = 16
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
@@ -49,9 +45,10 @@ def _star_unhex(doc: dict, key: str) -> list[list[int]]:
 
 
 def _entry(stanza: dict, key: str, kind):
-    """stanza[key], which must be present and of type `kind`."""
+    """stanza[key], which must be present and of type `kind` exactly, so
+    that a JSON boolean is no int."""
     value = stanza.get(key)
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise CorruptDataError(f"code-spec entry {key!r} is missing or malformed")
     return value
 
@@ -60,7 +57,7 @@ def _field_spec(doc: dict) -> FieldSpec:
     field = _entry(doc, "field", dict)
     poly = field.get("reduction_poly")
     if not (isinstance(field.get("kind"), str)
-            and all(isinstance(field.get(key), (int, type(None))) for key in ("m", "p"))
+            and all(type(field.get(key)) in (int, type(None)) for key in ("m", "p"))
             and (poly is None or isinstance(poly, str) and _HEX.fullmatch(poly))):
         raise CorruptDataError("code-spec field stanza is malformed")
     return FieldSpec.from_dict(field)
@@ -95,9 +92,8 @@ def parse_document(doc: dict) -> tuple[ShortenedCode, bytes]:
         raise CorruptDataError(f"not a code-spec file (format={doc.get('format')!r})")
     if doc.get("version") != SPEC_VERSION:
         raise CorruptDataError(f"unsupported code-spec version {doc.get('version')!r}")
-    expected = doc.get("content_hash")
-    actual = hashlib.sha256(_canonical_payload(doc)).hexdigest()
-    if expected != actual:
+    digest = hashlib.sha256(_canonical_payload(doc))
+    if doc.get("content_hash") != digest.hexdigest():
         raise CorruptDataError("code-spec content hash mismatch")
     spec = _field_spec(doc)
     pr = _entry(doc, "params", dict)
@@ -116,8 +112,7 @@ def parse_document(doc: dict) -> tuple[ShortenedCode, bytes]:
     code = ShortenedCode(family, depth)
     if stanza is not None and list(code.pinned) != _entry(stanza, "pinned", list):
         raise CorruptDataError("shorten stanza pins unexpected nodes")
-    phash = hashlib.sha256(_canonical_payload(doc)).digest()[:8]
-    return code, phash
+    return code, digest.digest()[:8]
 
 
 def write_spec_file(path, family: StarFamily, shorten_depth: int = 0) -> dict:
@@ -143,11 +138,3 @@ def read_json(path) -> dict:
 
 def read_spec_file(path):
     return parse_document(read_json(path))
-
-
-def encode_node_blob(phash: bytes, node_index: int) -> bytes:
-    """The 16-byte node blob header: magic, version, node index, two
-    reserved zero bytes, params hash."""
-    if node_index < 0 or node_index > 0xFF:
-        raise UsageError("node index does not fit the blob header")
-    return BLOB_MAGIC + bytes([BLOB_VERSION, node_index, 0, 0]) + phash

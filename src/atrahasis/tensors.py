@@ -3,8 +3,9 @@ builder of the codes' tensor rows.
 
 Degree-q symmetric monomials over an m-dimensional space are indexed by
 non-decreasing q-tuples over range(m); wedge monomials by strictly
-increasing q-tuples.  Both index lists are in lexicographic order, which
-fixes serialization and makes every expansion deterministic.
+increasing q-tuples.  monomials(flavor, m, q) is the one cached tuple of
+them, in lexicographic order, which fixes serialization and makes every
+expansion deterministic; a monomial's index is its place in that tuple.
 
 The symmetric product of coordinate vectors is computed as iterated
 monomial multiplication: multiplying by a vector v sends a monomial to
@@ -13,7 +14,7 @@ place.  That is exactly the sort-the-indices product map from the tensor
 power, well defined in every characteristic (no division by
 multiplicities).  The wedge product inserts with a parity sign and kills
 repeats.  Where each insertion lands depends on the basis alone, so it
-is tabled once per (flavor, dimension, degree), like the bases: the
+is tabled once per (flavor, dimension, degree), like the monomials: the
 insertion map gives, for each monomial and coordinate i, the index of
 the product with e_i and its sign, or that it is killed.
 
@@ -41,44 +42,15 @@ SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
 
 
-class _MonomialBasis:
-    """The monomials of one degree q over F^m, in canonical order."""
-
-    __slots__ = ("dim_space", "degree", "index", "position")
-
-    def __init__(self, m: int, q: int):
-        self.dim_space = m
-        self.degree = q
-        # itertools rejects a negative degree; its power is the zero space
-        self.index = list(self._tuples(range(m), q)) if q >= 0 else []
-        self.position = {t: i for i, t in enumerate(self.index)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(m={self.dim_space}, q={self.degree}, "
-                f"dim={self.dim})")
-
-
-class SymBasis(_MonomialBasis):
-    """Monomial basis of the degree-q symmetric power of F^m."""
-
-    __slots__ = ()
-    _tuples = staticmethod(combinations_with_replacement)
-
-
-class ExtBasis(_MonomialBasis):
-    """Wedge basis of the degree-q exterior power of F^k."""
-
-    __slots__ = ()
-    _tuples = staticmethod(combinations)
-
-
 @lru_cache(maxsize=None)
-def _basis(flavor: str, m: int, q: int):
-    return SymBasis(m, q) if flavor == SYMMETRIC else ExtBasis(m, q)
+def monomials(flavor: str, m: int, q: int) -> tuple:
+    """The degree-q monomials over F^m in canonical order: non-decreasing
+    (symmetric) or strictly increasing (exterior) q-tuples over range(m);
+    none for a negative degree, whose power is the zero space."""
+    if q < 0:
+        return ()
+    tuples = combinations_with_replacement if flavor == SYMMETRIC else combinations
+    return tuple(tuples(range(m), q))
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +61,9 @@ def _insertions(flavor: str, m: int, q: int) -> tuple:
     product's index in the degree-(q+1) basis and odd its sign.  e_i . mono
     inserts i in sorted place; e_i ^ mono also, with the parity of the
     indices it moves past, and kills the wedge when i is already there."""
-    position = _basis(flavor, m, q + 1).position
+    position = {mono: j for j, mono in enumerate(monomials(flavor, m, q + 1))}
     table = []
-    for mono in _basis(flavor, m, q).index:
+    for mono in monomials(flavor, m, q):
         triples = []
         for i in range(m):
             if flavor == SYMMETRIC:
@@ -145,7 +117,7 @@ def _tensor_rows(spec, flavor, x, vectors, degree) -> list[list[int]]:
     m, neg = len(vectors[0]), spec.neg
     *earlier, last = vectors
     signed = (last, last if flavor == SYMMETRIC else [neg(v) for v in last])
-    dim = _basis(flavor, m, degree + 1).dim
+    dim = len(monomials(flavor, m, degree + 1))
     rows = []
     for triples in _insertions(flavor, m, degree):
         row = [0] * dim
@@ -156,7 +128,7 @@ def _tensor_rows(spec, flavor, x, vectors, degree) -> list[list[int]]:
     for q, v in enumerate(reversed(earlier), degree + 1):
         table = _insertions(flavor, m, q)
         signed = (v, v if flavor == SYMMETRIC else [neg(a) for a in v])
-        dim = _basis(flavor, m, q + 1).dim
+        dim = len(monomials(flavor, m, q + 1))
         for r, row in enumerate(rows):
             out = [0] * dim
             for c, triples in zip(row, table):

@@ -2,10 +2,11 @@
 simultaneous failures.
 
 Shortening retires trailing nodes by constraining their contents to
-zero.  Encoding then parameterizes the constraint nullspace (canonical
-echelon pivots, so the map is systematic in the free coordinates);
-download and repair drop the columns the retired nodes' zero contents
-and zero help messages would feed.  Depth delta turns an
+zero.  Encoding is one matrix, the systematic parameterization of the
+constraint nullspace (canonical echelon pivots), which the scalar encode
+and the store's put matrix both apply; download and repair drop the
+columns the retired nodes' zero contents and zero help messages would
+feed.  Depth delta turns an
 (n, k, d, alpha) instance into (n-delta, k-delta, d-delta, alpha),
 keeping d-k+1 and beta.  A ShortenedCode is the one code type of the
 store and the library's one scalar code API: every code-spec file
@@ -42,8 +43,7 @@ from collections import namedtuple
 from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
                    help_matrix, send_matrix)
 from .errors import AxiomViolationError, UsageError
-from .linalg import (Echelon, SpanSolver, dot_ints, matmul, matvec,
-                     nullspace_with_free)
+from .linalg import Echelon, SpanSolver, matmul, matvec, nullspace_with_free
 
 
 NAIVE = "naive"
@@ -60,10 +60,10 @@ class ShortenedCode:
     shrinks to (k-depth)*alpha user symbols, and d-k+1, alpha, beta are
     untouched.  Live nodes are the base indices 0..n-depth-1.
 
-    Encoding is systematic: user symbol j is the base file coordinate
-    free_cols[j], and each other coordinate c is fixed by the pinned zeros
-    as constrained[c] . user symbols.  At depth 0 every coordinate is free
-    and nothing is constrained.
+    Encoding is one matrix, encoder (M_base x M, the transpose of the
+    constraint nullspace's systematic basis): the unit row of user symbol
+    j at column free_cols[j], the constraint's solution elsewhere.  At
+    depth 0 encoder is None: the file is the user symbols.
     """
 
     def __init__(self, base: StarFamily, depth: int):
@@ -81,7 +81,7 @@ class ShortenedCode:
         self.d = p.d - depth
         self.M = self.k * p.alpha
         self.free_cols = list(range(p.M))
-        self.constrained: dict[int, list[int]] = {}
+        self.encoder = None
         if depth == 0:
             return
         constraint_rows = []
@@ -95,9 +95,7 @@ class ShortenedCode:
                 "shorten-constraint", subset=self.pinned,
                 message=f"pinning {depth} nodes cut {p.M - len(basis)} "
                         f"dimensions, expected {depth * p.alpha}")
-        free = set(self.free_cols)
-        self.constrained = {c: [v[c] for v in basis]
-                            for c in range(p.M) if c not in free}
+        self.encoder = [list(row) for row in zip(*basis)]
 
     def encode(self, raw) -> list[int]:
         """Map (k-depth)*alpha user symbols, each checked to be a canonical
@@ -106,12 +104,7 @@ class ShortenedCode:
         values = [self.spec.check_value(v) for v in raw]
         if len(values) != self.M:
             raise UsageError(f"encode needs {self.M} symbols, got {len(values)}")
-        file = [0] * self.base.params.M
-        for c, v in zip(self.free_cols, values):
-            file[c] = v
-        for c, constraint in self.constrained.items():
-            file[c] = dot_ints(self.spec, constraint, values)
-        return file
+        return values if self.encoder is None else matvec(self.spec, self.encoder, values)
 
     def decode(self, file: list[int]) -> list[int]:
         """Read the user symbols back off the free coordinates."""
@@ -124,18 +117,14 @@ class ShortenedCode:
 
     def put_matrix(self, nodes=None) -> list[list[int]]:
         """The M user symbols -> the values of the given live nodes (all of
-        them by default), node by node, alpha rows each: each node tensor
-        row restated over the user symbols through encode."""
+        them by default), node by node, alpha rows each: the node tensor
+        rows times encoder."""
         self._check_live(*(nodes or ()))
         rows = [row for h in (range(self.n) if nodes is None else nodes)
                 for row in self.base.node_tensor_rows(h)]
-        if not self.constrained:  # depth 0: the file is the user symbols
+        if self.encoder is None:  # depth 0: the file is the user symbols
             return [list(row) for row in rows]
-        column = {c: j for j, c in enumerate(self.free_cols)}
-        encode = [self.constrained[c] if c in self.constrained
-                  else [int(j == column[c]) for j in range(self.M)]
-                  for c in range(self.base.params.M)]
-        return matmul(self.spec, rows, encode)
+        return matmul(self.spec, rows, self.encoder)
 
     def parity_matrix(self) -> list[list[int]]:
         """The store's put: the M user symbols u -> the values of the parity

@@ -11,7 +11,7 @@ from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
-from atrahasis.tensors import ExtBasis, SymBasis
+from atrahasis.tensors import monomials
 from atrahasis.transforms import (SUBSPACE, ShortenedCode, central_repair_program,
                                   subspace_bandwidth)
 
@@ -111,16 +111,16 @@ def ext_product_ints(spec, k, vectors, monomial=()):
 def oracle_star_rows(spec, flavor, x, s, degree, targets=()):
     """tensors.star_rows from the dict products: each monomial's product
     densified over the inner basis, then tensored with x entry by entry."""
-    basis = SymBasis if flavor == SYMMETRIC else ExtBasis
     product = sym_product_ints if flavor == SYMMETRIC else ext_product_ints
-    inner = basis(len(s), 1 + degree + len(targets))
+    inner = monomials(flavor, len(s), 1 + degree + len(targets))
+    position = {mono: j for j, mono in enumerate(inner)}
     if flavor != SYMMETRIC and degree * len(targets) % 2:
         x = [spec.neg(v) for v in x]
     rows = []
-    for mono in basis(len(s), degree).index:
-        dense = [0] * inner.dim
+    for mono in monomials(flavor, len(s), degree):
+        dense = [0] * len(inner)
         for key, c in product(spec, len(s), [s, *targets], mono).items():
-            dense[inner.position[key]] = c
+            dense[position[key]] = c
         rows.append([spec.mul(xc, v) for xc in x for v in dense])
     return rows
 

@@ -254,6 +254,25 @@ def test_verify_spec_non_hex_star(tmp_path):
     assert_usage_error("verify", str(spec))
 
 
+@pytest.mark.parametrize("key", ["n", "k", "d", "t", "shorten.delta", "field.m"])
+def test_verify_rejects_booleans_as_ints(tmp_path, key):
+    # a JSON true where an int belongs is a malformed file (exit 2), not
+    # parameters of 1
+    spec = tmp_path / "fix.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    doc = json.loads(spec.read_text())
+    if key == "shorten.delta":
+        doc["shorten"] = {"delta": True, "pinned": [8]}
+    elif key == "field.m":
+        doc["field"]["m"] = True
+    else:
+        doc["params"][key] = True
+    write_rehashed(spec, doc)
+    assert main(["verify", str(spec)]) == 2
+    assert main(["shorten", str(spec), "--delta", "1",
+                 "--out", str(tmp_path / "short.spec")]) == 2
+
+
 def test_status_truncated_manifest(tmp_path):
     spec = tmp_path / "fix.spec"
     store = tmp_path / "store"

@@ -442,6 +442,70 @@ def test_failed_put_keeps_the_stored_file(tmp_path, fixture_doc, monkeypatch):
     assert out.read_bytes() == data
 
 
+def test_put_rejects_more_nodes_than_the_header_holds(tmp_path, fixture_doc):
+    # the blob header's node index is one byte: a 257-node code is refused
+    # before put takes the lock, so it creates no store and leaves an
+    # existing one as it was
+    big = family_document(rs_stars_t2(binary_field(12), 257, 2))
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"big")
+    with pytest.raises(UsageError, match="at most 256 nodes"):
+        Cluster(tmp_path / "fresh").put(big, src)
+    assert not (tmp_path / "fresh").exists()
+    cluster, _ = make_store(tmp_path, fixture_doc, b"stored")
+    with pytest.raises(UsageError, match="at most 256 nodes"):
+        cluster.put(big, src)
+    assert sorted(p.name for p in cluster.root.glob("node_*")) == [
+        f"node_{h}" for h in range(9)]
+    out = tmp_path / "out.bin"
+    cluster.get(out)
+    assert out.read_bytes() == b"stored"
+
+
+def test_fail_saves_the_manifest_before_deleting_the_blob(tmp_path, fixture_doc,
+                                                           monkeypatch):
+    # a fail whose manifest save runs out of space leaves node 2 live with
+    # its blob, so the file still reads back from nodes 0-4
+    cluster, _ = make_store(tmp_path, fixture_doc, b"kept")
+
+    def full_disk(self, manifest):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Cluster, "_save", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        cluster.fail(2)
+    monkeypatch.undo()
+    assert cluster.status()["node_status"][2] == "live"
+    assert (cluster.root / "node_2" / "chunks.blob").exists()
+    out = tmp_path / "out.bin"
+    cluster.get(out, nodes=[0, 1, 2, 3, 4])
+    assert out.read_bytes() == b"kept"
+
+
+def test_node_blob_roundtrip():
+    phash = bytes(range(8))
+    blob = cluster_module.blob_header(phash, 3)
+    assert len(blob) == cluster_module.HEADER_LEN == 16
+    assert blob[:4] == b"ATRA"
+    assert blob[4:8] == bytes([cluster_module.BLOB_VERSION, 3, 0, 0])
+    assert cluster_module.BLOB_VERSION == 4
+    assert blob[8:16] == phash
+
+
+def test_node_blob_validation():
+    # blob corruption on read is checked by the tests above; an index
+    # that does not fit the header's byte is refused, never wrapped
+    for node in (300, -1):
+        with pytest.raises(ValueError):
+            cluster_module.blob_header(bytes(8), node)
+    code, _ = parse_document(family_document(rs_stars_t2(binary_field(12), 257, 2)))
+    with pytest.raises(UsageError, match="at most 256 nodes"):
+        cluster_module.check_storable(code)
+    code, _ = parse_document(family_document(rs_stars_t2(prime_field(127), 6, 3)))
+    with pytest.raises(UsageError, match="binary-extension"):
+        cluster_module.check_storable(code)
+
+
 def test_put_needs_a_regular_file(tmp_path, fixture_doc):
     # the length prefix leads the stream, so put must know the size first
     with pytest.raises(UsageError, match="not a regular file"):

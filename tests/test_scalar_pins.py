@@ -71,7 +71,8 @@ def test_code_matrices_pinned(fixture):
     assert got == PINNED_MATRICES
 
 
-# depth -> sha256 of [free_cols, sorted constrained items] of the fixture
+# depth -> sha256 of [free_cols, sorted (column, encoder row) pairs of the
+# constrained columns] of the fixture
 PINNED_SHORTENINGS = {
     1: "e4960f6f0193a156bba98a32531bd03996fac254dfd5e7a738ceb1e46f7b0da8",
     2: "a3f2c1c800b471c4ca481f1fcbcbed6e2f2852afc829199e5fc8dc1073b23593",
@@ -81,7 +82,8 @@ PINNED_SHORTENINGS = {
 @pytest.mark.parametrize("depth", sorted(PINNED_SHORTENINGS))
 def test_shortening_parameterization_pinned(fixture, depth):
     code = shorten(fixture, depth)
-    got = _digest([code.free_cols, sorted(code.constrained.items())])
+    constrained = [(c, row) for c, row in enumerate(code.encoder) if c not in code.free_cols]
+    got = _digest([code.free_cols, constrained])
     assert got == PINNED_SHORTENINGS[depth]
 
 

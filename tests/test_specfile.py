@@ -5,7 +5,7 @@ import pytest
 
 from atrahasis import specfile
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
-from atrahasis.errors import CorruptDataError, UsageError
+from atrahasis.errors import CorruptDataError
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.transforms import ShortenedCode, shorten
 
@@ -94,6 +94,13 @@ def rehashed(doc):
     lambda doc: doc["second_stars"].__setitem__(0, "1"),
     lambda doc: doc.update(shorten={"delta": 1}),
     lambda doc: doc.update(shorten=[1]),
+    # JSON true is no int, though Python's bool is one
+    lambda doc: doc["params"].update(n=True),
+    lambda doc: doc["params"].update(k=True),
+    lambda doc: doc["params"].update(d=True),
+    lambda doc: doc["params"].update(t=True),
+    lambda doc: doc.update(shorten={"delta": True, "pinned": [8]}),
+    lambda doc: doc["field"].update(m=True),
 ])
 def test_malformed_spec_rejected(fixture_family, damage):
     doc = specfile.family_document(fixture_family)
@@ -111,19 +118,3 @@ def test_read_json_rejects_non_objects(tmp_path):
     with pytest.raises(CorruptDataError):
         specfile.parse_document([])
 
-
-def test_node_blob_roundtrip():
-    phash = bytes(range(8))
-    blob = specfile.encode_node_blob(phash, 3)
-    assert len(blob) == specfile.HEADER_LEN == 16
-    assert blob[:4] == b"ATRA"
-    assert blob[4:8] == bytes([specfile.BLOB_VERSION, 3, 0, 0])
-    assert specfile.BLOB_VERSION == 4
-    assert blob[8:16] == phash
-
-
-def test_node_blob_validation():
-    # blob corruption on read is checked by the cluster tests
-    for node in (300, -1):
-        with pytest.raises(UsageError):
-            specfile.encode_node_blob(bytes(8), node)
