@@ -6,19 +6,30 @@
     atrahasis fail     inject a node failure
     atrahasis repair   regenerate one failed node
     atrahasis repair2  regenerate two failed nodes through a central agent
+    atrahasis status   print the cluster's node states and ledger
     atrahasis verify   re-run the exhaustive axiom check on a spec file
     atrahasis sweep    witness the repair-span determinant for small cases
     atrahasis shorten  derive a shortened spec file
 
-Exit codes: 0 success, 1 reported failure (e.g. inconclusive sweep),
-2 usage, 3 infeasible parameters, 4 axiom violation, 5 not enough nodes.
+One table, COMMANDS, holds every command's handler, typed positionals
+and options (flag, help, type, default, required, choices); parse_args
+reads it, and --help prints it.  Option names match exactly, with no
+abbreviation; a value follows '=' or is the next argument, even one
+that starts with '-'; the global --json and --seed may come before or
+after the command.  The parser is a few dozen lines rather than
+argparse, which with gettext and locale cost each command about 6 ms of
+its start.
+
+Exit codes: 0 success (and --help), 1 reported failure (e.g. inconclusive
+sweep), 2 usage, 3 infeasible parameters, 4 axiom violation, 5 not enough
+nodes.  Every error, a parse error too, is one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections import namedtuple
 
 from . import specfile
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params, rs_patterns,
@@ -76,7 +87,7 @@ def parse_field(text: str) -> FieldSpec:
 
 
 def _parse_nodes(text: str) -> list[int] | None:
-    if text is None or text == "auto":
+    if text == "auto":
         return None
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -303,95 +314,205 @@ def cmd_shorten(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="atrahasis",
-        description="minimum-storage-regenerating codes: generation, "
-                    "verification and a storage-cluster simulator")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized operations (sweep)")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(namedtuple("Option", "flag help kind default required choices",
+                        defaults=(str, None, False, None))):
+    """One option of the command table, --flag VALUE.  Kind bool is a
+    flag that takes no value and sets True."""
 
-    p = sub.add_parser("gen", help="make and verify a code-spec file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--flavor", choices=(SYMMETRIC, EXTERIOR),
-                   help="default: the family's, else symmetric")
-    p.add_argument("--field", help="default: the family's, else gf16")
-    p.add_argument("--source", choices=("rs", "search", "spec-file"),
-                   default="search")
-    p.add_argument("--fixture")
-    p.add_argument("--x-pattern", help="comma-separated exponents")
-    p.add_argument("--y-pattern", help="comma-separated exponents")
-    p.add_argument("--spec-file", help="input spec for --source spec-file")
-    p.add_argument("--shorten-from",
-                   help="n,k,d of the primitive base to shorten onto the target")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    __slots__ = ()
 
-    p = sub.add_parser("verify", help="re-run the exhaustive axiom check")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_verify)
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
-    p = sub.add_parser("put", help="store a file onto a cluster")
-    p.add_argument("file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_put)
 
-    p = sub.add_parser("get", help="read the file back")
-    p.add_argument("out")
-    p.add_argument("--store", required=True)
-    p.add_argument("--nodes", help="comma-separated node indices (default: auto)")
-    p.set_defaults(func=cmd_get)
+# one command of the table: its handler, help line, positionals as
+# (dest, kind) pairs, and Options
+Command = namedtuple("Command", "handler help positionals options")
 
-    p = sub.add_parser("fail", help="inject a node failure")
-    p.add_argument("node", type=int)
-    p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_fail)
 
-    p = sub.add_parser("repair", help="regenerate one failed node")
-    p.add_argument("node", type=int)
-    p.add_argument("--store", required=True)
-    p.add_argument("--helpers", default="auto")
-    p.set_defaults(func=cmd_repair)
+GLOBAL_OPTIONS = (
+    Option("--json", "machine-readable output", bool, False),
+    Option("--seed", "seed for randomized operations (sweep)", int, 0),
+)
 
-    p = sub.add_parser("repair2", help="regenerate two failed nodes")
-    p.add_argument("first", type=int)
-    p.add_argument("second", type=int)
-    p.add_argument("--store", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default=SUBSPACE)
-    p.add_argument("--helpers", default="auto")
-    p.set_defaults(func=cmd_repair2)
+COMMANDS = {
+    "gen": Command(cmd_gen, "make and verify a code-spec file", (), (
+        Option("--n", "number of nodes", int),
+        Option("--k", "nodes that recover the file", int),
+        Option("--d", "helpers that repair a node", int),
+        Option("--flavor", "default: the family's, else symmetric",
+               choices=(SYMMETRIC, EXTERIOR)),
+        Option("--field", "gf<order>[/0x<poly>]; default: the family's, else gf16"),
+        Option("--source", "where the star vectors come from", default="search",
+               choices=("rs", "search", "spec-file")),
+        Option("--fixture", "a shipped family (atrahasis-956)"),
+        Option("--x-pattern", "comma-separated exponents"),
+        Option("--y-pattern", "comma-separated exponents"),
+        Option("--spec-file", "input spec for --source spec-file"),
+        Option("--shorten-from", "n,k,d of the primitive base to shorten onto the target"),
+        Option("--out", "spec file to write", required=True),
+    )),
+    "verify": Command(cmd_verify, "re-run the exhaustive axiom check",
+                      (("spec", str),), ()),
+    "put": Command(cmd_put, "store a file onto a cluster", (("file", str),), (
+        Option("--spec", "code-spec file", required=True),
+        Option("--store", "cluster directory", required=True),
+    )),
+    "get": Command(cmd_get, "read the file back", (("out", str),), (
+        Option("--store", "cluster directory", required=True),
+        Option("--nodes", "comma-separated node indices", default="auto"),
+    )),
+    "fail": Command(cmd_fail, "inject a node failure", (("node", int),), (
+        Option("--store", "cluster directory", required=True),
+    )),
+    "repair": Command(cmd_repair, "regenerate one failed node", (("node", int),), (
+        Option("--store", "cluster directory", required=True),
+        Option("--helpers", "comma-separated helper nodes", default="auto"),
+    )),
+    "repair2": Command(cmd_repair2, "regenerate two failed nodes",
+                       (("first", int), ("second", int)), (
+        Option("--store", "cluster directory", required=True),
+        Option("--strategy", "central repair strategy", default=SUBSPACE,
+               choices=STRATEGIES),
+        Option("--helpers", "comma-separated helper nodes", default="auto"),
+    )),
+    "status": Command(cmd_status, "print cluster status and ledger", (), (
+        Option("--store", "cluster directory", required=True),
+    )),
+    "sweep": Command(cmd_sweep, "determinant witness over small cases", (), (
+        Option("--alpha-cap", "largest alpha swept", int, required=True),
+        Option("--field", "field of the random draws", default="gf127"),
+        Option("--max-redraws", "draws per case before it is inconclusive", int, 10),
+        Option("--out", "write the report table to this path"),
+    )),
+    "shorten": Command(cmd_shorten, "derive a shortened spec file", (("spec", str),), (
+        Option("--delta", "how many times to shorten", int, required=True),
+        Option("--out", "spec file to write", required=True),
+    )),
+}
 
-    p = sub.add_parser("status", help="print cluster status and ledger")
-    p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_status)
 
-    p = sub.add_parser("sweep", help="determinant witness over small cases")
-    p.add_argument("--alpha-cap", type=int, required=True)
-    p.add_argument("--field", default="gf127")
-    p.add_argument("--max-redraws", type=int, default=10)
-    p.add_argument("--out", help="write the report table to this path")
-    p.set_defaults(func=cmd_sweep)
+class _Args:
+    """A parsed command line: one attribute per dest of the command's
+    options, positionals and the global options."""
 
-    p = sub.add_parser("shorten", help="derive a shortened spec file")
-    p.add_argument("spec")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_shorten)
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
-    return parser
+
+def _convert(name: str, kind, choices, text: str):
+    if kind is int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"{name} takes an integer, got {text!r}")
+    else:
+        value = text
+    if choices is not None and value not in choices:
+        raise UsageError(f"{name} takes one of {', '.join(choices)}, got {text!r}")
+    return value
+
+
+def parse_args(argv: list[str]):
+    """(handler, args) for a command line by the command table, or
+    (None, usage text) where it asks for -h/--help.  The global options
+    may come before or after the command; an option's value follows '='
+    or is the next argument, whatever it looks like; only exact option
+    names match.  Every error is a UsageError."""
+    options = {opt.flag: opt for opt in GLOBAL_OPTIONS}
+    values = {opt.dest: opt.default for opt in GLOBAL_OPTIONS}
+    command, given = None, []
+    rest = iter(argv)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None, _usage(command)
+        if arg[:1] != "-" or arg == "-" or arg[1:].isdigit():
+            if command is not None:
+                given.append(arg)
+                continue
+            if arg not in COMMANDS:
+                raise UsageError(f"unknown command {arg!r} "
+                                 f"(one of {', '.join(COMMANDS)})")
+            command = arg
+            for opt in COMMANDS[arg].options:
+                options[opt.flag] = opt
+                values[opt.dest] = opt.default
+            continue
+        flag, eq, value = arg.partition("=")
+        opt = options.get(flag)
+        if opt is None:
+            raise UsageError(f"unknown option {flag}"
+                             + (f" for {command}" if command else ""))
+        if opt.kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[opt.dest] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError(f"{flag} needs a value")
+        values[opt.dest] = _convert(flag, opt.kind, opt.choices, value)
+    if command is None:
+        raise UsageError("no command given (see atrahasis --help)")
+    handler, _, positionals, opts = COMMANDS[command]
+    if len(given) > len(positionals):
+        raise UsageError(f"{command}: unexpected argument {given[len(positionals)]!r}")
+    if len(given) < len(positionals):
+        raise UsageError(f"{command} needs {positionals[len(given)][0].upper()}")
+    for (dest, kind), text in zip(positionals, given):
+        values[dest] = _convert(dest.upper(), kind, None, text)
+    missing = [opt.flag for opt in opts if opt.required and values[opt.dest] is None]
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    return handler, _Args(values)
+
+
+def _option_lines(opts, *extra: tuple[str, str]) -> list[str]:
+    """One aligned line per option, then the extra (left, text) pairs."""
+    rows = []
+    for opt in opts:
+        left, text = opt.flag, opt.help
+        if opt.kind is not bool:
+            left += f" {{{','.join(opt.choices)}}}" if opt.choices else f" {opt.dest.upper()}"
+        if opt.required:
+            text += " (required)"
+        elif opt.default is not None and opt.kind is not bool:
+            text += f" (default: {opt.default})"
+        rows.append((left, text))
+    rows += extra
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {text}" for left, text in rows]
+
+
+def _usage(command: str | None) -> str:
+    """The help text of one command, or of atrahasis, from the table."""
+    if command is None:
+        return "\n".join([
+            "usage: atrahasis [--json] [--seed SEED] COMMAND ...", "",
+            "minimum-storage-regenerating codes: generation, verification "
+            "and a storage-cluster simulator", "", "commands:",
+            *(f"  {name:<9} {entry.help}" for name, entry in COMMANDS.items()), "",
+            "global options, before or after the command:",
+            *_option_lines(GLOBAL_OPTIONS,
+                           ("-h, --help", "show this help, or COMMAND --help"))])
+    _, text, positionals, opts = COMMANDS[command]
+    synopsis = [dest.upper() for dest, _ in positionals]
+    synopsis += [f"{opt.flag} {opt.dest.upper()}" if opt.required
+                 else f"[{opt.flag} {opt.dest.upper()}]" for opt in opts]
+    return "\n".join([f"usage: atrahasis {command} {' '.join(synopsis)}".rstrip(),
+                      "", text, "", "options:",
+                      *_option_lines(opts, ("--json, --seed SEED", "global options"))])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        if handler is None:
+            print(args)
+            return EXIT_OK
+        return handler(args)
     except (AtrahasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

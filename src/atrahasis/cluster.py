@@ -309,9 +309,10 @@ class Cluster:
             raise UsageError(f"no cluster at {self.root} (run put first)")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CorruptDataError("not a cluster manifest")
-        if manifest.get("version") != MANIFEST_VERSION:
+        version = manifest.get("version")
+        if type(version) is not int or version != MANIFEST_VERSION:  # 2.0 is no 2
             raise CorruptDataError(
-                f"cluster manifest is version {manifest.get('version')!r}, "
+                f"cluster manifest is version {version!r}, "
                 f"expected {MANIFEST_VERSION} (re-put the file)")
         missing = [key for key in MANIFEST_KEYS if key not in manifest]
         if missing:

@@ -9,7 +9,8 @@ that a value is canonical, made where a value comes in from outside.
 For m <= 8 a FieldSpec holds an inverse table and a q x q product table,
 both from one O(q) log/antilog walk over the powers of the smallest
 generator of GF(2^m)*; each row of the product table is built the first
-time it is read, since a command multiplies by few coefficients.  Larger
+time it is read, since a command multiplies by few coefficients, as one
+bytes.translate of the log table through a slice of the powers.  Larger
 binary fields multiply carry-less and invert by the extended Euclidean
 algorithm over GF(2)[z].
 
@@ -192,10 +193,12 @@ class FieldSpec:
                 exp.append(x)
             if len(exp) == n:
                 break
-        log = {x: i for i, x in enumerate(exp)}
-        logs = [log[a] for a in range(1, q)]
-        self._mul_table = _ProductRows(exp, logs)
-        self._inv_table = [0] + [exp[-la % n] for la in logs]
+        logs = bytearray(q)
+        for i, x in enumerate(exp):
+            logs[x] = i
+        logs[0] = n  # see _ProductRows
+        self._mul_table = _ProductRows(bytes(exp), bytes(logs))
+        self._inv_table = [0] + [exp[-logs[a] % n] for a in range(1, q)]
 
     # -- int-level arithmetic (values assumed reduced) --
 
@@ -300,21 +303,29 @@ class FieldSpec:
 
 class _ProductRows(dict):
     """a -> row a of the product table of GF(2^m), [a*b for b in range(q)],
-    built from the log/antilog tables the first time it is read: row a
-    is exp[log a + log b] for b = 1..q-1, after a zero for b = 0."""
+    built from the log/antilog tables the first time it is read.  logs
+    is bytes with logs[b] = log b, and logs[0] = q-1, an index past the
+    q-1 powers; exp2 is the powers exp[i] = g^i twice over.  Then row a
+    is one translate of logs through exp[log a + i] for i < q-1, padded
+    with zeros, so that b = 0 reads a zero."""
 
     __slots__ = ("_exp2", "_logs")
 
-    def __init__(self, exp: list[int], logs: list[int]):
-        super().__init__({0: [0] * (len(logs) + 1)})
+    def __init__(self, exp: bytes, logs: bytes):
+        super().__init__({0: [0] * len(logs)})
         self._exp2 = exp + exp
         self._logs = logs
 
-    def __missing__(self, a: int) -> list[int]:
+    def packed(self, a: int) -> bytes:
+        """Row a packed, one byte per entry."""
         logs = self._logs
-        la = logs[a - 1]
-        powers = self._exp2[la:la + len(logs)]  # exp[log a + i] for i < q-1
-        row = self[a] = [0, *map(powers.__getitem__, logs)]
+        if a == 0:
+            return bytes(len(logs))
+        la = logs[a]
+        return logs.translate(self._exp2[la:la + len(logs) - 1].ljust(256, b"\0"))
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = list(self.packed(a))
         return row
 
 
@@ -374,8 +385,9 @@ def _row_operations(spec: FieldSpec):
         tables = [None] * q
 
         def table(f: int) -> bytes:
-            row = products[f] if products is not None else [-f * b % q for b in range(q)]
-            tables[f] = bytes(row) + bytes(256 - q)
+            row = (products.packed(f) if products is not None
+                   else bytes([-f * b % q for b in range(q)]))
+            tables[f] = row.ljust(256, b"\0")
             return tables[f]
 
         def minus_times(f: int, row: bytes) -> bytes:

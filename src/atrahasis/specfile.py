@@ -90,8 +90,9 @@ def parse_document(doc: dict) -> tuple[ShortenedCode, bytes]:
         raise CorruptDataError("a code-spec document must be a JSON object")
     if doc.get("format") != SPEC_FORMAT:
         raise CorruptDataError(f"not a code-spec file (format={doc.get('format')!r})")
-    if doc.get("version") != SPEC_VERSION:
-        raise CorruptDataError(f"unsupported code-spec version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != SPEC_VERSION:  # JSON true is no 1
+        raise CorruptDataError(f"unsupported code-spec version {version!r}")
     digest = hashlib.sha256(_canonical_payload(doc))
     if doc.get("content_hash") != digest.hexdigest():
         raise CorruptDataError("code-spec content hash mismatch")

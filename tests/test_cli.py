@@ -9,6 +9,7 @@ import pytest
 
 from atrahasis import specfile
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
+from atrahasis import cli
 from atrahasis.cli import main, parse_field
 from atrahasis.cluster import Cluster
 from atrahasis.code import SYMMETRIC, rs_stars_t2
@@ -36,10 +37,11 @@ def test_parse_field():
 
 def test_algebra_imports_leave_numpy_unloaded():
     # no command needs numpy, and none may pay for importing it; nor for
-    # dataclasses, which imports inspect, ast, dis and tokenize
+    # dataclasses, which imports inspect, ast, dis and tokenize, nor for
+    # argparse, which imports gettext and, through it, locale
     modules = ("cli", "code", "search", "linalg", "fields", "transforms",
                "cluster", "bulk", "fixtures")
-    unwanted = {"numpy", "dataclasses", "inspect"}
+    unwanted = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
     script = (f"import sys\nbefore = set(sys.modules)\n"
               f"for name in {modules!r}:\n"
               f"    __import__('atrahasis.' + name)\n"
@@ -271,6 +273,25 @@ def test_verify_rejects_booleans_as_ints(tmp_path, key):
     assert main(["verify", str(spec)]) == 2
     assert main(["shorten", str(spec), "--delta", "1",
                  "--out", str(tmp_path / "short.spec")]) == 2
+
+
+def test_verify_rejects_boolean_spec_version(tmp_path):
+    # JSON true == 1 in Python, but it is no spec version
+    spec = tmp_path / "fix.spec"
+    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
+    doc = json.loads(spec.read_text())
+    doc["version"] = True
+    write_rehashed(spec, doc)
+    assert_usage_error("verify", str(spec))
+
+
+def test_status_rejects_float_manifest_version(tmp_path):
+    store = _put_hello(tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = 2.0
+    path.write_text(json.dumps(manifest))
+    assert_usage_error("status", "--store", str(store))
 
 
 def test_status_truncated_manifest(tmp_path):
@@ -974,3 +995,118 @@ def test_json_output_parses(tmp_path):
     payload = json.loads(out)
     assert payload["verified"] is True
     assert payload["params"]["n"] == 9
+
+
+# argv -> (handler, the values it must parse to, every one that argv
+# gives); every other dest of the command keeps its table default
+PARSES = {
+    "gen-defaults": (["gen", "--out", "x"], cli.cmd_gen,
+                     {"out": "x", "source": "search", "n": None, "flavor": None,
+                      "field": None, "json": False, "seed": 0}),
+    "gen-equals": (["--json", "gen", "--n=6", "--k", "3", "--d=4", "--out=x",
+                    "--source", "rs", "--field=gf16/0x13"], cli.cmd_gen,
+                   {"json": True, "n": 6, "k": 3, "d": 4, "out": "x",
+                    "source": "rs", "field": "gf16/0x13"}),
+    "gen-choice": (["gen", "--flavor", "exterior", "--out", "x"], cli.cmd_gen,
+                   {"flavor": "exterior", "out": "x"}),
+    "gen-last-wins": (["gen", "--out", "a", "--n", "5", "--out", "b", "--n=6"],
+                      cli.cmd_gen, {"out": "b", "n": 6}),
+    "verify": (["verify", "x.spec"], cli.cmd_verify, {"spec": "x.spec"}),
+    "put": (["put", "f.bin", "--spec", "s", "--store", "st"], cli.cmd_put,
+            {"file": "f.bin", "spec": "s", "store": "st"}),
+    "get-defaults": (["get", "o", "--store", "st"], cli.cmd_get,
+                     {"out": "o", "store": "st", "nodes": "auto"}),
+    "get-positional-last": (["get", "--store", "st", "--nodes=1,2", "o"], cli.cmd_get,
+                            {"out": "o", "store": "st", "nodes": "1,2"}),
+    "fail": (["fail", "3", "--store", "s"], cli.cmd_fail, {"node": 3, "store": "s"}),
+    "repair-negative-node": (["repair", "-1", "--store", "s"], cli.cmd_repair,
+                             {"node": -1, "store": "s", "helpers": "auto"}),
+    "repair2-defaults": (["repair2", "1", "9", "--store", "s"], cli.cmd_repair2,
+                         {"first": 1, "second": 9, "store": "s",
+                          "strategy": "subspace", "helpers": "auto"}),
+    "repair2-choice": (["repair2", "1", "9", "--strategy=naive", "--store", "s",
+                        "--strategy", "cascade", "--helpers", "0,2"], cli.cmd_repair2,
+                       {"first": 1, "second": 9, "store": "s",
+                        "strategy": "cascade", "helpers": "0,2"}),
+    "status-json-after": (["status", "--store", "s", "--json"], cli.cmd_status,
+                          {"store": "s", "json": True}),
+    "sweep-negative": (["sweep", "--alpha-cap", "-3"], cli.cmd_sweep,
+                       {"alpha_cap": -3, "field": "gf127", "max_redraws": 10,
+                        "out": None, "seed": 0}),
+    "sweep-globals": (["--seed=-2", "sweep", "--alpha-cap=5", "--seed", "7",
+                       "--max-redraws", "-1", "--json"], cli.cmd_sweep,
+                      {"alpha_cap": 5, "seed": 7, "max_redraws": -1, "json": True}),
+    "shorten-dash-value": (["shorten", "--out", "-y", "x.spec", "--delta", "-2"],
+                           cli.cmd_shorten, {"out": "-y", "spec": "x.spec", "delta": -2}),
+}
+
+
+@pytest.mark.parametrize("case", PARSES)
+def test_parse_args(case):
+    argv, handler, want = PARSES[case]
+    parsed_handler, args = cli.parse_args(argv)
+    assert parsed_handler is handler
+    got = vars(args)
+    assert {key: got[key] for key in want} == want
+    _, _, positionals, options = cli.COMMANDS[next(a for a in argv if a in cli.COMMANDS)]
+    defaults = {opt.dest: opt.default for opt in (*cli.GLOBAL_OPTIONS, *options)}
+    assert set(got) == set(defaults) | {dest for dest, _ in positionals}
+    assert all(got[key] == value for key, value in defaults.items() if key not in want)
+
+
+# argv -> a fragment of its one-line error
+PARSE_ERRORS = {
+    "no-command": ([], "no command"),
+    "only-globals": (["--json", "--seed", "3"], "no command"),
+    "unknown-command": (["frob"], "unknown command 'frob'"),
+    "unknown-option": (["status", "--store", "s", "--frob"], "unknown option --frob"),
+    "abbreviated-option": (["status", "--sto", "s"], "unknown option --sto"),
+    "command-option-first": (["--store", "s", "status"], "unknown option --store"),
+    "missing-required": (["put", "f", "--spec", "s"], "put needs --store"),
+    "missing-positional": (["fail", "--store", "s"], "fail needs NODE"),
+    "missing-second": (["repair2", "1", "--store", "s"], "repair2 needs SECOND"),
+    "extra-positional": (["fail", "1", "2", "--store", "s"], "unexpected argument '2'"),
+    "non-int-positional": (["fail", "x", "--store", "s"], "NODE takes an integer"),
+    "non-int-option": (["sweep", "--alpha-cap", "three"], "--alpha-cap takes an integer"),
+    "non-int-global": (["--seed=x", "sweep", "--alpha-cap", "3"], "--seed takes an integer"),
+    "bad-choice": (["repair2", "1", "2", "--store", "s", "--strategy", "best"],
+                   "--strategy takes one of naive, cascade, subspace"),
+    "bad-choice-equals": (["gen", "--out", "x", "--source=guess"], "--source takes one of"),
+    "missing-value": (["status", "--store"], "--store needs a value"),
+    "flag-with-value": (["--json=yes", "status", "--store", "s"], "--json takes no value"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_errors_exit_2_on_one_line(tmp_path, monkeypatch, capsys, case):
+    argv, fragment = PARSE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command_and_option(capsys, flag):
+    assert main([flag]) == 0
+    out = capsys.readouterr().out
+    for name in (*cli.COMMANDS, *(opt.flag for opt in cli.GLOBAL_OPTIONS)):
+        assert name in out
+    for command, (_, _, positionals, options) in cli.COMMANDS.items():
+        # help wins over a missing required option or positional
+        assert main([command, flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: atrahasis {command}")
+        for dest, _ in positionals:
+            assert dest.upper() in out
+        for opt in (*options, *cli.GLOBAL_OPTIONS):
+            assert opt.flag in out, (command, opt.flag)
+
+
+def test_help_exits_0_through_the_command():
+    code, out, err = run_cli("--json", "repair2", "--help")
+    assert (code, err) == (0, "")
+    assert "--strategy {naive,cascade,subspace}" in out
