@@ -83,7 +83,7 @@ class Planes(list):
                 for i in range(0, len(self), size)]
 
 
-class BitMatrix(namedtuple("BitMatrix", "rows ncols program")):
+class BitMatrix(namedtuple("BitMatrix", "rows ncols program starts")):
     """An exact matrix compiled once to an XOR program over bit-planes.
 
     rows are the field coefficients (bench/tracer.py counts them), ncols
@@ -93,7 +93,10 @@ class BitMatrix(namedtuple("BitMatrix", "rows ncols program")):
     table maps row masks to planes, one-bit mask 1 << e being input plane
     base + e, and each chain (mask, link, top) adds the entry of link XOR
     that of top; each (o, terms) of coefficients XORs, for each (b, mask)
-    of terms, the entry of mask into output plane o + b."""
+    of terms, the entry of mask into output plane o + b.  The first
+    starts[i] pairs of step i feed rows that are still zero, rows with
+    no plain coefficient that no earlier step fed: their entries are
+    assigned, not copied by an XOR with 0."""
 
     __slots__ = ()
 
@@ -212,7 +215,18 @@ class BulkField:
             for b in range(m):
                 selections.append(tuple([base + e for base, row_bits in parts
                                          for e in row_bits[b]]))
-        return BitMatrix(rows, len(rows[0]) if rows else 0, (tuple(selections), tuple(steps)))
+        # a nonzero coefficient has no zero row mask, so a row's planes
+        # are all selected or all zero; each step lists first the zero
+        # rows it starts
+        starts, seeded = [], {o for o in range(0, len(selections), m) if selections[o]}
+        for i, (base, chains, coefficients) in enumerate(steps):
+            first = [pair for pair in coefficients if pair[0] not in seeded]
+            rest = [pair for pair in coefficients if pair[0] in seeded]
+            seeded.update(o for o, _ in first)
+            steps[i] = (base, chains, tuple(first + rest))
+            starts.append(len(first))
+        return BitMatrix(rows, len(rows[0]) if rows else 0, (tuple(selections), tuple(steps)),
+                         tuple(starts))
 
     def matmul(self, matrix, planes: Planes) -> Planes:
         """Apply an (r x c) exact matrix, or its BitMatrix, to c*m planes
@@ -233,11 +247,14 @@ class BulkField:
             else:
                 out.append(planes[selected[0]] if selected else 0)
         units = self._units
-        for base, chains, coefficients in steps:
+        for (base, chains, coefficients), fresh in zip(steps, matrix.starts):
             table = dict(zip(units, planes[base:base + m]))
             for mask, link, top in chains:
                 table[mask] = table[link] ^ table[top]
-            for o, block in coefficients:
+            for o, block in coefficients[:fresh]:
+                for b, mask in block:
+                    out[o + b] = table[mask]
+            for o, block in coefficients[fresh:]:
                 for b, mask in block:
                     out[o + b] ^= table[mask]
         return Planes(out, planes.stripes)

@@ -23,11 +23,22 @@ its start.
 Exit codes: 0 success (and --help), 1 reported failure (e.g. inconclusive
 sweep), 2 usage, 3 infeasible parameters, 4 axiom violation, 5 not enough
 nodes.  Every error, a parse error too, is one `error:` line on stderr.
+
+main(argv) runs one command and returns its exit code; tests and
+benchmarks call it in-process.  run is the process entry (`python -m
+atrahasis` and the installed `atrahasis` script): it calls main, flushes
+stdout and stderr, and ends the process with os._exit, skipping the
+interpreter's teardown (module cleanup, gc, atexit), work that would
+start only after the command's output is complete.  A stdout that
+cannot take the output (a closed pipe) is one `error:` line and exit 1.
+Under a trace or profile hook, as coverage, debuggers and cProfile set,
+run ends with sys.exit, so that they still report at exit.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -506,6 +517,12 @@ def _usage(command: str | None) -> str:
                       *_option_lines(opts, ("--json, --seed SEED", "global options"))])
 
 
+def _report(exc: BaseException) -> int:
+    """Print exc as the one `error:` line -> its exit code by EXIT_CODES."""
+    print(f"error: {exc}", file=sys.stderr)
+    return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+
+
 def main(argv=None) -> int:
     try:
         handler, args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -514,9 +531,45 @@ def main(argv=None) -> int:
             return EXIT_OK
         return handler(args)
     except (AtrahasisError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return _report(exc)
+
+
+def _observed() -> bool:
+    """Whether a tool that reports at interpreter exit watches this one: a
+    trace or profile hook (coverage, debuggers, cProfile up to 3.11), or
+    a sys.monitoring tool (cProfile from 3.12)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile()
+                or monitoring and any(map(monitoring.get_tool, range(6))))
+
+
+def run():
+    """The atrahasis process: main, then stdout and stderr flushed, then
+    os._exit with main's code, which skips the interpreter's teardown
+    (module cleanup, gc, atexit).  That loses nothing: every file a
+    command writes is closed, and a store's also fsynced and renamed,
+    before main returns.  Under a tool that observes the exit it ends
+    with sys.exit instead.  An exception main does not handle
+    propagates."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # the reader has gone (BrokenPipeError) or the device failed, and
+        # what was left unwritten is lost.  stdout moves to /dev/null, so
+        # that no later flush, at teardown either, fails again.  A command
+        # that failed keeps its code: a print that failed in main was
+        # reported there, and fails here a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == EXIT_OK:
+            code = _report(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
