@@ -101,12 +101,17 @@ class BitMatrix(namedtuple("BitMatrix", "rows ncols program starts")):
     __slots__ = ()
 
 
+def require_binary(spec: FieldSpec) -> None:
+    """Reject a field the bit-sliced kernel cannot run, any but GF(2^m)."""
+    if spec.kind != BINARY:
+        raise UsageError("cluster storage requires a binary-extension field")
+
+
 class BulkField:
     """Bit-sliced matrix application over one binary field."""
 
     def __init__(self, spec: FieldSpec):
-        if spec.kind != BINARY:  # put's check: the store loads no other field
-            raise UsageError("cluster storage requires a binary-extension field")
+        require_binary(spec)
         self.spec = spec
         m, poly = spec.m, spec.reduction_poly
         # The rows of a bit-matrix side by side in one int, row b in bits

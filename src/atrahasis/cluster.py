@@ -34,13 +34,13 @@ systematic: nodes 0..k-1 hold the user symbols, so the body of node
 h < k is the stream's planes h*alpha*m .. (h+1)*alpha*m, batch by batch,
 byte for byte.  Every matrix applied comes from the store's
 ShortenedCode (transforms): put writes those slices as they are and
-applies parity_matrix for nodes k..n-1; get from nodes 0..k-1, in any
-order, copies their bytes, and from any other k live nodes applies their
-systematic_decode_matrix; repair and repair2 share one regeneration
-loop, in which each helper applies its send matrix to its blob and each
-failed node is one recovery matrix over all that was received.  The
-ledger is charged what was sent: d*beta symbols per chunk for repair,
-the strategy bandwidth for repair2.
+applies the transfer from nodes 0..k-1 to nodes k..n-1; get from nodes
+0..k-1, in any order, copies their bytes, and from any other k live
+nodes applies the transfer from them to nodes 0..k-1; repair and
+repair2 share one regeneration loop, in which each helper applies its
+send matrix to its blob and each failed node is one recovery matrix
+over all that was received.  The ledger is charged what was sent:
+d*beta symbols per chunk for repair, the strategy bandwidth for repair2.
 
 Every data command streams: it expands its matrices once, then works
 through the file one batch of BATCH_STRIPES stripes at a time, reading
@@ -76,9 +76,8 @@ from itertools import chain
 from pathlib import Path
 
 from . import specfile
-from .bulk import BulkField, Planes, bytes_to_symbols, symbols_to_bytes
+from .bulk import BulkField, Planes, bytes_to_symbols, require_binary, symbols_to_bytes
 from .errors import CorruptDataError, InsufficientNodesError, UsageError
-from .fields import BINARY
 from .transforms import SUBSPACE, ShortenedCode
 
 MANIFEST_FORMAT = "atrahasis-cluster"
@@ -114,8 +113,7 @@ def blob_header(phash: bytes, h: int) -> bytes:
 def check_storable(code: ShortenedCode) -> None:
     """Reject a code the blob layout cannot hold: one over a prime field,
     or with more than 256 nodes (the header's node index is one byte)."""
-    if code.spec.kind != BINARY:
-        raise UsageError("cluster storage requires a binary-extension field")
+    require_binary(code.spec)
     if code.n > 256:
         raise UsageError(f"a store holds at most 256 nodes; this code has {code.n}")
 
@@ -326,7 +324,7 @@ class Cluster:
 
     def _save(self, manifest):
         with closing(Staged(self.root / "manifest.json")) as staged:
-            staged.write(json.dumps(manifest, indent=2, sort_keys=True).encode())
+            staged.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode())
             staged.commit()
 
     def _pick_nodes(self, manifest: dict, code: ShortenedCode, op: str, nodes,
@@ -419,7 +417,7 @@ class Cluster:
             stack.enter_context(locked(self.root, create=True))
             length = info.st_size
             chunked = ChunkedFile.plan(length, code.M, code.spec.m)
-            parity = bulk.expand(code.parity_matrix())
+            parity = bulk.expand(code.transfer_matrix(range(code.k), range(code.k, code.n)))
             staged = self._stage_nodes(stack, phash, range(code.n))
             rows = code.M * code.spec.m
             a = code.alpha * code.spec.m
@@ -457,9 +455,11 @@ class Cluster:
             }
             self._save(manifest)
             nodes = {f"node_{h}" for h in range(code.n)}
-            for stale in self.root.glob("node_*"):
-                if stale.name not in nodes:
-                    shutil.rmtree(stale)
+            with os.scandir(self.root) as entries:
+                stale = [e.path for e in entries
+                         if e.name.startswith("node_") and e.name not in nodes]
+            for path in stale:
+                shutil.rmtree(path)
             return {"chunk_count": chunked.chunk_count, "nodes": code.n,
                     "symbols_per_chunk": code.M}
 
@@ -480,7 +480,7 @@ class Cluster:
             copy = sorted(nodes) == list(range(code.k))
             if not copy:
                 bulk = BulkField(code.spec)
-                decode = bulk.expand(code.systematic_decode_matrix(nodes))
+                decode = bulk.expand(code.transfer_matrix(nodes, range(code.k)))
             out = Path(out_path)
             if out.is_symlink():
                 out = out.resolve()  # write through a symlink, not over it

@@ -3,11 +3,11 @@
 A vector is a list of canonical ints and a matrix a list of such rows;
 nothing here checks the entries again (see fields.FieldSpec.check_value).
 All row reduction goes through one incremental engine, Echelon: rank,
-the determinant, the inverse, span coefficients and the nullspace are
-thin callers of it, and its inner loop is the FieldSpec row operation
-row - f*other.  Arithmetic is exact, so the pivot is simply the first
-nonzero column.  Reduction works on private copies; the caller's rows
-are never changed.
+the determinant, A^-1 B (the inverse is its B = I), span coefficients
+and the nullspace are thin callers of it, and its inner loop is the
+FieldSpec row operation row - f*other.  Arithmetic is exact, so the
+pivot is simply the first nonzero column.  Reduction works on private
+copies; the caller's rows are never changed.
 
 Echelon packs each row it is given into one Python int, one big-endian
 slot of FieldSpec.slot_bytes per entry (entry 0 in the most significant
@@ -42,25 +42,6 @@ def matvec(spec: FieldSpec, rows: list[list[int]], v: list[int]) -> list[int]:
             if a and b:
                 acc = add(acc, mul(a, b))
         out.append(acc)
-    return out
-
-
-def matmul(spec: FieldSpec, left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
-    """The product of two matrices given by their rows.  Each output row
-    is the sum of right's rows scaled by the entries of a row of left, one
-    FieldSpec.sub_scaled_row on packed rows per nonzero entry."""
-    if left and len(left[0]) != len(right):
-        raise UsageError(f"matmul of {len(left[0])} columns with {len(right)} rows")
-    nbytes = len(right[0]) * spec.slot_bytes if right else 0
-    packed = [spec.row_bytes(row) for row in right]
-    sub_scaled, neg = spec.sub_scaled_row, spec.neg
-    out = []
-    for row in left:
-        acc = 0
-        for f, other in zip(row, packed):
-            if f:
-                acc = sub_scaled(acc, neg(f), other)
-        out.append(spec.row_values(acc.to_bytes(nbytes, "big")))
     return out
 
 
@@ -259,14 +240,25 @@ def det(spec: FieldSpec, rows: list[list[int]]) -> int:
     return spec.neg(echelon.leading) if inversions % 2 else echelon.leading
 
 
-def invert(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]] | None:
-    """Inverse of a square matrix, or None when singular."""
+def inverse_times(spec: FieldSpec, rows: list[list[int]],
+                  right: list[list[int]]) -> list[list[int]] | None:
+    """A^-1 B for a square matrix A and a matrix B of as many rows, both
+    given by their rows, from one reduction of [A | B]; None when A is
+    singular."""
     n = len(rows)
-    aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    echelon = _echelon_of(spec, aug, n, 2 * n)
+    if len(right) != n or any(len(row) != n for row in rows):
+        raise UsageError(f"A^-1 B needs a square A and a B of its {n} rows")
+    echelon = _echelon_of(spec, [a + b for a, b in zip(rows, right)], n,
+                          n + (len(right[0]) if right else 0))
     if echelon.rank < n:
         return None
     return [row[n:] for row in echelon.reduced()[1]]
+
+
+def invert(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]] | None:
+    """Inverse of a square matrix, or None when singular."""
+    n = len(rows)
+    return inverse_times(spec, rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def nullspace_with_free(spec: FieldSpec, rows: list[list[int]]

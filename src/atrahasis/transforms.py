@@ -4,26 +4,26 @@ simultaneous failures.
 Shortening retires trailing nodes by constraining their contents to
 zero.  Encoding is one matrix, the systematic parameterization of the
 constraint nullspace (canonical echelon pivots), which the scalar encode
-and the store's put matrix both apply; download and repair drop the
-columns the retired nodes' zero contents and zero help messages would
-feed.  Depth delta turns an
-(n, k, d, alpha) instance into (n-delta, k-delta, d-delta, alpha),
-keeping d-k+1 and beta.  A ShortenedCode is the one code type of the
-store and the library's one scalar code API: every code-spec file
+applies; download, transfer and repair drop the columns the retired
+nodes' zero contents and zero help messages would feed.  Depth delta
+turns an (n, k, d, alpha) instance into (n-delta, k-delta, d-delta,
+alpha), keeping d-k+1 and beta.  A ShortenedCode is the one code type of
+the store and the library's one scalar code API: every code-spec file
 parses to one, and a plain star family is its depth 0.  It builds every
-matrix the store applies (put, decode, and the regeneration of one or
-two failed nodes), and its scalar encode, node_content, download,
-help_message and repair apply the same matrices to lists of ints; a file
-is the list of its base coordinates.  Values from outside are checked
-once, where these methods take them in.
+matrix the store applies (the transfer from any k nodes to others, and
+the regeneration of one or two failed nodes), and its scalar encode,
+node_content, download, help_message and repair apply the same matrices
+to lists of ints; a file is the list of its base coordinates.  Values
+from outside are checked once, where these methods take them in.
 
-The store keeps a file in the systematic basis: for user symbols u it
-stores the codeword of D0.u, D0 the decode matrix of nodes 0..k-1, so
-those nodes hold u unchanged (Rashmi, Shah, Kumar, IEEE Trans. IT 2011).
-Its put applies only parity_matrix, and its get systematic_decode_matrix
-or, from nodes 0..k-1, nothing; the repair programs are the same in any
-basis.  The scalar API keeps the plain basis, in which encode is the
-identity at depth 0.
+The store keeps a file in the systematic basis: nodes 0..k-1 hold the
+user symbols u unchanged (Rashmi, Shah, Kumar, IEEE Trans. IT 2011), and
+any k nodes determine the rest.  So put and get each apply one
+transfer_matrix, the values of some nodes as a function of k others: put
+the transfer from nodes 0..k-1 to the parity nodes, get the transfer
+from any other k nodes to nodes 0..k-1 or, from nodes 0..k-1, nothing.
+The repair programs are the same in any basis.  The scalar API keeps
+the plain basis, in which encode is the identity at depth 0.
 
 One builder, ShortenedCode.repair_program, rebuilds one failed node, or
 two at a central agent, on any t and either flavor: the d helpers'
@@ -43,7 +43,7 @@ from collections import namedtuple
 from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
                    help_matrix, send_matrix)
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, SpanSolver, matmul, matvec, nullspace_with_free
+from .linalg import Echelon, SpanSolver, inverse_times, matvec, nullspace_with_free
 
 
 NAIVE = "naive"
@@ -115,31 +115,26 @@ class ShortenedCode:
         self._check_live(h)
         return NodeContent(h, matvec(self.spec, self.base.node_tensor_rows(h), file))
 
-    def put_matrix(self, nodes=None) -> list[list[int]]:
-        """The M user symbols -> the values of the given live nodes (all of
-        them by default), node by node, alpha rows each: the node tensor
-        rows times encoder."""
-        self._check_live(*(nodes or ()))
-        rows = [row for h in (range(self.n) if nodes is None else nodes)
-                for row in self.base.node_tensor_rows(h)]
-        if self.encoder is None:  # depth 0: the file is the user symbols
-            return [list(row) for row in rows]
-        return matmul(self.spec, rows, self.encoder)
+    def transfer_matrix(self, sources, targets) -> list[list[int]]:
+        """The values of k distinct live source nodes -> the values of the
+        given live target nodes, node by node, alpha rows each.  With G(h)
+        node h's tensor rows and the pinned nodes' values zero, that is
+        G(targets) G(sources + pinned)^-1 cut to the sources' M columns,
+        from one reduction of [G(sources + pinned)^T | G(targets)^T]."""
+        sources, targets = list(sources), list(targets)
+        if len(sources) != self.k or len(set(sources)) != self.k:
+            raise UsageError(f"need exactly {self.k} distinct source nodes")
+        self._check_live(*sources, *targets)
+        known = sources + list(self.pinned)
 
-    def parity_matrix(self) -> list[list[int]]:
-        """The store's put: the M user symbols u -> the values of the parity
-        nodes k..n-1, (n-k)*alpha rows.  The store keeps the codeword of
-        D0.u, with D0 = decode_matrix(0..k-1), so that nodes 0..k-1 hold
-        u itself and only the parity nodes are computed."""
-        return matmul(self.spec, self.put_matrix(range(self.k, self.n)),
-                      self.decode_matrix(list(range(self.k))))
+        def columns(nodes):
+            return [list(column) for column in
+                    zip(*(row for h in nodes for row in self.base.node_tensor_rows(h)))]
 
-    def systematic_decode_matrix(self, nodes: list[int]) -> list[list[int]]:
-        """The store's get: the stacked values of k live nodes of the
-        codeword of D0.u (see parity_matrix) -> u.  decode_matrix(nodes)
-        gives D0.u, and the put rows of nodes 0..k-1 map it to what those
-        nodes hold, which is u."""
-        return matmul(self.spec, self.put_matrix(range(self.k)), self.decode_matrix(nodes))
+        solved = inverse_times(self.spec, columns(known), columns(targets))
+        if solved is None:
+            raise AxiomViolationError("download-span", subset=sorted(known))
+        return [list(row) for row in zip(*solved[:self.M])]
 
     def decode_matrix(self, nodes: list[int]) -> list[list[int]]:
         """The stacked values of k live nodes -> the M user symbols.  The

@@ -139,6 +139,33 @@ def central_repair_two(file, stars, f, g, helpers, strategy=SUBSPACE):
             program.plan)
 
 
+def reference_matmul(spec, left, right):
+    """The product of two matrices given by their rows, entry by entry."""
+    mul, add = spec.mul, spec.add
+    out = []
+    for row in left:
+        acc = [0] * (len(right[0]) if right else 0)
+        for a, other in zip(row, right):
+            if a:
+                acc = [add(x, mul(a, y)) for x, y in zip(acc, other)]
+        out.append(acc)
+    return out
+
+
+def put_rows(code, nodes):
+    """The user symbols -> the values of the given live nodes in the plain
+    basis: the nodes' tensor rows times the code's encoder."""
+    rows = [list(row) for h in nodes for row in code.base.node_tensor_rows(h)]
+    return rows if code.encoder is None else reference_matmul(code.spec, rows, code.encoder)
+
+
+def transfer_oracle(code, sources, targets):
+    """transfer_matrix as the product it replaced: the targets' put rows
+    times the decode matrix of the sources, the inverse of the sources'
+    and pinned nodes' tensor rows at the free coordinates."""
+    return reference_matmul(code.spec, put_rows(code, targets), code.decode_matrix(list(sources)))
+
+
 def naive_bandwidth(k: int, d: int) -> int:
     return d * (2 * k - 5)
 

@@ -158,9 +158,9 @@ def fixture_matrices():
     two-failure repair under each strategy, the first d live nodes
     helping."""
     code, _ = parse_document(family_document(atrahasis_956()))
-    yield "parity", code.parity_matrix()
+    yield "parity", code.transfer_matrix(range(code.k), range(code.k, code.n))
     for nodes in combinations(range(code.n), code.k):
-        yield f"decode {nodes}", code.systematic_decode_matrix(list(nodes))
+        yield f"decode {nodes}", code.transfer_matrix(nodes, range(code.k))
     repairs = [([f], SUBSPACE) for f in range(code.n)]
     repairs += [(list(pair), strategy) for pair in combinations(range(code.n), 2)
                 for strategy in STRATEGIES]

@@ -16,6 +16,7 @@ from atrahasis.code import SYMMETRIC, rs_stars_t2
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
+from conftest import put_rows
 
 
 def run_cli(*args):
@@ -506,7 +507,9 @@ def test_data_commands_run_without_numpy(tmp_path):
 
 # the manifest after put and after fail 3, and status then, as they were
 # when fail and status were implemented in cluster (the manifest records
-# the blob digests, so these follow the blob format, now version 4)
+# the blob digests, so these follow the blob format, now version 4); the
+# manifest digests are of its content written with indent=2, as it was
+# then, and the file itself is the compact form of the same content
 PUT_MANIFEST_SHA256 = "565835e4c8478774ba2bbc3beba28b3a8553b028950f900091e2d5e62a027438"
 FAIL_MANIFEST_SHA256 = "8d72b9655593ae5e032c767484498a29cb89986f8cc49d63494c632ec8ba2fd6"
 STATUS_AFTER_FAIL = {
@@ -518,17 +521,24 @@ STATUS_AFTER_FAIL = {
 }
 
 
+def _manifest_sha256(path):
+    content = json.loads(path.read_bytes())
+    assert path.read_bytes() == json.dumps(content, sort_keys=True,
+                                           separators=(",", ":")).encode()
+    return hashlib.sha256(json.dumps(content, indent=2, sort_keys=True).encode()).hexdigest()
+
+
 def test_fail_and_status_same_through_api_and_cli(tmp_path, capsys):
     data = tmp_path / "data.bin"
     data.write_bytes(bytes(range(256)) * 5)
     api = Cluster(tmp_path / "api")
     api.put(specfile.family_document(atrahasis_956()), data)
     manifest = api.root / "manifest.json"
-    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == PUT_MANIFEST_SHA256
+    assert _manifest_sha256(manifest) == PUT_MANIFEST_SHA256
     cli_store = tmp_path / "cli"
     shutil.copytree(api.root, cli_store)
     assert api.fail(3) == {"failed": 3}
-    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == FAIL_MANIFEST_SHA256
+    assert _manifest_sha256(manifest) == FAIL_MANIFEST_SHA256
     assert not (api.root / "node_3" / "chunks.blob").exists()
     assert api.status() == STATUS_AFTER_FAIL
     capsys.readouterr()
@@ -731,7 +741,7 @@ def test_old_blob_version_rejected(tmp_path):
     sc, _ = specfile.read_spec_file(tmp_path / "fix.spec")
     stream = bytes_to_symbols(len(b"hello").to_bytes(8, "little") + b"hello",
                               sc.M * sc.spec.m)
-    body = symbols_to_bytes(BulkField(sc.spec).matmul(sc.put_matrix([1]), stream))
+    body = symbols_to_bytes(BulkField(sc.spec).matmul(put_rows(sc, [1]), stream))
     assert len(body) == len(raw) - 16 and body != raw[16:]
     blob.write_bytes(raw[:4] + bytes([3]) + raw[5:16] + body)
     out = str(tmp_path / "out.bin")

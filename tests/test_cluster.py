@@ -20,8 +20,8 @@ from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.specfile import family_document, parse_document
 from atrahasis.transforms import STRATEGIES, SUBSPACE, central_repair_program
-from conftest import (bit_matrix_rows, pack_planes, program_xors, random_values, read_stripes,
-                      unpack_planes)
+from conftest import (bit_matrix_rows, pack_planes, program_xors, put_rows, random_values,
+                      read_stripes, unpack_planes)
 
 
 @pytest.fixture(scope="module")
@@ -217,13 +217,13 @@ def test_xors_per_batch_on_the_fixture(fixture_doc):
         return (sum(map(plain, matrices)),
                 sum(program_xors(bulk.expand(rows)) for rows in matrices))
 
-    assert plain(code.put_matrix()) == 3456
-    assert xors(code.parity_matrix()) == (4500, 2376)
+    assert plain(put_rows(code, range(code.n))) == 3456
+    assert xors(code.transfer_matrix(range(5), range(5, 9))) == (4500, 2376)
     assert plain(code.decode_matrix([0, 1, 2, 3, 4])) == 3276
-    assert code.systematic_decode_matrix([0, 1, 2, 3, 4]) == \
+    assert code.transfer_matrix([0, 1, 2, 3, 4], range(5)) == \
         [[int(i == j) for j in range(30)] for i in range(30)]
     assert plain(code.decode_matrix([4, 5, 6, 7, 8])) == 7006
-    assert xors(code.systematic_decode_matrix([4, 5, 6, 7, 8])) == (5769, 2957)
+    assert xors(code.transfer_matrix([4, 5, 6, 7, 8], range(5))) == (5769, 2957)
     sends, recover = code.repair_program([3], [0, 1, 2, 4, 5, 6])
     assert xors(*[S for _, S in sends], *recover) == (1107, 983)
     sends, recover = code.repair_program([2, 6], [0, 1, 3, 4, 5, 7], SUBSPACE)

@@ -8,8 +8,8 @@ from atrahasis.code import EXTERIOR, derive_params
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset,
-                              invert, matvec, nullspace_with_free, rank_of_rows)
-from atrahasis.linalg import matmul as packed_matmul
+                              inverse_times, invert, matvec, nullspace_with_free,
+                              rank_of_rows)
 from atrahasis.search import SearchConfig, grow_pool
 from atrahasis.tensors import rank_filter
 from conftest import random_values
@@ -239,8 +239,6 @@ def test_dimension_mismatch_errors(gf16):
         det(gf16, [[1, 2], [3]])
     with pytest.raises(UsageError):
         matvec(gf16, identity(2), [1, 2, 3])
-    with pytest.raises(UsageError):
-        packed_matmul(gf16, identity(2), identity(3))
     with pytest.raises(UsageError):
         SpanSolver(gf16, [[1, 2]], 2).coefficients_for([1, 2, 3])
     with pytest.raises(UsageError):
@@ -606,10 +604,44 @@ def test_first_deficient_subset_matches_gauss_jordan(problem):
     assert first_deficient_subset(spec, blocks, size, target, base) == expected
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ORACLE_FIELDS), st.data())
-def test_packed_matmul_matches_matvec(spec, data):
-    inner = data.draw(st.integers(1, 6))
-    left = data.draw(spliced_rows(spec, data.draw(st.integers(0, 5)), inner))
-    right = data.draw(spliced_rows(spec, inner, data.draw(st.integers(1, 6))))
-    assert packed_matmul(spec, left, right) == matmul(spec, left, right)
+# ---- A^-1 B ----
+
+# byte slots (GF(16), GF(256), GF(127)) and 16-bit slots (GF(4096),
+# GF(65521), the largest prime below 2^16)
+INVERSE_TIMES_FIELDS = (binary_field(4), binary_field(8), binary_field(12),
+                        prime_field(127), prime_field(65521))
+
+
+@pytest.mark.parametrize("spec", INVERSE_TIMES_FIELDS, ids=str)
+def test_inverse_times_solves_and_flags_singular(spec, rng):
+    for n in (1, 3, 6):
+        for width in (1, n, 7):
+            A = random_matrix(rng, spec, n, n)
+            while oracle_rank(spec, A) < n:
+                A = random_matrix(rng, spec, n, n)
+            B = random_matrix(rng, spec, n, width)
+            X = inverse_times(spec, A, B)
+            assert matmul(spec, A, X) == B
+            assert inverse_times(spec, A, identity(n)) == invert(spec, A)
+            if n > 1:
+                singular = A[:-1] + [A[0]]
+                assert inverse_times(spec, singular, B) is None
+    with pytest.raises(UsageError):
+        inverse_times(spec, identity(3)[:2], random_matrix(rng, spec, 2, 2))
+    with pytest.raises(UsageError):
+        inverse_times(spec, identity(3), random_matrix(rng, spec, 2, 2))
+    with pytest.raises(UsageError):
+        inverse_times(spec, identity(2), [[1, 2], [3]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INVERSE_TIMES_FIELDS), st.data())
+def test_inverse_times_matches_gauss_jordan(spec, data):
+    n = data.draw(st.integers(1, 6))
+    A = data.draw(spliced_rows(spec, n, n))
+    B = data.draw(spliced_rows(spec, n, data.draw(st.integers(1, 6))))
+    pivots, rows, _ = gauss_jordan(spec, [a + b for a, b in zip(A, B)], n)
+    expected = [row[n:] for row in rows] if len(pivots) == n else None
+    assert inverse_times(spec, A, B) == expected
+    if expected is not None:
+        assert matmul(spec, A, expected) == B

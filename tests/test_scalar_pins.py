@@ -20,6 +20,7 @@ from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import det, invert
 from atrahasis.search import sweep_small_cases
 from atrahasis.transforms import STRATEGIES, central_repair_program, shorten
+from conftest import put_rows
 
 
 def _plain(value):
@@ -36,7 +37,7 @@ def _shortened_matrix(code, name: str, *nodes):
     """A store matrix of a shortened code, as int rows: "put", "decode"
     (the given live nodes) or "repair" (failed node, then live helpers)."""
     if name == "put":
-        return code.put_matrix()
+        return put_rows(code, range(code.n))
     if name == "decode":
         return code.decode_matrix(list(nodes))
     f, *helpers = nodes

@@ -13,7 +13,8 @@ from atrahasis.linalg import matvec
 from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
                                   central_repair_program, shorten, subspace_bandwidth)
 from conftest import (cascade_bandwidth, central_repair_two, cutset_two_failure_bandwidth,
-                      naive_bandwidth, random_values, subspace_optimality_gap)
+                      naive_bandwidth, random_values, subspace_optimality_gap,
+                      transfer_oracle)
 
 
 def test_shorten_parameters(fixture_family):
@@ -112,6 +113,46 @@ def test_repair_matrix_matches_repair_program(name):
             sends, (recover,) = code.repair_program([f], helpers)
             assert sends == [(h, help_matrix(fam, h, f)) for h in helpers]
             assert recover == repair_matrix(fam, f, helpers)
+
+
+# (base family, depth): the codes whose store matrices transfer_matrix
+# must reproduce entry for entry
+TRANSFER_CODES = {
+    "fixture": (atrahasis_956, 0),
+    "rs-11-4-7-gf256": (lambda: rs_stars_t2(binary_field(8), 12, 5, SYMMETRIC), 1),
+    "rs-6-3-4-gf4096": (lambda: rs_stars_t2(binary_field(12), 6, 3, SYMMETRIC), 0),
+    "rs-12-5-8-ext-depth-2": (lambda: rs_stars_t2(binary_field(8), 12, 5, EXTERIOR), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFER_CODES))
+def test_transfer_matrix_matches_the_product_oracle(name):
+    # put's parity, and the dense get from every k live nodes, against the
+    # put rows times the decode matrix that the store used to multiply out
+    make, depth = TRANSFER_CODES[name]
+    code = ShortenedCode(make(), depth)
+    parity = range(code.k, code.n)
+    assert code.transfer_matrix(range(code.k), parity) == \
+        transfer_oracle(code, range(code.k), parity)
+    for nodes in combinations(range(code.n), code.k):
+        assert code.transfer_matrix(nodes, range(code.k)) == \
+            transfer_oracle(code, nodes, range(code.k))
+
+
+def test_transfer_matrix_rejects_bad_sources(gf16):
+    code = ShortenedCode(rs_stars_t2(gf16, 6, 3, SYMMETRIC), 1)
+    for sources in ([0], [0, 0], [0, 5], [0, -1]):
+        with pytest.raises(UsageError):
+            code.transfer_matrix(sources, [2])
+    with pytest.raises(UsageError):
+        code.transfer_matrix([0, 1], [5])
+    # a base whose last two nodes coincide: they do not span
+    fam = rs_stars_t2(gf16, 6, 3, SYMMETRIC)
+    broken = StarFamily(gf16, fam.params,
+                        fam.x_stars[:5] + [fam.x_stars[4]],
+                        fam.second_stars[:5] + [fam.second_stars[4]])
+    with pytest.raises(AxiomViolationError, match="download-span"):
+        ShortenedCode(broken, 0).transfer_matrix([0, 4, 5], [1])
 
 
 def test_shorten_detects_degenerate_base(gf16):
