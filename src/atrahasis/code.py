@@ -11,16 +11,17 @@ tensors of the node's / message's subspace.  Every such tensor, and
 every row of the repair-span axiom, is built by tensors.star_rows; the
 two flavors differ only in the insertion maps it reads.
 
-This module builds the family and the matrices of download, help and
-repair; transforms.ShortenedCode applies them to values (a plain family
-is its shortening of depth 0).  A family caches, per node, its basis
-tensors and the SpanSolver that restates any tensor of the node's
-subspace over them, which every send and help matrix of the node
-reuses.  Star vectors, files, node contents, help messages and every
-matrix are plain lists of canonical ints.  Values from outside are
+This module builds the family and its help and send matrices;
+transforms.ShortenedCode builds the download and repair matrices and
+applies them all to values (download_matrix and repair_matrix here are
+those of a plain family, its shortening of depth 0).  A family caches,
+per node, its basis tensors and the SpanSolver that restates any tensor
+of the node's subspace over them, which every send and help matrix of
+the node reuses.  Star vectors, files, node contents, help messages and
+every matrix are plain lists of canonical ints.  Values from outside are
 checked once, as they come in: StarFamily checks its star entries, and
-ShortenedCode the user's symbols and the node contents and help
-messages it is given; nothing built from them is checked again.
+ShortenedCode the user's symbols and the node contents and help messages
+it is given; nothing built from them is checked again.
 
 Everything here is a pure function of its inputs, which it never
 changes; the matrices for distinct nodes may be built concurrently.
@@ -34,7 +35,7 @@ from math import comb
 from .errors import (AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, UsageError)
 from .fields import FieldSpec
-from .linalg import SpanSolver, first_deficient_subset, invert
+from .linalg import SpanSolver, first_deficient_subset
 from .tensors import EXTERIOR, SYMMETRIC, rank_filter, star_rows
 
 
@@ -233,16 +234,9 @@ class HelpMessage(namedtuple("HelpMessage", "helper failed values")):
 
 def download_matrix(stars: StarFamily, indices: list[int]) -> list[list[int]]:
     """The M x M decode matrix for a node subset: stacked values -> file."""
-    p = stars.params
-    if len(indices) != p.k or len(set(indices)) != p.k:
-        raise UsageError(f"download needs exactly {p.k} distinct nodes")
-    rows = []
-    for h in indices:
-        rows.extend(stars.node_tensor_rows(h))
-    Ainv = invert(stars.spec, rows)
-    if Ainv is None:
-        raise AxiomViolationError("download-span", subset=sorted(indices))
-    return Ainv
+    # transforms imports this module, so the import waits for the call
+    from .transforms import ShortenedCode
+    return ShortenedCode(stars, 0).decode_matrix(indices)
 
 
 def send_matrix(stars: StarFamily, h: int, tensor_rows: list[list[int]]) -> list[list[int]]:

@@ -3,11 +3,13 @@
 A vector is a list of canonical ints and a matrix a list of such rows;
 nothing here checks the entries again (see fields.FieldSpec.check_value).
 All row reduction goes through one incremental engine, Echelon: rank,
-the determinant, A^-1 B (the inverse is its B = I), span coefficients
-and the nullspace are thin callers of it, and its inner loop is the
-FieldSpec row operation row - f*other.  Arithmetic is exact, so the
-pivot is simply the first nonzero column.  Reduction works on private
-copies; the caller's rows are never changed.
+the determinant and SpanSolver are thin callers of it, and its inner
+loop is the FieldSpec row operation row - f*other.  SpanSolver is the
+one solve, target rows restated over fixed generators; every matrix
+the code builds is one, and an inverse is the unit rows over square
+generators of full rank.  Arithmetic is exact, so the pivot is simply
+the first nonzero column.  Reduction works on private copies; the
+caller's rows are never changed.
 
 Echelon packs each row it is given into one Python int, one big-endian
 slot of FieldSpec.slot_bytes per entry (entry 0 in the most significant
@@ -15,8 +17,8 @@ slot; see fields).  Entry c of an n-entry row is a shift by
 (n-1-c)*8*slot_bytes bits and a mask; the pivot is the bit length of
 the row shifted past its augmented columns; a row operation is one
 FieldSpec.sub_scaled_row on the whole int.  The kept rows are stored as
-packed bytes, the operand of that operation.  reduce() and reduced()
-hand rows back as lists of ints.
+packed bytes, the operand of that operation.  reduce() hands a row
+back as a list of ints.
 
 first_deficient_subset certifies spanning conditions over every subset
 of a collection of row blocks: it walks the subsets depth first and
@@ -138,27 +140,6 @@ class Echelon:
         self.sweep([[self.pack(row)]], rank + 1)
         return len(self._kept) > rank
 
-    def reduced(self) -> tuple[list[int], list[list[int]]]:
-        """(pivot columns, rows) of the reduced row echelon form.
-
-        Back-substitution clears each pivot column in the rows kept
-        before it (the rows kept after it are zero there already); sorted
-        by pivot column, the rows are then the unique reduced form of the
-        kept rows' span.
-        """
-        spec, mask, nbytes = self.spec, self._mask, self._nbytes
-        sub_scaled = spec.sub_scaled_row
-        rows = [int.from_bytes(row, "big") for _, row in self._kept]
-        for j in range(len(rows) - 1, 0, -1):
-            shift, prow = self._kept[j][0], rows[j].to_bytes(nbytes, "big")
-            for i in range(j):
-                f = rows[i] >> shift & mask
-                if f:
-                    rows[i] = sub_scaled(rows[i], f, prow)
-        by_pivot = sorted(zip(self.pivots, rows))
-        return ([c for c, _ in by_pivot],
-                [spec.row_values(row.to_bytes(nbytes, "big")) for _, row in by_pivot])
-
 
 def _echelon_of(spec: FieldSpec, rows, width: int, length: int | None = None) -> Echelon:
     echelon = Echelon(spec, width, length)
@@ -238,50 +219,6 @@ def det(spec: FieldSpec, rows: list[list[int]]) -> int:
     inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
                      if p[i] > p[j])
     return spec.neg(echelon.leading) if inversions % 2 else echelon.leading
-
-
-def inverse_times(spec: FieldSpec, rows: list[list[int]],
-                  right: list[list[int]]) -> list[list[int]] | None:
-    """A^-1 B for a square matrix A and a matrix B of as many rows, both
-    given by their rows, from one reduction of [A | B]; None when A is
-    singular."""
-    n = len(rows)
-    if len(right) != n or any(len(row) != n for row in rows):
-        raise UsageError(f"A^-1 B needs a square A and a B of its {n} rows")
-    echelon = _echelon_of(spec, [a + b for a, b in zip(rows, right)], n,
-                          n + (len(right[0]) if right else 0))
-    if echelon.rank < n:
-        return None
-    return [row[n:] for row in echelon.reduced()[1]]
-
-
-def invert(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]] | None:
-    """Inverse of a square matrix, or None when singular."""
-    n = len(rows)
-    return inverse_times(spec, rows, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def nullspace_with_free(spec: FieldSpec, rows: list[list[int]]
-                        ) -> tuple[list[list[int]], list[int]]:
-    """Canonical kernel basis from the reduced echelon form, plus the
-    free columns it is systematic in.
-
-    The basis vector paired with free column f has a 1 at f and zeros at
-    every other free column, so coordinates in this basis can be read
-    off any kernel vector at the free positions.
-    """
-    ncols = len(rows[0]) if rows else 0
-    pivots, reduced = _echelon_of(spec, rows, ncols).reduced()
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in zip(reduced, pivots):
-            v[c] = spec.neg(row[f])
-        basis.append(v)
-    return basis, free
 
 
 class SpanSolver:

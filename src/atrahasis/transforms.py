@@ -2,19 +2,20 @@
 simultaneous failures.
 
 Shortening retires trailing nodes by constraining their contents to
-zero.  Encoding is one matrix, the systematic parameterization of the
-constraint nullspace (canonical echelon pivots), which the scalar encode
-applies; download, transfer and repair drop the columns the retired
-nodes' zero contents and zero help messages would feed.  Depth delta
-turns an (n, k, d, alpha) instance into (n-delta, k-delta, d-delta,
-alpha), keeping d-k+1 and beta.  A ShortenedCode is the one code type of
-the store and the library's one scalar code API: every code-spec file
-parses to one, and a plain star family is its depth 0.  It builds every
-matrix the store applies (the transfer from any k nodes to others, and
-the regeneration of one or two failed nodes), and its scalar encode,
-node_content, download, help_message and repair apply the same matrices
-to lists of ints; a file is the list of its base coordinates.  Values
-from outside are checked once, where these methods take them in.
+zero.  A node holds the file evaluated at its basis tensors, so the
+transfer, the decode and the encoder (built on first read) are one
+solve, ShortenedCode._solve: target tensors restated over the pinned
+nodes' (worth zero) and the sources', keeping the sources' columns.
+Repair drops the columns the retired nodes' zero help messages would
+feed.  Depth delta turns an (n, k, d, alpha) instance into (n-delta,
+k-delta, d-delta, alpha), keeping d-k+1 and beta.  A ShortenedCode is the
+one code type of the store and the library's one scalar code API: every
+code-spec file parses to one, and a plain star family is its depth 0.  It
+builds every matrix the store applies (the transfer from any k nodes to
+others, and the regeneration of one or two failed nodes), and its scalar
+encode, node_content, download, help_message and repair apply the same
+matrices to lists of ints; a file is the list of its base coordinates.
+Values from outside are checked once, where these methods take them in.
 
 The store keeps a file in the systematic basis: nodes 0..k-1 hold the
 user symbols u unchanged (Rashmi, Shah, Kumar, IEEE Trans. IT 2011), and
@@ -39,11 +40,11 @@ form of the last.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
-from .code import (HelpMessage, NodeContent, StarFamily, download_matrix,
-                   help_matrix, send_matrix)
+from .code import HelpMessage, NodeContent, StarFamily, help_matrix, send_matrix
 from .errors import AxiomViolationError, UsageError
-from .linalg import Echelon, SpanSolver, inverse_times, matvec, nullspace_with_free
+from .linalg import Echelon, SpanSolver, matvec
 
 
 NAIVE = "naive"
@@ -60,10 +61,10 @@ class ShortenedCode:
     shrinks to (k-depth)*alpha user symbols, and d-k+1, alpha, beta are
     untouched.  Live nodes are the base indices 0..n-depth-1.
 
-    Encoding is one matrix, encoder (M_base x M, the transpose of the
-    constraint nullspace's systematic basis): the unit row of user symbol
-    j at column free_cols[j], the constraint's solution elsewhere.  At
-    depth 0 encoder is None: the file is the user symbols.
+    The user symbols sit at free_cols, the columns no pivot of the pinned
+    nodes' tensor rows.  Encoding is one matrix, encoder (M_base x M),
+    built on first read; at depth 0 it is None: the file is the user
+    symbols.
     """
 
     def __init__(self, base: StarFamily, depth: int):
@@ -80,22 +81,22 @@ class ShortenedCode:
         self.k = p.k - depth
         self.d = p.d - depth
         self.M = self.k * p.alpha
-        self.free_cols = list(range(p.M))
-        self.encoder = None
-        if depth == 0:
-            return
-        constraint_rows = []
-        for h in self.pinned:
-            constraint_rows.extend(base.node_tensor_rows(h))
-        # systematic parameterization of the constraint nullspace: user
-        # symbols sit at the free columns and read back directly
-        basis, self.free_cols = nullspace_with_free(self.spec, constraint_rows)
-        if len(basis) != self.M:
+        constraint = Echelon(self.spec, p.M)
+        for row in self._rows(self.pinned):
+            constraint.offer(row)
+        if constraint.rank != depth * p.alpha:
             raise AxiomViolationError(
                 "shorten-constraint", subset=self.pinned,
-                message=f"pinning {depth} nodes cut {p.M - len(basis)} "
+                message=f"pinning {depth} nodes cut {constraint.rank} "
                         f"dimensions, expected {depth * p.alpha}")
-        self.encoder = [list(row) for row in zip(*basis)]
+        pivots = set(constraint.pivots)
+        self.free_cols = [c for c in range(p.M) if c not in pivots]
+
+    @cached_property
+    def encoder(self) -> list[list[int]] | None:
+        """Every unit tensor restated over the free ones: row c gives the
+        file's coordinate c as a combination of the user symbols."""
+        return self._solve(None, self._units(range(self.base.params.M))) if self.depth else None
 
     def encode(self, raw) -> list[int]:
         """Map (k-depth)*alpha user symbols, each checked to be a canonical
@@ -117,32 +118,45 @@ class ShortenedCode:
 
     def transfer_matrix(self, sources, targets) -> list[list[int]]:
         """The values of k distinct live source nodes -> the values of the
-        given live target nodes, node by node, alpha rows each.  With G(h)
-        node h's tensor rows and the pinned nodes' values zero, that is
-        G(targets) G(sources + pinned)^-1 cut to the sources' M columns,
-        from one reduction of [G(sources + pinned)^T | G(targets)^T]."""
-        sources, targets = list(sources), list(targets)
-        if len(sources) != self.k or len(set(sources)) != self.k:
-            raise UsageError(f"need exactly {self.k} distinct source nodes")
-        self._check_live(*sources, *targets)
-        known = sources + list(self.pinned)
-
-        def columns(nodes):
-            return [list(column) for column in
-                    zip(*(row for h in nodes for row in self.base.node_tensor_rows(h)))]
-
-        solved = inverse_times(self.spec, columns(known), columns(targets))
-        if solved is None:
-            raise AxiomViolationError("download-span", subset=sorted(known))
-        return [list(row) for row in zip(*solved[:self.M])]
+        given live target nodes, node by node, alpha rows each."""
+        targets = list(targets)
+        self._check_live(*targets)
+        return self._solve(sources, self._rows(targets))
 
     def decode_matrix(self, nodes: list[int]) -> list[list[int]]:
-        """The stacked values of k live nodes -> the M user symbols.  The
-        pinned nodes' zero values are sliced away, and only the free (user)
-        coordinates of the base file are kept."""
-        self._check_live(*nodes)
-        D = download_matrix(self.base, list(nodes) + list(self.pinned))
-        return [D[c][:self.k * self.alpha] for c in self.free_cols]
+        """The stacked values of k distinct live nodes -> the M user
+        symbols, the file's coordinates at the free columns."""
+        return self._solve(nodes, self._units(self.free_cols))
+
+    def _solve(self, sources, targets) -> list[list[int]]:
+        """Each target tensor row restated over the pinned nodes' rows,
+        then the sources' rows: those of k distinct live nodes, or with
+        sources None the unit rows at the free columns.  The pinned
+        nodes' values are zero, so only the last M coefficients, one per
+        source value, are kept."""
+        known = list(self.pinned)
+        if sources is None:
+            rows = self._units(self.free_cols)
+        else:
+            sources = list(sources)
+            if len(sources) != self.k or len(set(sources)) != self.k:
+                raise UsageError(f"need exactly {self.k} distinct source nodes")
+            self._check_live(*sources)
+            rows, known = self._rows(sources), sources + known
+        width = self.base.params.M
+        solver = SpanSolver(self.spec, self._rows(self.pinned) + rows, width)
+        if solver.rank < width:
+            raise AxiomViolationError("download-span", subset=sorted(known))
+        return [row[-self.M:] for row in solver.coefficient_rows(targets)]
+
+    def _rows(self, nodes) -> list[list[int]]:
+        """The base tensor rows of the given nodes, stacked."""
+        return [row for h in nodes for row in self.base.node_tensor_rows(h)]
+
+    def _units(self, columns) -> list[list[int]]:
+        """The unit rows of the file's coordinates at the given columns."""
+        width = self.base.params.M
+        return [[int(c == j) for j in range(width)] for c in columns]
 
     def repair_matrix(self, f: int, helpers: list[int]) -> list[list[int]]:
         """The help messages of d live helpers -> node f's values.  The

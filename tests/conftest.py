@@ -152,6 +152,33 @@ def reference_matmul(spec, left, right):
     return out
 
 
+def gauss_jordan(spec, rows, width):
+    """(pivot columns, reduced rows, determinant factor) by textbook
+    Gauss-Jordan over the first `width` columns, one entry at a time with
+    spec.mul, spec.sub and spec.inv only.  The factor is the product of
+    the pivots with the sign of the row swaps; it is the determinant of
+    a square matrix of full rank."""
+    rows = [list(row) for row in rows]
+    pivots, factor = [], 1
+    for c in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        if pick != r:
+            rows[r], rows[pick] = rows[pick], rows[r]
+            factor = spec.sub(0, factor)
+        lead = rows[r][c]
+        factor = spec.mul(factor, lead)
+        rows[r] = [spec.mul(spec.inv(lead), v) for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)], factor
+
+
 def put_rows(code, nodes):
     """The user symbols -> the values of the given live nodes in the plain
     basis: the nodes' tensor rows times the code's encoder."""

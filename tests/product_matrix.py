@@ -5,8 +5,9 @@ This is an independent oracle for the t = 2 flavor of the tensor
 construction: download follows the pairwise decoupling argument (2x2
 solves, then span completion row by row), repair the stacked d x d
 helper solve.  Nothing here touches the tensor machinery: vectors are
-int lists, matrices int rows with the local helpers below, and the one
-library call is linalg.invert.
+int lists, matrices int rows with the local helpers below, and inverses
+come from the tests' textbook gauss_jordan; nothing calls the library's
+linear algebra.
 
 File packers map M = k(k-1) raw symbols to and from the free entries:
 row-major upper triangle including the diagonal for symmetric matrices,
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from atrahasis.errors import AxiomViolationError, UsageError
 from atrahasis.fields import FieldSpec
-from atrahasis.linalg import invert
+from conftest import gauss_jordan
 
 
 def dot(spec: FieldSpec, a: list[int], b: list[int]) -> int:
@@ -41,6 +42,15 @@ def transpose(rows: list[list[int]]) -> list[list[int]]:
 def matmul(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = transpose(b)
     return [[dot(spec, row, col) for col in cols] for row in a]
+
+
+def invert(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]] | None:
+    """Inverse of a square matrix by Gauss-Jordan on [A | I], or None
+    when it is singular."""
+    n = len(rows)
+    pivots, reduced, _ = gauss_jordan(
+        spec, [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
+    return [row[n:] for row in reduced] if len(pivots) == n else None
 
 
 def _plus_scaled(spec: FieldSpec, a: list[int], c: int, b: list[int]) -> list[int]:

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from atrahasis.code import EXTERIOR, derive_params
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
-from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset,
-                              inverse_times, invert, matvec, nullspace_with_free,
+from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset, matvec,
                               rank_of_rows)
 from atrahasis.search import SearchConfig, grow_pool
 from atrahasis.tensors import rank_filter
-from conftest import random_values
+from conftest import gauss_jordan, random_values
 
 # GF(2) and GF(16) have characteristic 2; GF(7) makes the sign matter
 FIELDS = (binary_field(1), binary_field(4), prime_field(7))
@@ -41,6 +40,36 @@ def solve(spec, A, b):
     """x with A x = b, or None: b must lie in the span of A's columns,
     and the coefficients over the columns are x."""
     return SpanSolver(spec, transpose(A), len(A)).coefficients_for(b)
+
+
+def inverse_times(spec, A, B):
+    """A^-1 B for a square A, or None when A is singular: B's columns
+    restated over A's columns."""
+    n = len(A)
+    solver = SpanSolver(spec, transpose(A), n)
+    return transpose(solver.coefficient_rows(transpose(B))) if solver.rank == n else None
+
+
+def invert(spec, A):
+    return inverse_times(spec, A, identity(len(A)))
+
+
+def nullspace_with_free(spec, A):
+    """A's kernel basis systematic in the free columns, built as a
+    shortening builds its encoder: the free columns are those that are no
+    pivot of A's echelon, and kernel vector j holds each unit row's
+    coefficient on the unit row at free column j, over A's rows plus the
+    unit rows at the free columns."""
+    ncols = len(A[0])
+    echelon = Echelon(spec, ncols)
+    for row in A:
+        echelon.offer(row)
+    pivots = echelon.pivots
+    free = [c for c in range(ncols) if c not in pivots]
+    units = identity(ncols)
+    solver = SpanSolver(spec, A + [units[f] for f in free], ncols)
+    coefficients = solver.coefficient_rows(units)
+    return transpose([row[len(A):] for row in coefficients]), free
 
 
 def combine(spec, coeffs, rows):
@@ -245,8 +274,6 @@ def test_dimension_mismatch_errors(gf16):
         SpanSolver(gf16, [[1, 2, 3]], 2)
     with pytest.raises(UsageError):
         det(gf16, [[0] * 3] * 2)
-    with pytest.raises(UsageError):
-        invert(gf16, [[0] * 3] * 2)
 
 
 # ---- the engine against independent oracles ----
@@ -324,25 +351,21 @@ def test_span_solver_iff_rank_condition(problem, data):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_rows=7, max_cols=7), st.randoms(use_true_random=False))
-def test_reduced_form_is_unique(problem, random):
-    """The reduced form depends only on the row space, not on the order
-    the rows are offered in."""
+def test_pivot_columns_depend_only_on_the_row_space(problem, random):
+    """Offered in any order, the rows give the same pivot columns: the
+    leading columns of the row space, which a shortening's free columns
+    are the complement of."""
     spec, A = problem
 
-    def reduced(rows):
+    def pivots(rows):
         echelon = Echelon(spec, len(A[0]))
         for row in rows:
             echelon.offer(row)
-        return echelon.reduced()
+        return sorted(echelon.pivots)
 
     shuffled = A[:]
     random.shuffle(shuffled)
-    pivots, rows = reduced(A)
-    assert (pivots, rows) == reduced(shuffled)
-    assert pivots == sorted(pivots)
-    for row, c in zip(rows, pivots):
-        assert row[c] == 1 and not any(row[:c])
-        assert [r[c] for r in rows].count(0) == len(rows) - 1
+    assert pivots(A) == pivots(shuffled) == gauss_jordan(spec, A, len(A[0]))[0]
 
 
 # GF(2^9) has no multiplication table: the carry-less row path
@@ -477,33 +500,6 @@ ORACLE_FIELDS = (tuple(binary_field(m) for m in range(1, 17))
                  + tuple(prime_field(p) for p in (2, 3, 7, 31, 127, 131, 251)))
 
 
-def gauss_jordan(spec, rows, width):
-    """(pivot columns, reduced rows, determinant factor) by textbook
-    Gauss-Jordan over the first `width` columns, one entry at a time with
-    spec.mul, spec.sub and spec.inv only.  The factor is the product of
-    the pivots with the sign of the row swaps; it is the determinant of
-    a square matrix of full rank."""
-    rows = [list(row) for row in rows]
-    pivots, factor = [], 1
-    for c in range(width):
-        r = len(pivots)
-        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pick is None:
-            continue
-        if pick != r:
-            rows[r], rows[pick] = rows[pick], rows[r]
-            factor = spec.sub(0, factor)
-        lead = rows[r][c]
-        factor = spec.mul(factor, lead)
-        rows[r] = [spec.mul(spec.inv(lead), v) for v in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots, rows[:len(pivots)], factor
-
-
 def oracle_rank(spec, rows):
     return len(gauss_jordan(spec, rows, len(rows[0]) if rows else 0)[0])
 
@@ -575,13 +571,27 @@ def test_det_and_invert_match_gauss_jordan(problem):
 @given(st.sampled_from(ORACLE_FIELDS), st.data())
 def test_span_solver_matches_gauss_jordan(spec, data):
     width = data.draw(st.integers(1, 6))
-    gens = data.draw(spliced_rows(spec, data.draw(st.integers(0, 6)), width))
-    # half the targets are combinations of the generators
-    targets = data.draw(spliced_rows(spec, 2, width))
-    if gens:
-        coeffs = data.draw(st.lists(st.integers(0, spec.order - 1),
-                                    min_size=len(gens), max_size=len(gens)))
-        targets.append(combine(spec, coeffs, gens))
+    symbol = st.integers(0, spec.order - 1)
+    if data.draw(st.booleans()):
+        # square generators of full rank (a unit lower triangle times an
+        # upper one with a nonzero diagonal) and the unit rows as targets:
+        # the coefficient rows are the inverse
+        lower = [[data.draw(symbol) if j < i else int(j == i) for j in range(width)]
+                 for i in range(width)]
+        upper = [[data.draw(symbol if j > i else st.integers(1, spec.order - 1))
+                  if j >= i else 0 for j in range(width)] for i in range(width)]
+        gens = [combine(spec, row, upper) for row in lower]
+        targets = identity(width)
+        _, rows, _ = gauss_jordan(spec, [g + t for g, t in zip(gens, targets)], width)
+        assert SpanSolver(spec, gens, width).coefficient_rows(targets) == \
+            [row[width:] for row in rows]
+    else:
+        gens = data.draw(spliced_rows(spec, data.draw(st.integers(0, 6)), width))
+        # half the targets are combinations of the generators
+        targets = data.draw(spliced_rows(spec, 2, width))
+        if gens:
+            coeffs = data.draw(st.lists(symbol, min_size=len(gens), max_size=len(gens)))
+            targets.append(combine(spec, coeffs, gens))
     solver = SpanSolver(spec, gens, width)
     base = oracle_rank(spec, gens)
     assert solver.rank == base
@@ -604,7 +614,7 @@ def test_first_deficient_subset_matches_gauss_jordan(problem):
     assert first_deficient_subset(spec, blocks, size, target, base) == expected
 
 
-# ---- A^-1 B ----
+# ---- A^-1 B through SpanSolver ----
 
 # byte slots (GF(16), GF(256), GF(127)) and 16-bit slots (GF(4096),
 # GF(65521), the largest prime below 2^16)
@@ -626,12 +636,6 @@ def test_inverse_times_solves_and_flags_singular(spec, rng):
             if n > 1:
                 singular = A[:-1] + [A[0]]
                 assert inverse_times(spec, singular, B) is None
-    with pytest.raises(UsageError):
-        inverse_times(spec, identity(3)[:2], random_matrix(rng, spec, 2, 2))
-    with pytest.raises(UsageError):
-        inverse_times(spec, identity(3), random_matrix(rng, spec, 2, 2))
-    with pytest.raises(UsageError):
-        inverse_times(spec, identity(2), [[1, 2], [3]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,7 +17,7 @@ import pytest
 from atrahasis.code import download_matrix, help_matrix, repair_matrix
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
-from atrahasis.linalg import det, invert
+from atrahasis.linalg import SpanSolver, det
 from atrahasis.search import sweep_small_cases
 from atrahasis.transforms import STRATEGIES, central_repair_program, shorten
 from conftest import put_rows
@@ -29,8 +29,12 @@ def _plain(value):
 
 
 def _det_invert(spec, rows):
-    """(det, inverse rows or None) of a square matrix given as int rows."""
-    return det(spec, rows), invert(spec, rows)
+    """(det, inverse rows or None) of a square matrix given as int rows:
+    the unit rows restated over the matrix's rows, None below full rank."""
+    n = len(rows)
+    solver = SpanSolver(spec, rows, n)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return det(spec, rows), solver.coefficient_rows(units) if solver.rank == n else None
 
 
 def _shortened_matrix(code, name: str, *nodes):

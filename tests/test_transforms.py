@@ -155,6 +155,29 @@ def test_transfer_matrix_rejects_bad_sources(gf16):
         ShortenedCode(broken, 0).transfer_matrix([0, 4, 5], [1])
 
 
+def test_shortened_decode_names_the_live_k(gf16, fixture_family, rng):
+    # the fixture shortened by 1 has k = 4; the base code's k is 5
+    code = shorten(fixture_family, 1)
+    file = code.encode(random_values(rng, gf16, code.M))
+    repeated = [code.node_content(file, h) for h in (0, 0, 1, 2)]
+    for call in (lambda: code.decode_matrix([0, 1, 2]),
+                 lambda: code.decode_matrix([0, 0, 1, 2]),
+                 lambda: code.download(repeated)):
+        with pytest.raises(UsageError, match="exactly 4 distinct") as caught:
+            call()
+        assert "5" not in str(caught.value)
+
+
+def test_store_matrices_leave_the_encoder_unbuilt(fixture_family):
+    code = shorten(fixture_family, 1)
+    code.transfer_matrix(range(code.k), range(code.k, code.n))
+    code.repair_program([0], list(range(1, code.d + 1)))
+    code.repair_program([0, 1], list(range(2, code.d + 2)))
+    assert "encoder" not in vars(code)
+    assert len(code.encoder) == fixture_family.params.M
+    assert "encoder" in vars(code)
+
+
 def test_shorten_detects_degenerate_base(gf16):
     # a base whose last two nodes coincide cannot cut 2*alpha dimensions
     fam = rs_stars_t2(gf16, 6, 3, SYMMETRIC)
