@@ -212,10 +212,7 @@ def cmd_gen(args) -> int:
         shorten_depth = delta
     else:
         family = _build_family(args)
-    report = verify_axioms(family)
-    if not report.ok:
-        raise AxiomViolationError(report.axiom, report.subset, report.failed_node,
-                                  message=report.describe())
+    verify_axioms(family).check()
     if shorten_depth:
         shorten(family, shorten_depth)  # validates the constraint system
     doc = specfile.write_spec_file(args.out, family, shorten_depth)

@@ -8,8 +8,9 @@ the store's lock, and only put creates a store.  Each command loads the
 manifest with every check on its format, version, keys, embedded spec,
 params hash, field and values, and gets the store's code instance with
 it: always a ShortenedCode (a plain spec is depth 0, with no pinned
-nodes) that check_storable admits, as put checks before it creates
-anything.  fail and status read or rewrite the manifest alone.
+nodes) that check_storable admits and whose base family passes
+verify_axioms, as put checks before it creates anything.  fail and
+status read or rewrite the manifest alone.
 
 Layout under one store root:
 
@@ -77,6 +78,7 @@ from pathlib import Path
 
 from . import specfile
 from .bulk import BulkField, Planes, bytes_to_symbols, require_binary, symbols_to_bytes
+from .code import verify_axioms
 from .errors import CorruptDataError, InsufficientNodesError, UsageError
 from .transforms import SUBSPACE, ShortenedCode
 
@@ -403,12 +405,13 @@ class Cluster:
         """Initialize (or reinitialize) the store with one file.  The new
         blobs are staged beside any old ones, so a put that fails leaves
         the stored file as it was; node directories the new code does not
-        use go only once the new manifest is saved.  The spec and the input
-        are checked before the lock is taken, so a put that fails on
-        either creates no store."""
+        use go only once the new manifest is saved.  The spec, which must
+        pass verify_axioms, and the input are checked before the lock is
+        taken, so a put that fails on either creates no store."""
         with ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             check_storable(code)
+            verify_axioms(code.base).check()
             bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())

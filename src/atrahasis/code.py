@@ -283,6 +283,12 @@ class AxiomReport(namedtuple("AxiomReport", "ok axiom subset failed_node subsets
             where += f", failed node {self.failed_node}"
         return f"{self.axiom} violated at {where}"
 
+    def check(self) -> None:
+        """Raise AxiomViolationError naming the violation, unless ok."""
+        if not self.ok:
+            raise AxiomViolationError(self.axiom, self.subset, self.failed_node,
+                                      message=self.describe())
+
 
 def verify_axioms(stars: StarFamily) -> AxiomReport:
     """Exhaustively check every MDS spanning condition of the family.

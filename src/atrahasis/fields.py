@@ -8,9 +8,11 @@ that a value is canonical, made where a value comes in from outside.
 
 For m <= 8 a FieldSpec holds an inverse table and a q x q product table,
 both from one O(q) log/antilog walk over the powers of the smallest
-generator of GF(2^m)*; each row of the product table is built the first
-time it is read, since a command multiplies by few coefficients, as one
-bytes.translate of the log table through a slice of the powers.  Larger
+generator of GF(2^m)*.  Row a of the product table is one 256-byte
+bytes object, a*b at byte b, built the first time it is read (a command
+multiplies by few coefficients) as one bytes.translate of the log table
+through a slice of the powers; mul indexes it and the row operations
+translate through it, so each multiplier has one table.  Larger
 binary fields multiply carry-less and invert by the extended Euclidean
 algorithm over GF(2)[z].
 
@@ -23,12 +25,12 @@ a carry-less product; for larger primes the narrowest of 2, 4 or 8
 bytes with p <= 2^(8*slot_bytes - 1).  The two row operations,
 sub_scaled_row (row - f*other) and scale_row (f*row), are the inner
 loop of linalg.Echelon and work on whole rows: with byte slots f*other
-is one bytes.translate through f's 256-byte product table, and for
-m > 8 one carry-less multiply and reduction of all slots at once; the
-difference is one XOR over GF(2^m) and, over GF(p), one add plus a
-carry-free SWAR reduction of every slot mod p.  Only primes above 127
-multiply entry by entry.  The translate tables are built on first use,
-one multiplier at a time, so constructing a FieldSpec builds none.
+is one bytes.translate through a 256-byte table (over GF(2^m) the
+product row of f), and for m > 8 one carry-less multiply and reduction
+of all slots at once; the difference is one XOR over GF(2^m) and, over
+GF(p), one add plus a carry-free SWAR reduction of every slot mod p.  Only primes above 127
+multiply entry by entry.  The tables are built on first use, one
+multiplier at a time.
 
 A FieldSpec is an immutable value and safe to share between threads.
 """
@@ -138,7 +140,7 @@ class FieldSpec:
     """
 
     __slots__ = ("kind", "m", "reduction_poly", "p", "order", "slot_bytes",
-                 "_mul_table", "_inv_table", "sub_scaled_row", "scale_row")
+                 "_mul_table", "_mul_row", "_inv_table", "sub_scaled_row", "scale_row")
 
     def __init__(self, kind: str, m: int | None = None,
                  reduction_poly: int | None = None, p: int | None = None):
@@ -174,8 +176,7 @@ class FieldSpec:
             self.slot_bytes = next(k for k in _SLOT_CODES if p <= 1 << (8 * k - 1))
         else:
             raise UsageError(f"unknown field kind {kind!r}")
-        self._mul_table = None
-        self._inv_table = None
+        self._mul_table = self._mul_row = self._inv_table = None
         if self.kind == BINARY and self.m <= _MAX_TABLE_DEGREE:
             self._build_tables()
         self.sub_scaled_row, self.scale_row = _row_operations(self)
@@ -184,7 +185,8 @@ class FieldSpec:
         # z need not be primitive (0x11B gives it order 51), so walk the
         # powers of g = 1, 2, ... until one reaches all q-1 nonzero
         # elements; then a*b = exp[log a + log b] and 1/a = exp[-log a].
-        # The inverse table is built whole, the product rows on first use.
+        # The inverse table is built whole, the product rows on first use:
+        # logs[b] = q-1 for b = 0 and b >= q reads the padding past the powers.
         q, poly = self.order, self.reduction_poly
         n = q - 1
         for g in range(1, q):
@@ -193,11 +195,13 @@ class FieldSpec:
                 exp.append(x)
             if len(exp) == n:
                 break
-        logs = bytearray(q)
+        logs = bytearray([n]) * 256
         for i, x in enumerate(exp):
             logs[x] = i
-        logs[0] = n  # see _ProductRows
-        self._mul_table = _ProductRows(bytes(exp), bytes(logs))
+        logs, exp2 = bytes(logs), bytes(exp) * 2
+        self._mul_table, self._mul_row = _product_rows(
+            lambda a: logs.translate(exp2[logs[a]:logs[a] + n].ljust(256, b"\0")))
+        self._mul_table[0] = bytes(256)
         self._inv_table = [0] + [exp[-logs[a] % n] for a in range(1, q)]
 
     # -- int-level arithmetic (values assumed reduced) --
@@ -219,7 +223,10 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
-            return self._mul_table[a][b]
+            try:
+                return self._mul_table[a][b]
+            except KeyError:
+                return self._mul_row(a)[b]
         if self.kind == BINARY:
             return _clmul(a, b, self.reduction_poly)
         return (a * b) % self.p
@@ -301,32 +308,14 @@ class FieldSpec:
         return f"GF({self.p})"
 
 
-class _ProductRows(dict):
-    """a -> row a of the product table of GF(2^m), [a*b for b in range(q)],
-    built from the log/antilog tables the first time it is read.  logs
-    is bytes with logs[b] = log b, and logs[0] = q-1, an index past the
-    q-1 powers; exp2 is the powers exp[i] = g^i twice over.  Then row a
-    is one translate of logs through exp[log a + i] for i < q-1, padded
-    with zeros, so that b = 0 reads a zero."""
-
-    __slots__ = ("_exp2", "_logs")
-
-    def __init__(self, exp: bytes, logs: bytes):
-        super().__init__({0: [0] * len(logs)})
-        self._exp2 = exp + exp
-        self._logs = logs
-
-    def packed(self, a: int) -> bytes:
-        """Row a packed, one byte per entry."""
-        logs = self._logs
-        if a == 0:
-            return bytes(len(logs))
-        la = logs[a]
-        return logs.translate(self._exp2[la:la + len(logs) - 1].ljust(256, b"\0"))
-
-    def __missing__(self, a: int) -> list[int]:
-        row = self[a] = list(self.packed(a))
-        return row
+def _product_rows(row):
+    """The rows of a product table over byte slots, as {a: the 256-byte
+    bytes.translate table of b -> a*b, zero past the field's order} (of
+    b -> -a*b for GF(p) in _row_operations), and build(a), which stores
+    row(a) as row a.  A reader builds a row on a KeyError: an exact dict
+    is the fastest lookup, and the row operations make one per step."""
+    rows = {}
+    return rows, lambda a: rows.setdefault(a, row(a))
 
 
 def _clmul(a: int, b: int, poly: int) -> int:
@@ -360,11 +349,13 @@ def _row_operations(spec: FieldSpec):
         scale_row(f, row: bytes) -> bytes                  f*row
 
     Both go through minus_times(f, row) = -f*row.  With byte slots that
-    is one bytes.translate through f's 256-byte table, built on first
-    use.  For m > 8 it is a carry-less multiply of all slots at once: the
-    32-bit slots hold the products (at most 2m-1 bits) without spilling,
-    and since z^m = poly - z^m, each fold of the bits >= m back into the
-    low m bits lowers their degree until every slot is reduced.  Primes
+    is one bytes.translate through f's 256-byte table: over GF(2^m),
+    where -f = f, row f of the field's own product table, and over GF(p)
+    a table of -f*b, built on first use.  For m > 8 it is a carry-less
+    multiply of all slots at once: the 32-bit slots hold the products
+    (at most 2m-1 bits) without spilling, and since z^m = poly - z^m,
+    each fold of the bits >= m back into the low m bits lowers their
+    degree until every slot is reduced.  Primes
     above 127 multiply entry by entry.  Over GF(2^m) the difference is
     one XOR of the whole rows.  Over GF(p) the w-bit slots of
     row + (-f*other) hold at most 2p-2 < 2^w, since p <= 2^(w-1); adding
@@ -381,17 +372,15 @@ def _row_operations(spec: FieldSpec):
         return value * from_bytes((bytes(k - 1) + b"\1") * (nbytes // k), "big")
 
     if k == 1:
-        products = spec._mul_table
-        tables = [None] * q
-
-        def table(f: int) -> bytes:
-            row = (products.packed(f) if products is not None
-                   else bytes([-f * b % q for b in range(q)]))
-            tables[f] = row.ljust(256, b"\0")
-            return tables[f]
+        tables, build = ((spec._mul_table, spec._mul_row) if spec.kind == BINARY
+                         else _product_rows(lambda f: bytes([-f * b % q for b in range(q)])
+                                            .ljust(256, b"\0")))
 
         def minus_times(f: int, row: bytes) -> bytes:
-            return row.translate(tables[f] or table(f))
+            try:
+                return row.translate(tables[f])
+            except KeyError:
+                return row.translate(build(f))
     elif spec.kind == BINARY:
         m = spec.m
         folds = [s for s in range(m) if spec.reduction_poly >> s & 1]
@@ -419,7 +408,11 @@ def _row_operations(spec: FieldSpec):
         if k == 1:
             def sub_scaled_row(row: int, f: int, other: bytes) -> int:
                 # minus_times inlined: this is the hottest call of Echelon
-                return row ^ from_bytes(other.translate(tables[f] or table(f)), "big")
+                try:
+                    table = tables[f]
+                except KeyError:
+                    table = build(f)
+                return row ^ from_bytes(other.translate(table), "big")
         else:
             def sub_scaled_row(row: int, f: int, other: bytes) -> int:
                 return row ^ from_bytes(minus_times(f, other), "big")

@@ -7,9 +7,10 @@ the determinant and SpanSolver are thin callers of it, and its inner
 loop is the FieldSpec row operation row - f*other.  SpanSolver is the
 one solve, target rows restated over fixed generators; every matrix
 the code builds is one, and an inverse is the unit rows over square
-generators of full rank.  Arithmetic is exact, so the pivot is simply
-the first nonzero column.  Reduction works on private copies; the
-caller's rows are never changed.
+generators of full rank.  It augments the generators with -I, so the
+tail of a reduced target is its coefficient row as it stands.
+Arithmetic is exact, so the pivot is simply the first nonzero column.
+Reduction works on private copies; the caller's rows are never changed.
 
 Echelon packs each row it is given into one Python int, one big-endian
 slot of FieldSpec.slot_bytes per entry (entry 0 in the most significant
@@ -57,8 +58,8 @@ class Echelon:
     kept row is zero at the pivots of the rows kept before it, so the
     rows stay independent without ever being reordered, and a reduced
     row is zero at every pivot.  Columns past `width` ride along without
-    pivoting (an augmented identity records which combination of offered
-    rows each kept row is).
+    pivoting (SpanSolver's augmented -I records which combination of
+    offered rows each kept row is).
 
     The row being reduced is one packed int and each row operation is
     one FieldSpec.sub_scaled_row on the whole row; kept rows are stored
@@ -224,9 +225,10 @@ def det(spec: FieldSpec, rows: list[list[int]]) -> int:
 class SpanSolver:
     """Repeated membership queries against the span of fixed generators.
 
-    Row-reduces the generator stack once, with an augmented identity
-    that records the combination of input generators behind each kept
-    row; each query is then a single reduction.
+    Row-reduces the generator stack once, with generator i augmented by
+    -e_i, so that each kept row records minus the combination of input
+    generators behind it; each query is then a single reduction, and
+    the tail of a reduced (target, 0) is the target's coefficient row.
     """
 
     def __init__(self, spec: FieldSpec, generators: list[list[int]], width: int):
@@ -236,8 +238,9 @@ class SpanSolver:
         self.spec = spec
         self.ngens = len(generators)
         self.width = width
+        minus_one = spec.neg(1)
         self._echelon = _echelon_of(
-            spec, (list(g) + [1 if i == j else 0 for j in range(self.ngens)]
+            spec, (list(g) + [minus_one if i == j else 0 for j in range(self.ngens)]
                    for i, g in enumerate(generators)), width, width + self.ngens)
 
     @property
@@ -248,12 +251,11 @@ class SpanSolver:
         """Coefficients over the generators, or None if out of span."""
         if len(target) != self.width:
             raise UsageError("target length mismatch")
-        # reducing (target, 0) leaves (residual, -coefficients)
+        # reducing (target, 0) leaves (residual, coefficients)
         work = self._echelon.reduce(list(target) + [0] * self.ngens)
         if any(work[:self.width]):
             return None
-        neg = self.spec.neg
-        return [neg(v) for v in work[self.width:]]
+        return work[self.width:]
 
     def coefficient_rows(self, targets) -> list[list[int]] | None:
         """coefficients_for of every target, or None if one is out of span."""

@@ -15,8 +15,8 @@ from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
 from atrahasis.specfile import family_document, parse_document
 from atrahasis.transforms import STRATEGIES, SUBSPACE
-from conftest import (bit_matrix_rows, multiplication_rows, pack_planes, read_stripes,
-                      replay, unpack_planes)
+from conftest import (bit_matrix_rows, multiplication_rows, pack_planes, program_xors,
+                      read_stripes, replay, unpack_planes)
 
 DEGREES = range(1, 17)
 
@@ -130,7 +130,11 @@ def test_program_replays_to_the_bit_matrix(draw):
         for row in rows:
             row[j] = 0
     bulk = BulkField(spec)
-    assert replay(bulk, bulk.expand(rows)) == bit_matrix_rows(spec, rows)
+    matrix, masks = bulk.expand(rows), bit_matrix_rows(spec, rows)
+    assert replay(bulk, matrix) == masks
+    # expand's guarantee: tables never cost more XORs than they save, so
+    # the program spends at most the plain n - 1 XORs per output plane
+    assert program_xors(matrix) <= sum(max(mask.bit_count() - 1, 0) for mask in masks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,12 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrahasis import specfile
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
@@ -237,6 +241,64 @@ def test_put_spec_not_json(tmp_path):
     data.write_bytes(b"hello")
     assert_usage_error("put", str(data), "--spec", str(junk),
                        "--store", str(tmp_path / "store"))
+
+
+def test_put_refuses_a_spec_that_verify_rejects(tmp_path, capsys):
+    # node 8's x star replaced by node 7's, with the hash recomputed: the
+    # file is intact but the code is not MDS, so put must refuse it as
+    # verify does, before it creates a store
+    spec = tmp_path / "bad.spec"
+    doc = specfile.family_document(atrahasis_956())
+    doc["x_stars"][8] = doc["x_stars"][7]
+    write_rehashed(spec, doc)
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"hello")
+    store = tmp_path / "store"
+    assert main(["verify", str(spec)]) == 4
+    assert "MDSx violated at subset (0, 7, 8)" in capsys.readouterr().out
+    assert main(["put", str(data), "--spec", str(spec), "--store", str(store)]) == 4
+    assert capsys.readouterr().err == "error: MDSx violated at subset (0, 7, 8)\n"
+    assert not store.exists()
+
+
+def _leaves(doc, path=()):
+    """The path of every scalar in a spec document but its content hash."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            if key != "content_hash":
+                yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+SPEC_DOCS = [specfile.family_document(atrahasis_956(), depth) for depth in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("base", SPEC_DOCS, ids=["depth0", "depth1"])
+def test_put_never_stores_what_verify_rejects(base, data):
+    # one value of the fixture spec or its shortening replaced, the hash
+    # recomputed: put exits 0 only on a spec verify accepts, and a put
+    # that fails leaves no store
+    doc = json.loads(json.dumps(base))
+    *path, last = data.draw(st.sampled_from(list(_leaves(doc))), label="path")
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    parent[last] = data.draw(st.one_of(
+        st.sampled_from([format(v, "x") for v in range(17)]), st.integers(-1, 17),
+        st.sampled_from([None, True, "", "zz", [], {}])), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_rehashed(root / "m.spec", doc)
+        (root / "data.bin").write_bytes(b"hello")
+        store = root / "store"
+        verified = main(["verify", str(root / "m.spec")])
+        stored = main(["put", str(root / "data.bin"), "--spec", str(root / "m.spec"),
+                       "--store", str(store)])
+        assert verified == 0 or stored != 0, (path, last, parent[last])
+        assert stored == 0 or not store.exists()
 
 
 def test_verify_spec_missing_stars(tmp_path):

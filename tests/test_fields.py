@@ -204,9 +204,10 @@ def test_tables_match_carryless_reference(poly):
     spec = binary_field(m, poly)
     q = spec.order
     # _clmul reduces with _poly_mod on every call; the tables come from
-    # the log/antilog walk, so every entry is checked against it
-    assert [spec._mul_table[a] for a in range(q)] == [
-        [_clmul(a, b, poly) for b in range(q)] for a in range(q)]
+    # the log/antilog walk, so every entry is checked against it; a row
+    # is a 256-byte translate table, zero past q, built on first read
+    assert [spec._mul_row(a) for a in range(q)] == [
+        bytes([_clmul(a, b, poly) for b in range(q)]).ljust(256, b"\0") for a in range(q)]
     for a in range(1, q):
         assert _clmul(a, spec.inv(a), poly) == 1
     with pytest.raises(ZeroDivisionError):
