@@ -45,7 +45,7 @@ from collections import namedtuple
 from . import specfile
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params, rs_patterns,
                    rs_stars_t2, verify_axioms)
-from .errors import (AtrahasisError, AxiomViolationError,
+from .errors import (AtrahasisError, AxiomViolationError, FieldTooSmallError,
                      InfeasibleParametersError, InsufficientNodesError,
                      UsageError)
 from .fields import FieldSpec, binary_field, is_prime, prime_field
@@ -162,7 +162,9 @@ def _build_family(args, triple=None) -> StarFamily:
                 f"the Reed-Solomon source covers t = 2 (d = 2(k-1)); "
                 f"(k,d)=({k},{d}) has t={params.t}")
         return rs_stars_t2(spec, n, k, flavor)
-    # source == "search"
+    # source == "search": the points are field elements
+    if n > spec.order:
+        raise FieldTooSmallError(f"{spec} has only {spec.order} points, need {n}")
     x_pattern = _parse_pattern(args.x_pattern) if args.x_pattern else None
     y_pattern = _parse_pattern(args.y_pattern) if args.y_pattern else None
     if x_pattern is None or y_pattern is None:

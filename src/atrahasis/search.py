@@ -7,8 +7,12 @@ Two routes:
   iff every spanning condition touching it still holds.  Each condition
   is one linalg.first_deficient_subset walk: the candidate's rows are
   the base, the pool points' rows the blocks, and the walk keeps the
-  blocks not yet chosen reduced modulo each prefix's span.  The
-  exhaustive check is the certification path for concrete families.
+  blocks not yet chosen reduced modulo each prefix's span.  The blocks
+  go newest-first, since a rejected candidate's deficient subset almost
+  always holds the latest admitted points, so a rejection ends sooner.
+  The walk is exhaustive and only whether some subset is deficient is
+  used, so the order changes no verdict and no pool.  The exhaustive
+  check is the certification path for concrete families.
   Given n, the growth stops at n points, the first n of the whole pool.
 
 * nullstellensatz_witness -- randomized polynomial identity testing for
@@ -86,6 +90,8 @@ def grow_pool(cfg: SearchConfig, n: int | None = None) -> PoolResult:
     re-verified, which is equivalent to full re-verification because
     previously accepted subsets are untouched by a new point.  Each pool
     point's axiom and quotient rows are built once, when it is admitted.
+    Each check walks the pool newest-first, where a failing subset is
+    met soonest; the verdict is the same in any order, so the pool is.
     Admission is greedy in field order, so the pool stopped at n points
     is the first n points of the whole field's pool.
     """
@@ -123,8 +129,9 @@ def _admitted_rows(spec, p, xs, ss, blocks, quotients, x_new, s_new):
     conditions still hold once (x_new, s_new) joins; None if one fails.
 
     Each check puts the new point's rows first and lets the subset walk
-    fill in every choice of pool points around them.
+    fill in every choice of pool points around them, newest first.
     """
+    xs, ss, blocks, quotients = xs[::-1], ss[::-1], blocks[::-1], quotients[::-1]
     if first_deficient_subset(spec, [[x] for x in xs], p.t - 1, p.t, [x_new]) is not None:
         return None
     if first_deficient_subset(spec, [[s] for s in ss], p.y_dim - 1, p.y_dim,

@@ -188,6 +188,18 @@ def test_gen_search_too_small_field(tmp_path):
     assert code == 3
 
 
+def test_gen_search_more_points_than_the_field_exits_at_once(tmp_path):
+    # points are field elements: 300 of them cannot exist in GF(256), so
+    # gen refuses before it scans the field
+    proc = subprocess.run([sys.executable, "-m", "atrahasis", "gen", "--source", "search",
+                           "--n", "300", "--k", "5", "--d", "8", "--field", "gf256",
+                           "--out", str(tmp_path / "x.spec")],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert "GF(2^8; 0x11b) has only 256 points, need 300" in proc.stderr
+    assert not (tmp_path / "x.spec").exists()
+
+
 def test_verify_tampered_spec_names_subset(tmp_path):
     spec = tmp_path / "fix.spec"
     main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])

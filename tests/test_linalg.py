@@ -430,6 +430,23 @@ def test_first_deficient_subset_matches_brute_force(problem):
             brute_force_first_deficient(spec, blocks, size, target, ())
 
 
+@settings(max_examples=200, deadline=None)
+@given(subset_problems(fields=(binary_field(4), prime_field(31))), st.data())
+def test_first_deficient_subset_verdict_ignores_block_order(problem, data):
+    # grow_pool walks the pool newest-first and keeps only the verdict
+    spec, blocks, size, target, base = problem
+    order = data.draw(st.permutations(range(len(blocks))))
+    shuffled = [blocks[i] for i in order]
+    found = first_deficient_subset(spec, blocks, size, target, base)
+    moved = first_deficient_subset(spec, shuffled, size, target, base)
+    assert (found is None) == (moved is None)
+    for chosen, subset in ((blocks, found), (shuffled, moved)):
+        if subset is not None:
+            assert len(subset) == size
+            rows = list(base) + [row for i in subset for row in chosen[i]]
+            assert rank_of_rows(spec, rows) < target
+
+
 def test_first_deficient_subset_examples(gf16):
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     blocks = [[e[0]], [e[1]], [e[0]], [e[2]]]

@@ -28,7 +28,8 @@ def test_grow_pool_reaches_nine_points():
     assert verify_axioms(result.family).ok
 
 
-# Pools pinned from the one-subset-at-a-time checker.
+# Pools pinned from the one-subset-at-a-time checker; the t = 4 (9,7,8)
+# pool from the prefix-reduced walk, checked by verify_axioms.
 PINNED_POOLS = [
     (binary_field(4), (7, 5, 6, SYMMETRIC), (0, 2, 6), (0, 1, 3),
      (0, 1, 2, 4, 7, 8, 11, 13, 14)),
@@ -36,6 +37,8 @@ PINNED_POOLS = [
      (0, 1, 2, 4, 7, 8, 11, 13, 14, 23, 47)),
     (binary_field(8), (9, 5, 6, SYMMETRIC), (0, 2, 6), (0, 1, 3),
      (0, 1, 2, 4, 7, 8, 11, 13, 14, 17, 33, 70, 135, 248)),
+    (binary_field(8), (9, 7, 8, SYMMETRIC), (0, 2, 6, 14), (0, 1, 3, 7),
+     (0, 1, 2, 4, 8, 15, 16, 32, 64, 128)),
     (binary_field(5), (6, 3, 4, EXTERIOR), (0, 3), (0, 1, 2),
      (0, 1, 2, 3, 4, 5, 7, 10, 18)),
     (prime_field(31), (8, 5, 6, EXTERIOR), (0, 2, 6), (0, 1, 2, 3, 4),
@@ -43,8 +46,17 @@ PINNED_POOLS = [
 ]
 
 
+def _pin_ids(pins):
+    # flavor and field; a later pin over the same ones adds its (k, d)
+    ids = []
+    for spec, (n, k, d, flavor), *_ in pins:
+        name = f"{flavor}-gf{spec.order}"
+        ids.append(f"{name}-k{k}d{d}" if name in ids else name)
+    return ids
+
+
 @pytest.mark.parametrize("spec,params,x_pattern,y_pattern,pool", PINNED_POOLS,
-                         ids=[f"{c[1][3]}-gf{c[0].order}" for c in PINNED_POOLS])
+                         ids=_pin_ids(PINNED_POOLS))
 def test_grow_pool_pinned_pools(spec, params, x_pattern, y_pattern, pool):
     result = grow_pool(SearchConfig(spec, derive_params(*params), x_pattern, y_pattern))
     assert result.ok and result.pool == pool
