@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    atrahasis gen      make and verify a code-spec file
+    atrahasis gen      make and verify a primitive code-spec file
     atrahasis put      store a file onto a cluster
     atrahasis get      read the file back from any k live nodes
     atrahasis fail     inject a node failure
@@ -10,6 +10,10 @@
     atrahasis verify   re-run the exhaustive axiom check on a spec file
     atrahasis sweep    witness the repair-span determinant for small cases
     atrahasis shorten  derive a shortened spec file
+
+gen builds only primitive codes, where t = d/(d-k+1) is an integer, from
+a fixture, Reed-Solomon stars or a pattern search; every other (n, k, d)
+is the shorten of a primitive spec, which gen's error names.
 
 One table, COMMANDS, holds every command's handler, typed positionals
 and options (flag, help, type, default, required, choices); parse_args
@@ -41,6 +45,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import specfile
 from .code import (EXTERIOR, SYMMETRIC, StarFamily, derive_params, rs_patterns,
@@ -120,42 +125,42 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
-def _given_family(args, want) -> StarFamily:
-    """The family of --fixture or --source spec-file.  Each of n, k, d,
-    --field and --flavor that was given must match it; one left out
-    follows it."""
+def _given_family(args) -> StarFamily:
+    """The family of --fixture.  Each of n, k, d, --field and --flavor
+    that was given must match it; one left out follows it."""
     from .fixtures import load_fixture
 
-    if args.fixture:
-        family, name = load_fixture(args.fixture), f"fixture {args.fixture}"
-    else:
-        if not args.spec_file:
-            raise UsageError("--source spec-file needs --spec-file")
-        code, _ = specfile.read_spec_file(args.spec_file)
-        if code.depth:
-            raise UsageError("cannot regenerate from a shortened spec")
-        family, name = code.base, args.spec_file
+    family = load_fixture(args.fixture)
     p = family.params
     have = {"n": p.n, "k": p.k, "d": p.d, "field": family.spec, "flavor": p.flavor}
-    asked = dict(zip("nkd", want), flavor=args.flavor,
+    asked = dict(n=args.n, k=args.k, d=args.d, flavor=args.flavor,
                  field=None if args.field is None else parse_field(args.field))
     for key, value in asked.items():
         if value is not None and value != have[key]:
-            raise UsageError(f"{name} has {key}={have[key]}, asked for {value}")
+            raise UsageError(f"fixture {args.fixture} has {key}={have[key]}, "
+                             f"asked for {value}")
     return family
 
 
-def _build_family(args, triple=None) -> StarFamily:
+def _build_family(args) -> StarFamily:
+    """The primitive family of --fixture, --source rs or --source search.
+    Only the search reads the exponent patterns, and a fixture is its
+    own source."""
     from .search import SearchConfig, grow_pool
 
-    if args.fixture or args.source == "spec-file":
-        return _given_family(args, triple or (args.n, args.k, args.d))
-    n, k, d = triple or (args.n, args.k, args.d)
+    source = "--fixture" if args.fixture else f"--source {args.source}"
+    if args.fixture and args.source == "rs":
+        raise UsageError("--fixture and --source rs are two sources; give one")
+    if source != "--source search" and (args.x_pattern, args.y_pattern) != (None, None):
+        raise UsageError(f"{source} reads no --x-pattern or --y-pattern")
+    if args.fixture:
+        return _given_family(args)
+    n, k, d = args.n, args.k, args.d
     if n is None or k is None or d is None:
         raise UsageError("gen needs --n, --k and --d (or --fixture)")
     spec = parse_field("gf16" if args.field is None else args.field)
     flavor = args.flavor or SYMMETRIC
-    params = _derive_or_suggest(n, k, d, flavor)
+    params = derive_params(n, k, d, flavor)
     if args.source == "rs":
         if params.t != 2:
             raise InfeasibleParametersError(
@@ -183,43 +188,11 @@ def _build_family(args, triple=None) -> StarFamily:
     return result.family
 
 
-def _derive_or_suggest(n, k, d, flavor):
-    try:
-        return derive_params(n, k, d, flavor)
-    except InfeasibleParametersError as exc:
-        r = d - k + 1
-        if n - 1 >= d >= k >= 2 and d % r != 0:
-            delta = -(-d // r) * r - d
-            raise InfeasibleParametersError(
-                f"{exc}; try --shorten-from {n + delta},{k + delta},{d + delta}")
-        raise
-
-
 def cmd_gen(args) -> int:
-    shorten_depth = 0
-    if args.shorten_from:
-        try:
-            base = tuple(int(x) for x in args.shorten_from.split(","))
-            base_n, base_k, base_d = base
-        except ValueError:
-            raise UsageError(f"cannot parse --shorten-from {args.shorten_from!r}")
-        if args.n is None or args.k is None or args.d is None:
-            raise UsageError("--shorten-from needs the target --n, --k and --d")
-        delta = base_k - args.k
-        if delta < 1 or base_n - delta != args.n or base_d - delta != args.d:
-            raise UsageError(
-                f"--shorten-from {args.shorten_from} does not shorten onto "
-                f"({args.n},{args.k},{args.d})")
-        family = _build_family(args, triple=base)
-        shorten_depth = delta
-    else:
-        family = _build_family(args)
+    family = _build_family(args)
     verify_axioms(family).check()
-    if shorten_depth:
-        shorten(family, shorten_depth)  # validates the constraint system
-    doc = specfile.write_spec_file(args.out, family, shorten_depth)
-    _emit(args, {"spec": args.out, "params": doc["params"],
-                 "shorten": doc.get("shorten"), "verified": True},
+    doc = specfile.write_spec_file(args.out, family)
+    _emit(args, {"spec": args.out, "params": doc["params"], "verified": True},
           f"wrote verified spec to {args.out}")
     return EXIT_OK
 
@@ -347,7 +320,7 @@ GLOBAL_OPTIONS = (
 )
 
 COMMANDS = {
-    "gen": Command(cmd_gen, "make and verify a code-spec file", (), (
+    "gen": Command(cmd_gen, "make and verify a primitive code-spec file", (), (
         Option("--n", "number of nodes", int),
         Option("--k", "nodes that recover the file", int),
         Option("--d", "helpers that repair a node", int),
@@ -355,12 +328,10 @@ COMMANDS = {
                choices=(SYMMETRIC, EXTERIOR)),
         Option("--field", "gf<order>[/0x<poly>]; default: the family's, else gf16"),
         Option("--source", "where the star vectors come from", default="search",
-               choices=("rs", "search", "spec-file")),
+               choices=("rs", "search")),
         Option("--fixture", "a shipped family (atrahasis-956)"),
         Option("--x-pattern", "comma-separated exponents"),
         Option("--y-pattern", "comma-separated exponents"),
-        Option("--spec-file", "input spec for --source spec-file"),
-        Option("--shorten-from", "n,k,d of the primitive base to shorten onto the target"),
         Option("--out", "spec file to write", required=True),
     )),
     "verify": Command(cmd_verify, "re-run the exhaustive axiom check",
@@ -401,14 +372,6 @@ COMMANDS = {
         Option("--out", "spec file to write", required=True),
     )),
 }
-
-
-class _Args:
-    """A parsed command line: one attribute per dest of the command's
-    options, positionals and the global options."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
 
 
 def _convert(name: str, kind, choices, text: str):
@@ -476,7 +439,7 @@ def parse_args(argv: list[str]):
     missing = [opt.flag for opt in opts if opt.required and values[opt.dest] is None]
     if missing:
         raise UsageError(f"{command} needs {', '.join(missing)}")
-    return handler, _Args(values)
+    return handler, SimpleNamespace(**values)
 
 
 def _option_lines(opts, *extra: tuple[str, str]) -> list[str]:

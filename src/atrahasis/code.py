@@ -85,16 +85,19 @@ def derive_params(n: int, k: int, d: int, flavor: str = SYMMETRIC) -> CodeParams
     """Parameters for the primitive construction at (n, k, d).
 
     Raises InfeasibleParametersError when t = d/(d-k+1) is not an
-    integer; such gaps are filled by shortening a larger code instead.
+    integer, naming the primitive code that fills the gap: shortening by
+    delta maps (n+delta, k+delta, d+delta) to (n, k, d) and keeps
+    d-k+1, and the least delta makes d+delta a multiple of it.
     """
     if not (n - 1 >= d >= k >= 2):
         raise InfeasibleParametersError(
             f"need n-1 >= d >= k >= 2, got (n,k,d)=({n},{k},{d})")
     r = d - k + 1
     if d % r != 0:
+        delta = -d % r
         raise InfeasibleParametersError(
-            f"t = {d}/{r} is not an integer for (n,k,d)=({n},{k},{d}); "
-            f"shorten a larger primitive code instead")
+            f"t = {d}/{r} is not an integer for (n,k,d)=({n},{k},{d}); shorten "
+            f"the primitive ({n + delta},{k + delta},{d + delta}) code by {delta}")
     t = d // r
     alpha = comb(k - 1, t - 1)
     beta = comb(k - 2, t - 2)
@@ -343,13 +346,18 @@ def _combination_index(subset: tuple, n: int) -> int:
     return index
 
 
+def pattern_stars(spec: FieldSpec, a: int, x_pattern, y_pattern) -> tuple:
+    """The star vectors of point a: x = [a^e for e in x_pattern], the
+    second star likewise (0^0 = 1)."""
+    return [spec.pow(a, e) for e in x_pattern], [spec.pow(a, e) for e in y_pattern]
+
+
 def pattern_family(spec: FieldSpec, params: CodeParams, points, x_pattern,
                    y_pattern) -> StarFamily:
-    """The family whose star vectors are powers of per-node points: x_h =
-    [a_h^e for e in x_pattern], the second star likewise (0^0 = 1)."""
-    xs = [[spec.pow(a, e) for e in x_pattern] for a in points]
-    ys = [[spec.pow(a, e) for e in y_pattern] for a in points]
-    return StarFamily(spec, params, xs, ys)
+    """The family whose star vectors are those pattern_stars gives each
+    per-node point."""
+    stars = [pattern_stars(spec, a, x_pattern, y_pattern) for a in points]
+    return StarFamily(spec, params, [x for x, _ in stars], [s for _, s in stars])
 
 
 def rs_patterns(k: int, flavor: str) -> tuple:

@@ -35,7 +35,7 @@ from collections import namedtuple
 from math import comb
 
 from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params,
-                   quotient_rows)
+                   pattern_stars, quotient_rows)
 from .errors import UsageError
 from .fields import FieldSpec, prime_field
 from .linalg import det, first_deficient_subset
@@ -78,10 +78,6 @@ class PoolResult(namedtuple("PoolResult", "ok pool family reason", defaults=("",
     __slots__ = ()
 
 
-def _pattern_vector(spec: FieldSpec, a: int, pattern) -> list[int]:
-    return [spec.pow(a, e) for e in pattern]
-
-
 def grow_pool(cfg: SearchConfig, n: int | None = None) -> PoolResult:
     """Greedy brute-force pool growth over the whole field, or until n
     points are admitted.
@@ -103,8 +99,7 @@ def grow_pool(cfg: SearchConfig, n: int | None = None) -> PoolResult:
     blocks: list[list] = []
     quotients: list[list] = []
     for v in range(spec.order):
-        x = _pattern_vector(spec, v, cfg.x_pattern)
-        s = _pattern_vector(spec, v, cfg.y_pattern)
+        x, s = pattern_stars(spec, v, cfg.x_pattern, cfg.y_pattern)
         if p.flavor == EXTERIOR and not any(s):
             continue
         rows = _admitted_rows(spec, p, xs, ss, blocks, quotients, x, s)

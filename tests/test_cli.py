@@ -79,32 +79,6 @@ def test_gen_fixture_accepts_its_own_field_and_flavor(tmp_path):
     assert loaded.spec == binary_field(4) and loaded.base.params.flavor == "symmetric"
 
 
-def test_gen_spec_file_round_trip(tmp_path):
-    spec = tmp_path / "fix.spec"
-    again = tmp_path / "again.spec"
-    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
-    assert main(["gen", "--source", "spec-file", "--spec-file", str(spec),
-                 "--out", str(again)]) == 0
-    assert again.read_bytes() == spec.read_bytes()
-    assert main(["gen", "--source", "spec-file", "--spec-file", str(spec),
-                 "--n", "9", "--k", "5", "--d", "6", "--field", "gf16",
-                 "--out", str(again)]) == 0
-    assert again.read_bytes() == spec.read_bytes()
-
-
-@pytest.mark.parametrize("option", [("--field", "gf256", "--flavor", "exterior"),
-                                    ("--field", "gf256"), ("--flavor", "exterior"),
-                                    ("--n", "10")])
-def test_gen_spec_file_rejects_other_parameters(tmp_path, option):
-    spec = tmp_path / "fix.spec"
-    again = tmp_path / "again.spec"
-    main(["gen", "--fixture", "atrahasis-956", "--out", str(spec)])
-    # n, k and d match; the option (given last, so it wins) does not
-    assert_usage_error("gen", "--source", "spec-file", "--spec-file", str(spec),
-                       "--n", "9", "--k", "5", "--d", "6", *option, "--out", str(again))
-    assert not again.exists()
-
-
 def test_gen_rs_spec(tmp_path):
     spec = tmp_path / "rs.spec"
     code, out, err = run_cli("gen", "--n", "6", "--k", "3", "--d", "4",
@@ -130,18 +104,54 @@ def test_gen_non_integral_t_suggests_shortening(tmp_path):
     code, out, err = run_cli("gen", "--n", "6", "--k", "4", "--d", "5",
                              "--out", str(tmp_path / "x.spec"))
     assert code == 3
-    assert "--shorten-from 7,5,6" in err
+    assert "shorten the primitive (7,5,6) code by 1" in err
+
+
+def gen_then_shorten(tmp_path):
+    # the non-integral (6,4,5) point: gen writes the primitive (7,5,6) code
+    # and shorten retires one node
+    base, spec = tmp_path / "base.spec", tmp_path / "short.spec"
+    assert main(["gen", "--n", "7", "--k", "5", "--d", "6", "--field", "gf16",
+                 "--x-pattern", "0,2,6", "--y-pattern", "0,1,3", "--out", str(base)]) == 0
+    assert main(["shorten", str(base), "--delta", "1", "--out", str(spec)]) == 0
+    return spec
 
 
 def test_gen_shorten_from(tmp_path):
-    spec = tmp_path / "short.spec"
-    code, out, err = run_cli(
-        "gen", "--n", "6", "--k", "4", "--d", "5",
-        "--shorten-from", "7,5,6", "--field", "gf16",
-        "--x-pattern", "0,2,6", "--y-pattern", "0,1,3", "--out", str(spec))
-    assert code == 0, err
-    loaded, _ = specfile.read_spec_file(spec)
+    loaded, _ = specfile.read_spec_file(gen_then_shorten(tmp_path))
     assert (loaded.n, loaded.k, loaded.d) == (6, 4, 5)
+
+
+def test_gen_then_shorten_spec_bytes_pinned(tmp_path):
+    # the pin is the one the old one-step `gen --shorten-from 7,5,6` route had
+    spec = gen_then_shorten(tmp_path)
+    assert hashlib.sha256(spec.read_bytes()).hexdigest() == (
+        "0617b017f7d7c70ca1c48e6d3fe3cced9c96616572796d5db908be10df3912cf")
+
+
+@pytest.mark.parametrize("option", [("--shorten-from", "7,5,6"),
+                                    ("--spec-file", "fix.spec"),
+                                    ("--source", "spec-file")])
+def test_gen_has_no_shortening_or_spec_file_source(tmp_path, option):
+    spec = tmp_path / "x.spec"
+    assert_usage_error("gen", "--n", "6", "--k", "4", "--d", "5", *option,
+                       "--out", str(spec))
+    assert not spec.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--source", "rs", "--n", "6", "--k", "3", "--d", "4",
+     "--x-pattern", "0,5", "--y-pattern", "7,7"),
+    ("--fixture", "atrahasis-956", "--source", "rs", "--x-pattern", "9,9,9"),
+    ("--fixture", "atrahasis-956", "--n", "9", "--k", "5", "--d", "6",
+     "--x-pattern", "0,2,6", "--y-pattern", "0,1,3", "--source", "search",
+     "--field", "gf16"),
+    ("--fixture", "atrahasis-956", "--source", "rs"),
+], ids=["rs-patterns", "fixture-rs-pattern", "fixture-patterns", "fixture-rs"])
+def test_gen_rejects_options_its_source_does_not_read(tmp_path, args):
+    spec = tmp_path / "x.spec"
+    assert_usage_error("gen", *args, "--out", str(spec))
+    assert not spec.exists()
 
 
 # sha256 of the spec files `gen --source search` writes over GF(16), where
@@ -152,8 +162,6 @@ PINNED_SEARCH_SPECS = {
         "e420b6a886318ed77eeea35748c5a7b1b367373561b86304a33254c1e4d6f155",
     "--n 6 --k 3 --d 4 --flavor exterior --field gf16":
         "40c0c933a55b9c2729dad544ffb2cf10dbb209bb71706d1c2cb407ecf0970586",
-    "--n 6 --k 4 --d 5 --shorten-from 7,5,6 --field gf16 --x-pattern 0,2,6 --y-pattern 0,1,3":
-        "0617b017f7d7c70ca1c48e6d3fe3cced9c96616572796d5db908be10df3912cf",
 }
 
 
