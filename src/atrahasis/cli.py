@@ -113,9 +113,12 @@ def _parse_nodes(text: str) -> list[int] | None:
 
 def _parse_pattern(text: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        pattern = tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
         raise UsageError(f"cannot parse exponent pattern {text!r}")
+    if not pattern:
+        raise UsageError(f"empty exponent pattern {text!r}")
+    return pattern
 
 
 def _emit(args, payload: dict, human: str):
@@ -148,9 +151,9 @@ def _build_family(args) -> StarFamily:
     own source."""
     from .search import SearchConfig, grow_pool
 
-    source = "--fixture" if args.fixture else f"--source {args.source}"
-    if args.fixture and args.source == "rs":
-        raise UsageError("--fixture and --source rs are two sources; give one")
+    if args.fixture and args.source:
+        raise UsageError(f"--fixture and --source {args.source} are two sources; give one")
+    source = "--fixture" if args.fixture else f"--source {args.source or 'search'}"
     if source != "--source search" and (args.x_pattern, args.y_pattern) != (None, None):
         raise UsageError(f"{source} reads no --x-pattern or --y-pattern")
     if args.fixture:
@@ -170,16 +173,15 @@ def _build_family(args) -> StarFamily:
     # source == "search": the points are field elements
     if n > spec.order:
         raise FieldTooSmallError(f"{spec} has only {spec.order} points, need {n}")
-    x_pattern = _parse_pattern(args.x_pattern) if args.x_pattern else None
-    y_pattern = _parse_pattern(args.y_pattern) if args.y_pattern else None
+    x_pattern = None if args.x_pattern is None else _parse_pattern(args.x_pattern)
+    y_pattern = None if args.y_pattern is None else _parse_pattern(args.y_pattern)
     if x_pattern is None or y_pattern is None:
         if params.t != 2:
             raise UsageError("--source search needs --x-pattern/--y-pattern "
                              "for t > 2")
         rx, ry = rs_patterns(k, flavor)
-        x_pattern = x_pattern or rx
-        if y_pattern is None:
-            y_pattern = ry
+        x_pattern = rx if x_pattern is None else x_pattern
+        y_pattern = ry if y_pattern is None else y_pattern
     result = grow_pool(SearchConfig(spec, params, x_pattern, y_pattern), n)
     if not result.ok or len(result.pool) < n:
         raise InfeasibleParametersError(
@@ -327,8 +329,8 @@ COMMANDS = {
         Option("--flavor", "default: the family's, else symmetric",
                choices=(SYMMETRIC, EXTERIOR)),
         Option("--field", "gf<order>[/0x<poly>]; default: the family's, else gf16"),
-        Option("--source", "where the star vectors come from", default="search",
-               choices=("rs", "search")),
+        Option("--source", "where the star vectors come from; default: search, "
+               "unless --fixture", choices=("rs", "search")),
         Option("--fixture", "a shipped family (atrahasis-956)"),
         Option("--x-pattern", "comma-separated exponents"),
         Option("--y-pattern", "comma-separated exponents"),

@@ -305,9 +305,13 @@ def verify_axioms(stars: StarFamily) -> AxiomReport:
     Every check is one first_deficient_subset walk over the nodes'
     blocks: a single star vector each for the first two, the axiom rows
     for the third (with the failed node's quotient rows as the base in
-    the exterior flavor).  A failing report counts every subset in
-    combinations order up to and including the first one that fails, as
-    a one-by-one check would.
+    the exterior flavor).  A d-subset of n nodes is a large side, so the
+    third check usually walks the (n-d)-subsets of the dual matroid (see
+    linalg): on the fixture 3 of 9 blocks, and on RS (12,5,8) exterior 3
+    of 11 rows of F^3 per failed node.  A failing report counts every
+    subset in combinations order up to and including the first one that
+    fails, as a one-by-one check would; a dual walk that fails hands
+    over to the primal walk, which names that subset.
     """
     p = stars.params
     everyone = list(range(p.n))

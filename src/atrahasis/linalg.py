@@ -8,8 +8,10 @@ loop is the FieldSpec row operation row - f*other.  SpanSolver is the
 one solve, target rows restated over fixed generators; every matrix
 the code builds is one, and an inverse is the unit rows over square
 generators of full rank.  It augments the generators with -I, so the
-tail of a reduced target is its coefficient row as it stands.
-Arithmetic is exact, so the pivot is simply the first nonzero column.
+tail of a reduced target is its coefficient row as it stands; a
+generator that reduces to zero leaves in its tail a vanishing
+combination, and those tails span the left null space.  Arithmetic is
+exact, so the pivot is simply the first nonzero column.
 Reduction works on private copies; the caller's rows are never changed.
 
 Echelon packs each row it is given into one Python int, one big-endian
@@ -18,13 +20,22 @@ slot; see fields).  Entry c of an n-entry row is a shift by
 (n-1-c)*8*slot_bytes bits and a mask; the pivot is the bit length of
 the row shifted past its augmented columns; a row operation is one
 FieldSpec.sub_scaled_row on the whole int.  The kept rows are stored as
-packed bytes, the operand of that operation.  reduce() hands a row
-back as a list of ints.
+packed bytes, the operand of that operation.  SpanSolver packs a
+target with its tail in place and reads back only the tail.
 
 first_deficient_subset certifies spanning conditions over every subset
 of a collection of row blocks: it walks the subsets depth first and
 keeps the blocks not yet chosen reduced modulo the span of the prefix,
-so a subset costs only the reduction of its last block.
+so a subset costs only the reduction of its last block.  It walks the
+smaller side: a set of elements spans a matroid exactly when the rest
+is independent in the dual (Oxley, Matroid Theory, 2nd ed., 2011,
+sec. 2.1; for codes, MDS iff the dual is MDS, MacWilliams and Sloane,
+1977, ch. 11, thm 2).  When the blocks are of one size and all the rows
+just reach the target, it walks the complements over the left null
+space's columns instead, if that walk is at least two levels
+shallower; should the dual walk find a dependent complement, the
+primal walk runs to name the first deficient subset, so every answer
+is the one the primal walk gives alone.
 """
 
 from __future__ import annotations
@@ -130,11 +141,6 @@ class Echelon:
             out.append(left)
         return out
 
-    def reduce(self, row) -> list[int]:
-        """The row minus its components along the kept rows."""
-        left = self.sweep([[self.pack(row)]])[0]
-        return self.spec.row_values((left[0] if left else 0).to_bytes(self._nbytes, "big"))
-
     def offer(self, row) -> bool:
         """Keep the row if it is independent of the kept rows."""
         rank = len(self._kept)
@@ -142,8 +148,8 @@ class Echelon:
         return len(self._kept) > rank
 
 
-def _echelon_of(spec: FieldSpec, rows, width: int, length: int | None = None) -> Echelon:
-    echelon = Echelon(spec, width, length)
+def _echelon_of(spec: FieldSpec, rows, width: int) -> Echelon:
+    echelon = Echelon(spec, width)
     echelon.sweep([[echelon.pack(row) for row in rows]], width)
     return echelon
 
@@ -160,6 +166,62 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
     order, whose rows base_rows + blocks[i] for i in S have rank below
     `target`; None when every subset reaches it.
 
+    _walk enumerates the chosen side.  When every block has the same
+    c > 0 rows and base_rows plus all the blocks have rank exactly
+    `target`, the complements can be walked instead: by matroid duality
+    a set X of elements spans exactly when E - X is independent in the
+    dual matroid (Oxley, Matroid Theory, 2nd ed., 2011, sec. 2.1; its
+    MDS case, a code is MDS iff its dual is: MacWilliams and Sloane, The
+    Theory of Error-Correcting Codes, 1977, ch. 11, thm 2).  The elements
+    are the block rows modulo the span of base_rows, and the dual rows
+    are the columns of the left null space of the stacked rows, the
+    tails SpanSolver leaves on the rows that reduce to zero.  So S
+    reaches `target` exactly when the c*(n - size) dual rows of the
+    blocks outside S are independent: the dual walk picks
+    (n - size)-subsets with that row count as its target.
+
+    The side is chosen from n, size, c and the row counts.  Both walks
+    visit the same C(n, size) leaves; the dual saves the levels above
+    them but first pays one elimination of all the rows, so it is taken
+    when it is at least two levels shallower, n - size < size - 1 (at
+    one level, n = 9 and size = 5, grow_pool ran 8-15% slower), and when
+    the rows could reach the target at all, len(base_rows) + size*c >=
+    target (else the primal walk fails the first subset at once).  A
+    dual walk that meets a dependent complement only proves that some
+    subset falls short, so the primal walk then runs and names the first
+    one, exactly as it would alone.
+    """
+    n = len(blocks)
+    if not 0 <= size <= n:
+        return None
+    c = len(blocks[0]) if blocks else 0
+    if (n - size < size - 1 and c and len(base_rows) + size * c >= target
+            and all(len(block) == c for block in blocks)):
+        dual = _dual_blocks(spec, blocks, c, target, base_rows)
+        if dual is not None and _walk(spec, dual, n - size, c * (n - size)) is None:
+            return None
+    return _walk(spec, blocks, size, target, base_rows)
+
+
+def _dual_blocks(spec: FieldSpec, blocks, c: int, target: int, base_rows) -> list | None:
+    """Each block's c rows in the dual matroid of the block rows modulo
+    the span of base_rows, or None unless all the rows have rank exactly
+    `target`.  Base rows go first, so a null row of theirs is zero on
+    the block rows and is dropped."""
+    rows = [row for block in blocks for row in block]
+    solver = SpanSolver(spec, list(base_rows) + rows, len(rows[0]))
+    if solver.rank != target:
+        return None
+    skip = len(base_rows)
+    null = [tail[skip:] for tail in solver.null_rows() if any(tail[skip:])]
+    dual = [list(column) for column in zip(*null)] if null else [[] for _ in rows]
+    return [dual[i:i + c] for i in range(0, len(dual), c)]
+
+
+def _walk(spec: FieldSpec, blocks, size: int, target: int,
+          base_rows=()) -> tuple | None:
+    """first_deficient_subset on the chosen side.
+
     Walks the subsets depth first, keeping the blocks not yet chosen
     reduced modulo the span of the prefix (a Schur complement kept up to
     date by block elimination).  Choosing block i adds the echelon of
@@ -173,8 +235,6 @@ def first_deficient_subset(spec: FieldSpec, blocks: list[list[list[int]]],
     that is any dependent prefix.  Every row is packed once, up front.
     """
     n = len(blocks)
-    if not 0 <= size <= n:
-        return None
     width = next((len(row) for block in (base_rows, *blocks) for row in block), 0)
     most = max(map(len, blocks), default=0)
     # one echelon for the base rows and one for the block chosen at each depth
@@ -229,6 +289,10 @@ class SpanSolver:
     -e_i, so that each kept row records minus the combination of input
     generators behind it; each query is then a single reduction, and
     the tail of a reduced (target, 0) is the target's coefficient row.
+    The same elimination says which generators are independent of the
+    ones before them (those kept), and a generator that reduces to zero
+    leaves its tail, a combination of the generators that vanishes: those
+    tails are a basis of the left null space.
     """
 
     def __init__(self, spec: FieldSpec, generators: list[list[int]], width: int):
@@ -238,24 +302,43 @@ class SpanSolver:
         self.spec = spec
         self.ngens = len(generators)
         self.width = width
-        minus_one = spec.neg(1)
-        self._echelon = _echelon_of(
-            spec, (list(g) + [minus_one if i == j else 0 for j in range(self.ngens)]
-                   for i, g in enumerate(generators)), width, width + self.ngens)
+        self._echelon = echelon = Echelon(spec, width, width + self.ngens)
+        # generator i packed with its tail -e_i, one block each
+        bits, minus_one = 8 * spec.slot_bytes, spec.neg(1)
+        self._tail = bits * self.ngens
+        left = echelon.sweep(
+            ([self._packed(g) | minus_one << bits * (self.ngens - 1 - i)]
+             for i, g in enumerate(generators)), width)
+        # the -1 in its tail never cancels, so a generator is kept or left
+        self.kept = [not rest for rest in left]
+        self._null = [rest[0] for rest in left if rest]
 
     @property
     def rank(self) -> int:
         return self._echelon.rank
+
+    def _packed(self, row) -> int:
+        """(row, 0) packed: the row's entries shifted past the tail."""
+        return int.from_bytes(self.spec.row_bytes(row), "big") << self._tail
+
+    def _tails(self, rows) -> list[list[int]]:
+        """The tail entries of packed rows."""
+        mask, nbytes = (1 << self._tail) - 1, self.ngens * self.spec.slot_bytes
+        return [self.spec.row_values((row & mask).to_bytes(nbytes, "big")) for row in rows]
+
+    def null_rows(self) -> list[list[int]]:
+        """The tails of the generators not kept, in order: the combinations
+        of the generators that vanish, a basis of all of them."""
+        return self._tails(self._null)
 
     def coefficients_for(self, target: list[int]) -> list[int] | None:
         """Coefficients over the generators, or None if out of span."""
         if len(target) != self.width:
             raise UsageError("target length mismatch")
         # reducing (target, 0) leaves (residual, coefficients)
-        work = self._echelon.reduce(list(target) + [0] * self.ngens)
-        if any(work[:self.width]):
-            return None
-        return work[self.width:]
+        left = self._echelon.sweep([[self._packed(target)]])[0]
+        work = left[0] if left else 0
+        return None if work >> self._tail else self._tails([work])[0]
 
     def coefficient_rows(self, targets) -> list[list[int]] | None:
         """coefficients_for of every target, or None if one is out of span."""

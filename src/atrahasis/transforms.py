@@ -34,7 +34,9 @@ of its messages toward both nodes (naive); the last one sends only the
 first node's message and the rebuilt node helps the second (cascade); or
 helpers send only what is new to the agent (subspace).  On the t = 3
 fixture that is 30 / 28 / 27 symbols; subspace_bandwidth is the closed
-form of the last.
+form of the last.  Under subspace and for one failure a program is one
+solve: one SpanSolver over every offered message row picks the sends
+(the rows it keeps) and gives the recovery from the same elimination.
 """
 
 from __future__ import annotations
@@ -171,11 +173,15 @@ class ShortenedCode:
         is sent, in order.
 
         Each node offers its message rows toward the failed nodes (under
-        cascade the last helper only toward the first) to an echelon,
-        shared under subspace and for one failure, fresh per node
-        otherwise; the kept rows are what it sends.  The pinned nodes go
-        first: they store zeros, so their rows seed the generators and are
-        never sent.
+        cascade the last helper only toward the first).  Under subspace
+        and for one failure, one SpanSolver over all the offered rows does
+        the whole program in one elimination: a row it keeps, independent
+        of the rows before it, is sent, and the recovery is read off the
+        same echelon (a row not kept gets no coefficient).  Under naive and
+        cascade with two failures each node keeps, in its own echelon,
+        what is independent of its own rows, sends it all, and the solver
+        runs over what is sent.  The pinned nodes go first: they store
+        zeros, so their rows seed the generators and are never sent.
         """
         failed, helpers = list(failed), list(helpers)
         if strategy not in STRATEGIES:
@@ -192,20 +198,27 @@ class ShortenedCode:
                              f"the failed nodes {failed}")
         self._check_live(*failed, *helpers)
         base, spec, width = self.base, self.spec, self.base.params.M
-        shared = Echelon(spec, width)
-        sends, generators, pinned_rows = [], [], 0
+        shared = strategy == SUBSPACE or len(failed) == 1
+        generators, owners = [], []
         for h in list(self.pinned) + helpers:
             toward = failed[:1] if strategy == CASCADE and h == helpers[-1] else failed
-            echelon = (shared if strategy == SUBSPACE or len(failed) == 1
-                       else Echelon(spec, width))
-            kept = [row for f in toward for row in base.message_tensor_rows(h, f)
-                    if echelon.offer(row)]
-            if h in self.pinned:
-                pinned_rows += len(kept)
-            elif kept:
-                sends.append((h, send_matrix(base, h, kept)))
-            generators.extend(kept)
-        solvers = [SpanSolver(spec, generators, width)] * len(failed)
+            rows = [row for f in toward for row in base.message_tensor_rows(h, f)]
+            if not shared:
+                echelon = Echelon(spec, width)
+                rows = [row for row in rows if echelon.offer(row)]
+            generators.extend(rows)
+            owners.extend([h] * len(rows))
+        solver = SpanSolver(spec, generators, width)
+        # the indices of the generators sent: of the helpers', under a
+        # shared echelon only those the solver kept
+        sent = [i for i, h in enumerate(owners)
+                if h not in self.pinned and (solver.kept[i] or not shared)]
+        sends = []
+        for h in helpers:
+            rows = [generators[i] for i in sent if owners[i] == h]
+            if rows:
+                sends.append((h, send_matrix(base, h, rows)))
+        solvers = [solver] * len(failed)
         if strategy == CASCADE:
             # the rebuilt first node acts as one more helper for the second
             solvers[1] = SpanSolver(spec, generators + base.node_tensor_rows(failed[0]),
@@ -220,7 +233,7 @@ class ShortenedCode:
             columns, n = [list(column) for column in zip(*recover[0])], len(generators)
             recover[1] = [[spec.add(a, b) for a, b in zip(row, matvec(spec, columns, row[n:]))]
                           for row in recover[1]]
-        return sends, [[row[pinned_rows:] for row in R] for R in recover]
+        return sends, [[[row[i] for i in sent] for row in R] for R in recover]
 
     def download(self, contents: list[NodeContent]) -> list[int]:
         """Recover the user symbols from any k-depth live node contents."""

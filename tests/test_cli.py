@@ -147,10 +147,25 @@ def test_gen_has_no_shortening_or_spec_file_source(tmp_path, option):
      "--x-pattern", "0,2,6", "--y-pattern", "0,1,3", "--source", "search",
      "--field", "gf16"),
     ("--fixture", "atrahasis-956", "--source", "rs"),
-], ids=["rs-patterns", "fixture-rs-pattern", "fixture-patterns", "fixture-rs"])
+    ("--fixture", "atrahasis-956", "--source", "search"),
+], ids=["rs-patterns", "fixture-rs-pattern", "fixture-patterns", "fixture-rs",
+        "fixture-search"])
 def test_gen_rejects_options_its_source_does_not_read(tmp_path, args):
     spec = tmp_path / "x.spec"
     assert_usage_error("gen", *args, "--out", str(spec))
+    assert not spec.exists()
+
+
+@pytest.mark.parametrize("patterns", [("--x-pattern", ""), ("--y-pattern", ""),
+                                      ("--x-pattern", ","),
+                                      ("--x-pattern", "", "--y-pattern", "0,1,2")],
+                         ids=["x-empty", "y-empty", "x-commas", "x-empty-y-given"])
+def test_gen_search_rejects_an_empty_pattern(tmp_path, patterns):
+    # t = 2: an empty pattern used to fall back to the Reed-Solomon
+    # exponents as if it had not been given
+    spec = tmp_path / "x.spec"
+    assert_usage_error("gen", "--n", "6", "--k", "3", "--d", "4", "--source", "search",
+                       *patterns, "--out", str(spec))
     assert not spec.exists()
 
 
@@ -1093,7 +1108,7 @@ def test_json_output_parses(tmp_path):
 # gives); every other dest of the command keeps its table default
 PARSES = {
     "gen-defaults": (["gen", "--out", "x"], cli.cmd_gen,
-                     {"out": "x", "source": "search", "n": None, "flavor": None,
+                     {"out": "x", "source": None, "n": None, "flavor": None,
                       "field": None, "json": False, "seed": 0}),
     "gen-equals": (["--json", "gen", "--n=6", "--k", "3", "--d=4", "--out=x",
                     "--source", "rs", "--field=gf16/0x13"], cli.cmd_gen,

@@ -3,6 +3,8 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
                             HelpMessage, NodeContent, StarFamily, derive_params,
@@ -11,7 +13,7 @@ from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
-from atrahasis.linalg import SpanSolver
+from atrahasis.linalg import SpanSolver, rank_of_rows
 from atrahasis.transforms import ShortenedCode, shorten
 from conftest import random_values
 
@@ -133,6 +135,60 @@ def test_verify_axioms_pinned_passes(gf16, fixture_family):
         True, subsets_checked=65)
     assert verify_axioms(rs_stars_t2(binary_field(8), 12, 5, EXTERIOR)) == AxiomReport(
         True, subsets_checked=2838)
+
+
+def brute_force_report(stars):
+    """verify_axioms one subset at a time: each axiom's subsets in
+    combinations order, ranked from scratch."""
+    p, spec = stars.params, stars.spec
+    checked, nodes = 0, range(p.n)
+    second = "MDSy" if p.flavor == SYMMETRIC else "MDSw"
+    full = len(stars.axiom_tensor_rows(0)[0])
+    checks = [("MDSx", None, p.t, p.t, lambda S: [stars.x_stars[h] for h in S]),
+              (second, None, p.y_dim, p.y_dim, lambda S: [stars.second_stars[h] for h in S])]
+    if p.flavor == SYMMETRIC:
+        checks.append(("MDSd", None, p.d, full,
+                       lambda S: [row for h in S for row in stars.axiom_tensor_rows(h)]))
+    else:
+        checks += [("MDSq", f, p.d, full,
+                    lambda S, f=f: stars.quotient_rows(f)
+                    + [row for h in S for row in stars.axiom_tensor_rows(h)])
+                   for f in nodes]
+    for axiom, f, size, target, rows in checks:
+        for S in combinations([h for h in nodes if h != f], size):
+            checked += 1
+            if rank_of_rows(spec, rows(S)) < target:
+                return AxiomReport(False, axiom, S, f, checked)
+    return AxiomReport(True, subsets_checked=checked)
+
+
+MUTATED_FAMILIES = {"fixture": atrahasis_956,
+                    "rs-12-5-8-exterior": lambda: rs_stars_t2(binary_field(8), 12, 5, EXTERIOR)}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_axioms_single_value_mutations_match_brute_force(name, data):
+    # verify_axioms walks the MDSd and MDSq passes of these two families
+    # on the dual side; a mutation must still be reported at the first
+    # subset a one-by-one check meets
+    family = MUTATED_FAMILIES[name]()
+    stars = [[list(v) for v in family.x_stars], [list(v) for v in family.second_stars]]
+    which = data.draw(st.integers(0, 1))
+    h = data.draw(st.integers(0, family.params.n - 1))
+    i = data.draw(st.integers(0, len(stars[which][h]) - 1))
+    # another node's entry at the same place breaks some subset often
+    column = [v[i] for v in stars[which]]
+    stars[which][h][i] = data.draw(st.sampled_from(column)
+                                   | st.integers(0, family.spec.order - 1))
+    try:
+        mutant = StarFamily(family.spec, family.params, *stars)
+    except UsageError:  # an all-zero w star
+        return
+    report = verify_axioms(mutant)
+    event(report.axiom or "pass")
+    assert report == brute_force_report(mutant)
 
 
 def test_encode_identity_and_linearity(gf16, fixture_family, rng):

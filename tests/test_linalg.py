@@ -1,9 +1,11 @@
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from atrahasis import linalg
 from atrahasis.code import EXTERIOR, derive_params
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
@@ -445,6 +447,106 @@ def test_first_deficient_subset_verdict_ignores_block_order(problem, data):
             assert len(subset) == size
             rows = list(base) + [row for i in subset for row in chosen[i]]
             assert rank_of_rows(spec, rows) < target
+
+
+# small fields make dependent complements common, and in the large ones
+# a subset of tightly many rows usually spans; GF(2^9) is carry-less
+DUAL_FIELDS = (binary_field(1), binary_field(2), prime_field(3), prime_field(7),
+               binary_field(8), binary_field(9))
+
+
+@st.composite
+def dual_problems(draw, fields=DUAL_FIELDS):
+    """Problems the dual walk takes: up to 8 blocks of one length, a
+    subset size near the block count, and most targets the rank of all
+    the rows (an exact fit), which is often below the width since the
+    rows are drawn from a smaller space.  Half the time that space is
+    no larger than a subset's rows span, and splicing adds dependent
+    rows, so dependent complements are common."""
+    spec = draw(st.sampled_from(fields))
+    symbol = st.integers(0, spec.order - 1)
+    nblocks = draw(st.integers(1, 8))
+    size = draw(st.integers(nblocks // 2, nblocks)
+                | st.integers(min(nblocks, nblocks // 2 + 2), nblocks))
+    nbase = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # tight: the rows' space is as large as a subset's rows, so that a
+        # subset spans it only when none of its rows is dependent
+        c = draw(st.integers(1, max(1, min(3, (10 - nbase) // max(1, size)))))
+        rank = max(1, nbase + size * c)
+    else:
+        c, rank = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    width = rank + draw(st.integers(0, 2))
+    basis = draw(st.lists(st.lists(symbol, min_size=width, max_size=width),
+                          min_size=rank, max_size=rank))
+
+    def row():
+        coeffs = draw(st.lists(symbol, min_size=rank, max_size=rank))
+        out = [0] * width
+        for c, b in zip(coeffs, basis):
+            out = [spec.add(x, spec.mul(c, y)) for x, y in zip(out, b)]
+        return out
+
+    blocks = [[row() for _ in range(c)] for _ in range(nblocks)]
+    base = [row() for _ in range(nbase)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nblocks - 1)), draw(st.integers(0, c - 1))
+        a, b = draw(st.sampled_from(base + [r for block in blocks for r in block])), row()
+        blocks[i][j] = draw(st.sampled_from(([0] * width, list(a),
+                                             [spec.add(x, y) for x, y in zip(a, b)])))
+    full = rank_of_rows(spec, base + [r for block in blocks for r in block])
+    target = draw(st.sampled_from((full, full, full, width, draw(st.integers(0, width)))))
+    return spec, blocks, size, target, base
+
+
+def side_taken(spec, blocks, size, target, base):
+    """first_deficient_subset's answer, and which side it walked."""
+    duals, walks = [], []
+
+    def spy(record, real):
+        def call(*args):
+            record.append(real(*args))
+            return record[-1]
+        return call
+
+    with mock.patch.object(linalg, "_dual_blocks", spy(duals, linalg._dual_blocks)), \
+            mock.patch.object(linalg, "_walk", spy(walks, linalg._walk)):
+        found = first_deficient_subset(spec, blocks, size, target, base)
+    if not duals:
+        return found, "primal"
+    if duals[0] is None:
+        return found, "dual refused: no exact fit"
+    return found, "dual passed" if len(walks) == 1 else "dual failed, primal re-run"
+
+
+@settings(max_examples=400, deadline=None)
+@given(dual_problems())
+def test_first_deficient_subset_dual_side_matches_brute_force(problem):
+    found, side = side_taken(*problem)
+    event(side)
+    expected = brute_force_first_deficient(*problem)
+    assert found == expected
+    # duality both ways: a dual walk that fails where every subset spans
+    # would only cost a primal re-run, so the answer alone cannot see it
+    if side.startswith("dual ") and "refused" not in side:
+        assert (side == "dual passed") == (expected is None)
+
+
+def test_first_deficient_subset_dual_side_examples(gf16):
+    # 4 single rows of F^2 spanned by e0, e1: 3 of them always span unless
+    # two of the three repeat one row; the dual walks 1-subsets of F^2
+    e0, e1 = [1, 0], [0, 1]
+    both = [gf16.add(a, b) for a, b in zip(e0, e1)]
+    assert side_taken(gf16, [[e0], [e1], [both], [e1]], 3, 2, []) == (None, "dual passed")
+    assert side_taken(gf16, [[e0], [e1], [e1], [e1]], 3, 2, []) == \
+        ((1, 2, 3), "dual failed, primal re-run")
+    # rank 2 of width 3: the dual needs the exact fit, so target 3 walks primal
+    blocks = [[e0 + [0]], [e1 + [0]], [both + [0]], [e1 + [0]]]
+    assert side_taken(gf16, blocks, 3, 2, []) == (None, "dual passed")
+    assert side_taken(gf16, blocks, 3, 3, []) == ((0, 1, 2), "dual refused: no exact fit")
+    # too few rows to reach the target at all, and too shallow a dual
+    assert side_taken(gf16, blocks, 1, 2, []) == ((0,), "primal")
+    assert side_taken(gf16, blocks[:3], 2, 2, []) == (None, "primal")
 
 
 def test_first_deficient_subset_examples(gf16):

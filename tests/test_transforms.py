@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ from atrahasis.errors import AxiomViolationError, UsageError
 from atrahasis.fields import binary_field
 from atrahasis.fixtures import atrahasis_956
 from atrahasis.linalg import matvec
-from atrahasis.transforms import (CASCADE, NAIVE, SUBSPACE, ShortenedCode,
+from atrahasis.transforms import (CASCADE, NAIVE, STRATEGIES, SUBSPACE, ShortenedCode,
                                   central_repair_program, shorten, subspace_bandwidth)
 from conftest import (cascade_bandwidth, central_repair_two, cutset_two_failure_bandwidth,
                       naive_bandwidth, random_values, subspace_optimality_gap,
@@ -279,3 +280,35 @@ def test_central_repair_messages_use_only_helper_contents(gf16, fixture_family, 
     stored = code.node_content(phi, h).values
     sent = matvec(gf16, program.send_matrices[0], stored)
     assert len(sent) == count == 5
+
+
+# sha256 of the repr of every repair program below, pinned from the
+# builder that picked the sends and then eliminated them again for the
+# recovery; one elimination per program must give them bit for bit
+PINNED_PROGRAMS = {
+    NAIVE: "3ebf765d873d7601031812c983cd11575b0fe0cc9667e8abc23bbbc094edd76b",
+    CASCADE: "baba1b0cd9947691fe3571d21f63e7e82c51236e502b4bdb65217102ce408178",
+    SUBSPACE: "8b4c258a99a37cdb5419f71589d1ddf625faf54e882008e8bfd4708fa886ebed",
+    "single-depth-1": "2f8c5ce402e91b854db21b086f3a363a619c0cba0d8cd2d8c08a0bac21d82403",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pair_repair_programs_pinned(fixture_family, strategy):
+    # every pair of the fixture, helped by the first d other nodes
+    code, digest = ShortenedCode(fixture_family, 0), hashlib.sha256()
+    for f, g in combinations(range(9), 2):
+        helpers = [h for h in range(9) if h not in (f, g)][:code.d]
+        digest.update(repr(code.repair_program([f, g], helpers, strategy)).encode())
+    assert digest.hexdigest() == PINNED_PROGRAMS[strategy]
+
+
+def test_single_repair_programs_pinned(fixture_family):
+    # every node of the depth-1 shortening, from each run of d helpers
+    # around the ring of live nodes
+    code, digest = shorten(fixture_family, 1), hashlib.sha256()
+    for f in range(code.n):
+        for start in range(code.n):
+            ring = [h for h in list(range(start, code.n)) + list(range(start)) if h != f]
+            digest.update(repr(code.repair_program([f], sorted(ring[:code.d]))).encode())
+    assert digest.hexdigest() == PINNED_PROGRAMS["single-depth-1"]
