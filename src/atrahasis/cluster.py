@@ -27,34 +27,30 @@ Layout under one store root:
                     word w is bit b of the node's symbol i for chunk
                     64*(s0 + w) + t
 
-A put reads the byte stream (8-byte little-endian length prefix, then
-the payload, zero-padded to whole stripes of M*m words) as the bit-planes
-of M-symbol chunks, m bits per symbol, in the same plane-major batches
+The user stream is an 8-byte little-endian length prefix, then the
+payload, zero-padded to whole stripes of M*m words: the bit-planes of
+M-symbol chunks, m bits per symbol, in the layout's plane-major batches
 (bulk), so the data path never holds symbol values.  The store is
-systematic: nodes 0..k-1 hold the user symbols, so the body of node
-h < k is the stream's planes h*alpha*m .. (h+1)*alpha*m, batch by batch,
-byte for byte.  Every matrix applied comes from the store's
-ShortenedCode (transforms): put writes those slices as they are and
-applies the transfer from nodes 0..k-1 to nodes k..n-1; get from nodes
-0..k-1, in any order, copies their bytes, and from any other k live
-nodes applies the transfer from them to nodes 0..k-1; repair and
-repair2 share one regeneration loop, in which each helper applies its
-send matrix to its blob and each failed node is one recovery matrix
-over all that was received.  The ledger is charged what was sent:
-d*beta symbols per chunk for repair, the strategy bandwidth for repair2.
+systematic: the body of node h < k is the stream's planes h*alpha*m ..
+(h+1)*alpha*m, batch by batch, byte for byte.
 
-Every data command streams: it expands its matrices once, then works
-through the file one batch of BATCH_STRIPES stripes at a time, reading
-that batch of the user file or of each node blob at its offset, applying
-the bulk kernel and appending the results to temp files hashed as they
-grow.  Its memory is one batch, whatever the file size; the batches are
-the layout's own, so each one is read or written as one contiguous
-slice of every stream.
+Every data command is a plan for one streaming pass (Cluster._stream),
+which holds one batch of BATCH_STRIPES stripes at a time, whatever the
+file size.  Each batch, it reads every source (the stream's k slices,
+or node blobs), sends each through its send matrix or as it is, and
+gives each target a copy of one source or its planes of one matrix,
+from the store's ShortenedCode (transforms), over all that was sent.
+put copies the slices to nodes 0..k-1 and computes k..n-1; get copies
+what survives of nodes 0..k-1 and decodes only the rest (Khan et al.,
+FAST 2012), so from 0..k-1 in any order it is a pure copy; repair and
+repair2 rebuild the failed nodes from what the helpers send.  The
+ledger is charged what was sent: d*beta symbols per chunk for repair,
+the strategy bandwidth for repair2.
 
 Reads are verified and writes are staged.  A blob's length and header
-are checked when it is opened and its SHA-256 against the manifest once
-it has been read through; get writes a temp file beside its output and
-renames it only after every digest and the length prefix check out.
+are checked when it is opened, and its SHA-256 against the manifest by
+the read that reaches its end; get writes a temp file beside its output
+and renames it only after every digest and the length prefix check out.
 Blob and manifest writes go through a temp file and rename, so a file
 on disk is either absent or fully valid; repair and repair2 rename only
 once every helper and every rebuilt blob matches its digest, and
@@ -208,11 +204,13 @@ class Staged:
 
 class _BlobReader:
     """One node blob opened for a streaming pass: its length and header are
-    checked on open, its body is read a batch of stripes at a time, and all
-    of it is hashed for check() against the digest recorded at put."""
+    checked on open, its body is read a batch of stripes at a time, and
+    the read that reaches its end compares the SHA-256 of all of it with
+    the digest recorded at put."""
 
-    def __init__(self, path: Path, h: int, header: bytes, size: int):
-        self.h = h
+    def __init__(self, path: Path, h: int, header: bytes, size: int, digest: str):
+        self.h, self.digest = h, digest
+        self.left = size - len(header)  # body bytes not yet read
         try:
             self.fh = open(path, "rb")
         except FileNotFoundError:
@@ -237,12 +235,10 @@ class _BlobReader:
         if len(data) != size:
             raise CorruptDataError(f"node {self.h} blob has wrong length")
         self.sha.update(data)
-        return data
-
-    def check(self, digests: dict) -> None:
-        """Compare what was read with the manifest's node_digests."""
-        if self.sha.hexdigest() != digests[str(self.h)]:
+        self.left -= size
+        if not self.left and self.sha.hexdigest() != self.digest:
             raise CorruptDataError(f"node {self.h} blob does not match its digest")
+        return data
 
     def close(self) -> None:
         self.fh.close()
@@ -372,13 +368,18 @@ class Cluster:
                     self._blob_path(h), blob_header(phash, h))))
                 for h in nodes}
 
-    def _open_nodes(self, stack: ExitStack, code: ShortenedCode, phash: bytes,
-                    nodes, stripes: int) -> dict:
-        """node -> its blob opened under `stack` for one streaming pass."""
-        size = HEADER_LEN + stripes * self._record_len(code)
-        return {h: stack.enter_context(closing(_BlobReader(
-                    self._blob_path(h), h, blob_header(phash, h), size)))
-                for h in nodes}
+    def _open_nodes(self, stack: ExitStack, code: ShortenedCode, manifest: dict,
+                    sends) -> list:
+        """Each (h, send) of sends as a source of _stream, (read, send),
+        reading node h's blob, opened under `stack`."""
+        size = HEADER_LEN + ChunkedFile(**manifest["file"]).stripes * self._record_len(code)
+        phash = bytes.fromhex(manifest["params_hash"])
+        blobs = {h: stack.enter_context(closing(_BlobReader(
+                    self._blob_path(h), h, blob_header(phash, h), size,
+                    manifest["node_digests"][str(h)])))
+                 for h, _ in sends}
+        return [(lambda stripes, h=h: self._read_node(code, h, stripes, blobs), S)
+                for h, S in sends]
 
     def _write_node(self, code: ShortenedCode, h: int, planes: Planes,
                     staged: dict, data=None) -> None:
@@ -393,11 +394,32 @@ class Cluster:
         as the bytes of its alpha*m planes."""
         return blobs[h].read(stripes * self._record_len(code))
 
-    def _read_planes(self, code: ShortenedCode, h: int, stripes: int,
-                     blobs: dict) -> Planes:
-        """_read_node's batch as node h's alpha*m planes."""
-        return bytes_to_symbols(self._read_node(code, h, stripes, blobs),
-                                code.alpha * code.spec.m)
+    def _stream(self, code: ShortenedCode, stripes: int, sources, matrix,
+                targets: dict, write) -> None:
+        """The one streaming pass (see the module docstring).  sources are
+        (read, send) pairs: read(stripes) gives the next batch, the bytes
+        of alpha*m planes, and send is the matrix they go through, or None.
+        targets maps each target, in output order, to the index of the
+        source it copies, or to None for its alpha*m planes of matrix over
+        all that was sent.  Each batch of target t goes to write(t, planes,
+        data), data the bytes of a copy; with no matrix, planes is None."""
+        bulk = BulkField(code.spec)
+        sends = [None if S is None else bulk.expand(S) for _, S in sources]
+        matrix = None if matrix is None else bulk.expand(matrix)
+        a = code.alpha * code.spec.m
+        for width in _batches(stripes):
+            pieces = [read(width) for read, _ in sources]
+            planes = [None] * len(pieces)
+            if matrix is not None:
+                planes = [bytes_to_symbols(piece, a) for piece in pieces]
+                sent = chain.from_iterable(p if S is None else bulk.matmul(S, p)
+                                           for p, S in zip(planes, sends))
+                rebuilt = iter(bulk.matmul(matrix, Planes(sent, width)).split(a))
+            for target, source in targets.items():
+                if source is None:
+                    write(target, next(rebuilt), None)
+                else:
+                    write(target, planes[source], pieces[source])
 
     # ---- commands ----
 
@@ -412,7 +434,6 @@ class Cluster:
             code, phash = specfile.parse_document(spec_doc)
             check_storable(code)
             verify_axioms(code.base).check()
-            bulk = BulkField(code.spec)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())
             if not stat.S_ISREG(info.st_mode):
@@ -420,29 +441,24 @@ class Cluster:
             stack.enter_context(locked(self.root, create=True))
             length = info.st_size
             chunked = ChunkedFile.plan(length, code.M, code.spec.m)
-            parity = bulk.expand(code.transfer_matrix(range(code.k), range(code.k, code.n)))
             staged = self._stage_nodes(stack, phash, range(code.n))
-            rows = code.M * code.spec.m
-            a = code.alpha * code.spec.m
-            head, remaining = length.to_bytes(8, "little"), length
-            for stripes in _batches(chunked.stripes):
-                size = stripes * rows * Planes.itemsize
-                take = min(size - len(head), remaining)
-                data = src.read(take)
-                if len(data) != take:
+            head = length.to_bytes(8, "little")
+
+            def read(stripes):
+                # the next batch of one of nodes 0..k-1: its slice of the
+                # stream, which it stores as it is
+                nonlocal head
+                size = stripes * self._record_len(code)
+                want = min(size, len(head) + length - src.tell())  # the rest is padding
+                data, head = head + src.read(want - len(head)), b""
+                if len(data) != want:
                     raise UsageError(f"{file_path} shrank while put read it")
-                remaining -= take
-                stream = memoryview((head + data).ljust(size, b"\x00"))
-                head = b""
-                user = bytes_to_symbols(stream, rows)
-                # nodes 0..k-1 hold the user planes: each stores its slice of
-                # the stream as it is
-                part = size // code.k
-                for h, planes in enumerate(user.split(a)):
-                    self._write_node(code, h, planes, staged,
-                                     stream[h * part:(h + 1) * part])
-                for h, planes in enumerate(bulk.matmul(parity, user).split(a), code.k):
-                    self._write_node(code, h, planes, staged)
+                return data.ljust(size, b"\x00")
+
+            self._stream(code, chunked.stripes, [(read, None)] * code.k,
+                         code.transfer_matrix(range(code.k), range(code.k, code.n)),
+                         {h: h if h < code.k else None for h in range(code.n)},
+                         lambda h, p, data: self._write_node(code, h, p, staged, data))
             for blob in staged.values():
                 blob.commit()
             manifest = {
@@ -467,23 +483,19 @@ class Cluster:
                     "symbols_per_chunk": code.M}
 
     def get(self, out_path, nodes: list[int] | None = None) -> dict:
-        """Decode the file from k live nodes into out_path, or copy it from
-        nodes 0..k-1.  The bytes go to a temp file beside it, renamed over
-        it only once every blob read matches its digest and the length
-        prefix matches the manifest."""
+        """Read the file from k live nodes into out_path: the slices of
+        nodes 0..k-1 among them are copied, and only the others decoded.
+        The bytes go to a temp file beside it, renamed over it only once
+        every blob read matches its digest and the length prefix matches
+        the manifest."""
         with locked(self.root), ExitStack() as stack:
             manifest, code = self._load()
             nodes = self._pick_nodes(manifest, code, "get", nodes)
             chunked = ChunkedFile(**manifest["file"])
             length = chunked.original_length
-            blobs = self._open_nodes(stack, code, bytes.fromhex(manifest["params_hash"]),
-                                     nodes, chunked.stripes)
-            # from nodes 0..k-1, in any order, the stream is their planes
-            # copied; from any other k nodes it is decoded
-            copy = sorted(nodes) == list(range(code.k))
-            if not copy:
-                bulk = BulkField(code.spec)
-                decode = bulk.expand(code.transfer_matrix(nodes, range(code.k)))
+            sources = self._open_nodes(stack, code, manifest, [(h, None) for h in nodes])
+            missing = [h for h in range(code.k) if h not in nodes]
+            decode = code.transfer_matrix(nodes, missing) if missing else None
             out = Path(out_path)
             if out.is_symlink():
                 out = out.resolve()  # write through a symlink, not over it
@@ -497,27 +509,24 @@ class Cluster:
             except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
                 # the directory of out is at fault: name out, not the temp file
                 raise type(exc)(exc.errno, exc.strerror, str(out_path)) from None
+            pos = prefix = 0
+
+            def write(_, planes, data):
+                # the stream is the slices of nodes 0..k-1, batch by batch,
+                # and the payload its bytes 8 .. 8+length
+                nonlocal pos, prefix
+                piece = symbols_to_bytes(planes) if data is None else data
+                if pos == 0:
+                    prefix = int.from_bytes(piece[:8], "little")
+                sink.write(memoryview(piece)[max(8 - pos, 0):max(8 + length - pos, 0)])
+                pos += len(piece)
+
             try:
                 with sink:
-                    # the payload is bytes 8 .. 8+length of the stream
-                    pos = 0
-                    for stripes in _batches(chunked.stripes):
-                        if copy:
-                            pieces = [self._read_node(code, h, stripes, blobs)
-                                      for h in range(code.k)]
-                        else:
-                            stacked = Planes(chain.from_iterable(
-                                self._read_planes(code, h, stripes, blobs) for h in nodes),
-                                stripes)
-                            pieces = [symbols_to_bytes(bulk.matmul(decode, stacked))]
-                        for piece in pieces:
-                            if pos == 0:
-                                prefix = int.from_bytes(piece[:8], "little")
-                            sink.write(memoryview(piece)[max(8 - pos, 0):
-                                                         max(8 + length - pos, 0)])
-                            pos += len(piece)
-                for blob in blobs.values():
-                    blob.check(manifest["node_digests"])
+                    # what survives of nodes 0..k-1 is copied, the rest decoded
+                    self._stream(code, chunked.stripes, sources, decode,
+                                 {h: nodes.index(h) if h in nodes else None
+                                  for h in range(code.k)}, write)
                 if prefix != length:
                     raise CorruptDataError(
                         "decoded length prefix disagrees with manifest")
@@ -561,30 +570,20 @@ class Cluster:
             helpers = self._pick_nodes(manifest, code, op, helpers, failed)
             sends, recover = code.repair_program(failed, helpers, strategy)
             chunked = ChunkedFile(**manifest["file"])
-            phash = bytes.fromhex(manifest["params_hash"])
-            blobs = self._open_nodes(stack, code, phash, [h for h, _ in sends],
-                                     chunked.stripes)
-            bulk = BulkField(code.spec)
-            sends = [(h, bulk.expand(S)) for h, S in sends]
-            recover = [bulk.expand(R) for R in recover]
-            staged = self._stage_nodes(stack, phash, failed)
-            for stripes in _batches(chunked.stripes):
-                received = Planes(chain.from_iterable(
-                    bulk.matmul(S, self._read_planes(code, h, stripes, blobs))
-                    for h, S in sends), stripes)
-                for node, R in zip(failed, recover):
-                    self._write_node(code, node, bulk.matmul(R, received), staged)
-            digests = manifest["node_digests"]
-            for blob in blobs.values():
-                blob.check(digests)
+            sources = self._open_nodes(stack, code, manifest, sends)
+            staged = self._stage_nodes(stack, bytes.fromhex(manifest["params_hash"]), failed)
+            # the recovery matrices stacked: one matrix rebuilds every failed node
+            self._stream(code, chunked.stripes, sources, list(chain.from_iterable(recover)),
+                         dict.fromkeys(failed),
+                         lambda h, planes, data: self._write_node(code, h, planes, staged))
             for node, blob in staged.items():
-                if blob.sha.hexdigest() != digests[str(node)]:
+                if blob.sha.hexdigest() != manifest["node_digests"][str(node)]:
                     raise CorruptDataError(
                         f"repaired node {node} does not match its original digest")
             for node, blob in staged.items():
                 blob.commit()
                 manifest["node_status"][node] = LIVE
-            bandwidth = sum(len(S.rows) for _, S in sends)
+            bandwidth = sum(len(S) for _, S in sends)
             if len(failed) > 1:  # a single repair always sends d*beta
                 entry.update(strategy=strategy, bandwidth_per_chunk=bandwidth)
             symbols = chunked.chunk_count * bandwidth

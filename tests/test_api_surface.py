@@ -70,3 +70,23 @@ def test_every_public_name_has_a_caller_or_a_reason():
     unreferenced = {q for q, name in defined.items()
                     if name not in (attributes if "." in q else names)}
     assert unreferenced == set(ALLOWED_UNREFERENCED)
+
+
+def test_one_function_loops_over_batches():
+    # cluster's data commands are plans for one streaming pass, the only
+    # caller of _batches: a new command adds a plan, not a batch loop
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "_batches" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.append(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert len(callers) == 1, callers

@@ -119,16 +119,21 @@ def test_fail_repair_cycle(tmp_path, fixture_doc, rng):
 
 
 def test_exhaustive_failure_sets(tmp_path, fixture_doc, rng, monkeypatch):
-    # every one of the 126 5-subsets, on a file of two batches of stripes
+    # every k-subset, sorted and reversed, so that copied and decoded nodes
+    # interleave out of order, on a file of two batches of stripes: the
+    # fixture's 126 5-subsets and the 70 4-subsets of its depth-1 shortening
     monkeypatch.setattr(cluster_module, "BATCH_STRIPES", 2)
-    data = bytes(rng.randrange(256) for _ in range(2500))  # 3 stripes of 960 bytes
-    cluster, info = make_store(tmp_path, fixture_doc, data)
-    assert info["chunk_count"] == 3 * 64
-    out = tmp_path / "out.bin"
-    for lost in combinations(range(9), 4):
-        live = [h for h in range(9) if h not in lost]
-        cluster.get(out, nodes=live[:5])
-        assert out.read_bytes() == data
+    shortened = family_document(atrahasis_956(), shorten_depth=1)
+    # 3 stripes of 960 and of 768 bytes
+    for doc, k, size in ((fixture_doc, 5, 2500), (shortened, 4, 2000)):
+        data = bytes(rng.randrange(256) for _ in range(size))
+        cluster, info = make_store(tmp_path, doc, data)
+        assert info["chunk_count"] == 3 * 64
+        out = tmp_path / "out.bin"
+        for live in combinations(range(info["nodes"]), k):
+            for nodes in (list(live), list(reversed(live))):
+                cluster.get(out, nodes=nodes)
+                assert out.read_bytes() == data
 
 
 def test_get_rejects_dead_nodes(tmp_path, fixture_doc, rng):
@@ -724,6 +729,11 @@ def test_get_verifies_blob_digests(tmp_path, fixture_doc, rng):
     with pytest.raises(CorruptDataError, match="node 0"):
         cluster.get(out, nodes=[4, 3, 2, 1, 0])
     assert out.read_bytes() == b"previous"
+    for nodes in ([0, 5, 6, 7, 8], [8, 7, 6, 5, 0]):
+        # node 0's slice is copied and nodes 1-4 decoded
+        with pytest.raises(CorruptDataError, match="node 0 blob does not match"):
+            cluster.get(out, nodes=nodes)
+        assert out.read_bytes() == b"previous"
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["input.bin", "out.bin", "store"]  # no temp file left behind
     cluster.get(out, nodes=[1, 2, 3, 4, 5])

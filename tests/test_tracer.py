@@ -81,6 +81,11 @@ def test_node_byte_counters_count_blob_bodies(tmp_path, tracer, depth):
         body = (cluster.root / "node_0" / "chunks.blob").stat().st_size - 16
         assert t.counters["cluster.write_node.bytes"] == code.n * body
         assert counted(lambda: cluster.get(tmp_path / "out.bin")) == (code.k * body, 0)
+        # a degraded get reads each of its k source blobs once
+        degraded = list(range(code.n - code.k, code.n))
+        assert counted(lambda: cluster.get(tmp_path / "out.bin", nodes=degraded)) == \
+            (code.k * body, 0)
+        assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
         cluster.fail(0)
         assert counted(lambda: cluster.repair(0)) == (code.d * body, body)
         cluster.fail(1)
