@@ -8,9 +8,9 @@ the store's lock, and only put creates a store.  Each command loads the
 manifest with every check on its format, version, keys, embedded spec,
 params hash, field and values, and gets the store's code instance with
 it: always a ShortenedCode (a plain spec is depth 0, with no pinned
-nodes) that check_storable admits and whose base family passes
-verify_axioms, as put checks before it creates anything.  fail and
-status read or rewrite the manifest alone.
+nodes) that check_storable admits and whose base family satisfies
+every axiom, as put proves with code.check_axioms before it creates
+anything.  fail and status read or rewrite the manifest alone.
 
 Layout under one store root:
 
@@ -74,7 +74,7 @@ from pathlib import Path
 
 from . import specfile
 from .bulk import BulkField, Planes, bytes_to_symbols, require_binary, symbols_to_bytes
-from .code import verify_axioms
+from .code import check_axioms
 from .errors import CorruptDataError, InsufficientNodesError, UsageError
 from .transforms import SUBSPACE, ShortenedCode
 
@@ -428,12 +428,14 @@ class Cluster:
         blobs are staged beside any old ones, so a put that fails leaves
         the stored file as it was; node directories the new code does not
         use go only once the new manifest is saved.  The spec, which must
-        pass verify_axioms, and the input are checked before the lock is
-        taken, so a put that fails on either creates no store."""
+        pass check_axioms (a Reed-Solomon t = 2 family by its
+        certificate, any other by the verify_axioms walk), and the input
+        are checked before the lock is taken, so a put that fails on
+        either creates no store."""
         with ExitStack() as stack:
             code, phash = specfile.parse_document(spec_doc)
             check_storable(code)
-            verify_axioms(code.base).check()
+            check_axioms(code.base)
             src = stack.enter_context(open(file_path, "rb"))
             info = os.fstat(src.fileno())
             if not stat.S_ISREG(info.st_mode):
@@ -487,7 +489,8 @@ class Cluster:
         nodes 0..k-1 among them are copied, and only the others decoded.
         The bytes go to a temp file beside it, renamed over it only once
         every blob read matches its digest and the length prefix matches
-        the manifest."""
+        the manifest.  An out_path inside the store, symlinks followed,
+        is refused."""
         with locked(self.root), ExitStack() as stack:
             manifest, code = self._load()
             nodes = self._pick_nodes(manifest, code, "get", nodes)
@@ -499,6 +502,10 @@ class Cluster:
             out = Path(out_path)
             if out.is_symlink():
                 out = out.resolve()  # write through a symlink, not over it
+            resolved = out.resolve()
+            if self.root.resolve() in (resolved, *resolved.parents):
+                # the rename would replace a blob or the manifest
+                raise UsageError(f"{out_path} is inside the store {self.root}")
             if out.exists() and not out.is_file():
                 # get renames a verified temp file into place, and renaming
                 # over a device or pipe would replace it, not write to it

@@ -23,6 +23,32 @@ checked once, as they come in: StarFamily checks its star entries, and
 ShortenedCode the user's symbols and the node contents and help messages
 it is given; nothing built from them is checked again.
 
+Certification.  verify_axioms is the definition and the report: it walks
+every subset each MDS condition names and gives the first that fails,
+and its cost grows as C(n, d).  For the t = 2 Reed-Solomon families of
+rs_patterns (the product-matrix code: Rashmi, Shah, Kumar, IEEE Trans.
+IT 2011) the construction proves the conditions, and rs_certificate
+checks the proof's hypotheses in O(n*k) field operations instead: every
+node's stars are pattern_stars of one point a_h, and the b_h = a_h^(k-1)
+are pairwise distinct (so the a_h are too).  The proofs:
+
+- symmetric: x_h = (1, b_h), so MDSx is the 2x2 determinant b_j - b_i;
+  y_h = (1, a_h, ..., a_h^(k-2)), so MDSy is a Vandermonde determinant,
+  and so is MDSd, whose row x_h tensor y_h is (1, a_h, ..., a_h^(2k-3))
+  in the x-major basis;
+- exterior: MDSx as above, and MDSw is Vandermonde in
+  w_h = (1, a_h, ..., a_h^(k-1)).  For MDSq, let f fail and S be any
+  d = 2k-2 other nodes.  A functional on F^2 tensor F^k is a pair (P, Q)
+  of polynomials of degree < k, read on w.  If it vanishes on e_0
+  tensor w_f, e_1 tensor w_f and every x_h tensor w_h, then
+  P(a_f) = Q(a_f) = 0 and P(a_h) + b_h*Q(a_h) = 0 for h in S.  So
+  R = P + z^(k-1)*Q, of degree at most 2k-2, has the 2k-1 roots a_f and
+  a_h, and R = 0.  Then P = -z^(k-1)*Q forces Q to be a constant,
+  Q(a_f) = 0 makes it 0, and P = 0.  So the 2k rows span.
+
+check_axioms, which put and gen call, takes the certificate where it
+holds and the walk otherwise, so every rejection is the walk's.
+
 Everything here is a pure function of its inputs, which it never
 changes; the matrices for distinct nodes may be built concurrently.
 """
@@ -369,6 +395,32 @@ def rs_patterns(k: int, flavor: str) -> tuple:
     rows (Rashmi, Shah, Kumar, IEEE Trans. IT 2011): x = (0, k-1), and
     range(k-1) (symmetric) or range(k) (exterior)."""
     return (0, k - 1), tuple(range(k - 1 if flavor == SYMMETRIC else k))
+
+
+def rs_certificate(stars: StarFamily) -> bool:
+    """Whether the module docstring's proof covers the family: t = 2, and
+    each node's stars are those of rs_patterns at the point a_h read off
+    its second star (off x when k = 2, where a symmetric y is (1)), with
+    the a_h^(k-1) pairwise distinct.  True proves every condition
+    verify_axioms checks; False proves nothing."""
+    p = stars.params
+    if p.t != 2:
+        return False
+    patterns = rs_patterns(p.k, p.flavor)
+    powers = set()
+    for x, s in zip(stars.x_stars, stars.second_stars):
+        if pattern_stars(stars.spec, x[1] if p.k == 2 else s[1], *patterns) != (x, s):
+            return False
+        powers.add(x[1])
+    return len(powers) == p.n
+
+
+def check_axioms(stars: StarFamily) -> None:
+    """Raise AxiomViolationError naming the walk's first violation unless
+    every axiom holds: proved by rs_certificate where it applies, and by
+    the verify_axioms walk otherwise."""
+    if not rs_certificate(stars):
+        verify_axioms(stars).check()
 
 
 def rs_stars_t2(spec: FieldSpec, n: int, k: int, flavor: str = SYMMETRIC) -> StarFamily:

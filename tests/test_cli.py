@@ -16,7 +16,7 @@ from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
 from atrahasis import cli
 from atrahasis.cli import main, parse_field
 from atrahasis.cluster import Cluster
-from atrahasis.code import SYMMETRIC, rs_stars_t2
+from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.fixtures import atrahasis_956
@@ -307,11 +307,16 @@ def _leaves(doc, path=()):
 
 
 SPEC_DOCS = [specfile.family_document(atrahasis_956(), depth) for depth in (0, 1)]
+# Reed-Solomon t = 2 specs, which put proves by code.rs_certificate when it
+# holds and by the walk otherwise
+SPEC_DOCS += [specfile.family_document(rs_stars_t2(binary_field(4), 6, 3, flavor), depth)
+              for flavor in (SYMMETRIC, EXTERIOR) for depth in (0, 1)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-@pytest.mark.parametrize("base", SPEC_DOCS, ids=["depth0", "depth1"])
+@pytest.mark.parametrize("base", SPEC_DOCS, ids=["depth0", "depth1"] + [
+    f"rs-{flavor}-depth{depth}" for flavor in (SYMMETRIC, EXTERIOR) for depth in (0, 1)])
 def test_put_never_stores_what_verify_rejects(base, data):
     # one value of the fixture spec or its shortening replaced, the hash
     # recomputed: put exits 0 only on a spec verify accepts, and a put
@@ -334,6 +339,35 @@ def test_put_never_stores_what_verify_rejects(base, data):
                        "--store", str(store)])
         assert verified == 0 or stored != 0, (path, last, parent[last])
         assert stored == 0 or not store.exists()
+
+
+class WalkCalled(Exception):
+    pass
+
+
+def test_put_and_gen_prove_large_rs_specs_without_the_walk(tmp_path, monkeypatch):
+    # the (24,5,8) walk checks 746,373 subsets; the certificate none
+    def walk(*args):
+        raise WalkCalled
+    monkeypatch.setattr("atrahasis.linalg.first_deficient_subset", walk)
+    monkeypatch.setattr("atrahasis.code.first_deficient_subset", walk)
+    spec, data = tmp_path / "rs24.spec", tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 8)
+    assert main(["gen", "--source", "rs", "--n", "24", "--k", "5", "--d", "8",
+                 "--field", "gf256", "--out", str(spec)]) == 0
+    assert main(["put", str(data), "--spec", str(spec),
+                 "--store", str(tmp_path / "store")]) == 0
+    assert main(["get", str(tmp_path / "out.bin"), "--store", str(tmp_path / "store"),
+                 "--nodes", "19,20,21,22,23"]) == 0
+    assert (tmp_path / "out.bin").read_bytes() == data.read_bytes()
+    # a family the certificate does not cover still goes to the walk
+    fixture = tmp_path / "fix.spec"
+    with pytest.raises(WalkCalled):
+        main(["gen", "--fixture", "atrahasis-956", "--out", str(fixture)])
+    specfile.write_spec_file(fixture, atrahasis_956())
+    with pytest.raises(WalkCalled):
+        main(["put", str(data), "--spec", str(fixture),
+              "--store", str(tmp_path / "fixture-store")])
 
 
 def test_verify_spec_missing_stars(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 from atrahasis import cluster as cluster_module
 from atrahasis.bulk import BulkField, bytes_to_symbols, symbols_to_bytes
+from atrahasis.cli import main
 from atrahasis.cluster import Cluster
 from atrahasis.code import EXTERIOR, SYMMETRIC, rs_stars_t2
 from atrahasis.errors import (CorruptDataError, InsufficientNodesError,
@@ -529,6 +530,27 @@ def test_get_writes_only_regular_files(tmp_path, fixture_doc):
     link.symlink_to(target)
     cluster.get(link)
     assert link.is_symlink() and target.read_bytes() == b"hello"
+
+
+@pytest.mark.parametrize("out", ["store/node_0/chunks.blob", "store/manifest.json",
+                                 "store/node_3", "store", "blob-link",
+                                 "store-link/manifest.json"])
+def test_get_refuses_an_output_inside_its_store(tmp_path, fixture_doc, out):
+    # get renames its output into place, so an output inside the store,
+    # symlinks followed, would replace a live blob or the manifest
+    data = bytes(range(256)) * 40
+    cluster, _ = make_store(tmp_path, fixture_doc, data)
+    store = tmp_path / "store"
+    (tmp_path / "blob-link").symlink_to(store / "node_0" / "chunks.blob")
+    (tmp_path / "store-link").symlink_to(store)
+    files = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    with pytest.raises(UsageError, match="inside the store"):
+        cluster.get(tmp_path / out, nodes=[1, 2, 3, 4, 5])
+    assert main(["get", str(tmp_path / out), "--store", str(store),
+                 "--nodes", "1,2,3,4,5"]) == 2
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == files
+    cluster.get(tmp_path / "back.bin")
+    assert (tmp_path / "back.bin").read_bytes() == data
 
 
 def test_manifest_required(tmp_path):

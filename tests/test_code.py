@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import event, given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
                             HelpMessage, NodeContent, StarFamily, derive_params,
-                            help_matrix, pattern_family, rs_stars_t2, verify_axioms)
+                            help_matrix, pattern_family, rs_certificate, rs_patterns,
+                            rs_stars_t2, verify_axioms)
 from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
@@ -189,6 +191,77 @@ def test_verify_axioms_single_value_mutations_match_brute_force(name, data):
     report = verify_axioms(mutant)
     event(report.axiom or "pass")
     assert report == brute_force_report(mutant)
+
+
+# a^3 is not injective on GF(16), GF(256) or GF(4096), nor a^(k-1) for
+# k = 3..5 on GF(13)
+CERTIFIED_FIELDS = [binary_field(4), binary_field(8), binary_field(12), prime_field(13)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rs_certificate_proves_only_what_the_walk_passes(data):
+    spec = data.draw(st.sampled_from(CERTIFIED_FIELDS), label="field")
+    k = data.draw(st.integers(2, 5), label="k")
+    flavor = data.draw(st.sampled_from([SYMMETRIC, EXTERIOR]), label="flavor")
+    n = data.draw(st.integers(2 * k - 1, 2 * k + 2), label="n")
+    points = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n,
+                                unique=True), label="points")
+    if data.draw(st.booleans(), label="collide"):
+        # z * a has the (k-1)-th power of a when z^(k-1) = 1
+        root = spec.pow(data.draw(st.integers(1, spec.order - 1)),
+                        (spec.order - 1) // gcd(k - 1, spec.order - 1))
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                  unique=True))
+        points[i] = spec.mul(root, points[j])
+    family = pattern_family(spec, derive_params(n, k, 2 * (k - 1), flavor), points,
+                            *rs_patterns(k, flavor))
+    mutated = data.draw(st.booleans(), label="mutated")
+    if mutated:
+        # one star entry replaced: the family may no longer be a pattern family
+        stars = [[list(v) for v in family.x_stars], [list(v) for v in family.second_stars]]
+        which = data.draw(st.integers(0, 1))
+        h = data.draw(st.integers(0, n - 1))
+        i = data.draw(st.integers(0, len(stars[which][h]) - 1))
+        stars[which][h][i] = data.draw(st.integers(0, spec.order - 1))
+        try:
+            family = StarFamily(spec, family.params, *stars)
+        except UsageError:  # an all-zero w star
+            return
+    proved, ok = rs_certificate(family), verify_axioms(family).ok
+    event("proved" if proved else "walk passes" if ok else "walk fails")
+    assert ok or not proved
+    # on a pattern family the hypotheses are exact: a shared (k-1)-th
+    # power makes two x stars equal, which fails MDSx
+    assert mutated or proved == ok
+
+
+def test_rs_certificate_proves_every_rs_family():
+    proved = 0
+    for spec in CERTIFIED_FIELDS[:3]:
+        for flavor in (SYMMETRIC, EXTERIOR):
+            for k in range(2, 6):
+                for n in range(2 * k - 1, 17):
+                    if spec.order == 16 and k == 4:
+                        # GF(16) has 6 distinct cubes, and n >= 2k-1 = 7
+                        with pytest.raises(FieldTooSmallError):
+                            rs_stars_t2(spec, n, k, flavor)
+                        continue
+                    assert rs_certificate(rs_stars_t2(spec, n, k, flavor))
+                    proved += 1
+    assert proved == 2 * (3 * (14 + 12 + 10 + 8) - 10)
+
+
+def test_rs_certificate_declines_other_families(fixture_family, gf16):
+    assert not rs_certificate(fixture_family)  # t = 3
+    # t = 3 with a one-entry y star, which has no point to read
+    assert not rs_certificate(pattern_family(gf16, derive_params(4, 3, 3), [1, 2, 3, 4],
+                                             (0, 1, 2), (0,)))
+    fam = rs_stars_t2(gf16, 6, 3, SYMMETRIC)
+    points = [s[1] for s in fam.second_stars]
+    # the stars of rs_patterns, but for a different exponent of x
+    assert not rs_certificate(pattern_family(gf16, fam.params, points, (0, 3), (0, 1)))
+    assert rs_certificate(pattern_family(gf16, fam.params, points, (0, 2), (0, 1)))
 
 
 def test_encode_identity_and_linearity(gf16, fixture_family, rng):
