@@ -7,8 +7,8 @@ the exterior flavor.  The file is a linear functional on the product of
 F^t with the degree-t symmetric (resp. exterior) power, held as its
 coordinates against the canonical monomial basis.  Node contents and
 help messages are evaluations of that functional at canonical basis
-tensors of the node's / message's subspace.  Every such tensor, and
-every row of the repair-span axiom, is built by tensors.star_rows; the
+tensors of the node's / message's subspace.  Every such tensor is built
+by tensors.star_rows, the repair-span axiom's through axiom_rows; the
 two flavors differ only in the insertion maps it reads.
 
 This module builds the family and its help and send matrices;
@@ -23,9 +23,9 @@ checked once, as they come in: StarFamily checks its star entries, and
 ShortenedCode the user's symbols and the node contents and help messages
 it is given; nothing built from them is checked again.
 
-Certification.  verify_axioms is the definition and the report: it walks
-every subset each MDS condition names and gives the first that fails,
-and its cost grows as C(n, d).  For the t = 2 Reed-Solomon families of
+Certification.  spanning_conditions states the MDS conditions, and
+verify_axioms walks every subset each names and gives the first that
+fails; its cost grows as C(n, d).  For the t = 2 Reed-Solomon families of
 rs_patterns (the product-matrix code: Rashmi, Shah, Kumar, IEEE Trans.
 IT 2011) the construction proves the conditions, and rs_certificate
 checks the proof's hypotheses in O(n*k) field operations instead: every
@@ -160,7 +160,6 @@ class StarFamily:
         self._node_rows_cache: dict = {}
         self._node_solvers: dict = {}
         self._msg_rows_cache: dict = {}
-        self._axiom_rows_cache: dict = {}
 
     def _check_node(self, h: int) -> int:
         if not 0 <= h < self.params.n:
@@ -219,32 +218,24 @@ class StarFamily:
             self._msg_rows_cache[key] = rows
         return rows
 
-    def axiom_tensor_rows(self, h: int) -> list[list[int]]:
-        """Node h's contribution to the repair-span axiom, one degree down."""
-        h = self._check_node(h)
-        rows = self._axiom_rows_cache.get(h)
-        if rows is None:
-            rows = self._star_rows(h, self.params.t - 2)
-            self._axiom_rows_cache[h] = rows
-        return rows
-
-    def quotient_rows(self, f: int) -> list[list[int]]:
-        """The slack X tensor (s_f . ...) rows the exterior flavor's
-        repair-span axiom adds for failed node f."""
-        p = self.params
-        return quotient_rows(self.spec, p.flavor, p.t, self.second_stars[f])
-
     def __repr__(self):
         p = self.params
         return (f"StarFamily(({p.n},{p.k},{p.d},{p.alpha}) {p.flavor} "
                 f"over {self.spec})")
 
 
+def axiom_rows(spec: FieldSpec, flavor: str, t: int, x, s) -> list[list[int]]:
+    """The repair-span axiom's rows of stars (x, s): x tensor (s . e_eta)
+    for the monomials eta of degree t-2, one degree below a node's."""
+    return star_rows(spec, flavor, x, s, t - 2)
+
+
 def quotient_rows(spec: FieldSpec, flavor: str, t: int, s) -> list[list[int]]:
-    """The axiom rows of star s at x = e_c, for each c in range(t)."""
+    """The axiom rows of star s at x = e_c, for each c in range(t): the
+    exterior repair-span axiom's slack for a failed node of star s."""
     rows = []
     for c in range(t):
-        rows.extend(star_rows(spec, flavor, [int(i == c) for i in range(t)], s, t - 2))
+        rows.extend(axiom_rows(spec, flavor, t, [int(i == c) for i in range(t)], s))
     return rows
 
 
@@ -319,47 +310,55 @@ class AxiomReport(namedtuple("AxiomReport", "ok axiom subset failed_node subsets
                                       message=self.describe())
 
 
+def spanning_conditions(p: CodeParams, xs, ss, rows, quotients):
+    """Each MDS condition of nodes with stars (xs[h], ss[h]), axiom rows
+    rows[h] and exterior quotient rows quotients[h], as (axiom, failed
+    node or None, blocks by node, size, target, base): every size-subset
+    of the other nodes reaches rank `target` with the base rows.
+
+    MDSx: any t x-vectors span F^t.  Symmetric: any k-t+1 y-vectors span
+    their space (MDSy), and any d nodes' axiom rows have rank d*beta
+    (MDSd).  Exterior: any k w-vectors span F^k (MDSw), and for each
+    failed node f any d others' axiom rows span over f's quotient rows
+    (MDSq)."""
+    yield "MDSx", None, [[x] for x in xs], p.t, p.t, ()
+    yield ("MDSy" if p.flavor == SYMMETRIC else "MDSw", None, [[s] for s in ss],
+           p.y_dim, p.y_dim, ())
+    # the axiom rows fill their whole space, X tensor the degree-(t-1)
+    # power; symmetric: d*beta stacked tensors fill X tensor S^(t-1)
+    full_rank = len(rows[0][0])
+    assert p.flavor != SYMMETRIC or full_rank == p.d * p.beta
+    if p.flavor == SYMMETRIC:
+        yield "MDSd", None, rows, p.d, full_rank, ()
+    else:
+        for f, base in enumerate(quotients):
+            yield "MDSq", f, rows, p.d, full_rank, base
+
+
 def verify_axioms(stars: StarFamily) -> AxiomReport:
     """Exhaustively check every MDS spanning condition of the family.
 
-    Symmetric flavor: any t x-vectors span F^t; any k-t+1 y-vectors span
-    their space; for any d nodes the stacked degree-(t-1) tensors have
-    full rank d*beta.  Exterior flavor replaces the second check by any
-    k w-vectors spanning F^k, and the third by the quotient-augmented
-    rank test over every (failed node, d-subset) pair.
-
-    Every check is one first_deficient_subset walk over the nodes'
-    blocks: a single star vector each for the first two, the axiom rows
-    for the third (with the failed node's quotient rows as the base in
-    the exterior flavor).  A d-subset of n nodes is a large side, so the
-    third check usually walks the (n-d)-subsets of the dual matroid (see
-    linalg): on the fixture 3 of 9 blocks, and on RS (12,5,8) exterior 3
-    of 11 rows of F^3 per failed node.  A failing report counts every
-    subset in combinations order up to and including the first one that
-    fails, as a one-by-one check would; a dual walk that fails hands
-    over to the primal walk, which names that subset.
+    Every condition of spanning_conditions is one first_deficient_subset
+    walk over the blocks of the nodes other than its failed node: a
+    single star vector each for MDSx and MDSy/MDSw, the axiom rows for
+    MDSd and MDSq (with the failed node's quotient rows as the base).  A
+    d-subset of n nodes is a large side, so the last checks usually walk
+    the (n-d)-subsets of the dual matroid (see linalg): on the fixture 3
+    of 9 blocks, and on RS (12,5,8) exterior 3 of 11 rows of F^3 per
+    failed node.  A failing report counts every subset in combinations
+    order up to and including the first one that fails, as a one-by-one
+    check would; a dual walk that fails hands over to the primal walk,
+    which names that subset.
     """
-    p = stars.params
-    everyone = list(range(p.n))
-
-    def passes():
-        # (axiom, failed node, nodes, their blocks, subset size, rank, base rows)
-        yield "MDSx", None, everyone, [[x] for x in stars.x_stars], p.t, p.t, ()
-        yield ("MDSy" if p.flavor == SYMMETRIC else "MDSw", None, everyone,
-               [[s] for s in stars.second_stars], p.y_dim, p.y_dim, ())
-        # the axiom rows fill their whole space, X tensor the degree-(t-1)
-        # power; symmetric: d*beta stacked tensors fill X tensor S^(t-1)
-        full_rank = len(stars.axiom_tensor_rows(0)[0])
-        assert p.flavor != SYMMETRIC or full_rank == p.d * p.beta
-        for f in [None] if p.flavor == SYMMETRIC else everyone:
-            nodes = [h for h in everyone if h != f]
-            yield ("MDSd" if f is None else "MDSq", f, nodes,
-                   [stars.axiom_tensor_rows(h) for h in nodes], p.d, full_rank,
-                   () if f is None else stars.quotient_rows(f))
-
+    p, spec = stars.params, stars.spec
+    xs, ss = stars.x_stars, stars.second_stars
+    rows = [axiom_rows(spec, p.flavor, p.t, x, s) for x, s in zip(xs, ss)]
+    quotients = ([quotient_rows(spec, p.flavor, p.t, s) for s in ss]
+                 if p.flavor == EXTERIOR else None)
     checked = 0
-    for axiom, f, nodes, blocks, size, target, base in passes():
-        miss = first_deficient_subset(stars.spec, blocks, size, target, base)
+    for axiom, f, blocks, size, target, base in spanning_conditions(p, xs, ss, rows, quotients):
+        nodes = [h for h in range(p.n) if h != f]
+        miss = first_deficient_subset(spec, [blocks[h] for h in nodes], size, target, base)
         if miss is not None:
             checked += _combination_index(miss, len(nodes)) + 1
             return AxiomReport(False, axiom, tuple(nodes[i] for i in miss), f, checked)

@@ -4,12 +4,13 @@ Two routes:
 
 * grow_pool -- deterministic greedy brute force.  Candidate evaluation
   points are scanned in canonical field order; a point joins the pool
-  iff every spanning condition touching it still holds.  Each condition
-  is one linalg.first_deficient_subset walk: the candidate's rows are
-  the base, the pool points' rows the blocks, and the walk keeps the
-  blocks not yet chosen reduced modulo each prefix's span.  The blocks
-  go newest-first, since a rejected candidate's deficient subset almost
-  always holds the latest admitted points, so a rejection ends sooner.
+  iff every condition of code.spanning_conditions still holds on the
+  subsets holding it.  Each is one linalg.first_deficient_subset walk:
+  the candidate's rows join the base, the pool points' rows are the
+  blocks, and the walk keeps the blocks not yet chosen reduced modulo
+  each prefix's span.  The blocks go newest-first, since a rejected
+  candidate's deficient subset almost always holds the latest admitted
+  points, so a rejection ends sooner.
   The walk is exhaustive and only whether some subset is deficient is
   used, so the order changes no verdict and no pool.  The exhaustive
   check is the certification path for concrete families.
@@ -34,12 +35,11 @@ import random
 from collections import namedtuple
 from math import comb
 
-from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, derive_params,
-                   pattern_stars, quotient_rows)
+from .code import (EXTERIOR, SYMMETRIC, CodeParams, StarFamily, axiom_rows, derive_params,
+                   pattern_stars, quotient_rows, spanning_conditions)
 from .errors import UsageError
 from .fields import FieldSpec, prime_field
 from .linalg import det, first_deficient_subset
-from .tensors import star_rows
 
 NONZERO_WITNESSED = "nonzero-witnessed"
 INCONCLUSIVE = "inconclusive"
@@ -84,8 +84,8 @@ def grow_pool(cfg: SearchConfig, n: int | None = None) -> PoolResult:
 
     Incremental checking: only subsets touching the candidate point are
     re-verified, which is equivalent to full re-verification because
-    previously accepted subsets are untouched by a new point.  Each pool
-    point's axiom and quotient rows are built once, when it is admitted.
+    previously accepted subsets are untouched by a new point.  Each
+    candidate's axiom (and exterior quotient) rows are built once.
     Each check walks the pool newest-first, where a failing subset is
     met soonest; the verdict is the same in any order, so the pool is.
     Admission is greedy in field order, so the pool stopped at n points
@@ -123,30 +123,21 @@ def _admitted_rows(spec, p, xs, ss, blocks, quotients, x_new, s_new):
     """The new point's (axiom rows, quotient rows) if all spanning
     conditions still hold once (x_new, s_new) joins; None if one fails.
 
-    Each check puts the new point's rows first and lets the subset walk
-    fill in every choice of pool points around them, newest first.
+    The new point v is node 0 of spanning_conditions and the pool
+    follows newest first.  v's block joins each condition's base, and
+    the walk picks one node fewer around it; where v is the failed
+    node, its quotient rows are the base and every pool block is walked.
     """
-    xs, ss, blocks, quotients = xs[::-1], ss[::-1], blocks[::-1], quotients[::-1]
-    if first_deficient_subset(spec, [[x] for x in xs], p.t - 1, p.t, [x_new]) is not None:
-        return None
-    if first_deficient_subset(spec, [[s] for s in ss], p.y_dim - 1, p.y_dim,
-                              [s_new]) is not None:
-        return None
-    new_rows = star_rows(spec, p.flavor, x_new, s_new, p.t - 2)
-    full = len(new_rows[0])
-    if p.flavor == SYMMETRIC:
-        if first_deficient_subset(spec, blocks, p.d - 1, full, new_rows) is not None:
+    new_rows = axiom_rows(spec, p.flavor, p.t, x_new, s_new)
+    new_quotient = quotient_rows(spec, p.flavor, p.t, s_new) if p.flavor == EXTERIOR else None
+    for _, f, by_node, size, target, base in spanning_conditions(
+            p, [x_new] + xs[::-1], [s_new] + ss[::-1], [new_rows] + blocks[::-1],
+            [new_quotient] + quotients[::-1]):
+        if f != 0:
+            base, size = by_node[0] + list(base), size - 1
+        if first_deficient_subset(spec, [block for h, block in enumerate(by_node)
+                                         if h and h != f], size, target, base) is not None:
             return None
-        return new_rows, None
-    # pairs (f, H) touching the new point: it is the failed node, or it
-    # is one of the d helpers
-    new_quotient = quotient_rows(spec, p.flavor, p.t, s_new)
-    if first_deficient_subset(spec, blocks, p.d, full, new_quotient) is not None:
-        return None
-    if any(first_deficient_subset(spec, blocks[:f] + blocks[f + 1:], p.d - 1, full,
-                                  new_rows + quotients[f]) is not None
-           for f in range(len(xs))):
-        return None
     return new_rows, new_quotient
 
 
@@ -170,7 +161,7 @@ def witness_matrix(spec: FieldSpec, t: int, xs: list[list[int]],
     into the square witness matrix."""
     rows = []
     for x, y in zip(xs, ys):
-        rows.extend(star_rows(spec, SYMMETRIC, x, y, t - 2))
+        rows.extend(axiom_rows(spec, SYMMETRIC, t, x, y))
     return rows
 
 

@@ -72,21 +72,43 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert unreferenced == set(ALLOWED_UNREFERENCED)
 
 
-def test_one_function_loops_over_batches():
-    # cluster's data commands are plans for one streaming pass, the only
-    # caller of _batches: a new command adds a plan, not a batch loop
-    callers = []
+def _scopes(matches):
+    """The dotted scope (module, then each enclosing def or class) of
+    every node in src that `matches`."""
+    scopes = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and "_batches" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                callers.append(scope)
+            if matches(child):
+                scopes.append(scope)
             visit(child, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
+    return scopes
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_function_loops_over_batches():
+    # cluster's data commands are plans for one streaming pass, the only
+    # caller of _batches: a new command adds a plan, not a batch loop
+    callers = _scopes(_calls("_batches"))
     assert len(callers) == 1, callers
+
+
+def test_one_statement_of_the_mds_conditions():
+    # verify_axioms and grow_pool walk the conditions spanning_conditions
+    # yields: a condition stated anywhere else could drift from it
+    names = {"MDSx", "MDSy", "MDSw", "MDSd", "MDSq"}
+    stated = _scopes(lambda node: isinstance(node, ast.Constant) and node.value in names)
+    assert set(stated) == {"code.spanning_conditions"}, stated
+    walkers = {scope for scope in _scopes(_calls("first_deficient_subset"))
+               if not scope.startswith("linalg.")}
+    assert walkers == {"code.verify_axioms", "search._admitted_rows"}, walkers

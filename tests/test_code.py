@@ -8,9 +8,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from atrahasis.code import (EXTERIOR, SYMMETRIC, AxiomReport, CodeParams,
-                            HelpMessage, NodeContent, StarFamily, derive_params,
-                            help_matrix, pattern_family, rs_certificate, rs_patterns,
-                            rs_stars_t2, verify_axioms)
+                            HelpMessage, NodeContent, StarFamily, axiom_rows,
+                            derive_params, help_matrix, pattern_family, quotient_rows,
+                            rs_certificate, rs_patterns, rs_stars_t2, verify_axioms)
 from atrahasis.errors import (AxiomViolationError, FieldTooSmallError,
                               InfeasibleParametersError, UsageError)
 from atrahasis.fields import binary_field, prime_field
@@ -145,16 +145,18 @@ def brute_force_report(stars):
     p, spec = stars.params, stars.spec
     checked, nodes = 0, range(p.n)
     second = "MDSy" if p.flavor == SYMMETRIC else "MDSw"
-    full = len(stars.axiom_tensor_rows(0)[0])
+    blocks = [axiom_rows(spec, p.flavor, p.t, x, s)
+              for x, s in zip(stars.x_stars, stars.second_stars)]
+    full = len(blocks[0][0])
     checks = [("MDSx", None, p.t, p.t, lambda S: [stars.x_stars[h] for h in S]),
               (second, None, p.y_dim, p.y_dim, lambda S: [stars.second_stars[h] for h in S])]
     if p.flavor == SYMMETRIC:
         checks.append(("MDSd", None, p.d, full,
-                       lambda S: [row for h in S for row in stars.axiom_tensor_rows(h)]))
+                       lambda S: [row for h in S for row in blocks[h]]))
     else:
         checks += [("MDSq", f, p.d, full,
-                    lambda S, f=f: stars.quotient_rows(f)
-                    + [row for h in S for row in stars.axiom_tensor_rows(h)])
+                    lambda S, f=f: quotient_rows(spec, p.flavor, p.t, stars.second_stars[f])
+                    + [row for h in S for row in blocks[h]])
                    for f in nodes]
     for axiom, f, size, target, rows in checks:
         for S in combinations([h for h in nodes if h != f], size):

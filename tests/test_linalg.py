@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from atrahasis import linalg
-from atrahasis.code import EXTERIOR, derive_params
+from atrahasis.code import EXTERIOR, axiom_rows, derive_params, quotient_rows
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import (Echelon, SpanSolver, det, first_deficient_subset, matvec,
@@ -570,8 +570,9 @@ def combination(spec, a, b, fa, fb):
 def test_first_deficient_subset_deep_fixture_blocks(fixture_family, size):
     # the fixture's 9 axiom blocks, 3 rows of width 18: walks to depth 5
     # and 6 with multi-row blocks, which subset_problems never reaches
-    spec = fixture_family.spec
-    blocks = [fixture_family.axiom_tensor_rows(h) for h in range(9)]
+    spec, p = fixture_family.spec, fixture_family.params
+    blocks = [axiom_rows(spec, p.flavor, p.t, x, s)
+              for x, s in zip(fixture_family.x_stars, fixture_family.second_stars)]
     target = 3 * size
     assert first_deficient_subset(spec, blocks, size, target) is None
     assert brute_force_first_deficient(spec, blocks, size, target, ()) is None
@@ -592,9 +593,11 @@ def test_first_deficient_subset_deep_exterior_quotient_pass():
     # nodes' blocks have 5 rows of width 30 (rank 4, so redundant)
     family = grow_pool(SearchConfig(prime_field(31), derive_params(8, 5, 6, EXTERIOR),
                                     (0, 2, 6), (0, 1, 2, 3, 4))).family
-    spec, full = family.spec, len(family.axiom_tensor_rows(0)[0])
-    base = family.quotient_rows(0)
-    blocks = [family.axiom_tensor_rows(h) for h in range(1, 8)]
+    spec, p = family.spec, family.params
+    base = quotient_rows(spec, p.flavor, p.t, family.second_stars[0])
+    blocks = [axiom_rows(spec, p.flavor, p.t, x, s)
+              for x, s in list(zip(family.x_stars, family.second_stars))[1:]]
+    full = len(blocks[0][0])
     cases = [(blocks, 6), (blocks, 5)]
     for j in range(7):
         # rows 2.. of block j become combinations of its first two rows and

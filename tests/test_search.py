@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from atrahasis.code import EXTERIOR, SYMMETRIC, derive_params, verify_axioms
+from atrahasis.code import EXTERIOR, SYMMETRIC, derive_params, pattern_family, verify_axioms
 from atrahasis.errors import UsageError
 from atrahasis.fields import binary_field, prime_field
 from atrahasis.linalg import det
@@ -61,6 +61,28 @@ def test_grow_pool_pinned_pools(spec, params, x_pattern, y_pattern, pool):
     result = grow_pool(SearchConfig(spec, derive_params(*params), x_pattern, y_pattern))
     assert result.ok and result.pool == pool
     assert result.family.params.n == len(pool)
+
+
+SMALL_FIELD_POOLS = [pin for pin in PINNED_POOLS if pin[0].order <= 64]
+
+
+@pytest.mark.parametrize("spec,params,x_pattern,y_pattern,pool", SMALL_FIELD_POOLS,
+                         ids=_pin_ids(SMALL_FIELD_POOLS))
+def test_grow_pool_admits_what_verify_axioms_passes(spec, params, x_pattern, y_pattern,
+                                                    pool):
+    # grow_pool walks only the subsets holding each candidate: a candidate
+    # joins exactly when verify_axioms passes the pool below it plus it
+    n, k, d, flavor = params
+    candidates = 0
+    for v in range(spec.order):
+        below = [a for a in pool if a < v]
+        if len(below) < d:
+            continue
+        family = pattern_family(spec, derive_params(len(below) + 1, k, d, flavor),
+                                below + [v], x_pattern, y_pattern)
+        assert verify_axioms(family).ok == (v in pool), v
+        candidates += 1
+    assert candidates > len(pool) - d
 
 
 @pytest.mark.parametrize("n", [9, 12])
